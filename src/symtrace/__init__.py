@@ -1,7 +1,7 @@
 """Exact symbolic engine for reduced trace maps of polynomial algebras."""
 
 from .gcalg import AlgebraElement, InvalidInputError, koszul_sign, render
-from .derham import Form, DRCView, bigrade_split, d, euler_contract, exactness_witness
+from .derham import Form, bigrade_split, d, euler_contract, exactness_witness
 from .resolution import RElement, abelianize, delta_R, s_inv
 from .trace import (
     TraceMethod,
@@ -18,7 +18,6 @@ from .trace import (
 
 __all__ = [
     "AlgebraElement",
-    "DRCView",
     "Form",
     "InvalidInputError",
     "RElement",

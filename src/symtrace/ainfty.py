@@ -27,7 +27,6 @@ labeled trees.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,10 +35,15 @@ from .derham import Form, bigrade_split, d, monomial_basis
 from .gcalg import (
     AlgebraElement,
     DX_KIND,
+    IntegrityError,
     InvalidInputError,
     Monomial,
+    ResourceLimitError,
     X_KIND,
+    max_basis_budget,
     monomial_from_factors,
+    perm_sign,
+    render,
     x_gen,
 )
 from .resolution import (
@@ -58,18 +62,6 @@ from .trace import cs_trace_raw
 PlanarTree = Optional[tuple]  # None = leaf, (left, right) = internal vertex
 
 LEAF: PlanarTree = None
-
-
-class ResourceLimitError(RuntimeError):
-    """A materialization exceeded the configured budget or caps."""
-
-
-class IntegrityError(RuntimeError):
-    """An internal consistency assertion failed."""
-
-
-def max_basis_budget() -> int:
-    return int(os.environ.get("SYMTRACE_MAX_BASIS", "200000"))
 
 
 def leaf_count(t: PlanarTree) -> int:
@@ -143,16 +135,6 @@ def enumerate_labeled_classes(k: int) -> List[Tuple[Tuple[int, ...], PlanarTree]
             if key not in seen:
                 seen[key] = (sigma, t)
     return list(seen.values())
-
-
-def perm_sign(sigma: Sequence[int]) -> int:
-    inv = sum(
-        1
-        for a in range(len(sigma))
-        for b in range(a + 1, len(sigma))
-        if sigma[a] > sigma[b]
-    )
-    return -1 if inv % 2 else 1
 
 
 # -- exact sparse linear algebra ----------------------------------------------
@@ -300,7 +282,7 @@ class MerkulovData:
                 continue
             mono = monomial_from_factors([x_gen(l[0]) for l in word])
             s, m = mono
-            out = out + AlgebraElement.from_monomial(m, s * c)
+            out.add_term(m, s * c)
         return out
 
     def f1(self, a: AlgebraElement) -> RElement:
@@ -312,7 +294,7 @@ class MerkulovData:
                 if g[0] != X_KIND:
                     raise InvalidInputError("f1 takes polynomial elements only")
                 letters.extend([(g[1],)] * e)
-            out = out + RElement.from_word(tuple(letters), c)
+            out.add_term(tuple(letters), c)
         return out
 
     def h(self, e: RElement) -> RElement:
@@ -338,8 +320,7 @@ class MerkulovData:
                 raise IntegrityError("kernel of pi is not exhausted by boundaries")
             h_rows = self._h_rows[(deg, w)]
             for i, c in coeffs.items():
-                if c:
-                    out = out + c * h_rows[i]
+                out.iadd(h_rows[i], c)
         return out
 
     # -- construction-time consistency -----------------------------------------
@@ -374,7 +355,7 @@ class MerkulovData:
         for s in range(1, i):
             t = i - s
             sign = 1 if (s + 1) % 2 == 0 else -1
-            out = out + sign * (self._h_mu(s, args[:s]) * self._h_mu(t, args[s:]))
+            out.iadd(self._h_mu(s, args[:s]) * self._h_mu(t, args[s:]), sign)
         return out
 
     def _h_mu(self, s: int, args: Sequence[RElement]) -> RElement:
@@ -434,11 +415,11 @@ def tree_trace_args(md: MerkulovData, args: Sequence[AlgebraElement]) -> Algebra
     total_perm = AlgebraElement.zero()
     for sigma in permutations(range(k + 1)):
         value = md.f_taylor([args[j] for j in sigma])
-        total_perm = total_perm + perm_sign(sigma) * abelianize(value)
+        total_perm.iadd(abelianize(value), perm_sign(sigma))
     total_class = AlgebraElement.zero()
     for sigma, t in enumerate_labeled_classes(k):
         value = md.f_tree_commutator(t, [args[j] for j in sigma])
-        total_class = total_class + perm_sign(sigma) * tree_sign(t) * abelianize(value)
+        total_class.iadd(abelianize(value), perm_sign(sigma) * tree_sign(t))
     if total_perm != total_class:
         raise IntegrityError("permutation and labeled-class tree sums disagree")
     return total_perm
@@ -456,7 +437,7 @@ def tree_trace(md: MerkulovData, omega: Form, k: int) -> AlgebraElement:
             args = [AlgebraElement.from_monomial(poly)] + [
                 AlgebraElement.from_gen(x_gen(i)) for i in dxs
             ]
-            out = out + c * tree_trace_args(md, args)
+            out.iadd(tree_trace_args(md, args), c)
     return out
 
 
@@ -466,7 +447,7 @@ def class_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraE
     total = AlgebraElement.zero()
     for sigma, t in enumerate_labeled_classes(k):
         value = md.f_tree_commutator(t, [args[j] for j in sigma])
-        total = total + perm_sign(sigma) * tree_sign(t) * abelianize(value)
+        total.iadd(abelianize(value), perm_sign(sigma) * tree_sign(t))
     return total
 
 
@@ -476,8 +457,6 @@ def verify_cstree(md: MerkulovData, k: int, samples: Sequence[Sequence[AlgebraEl
     Returns (failures, cases); a failure records the argument tuple and both
     rendered values.
     """
-    from .gcalg import render
-
     failures = []
     cases = 0
     for args in samples:

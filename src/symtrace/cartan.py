@@ -13,62 +13,45 @@ the connection/curvature evaluators with the power-sum contraction folded in.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import permutations
 from typing import Dict, Optional, Sequence, Tuple
 
 from .derham import Form, bigrade_split, d
 from .gcalg import (
     AlgebraElement,
+    IntegrityError,
     InvalidInputError,
+    LinComb,
     Monomial,
+    koszul_sign,
     monomial_parity,
     monomial_units,
 )
 from .trace import _assignments, _slot_term, expand_multilinear, trace_simple
-import math
-
-
-class IntegrityError(RuntimeError):
-    pass
-
 
 SlotKey = Tuple[Monomial, ...]
 
 ONE: Monomial = ()
 
 
-class DiagonalTraceValue:
+class DiagonalTraceValue(LinComb):
     """S_n-symmetric element of the n-fold tensor power of the target algebra."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms: Optional[Dict[SlotKey, Fraction]] = None):
         self.n = n
-        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
+        super().__init__(terms)
 
-    @staticmethod
-    def zero(n: int) -> "DiagonalTraceValue":
-        return DiagonalTraceValue(n)
+    def _new(self, terms: dict) -> "DiagonalTraceValue":
+        return DiagonalTraceValue(self.n, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "DiagonalTraceValue") -> "DiagonalTraceValue":
+    def iadd(self, other: "DiagonalTraceValue", c=1) -> "DiagonalTraceValue":
         if self.n != other.n:
             raise InvalidInputError("slot counts differ")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return DiagonalTraceValue(self.n, out)
-
-    def scale(self, c) -> "DiagonalTraceValue":
-        c = Fraction(c)
-        return DiagonalTraceValue(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
+        return super().iadd(other, c)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiagonalTraceValue):
@@ -79,14 +62,8 @@ class DiagonalTraceValue:
         """Apply a slot permutation with Koszul signs (slot parities)."""
         out: Dict[SlotKey, Fraction] = {}
         for key, c in self.terms.items():
-            parities = [monomial_parity(m) for m in key]
+            sign = koszul_sign(sigma, [monomial_parity(m) for m in key])
             new = [ONE] * self.n
-            sign = 1
-            # move slot j to position sigma[j]; count odd-odd inversions
-            for a in range(self.n):
-                for b in range(a + 1, self.n):
-                    if sigma[a] > sigma[b] and parities[a] and parities[b]:
-                        sign = -sign
             for j, m in enumerate(key):
                 new[sigma[j]] = m
             k2 = tuple(new)
@@ -94,8 +71,6 @@ class DiagonalTraceValue:
         return DiagonalTraceValue(self.n, out)
 
     def is_symmetric(self) -> bool:
-        from itertools import permutations
-
         return all(
             self.permute_slots(sigma) == self
             for sigma in permutations(range(self.n))
@@ -156,9 +131,7 @@ def _cartan_slot_route(omega: Form, n: int, q: int) -> DiagonalTraceValue:
                 for i in range(n):
                     key = tuple(mono if j == i else ONE for j in range(n))
                     acc[key] = acc.get(key, Fraction(0)) + c
-        out = out + DiagonalTraceValue(n, acc).scale(
-            Fraction(1, math.factorial(r + 1))
-        )
+        out.iadd(DiagonalTraceValue(n, acc), Fraction(1, math.factorial(r + 1)))
     return out
 
 

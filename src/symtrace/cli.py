@@ -8,8 +8,10 @@ Grammar for form expressions (whitespace insignificant)::
     primary:= rational | var | dvar | '(' expr ')'
     var    := 'x' int          dvar := 'dx' int
 
-Exit codes: 0 success, 1 verification failures, 2 usage or resource errors.
-The environment variable SYMTRACE_MAX_BASIS bounds materialized bases.
+Exit codes: 0 success, 1 verification failures (including a failed internal
+integrity check, reported as ``error: integrity check failed: ...``), 2 usage,
+parse or resource errors.  The environment variable SYMTRACE_MAX_BASIS bounds
+materialized bases.
 """
 
 from __future__ import annotations
@@ -33,8 +35,11 @@ from .derham import (
 )
 from .gcalg import (
     AlgebraElement,
+    IntegrityError,
     InvalidInputError,
+    ResourceLimitError,
     dx_gen,
+    lam_gen,
     monomial_sort_key,
     render,
     render_monomial,
@@ -43,7 +48,6 @@ from .gcalg import (
 from .resolution import abelianize, delta_R, lam_element, r_word_basis, RElement
 from .trace import (
     TraceMethod,
-    UnsupportedDegreeError,
     cs_trace_raw,
     F_eval,
     trace,
@@ -111,21 +115,19 @@ class _Parser:
         return Form(value, self.nvars)
 
     def expr(self) -> AlgebraElement:
+        value = AlgebraElement.zero()
+        sign = 1
         tok = self.peek()
-        negate = False
         if tok is not None and tok[0] == "op" and tok[1] == "-":
             self.next()
-            negate = True
-        value = self.term()
-        if negate:
-            value = -value
+            sign = -1
         while True:
+            value.iadd(self.term(), sign)
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] not in "+-":
                 return value
             self.next()
-            rhs = self.term()
-            value = value + rhs if tok[1] == "+" else value - rhs
+            sign = 1 if tok[1] == "+" else -1
 
     def term(self) -> AlgebraElement:
         value = self.factor()
@@ -159,6 +161,8 @@ class _Parser:
                 den_tok = self.next()
                 if den_tok[0] != "num":
                     raise ParseError("expected a denominator", den_tok[2])
+                if int(den_tok[1]) == 0:
+                    raise ParseError("zero denominator", den_tok[2])
                 return AlgebraElement.constant(Fraction(num, int(den_tok[1])))
             return AlgebraElement.constant(num)
         if kind == "var":
@@ -241,7 +245,6 @@ def suite_routes(nvars: int, weight_cap: int, degree_cap: int) -> VerificationRe
     """Route agreement: slot expansion == combinatorial formula == F(d .)
     == low-degree operators where defined."""
     report = VerificationReport("routes")
-    t0 = time.time()
     for w, p, form in _basis_forms(nvars, weight_cap, degree_cap):
         a = cs_trace_raw(form)
         b = trace_simple(form)
@@ -253,14 +256,12 @@ def suite_routes(nvars: int, weight_cap: int, degree_cap: int) -> VerificationRe
             ok, weight=w, degree=p, form=render(form.body),
             cs=render(a), simple=render(b),
         )
-    report.wall_time = time.time() - t0
     return report
 
 
 def suite_derham(nvars: int, weight_cap: int, degree_cap: int) -> VerificationReport:
     """d d = 0, the Euler contraction identity, and exactness witnesses."""
     report = VerificationReport("derham")
-    t0 = time.time()
     for w, p, form in _basis_forms(nvars, weight_cap, degree_cap):
         ok = d(d(form)).is_zero()
         lhs = euler_contract(d(form)) + d(euler_contract(form))
@@ -270,7 +271,6 @@ def suite_derham(nvars: int, weight_cap: int, degree_cap: int) -> VerificationRe
             eta = exactness_witness(df)
             ok = ok and eta is not None and d(eta) == df
         report.record(ok, weight=w, degree=p, form=render(form.body))
-    report.wall_time = time.time() - t0
     return report
 
 
@@ -279,7 +279,6 @@ def suite_resolution(nvars: int, weight_cap: int) -> VerificationReport:
     from itertools import combinations
 
     report = VerificationReport("resolution")
-    t0 = time.time()
     for k in range(1, min(nvars, 4) + 1):
         for idx in combinations(range(1, nvars + 1), k):
             e = lam_element(idx)
@@ -295,14 +294,12 @@ def suite_resolution(nvars: int, weight_cap: int) -> VerificationReport:
                 report.record(
                     abelianize(delta_R(e)).is_zero(), word=word, check="ab(delta)"
                 )
-    report.wall_time = time.time() - t0
     return report
 
 
 def suite_cstree(nvars: int, k_max: int, weight_cap: int) -> VerificationReport:
     """Labeled-class tree sums against the slot-expansion trace."""
     report = VerificationReport("cstree")
-    t0 = time.time()
     md = ainfty.build_merkulov(nvars, weight_cap, max(3, k_max))
     for k in range(1, k_max + 1):
         samples = ainfty.monomial_tuples(nvars, k + 1, weight_cap)
@@ -312,20 +309,17 @@ def suite_cstree(nvars: int, k_max: int, weight_cap: int) -> VerificationReport:
             report.failures.append(
                 {"k": k, "args": [render(a) for a in args], "tree": lhs, "cs": rhs}
             )
-    report.wall_time = time.time() - t0
     return report
 
 
 def suite_conj1(nvars: int, cap: int) -> VerificationReport:
     """Closedness of the bridge cocycle and its two projections."""
     report = VerificationReport("conj1")
-    t0 = time.time()
     fails, cases = cyclic.verify_conj1(nvars, cap)
     report.cases = cases
     report.failures = [
         {"u": list(u), "n": n, "p": p, "reason": reason} for (u, n, p, reason) in fails
     ]
-    report.wall_time = time.time() - t0
     return report
 
 
@@ -333,18 +327,15 @@ def suite_cartan(nvars: int, weight_cap: int, n_max: int, q_max: int) -> Verific
     """Both Cartan routes agree, outputs are symmetric, and the q-sum
     symmetrizes."""
     report = VerificationReport("cartan")
-    t0 = time.time()
     for w, p, form in _basis_forms(nvars, weight_cap, min(nvars, 2)):
         for n in range(1, n_max + 1):
             for q in range(0, q_max + 1):
                 try:
                     value = cartan.trace_cartan(form, n, q)
                     ok = value.is_symmetric()
-                except cartan.IntegrityError:
+                except IntegrityError:
                     ok = False
                 report.record(ok, weight=w, degree=p, n=n, q=q, form=render(form.body))
-    from .gcalg import lam_gen
-
     for n in range(1, n_max + 1):
         sample = AlgebraElement.from_gen(x_gen(1)) * AlgebraElement.from_gen(
             lam_gen((1, 2)) if nvars >= 2 else x_gen(1)
@@ -352,9 +343,8 @@ def suite_cartan(nvars: int, weight_cap: int, n_max: int, q_max: int) -> Verific
         total = cartan.vartheta_symmetrize(sample, n)
         by_q = cartan.DiagonalTraceValue.zero(n)
         for q in range(0, 8):
-            by_q = by_q + cartan.vartheta_power_sum(sample, n, q)
+            by_q.iadd(cartan.vartheta_power_sum(sample, n, q))
         report.record(total == by_q, n=n, check="power-sum total = symmetrization")
-    report.wall_time = time.time() - t0
     return report
 
 
@@ -362,12 +352,10 @@ def suite_merkulov(nvars: int, weight_cap: int, k_max: int) -> VerificationRepor
     """Side conditions, the tree expansion of the transfer components, and
     the internal agreement of the two trace sums."""
     report = VerificationReport("merkulov")
-    t0 = time.time()
     try:
         md = ainfty.build_merkulov(nvars, weight_cap, max(3, k_max))
-    except ainfty.IntegrityError as exc:
+    except IntegrityError as exc:
         report.record(False, check="build", error=str(exc))
-        report.wall_time = time.time() - t0
         return report
     report.record(True, check="side conditions at build")
     for k in range(1, k_max + 1):
@@ -376,7 +364,7 @@ def suite_merkulov(nvars: int, weight_cap: int, k_max: int) -> VerificationRepor
             lhs = md.f_taylor(list(args))
             rhs = RElement.zero()
             for t in trees:
-                rhs = rhs + ainfty.tree_sign(t) * md.f_tree(t, list(args))
+                rhs.iadd(md.f_tree(t, list(args)), ainfty.tree_sign(t))
             report.record(
                 (lhs - rhs).is_zero(),
                 k=k, args=[render(a) for a in args], check="tree expansion",
@@ -385,9 +373,8 @@ def suite_merkulov(nvars: int, weight_cap: int, k_max: int) -> VerificationRepor
         try:
             ainfty.tree_trace_args(md, list(args))
             report.record(True, check="trace sums agree")
-        except ainfty.IntegrityError as exc:
+        except IntegrityError as exc:
             report.record(False, check="trace sums agree", error=str(exc))
-    report.wall_time = time.time() - t0
     return report
 
 
@@ -406,17 +393,7 @@ SUITES = {
 
 
 def cmd_trace(args) -> int:
-    method = {
-        "cs": TraceMethod.CHERN_SIMONS_RAW,
-        "cs-collapsed": TraceMethod.CHERN_SIMONS_COLLAPSED,
-        "simple": TraceMethod.SIMPLE_FORMULA,
-        "diffop": TraceMethod.DIFFOP_LOW_DEGREE,
-    }[args.method]
-    try:
-        form = parse_form(args.expr, args.vars)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    form = parse_form(args.expr, args.vars)
     if args.cartan:
         params = _parse_cartan(args.cartan)
         value = cartan.trace_cartan(form, params["n"], params["q"])
@@ -438,11 +415,7 @@ def cmd_trace(args) -> int:
                 slots = " (x) ".join(render_monomial(m) for m in key)
                 print(f"{c} * [{slots}]")
         return 0
-    try:
-        value = trace(form, method)
-    except UnsupportedDegreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    value = trace(form, TraceMethod(args.method))
     if args.json:
         print(json.dumps(element_to_json(value)))
     else:
@@ -453,27 +426,19 @@ def cmd_trace(args) -> int:
 def _parse_cartan(tokens: Sequence[str]) -> Dict[str, int]:
     params = {}
     for tok in tokens:
-        if "=" not in tok:
-            raise SystemExit(f"error: --cartan expects n=INT q=INT, got {tok!r}")
-        k, v = tok.split("=", 1)
-        if k not in ("n", "q"):
-            raise SystemExit(f"error: unknown cartan parameter {k!r}")
+        k, _, v = tok.partition("=")
+        if k not in ("n", "q") or not v.isdecimal():
+            raise InvalidInputError(f"--cartan expects n=INT q=INT, got {tok!r}")
         params[k] = int(v)
     if "n" not in params or "q" not in params:
-        raise SystemExit("error: --cartan needs both n= and q=")
+        raise InvalidInputError("--cartan needs both n= and q=")
     return params
 
 
 def cmd_verify(args) -> int:
-    runner = SUITES.get(args.suite)
-    if runner is None:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
-    try:
-        report = runner(args)
-    except (ainfty.ResourceLimitError, cyclic.ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    t0 = time.perf_counter()
+    report = SUITES[args.suite](args)
+    report.wall_time = time.perf_counter() - t0
     if args.json:
         print(json.dumps(report.to_json()))
     else:
@@ -482,13 +447,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    try:
-        cpx = cyclic.build_connes_complex(
-            args.ambient, args.vars, args.weight, args.deg + 1
-        )
-    except cyclic.ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cpx = cyclic.build_connes_complex(args.ambient, args.vars, args.weight, args.deg + 1)
     summary = cyclic.homology(cpx)
     rows = {
         (deg, w): summary.dim(deg, w)
@@ -572,6 +531,12 @@ def cmd_trees(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="symtrace",
@@ -581,8 +546,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="evaluate a trace of a form expression")
     p_trace.add_argument("--method", default="simple",
-                         choices=["cs", "cs-collapsed", "simple", "diffop"])
-    p_trace.add_argument("--vars", type=int, default=3)
+                         choices=[m.value for m in TraceMethod])
+    p_trace.add_argument("--vars", type=_positive_int, default=3)
     p_trace.add_argument("--cartan", nargs=2, metavar=("n=N", "q=Q"), default=None)
     p_trace.add_argument("--json", action="store_true")
     p_trace.add_argument("expr")
@@ -590,7 +555,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--vars", type=int, default=3)
+    p_verify.add_argument("--vars", type=_positive_int, default=3)
     p_verify.add_argument("--weight", type=int, default=4)
     p_verify.add_argument("--deg", type=int, default=3)
     p_verify.add_argument("--k", type=int, default=3)
@@ -602,7 +567,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_hom = sub.add_parser("homology", help="cyclic homology dimension table")
     p_hom.add_argument("--ambient", choices=["A", "R"], default="A")
-    p_hom.add_argument("--vars", type=int, default=1)
+    p_hom.add_argument("--vars", type=_positive_int, default=1)
     p_hom.add_argument("--weight", type=int, default=4)
     p_hom.add_argument("--deg", type=int, default=3)
     p_hom.add_argument("--json", action="store_true")
@@ -620,9 +585,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, ParseError) as exc:
+    except (InvalidInputError, ParseError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except IntegrityError as exc:
+        print(f"error: integrity check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

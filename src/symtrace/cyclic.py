@@ -37,36 +37,32 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .derham import Form, d, monomial_basis
 from .gcalg import (
     DX_KIND,
-    LAM_KIND,
     X_KIND,
     AlgebraElement,
+    IntegrityError,
     InvalidInputError,
+    LinComb,
     Monomial,
+    ResourceLimitError,
     dx_gen,
-    lam_letter,
+    max_basis_budget,
     monomial_from_factors,
     monomial_mul,
     monomial_weight,
+    perm_sign,
     x_gen,
 )
 from .resolution import (
     RElement,
     RWord,
+    _lam_word,
     abelianize,
     delta_R,
     r_word_basis,
     word_degree,
     word_weight,
 )
-from .trace import _du_shuffle_sign, trace_simple
-
-
-class IntegrityError(RuntimeError):
-    pass
-
-
-class ResourceLimitError(RuntimeError):
-    pass
+from .trace import trace_simple
 
 
 # Slots: ambient "A" uses polynomial monomials, ambient "R" uses words.
@@ -85,9 +81,8 @@ def _slot_weight(ambient: str, slot: Slot) -> int:
 def _slot_mul(ambient: str, a: Slot, b: Slot) -> Tuple[int, Slot]:
     if ambient == "R":
         return 1, a + b
-    r = monomial_mul(a, b)
     # polynomial slots are even; the product never vanishes
-    return r
+    return monomial_mul(a, b)
 
 
 def chain_degree(ambient: str, key: ChainKey) -> int:
@@ -98,40 +93,19 @@ def chain_weight(ambient: str, key: ChainKey) -> int:
     return sum(_slot_weight(ambient, s) for s in key)
 
 
-class CyclicChain:
+class CyclicChain(LinComb):
     """Linear combination of slot tuples over A or R."""
 
-    __slots__ = ("ambient", "terms")
+    __slots__ = ("ambient",)
 
     def __init__(self, ambient: str, terms: Optional[Dict[ChainKey, Fraction]] = None):
         if ambient not in ("A", "R"):
             raise InvalidInputError("ambient must be 'A' or 'R'")
         self.ambient = ambient
-        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
+        super().__init__(terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "CyclicChain") -> "CyclicChain":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return CyclicChain(self.ambient, out)
-
-    def __sub__(self, other: "CyclicChain") -> "CyclicChain":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - c
-        return CyclicChain(self.ambient, out)
-
-    def scale(self, c) -> "CyclicChain":
-        c = Fraction(c)
-        return CyclicChain(self.ambient, {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, c) -> "CyclicChain":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
+    def _new(self, terms: dict) -> "CyclicChain":
+        return CyclicChain(self.ambient, terms)
 
     def canonicalized(self) -> "CyclicChain":
         out: Dict[ChainKey, Fraction] = {}
@@ -251,10 +225,9 @@ def _slot_basis(ambient: str, nvars: int, weight: int) -> List[Slot]:
     if ambient == "A":
         return list(monomial_basis(nvars, weight))
     out: List[Slot] = []
-    top_degree = max(0, weight - 1)
-    for degc in range(top_degree + 1):
+    for degc in range(weight):
         out.extend(r_word_basis(nvars, weight, degc))
-    return [w for w in out if w != ()]
+    return out
 
 
 def build_connes_complex(
@@ -270,17 +243,11 @@ def build_connes_complex(
     if weight_cap < 0 or degree_cap < 0:
         raise InvalidInputError("caps must be nonnegative")
     if max_basis is None:
-        from .ainfty import max_basis_budget
-
         max_basis = max_basis_budget()
     slot_pool: Dict[int, List[Slot]] = {
-        w: _slot_basis(ambient, nvars, w) for w in range(0, weight_cap + 1)
+        w: _slot_basis(ambient, nvars, w) for w in range(1, weight_cap + 1)
     }
-    if ambient == "A":
-        unit_slot: Optional[Slot] = ()
-        slot_pool[0] = [()]
-    else:
-        slot_pool[0] = [()]
+    slot_pool[0] = [()]  # the unit slot, shared by both ambients
 
     basis: Dict[Tuple[int, int], List[ChainKey]] = {}
     seen: Dict[Tuple[int, int], set] = {}
@@ -470,34 +437,24 @@ def hkr_eps(omega: Form) -> CyclicChain:
             out[key] = out.get(key, Fraction(0)) + c
             continue
         for sigma in permutations(range(i)):
-            sign = _perm_signature(sigma)
+            sign = perm_sign(sigma)
             key = (poly,) + tuple(((x_gen(dxs[j]), 1),) for j in sigma)
             out[key] = out.get(key, Fraction(0)) + sign * c
     return CyclicChain("A", out)
-
-
-def _perm_signature(sigma: Sequence[int]) -> int:
-    inv = sum(
-        1
-        for a in range(len(sigma))
-        for b in range(a + 1, len(sigma))
-        if sigma[a] > sigma[b]
-    )
-    return -1 if inv % 2 else 1
 
 
 def hkr_I(chain: CyclicChain, nvars: int) -> Form:
     """(a_0, .., a_i) -> (1/i!) a_0 da_1 .. da_i, summed over the chain."""
     if chain.ambient != "A":
         raise InvalidInputError("hkr_I expects a chain over A")
-    total = Form.zero(nvars)
+    total = AlgebraElement.zero()
     for key, c in chain.terms.items():
         i = len(key) - 1
         part = Form(AlgebraElement.from_monomial(key[0], c * Fraction(1, math.factorial(i))), nvars)
         for slot in key[1:]:
             part = part * d(Form(AlgebraElement.from_monomial(slot), nvars))
-        total = total + part
-    return total
+        total.iadd(part.body)
+    return Form(total, nvars)
 
 
 # -- the closed bridge cocycle ---------------------------------------------------
@@ -531,37 +488,20 @@ def beta_cocycle(u_vars: Sequence[int], n: int, p: int) -> CyclicChain:
                         blocks[target - 1].append(pos)
                     else:
                         barred[-target - 1].append(pos)
-                sign = _du_shuffle_sign(blocks + barred)
-                letters = []
-                zero = False
-                for j in range(n):
-                    head = u_vars[sigma[j]]
-                    vs = [head] + [u_vars[n + pos] for pos in blocks[j]]
-                    r = lam_letter(vs)
-                    if r is None:
-                        zero = True
-                        break
-                    s, g = r
-                    sign *= s
-                    letters.append(g[1] if g[0] == LAM_KIND else (g[1],))
-                if zero:
+                head = _lam_word(
+                    [u_vars[sigma[j]]] + [u_vars[n + pos] for pos in blocks[j]]
+                    for j in range(n)
+                )
+                if head is None:
                     continue
-                tail = []
-                for j in range(m):
-                    vs = [u_vars[n + pos] for pos in barred[j]]
-                    r = lam_letter(vs)
-                    if r is None:
-                        zero = True
-                        break
-                    s, g = r
-                    sign *= s
-                    tail.append((g[1] if g[0] == LAM_KIND else (g[1],),))
-                if zero:
+                tail = _lam_word([u_vars[n + pos] for pos in block] for block in barred)
+                if tail is None:
                     continue
-                key = (tuple(letters),) + tuple(tail)
+                key = (head[1],) + tuple((letter,) for letter in tail[1])
+                sign = perm_sign([pos for block in blocks + barred for pos in block])
                 # (-1)^m aligns the column grading with the boundary
                 # convention used here; the one-slot part is unaffected
-                coeff = Fraction(sign * (-1) ** m, math.factorial(n))
+                coeff = Fraction(sign * head[0] * tail[0] * (-1) ** m, math.factorial(n))
                 out[key] = out.get(key, Fraction(0)) + coeff
     return CyclicChain("R", out)
 
@@ -583,7 +523,7 @@ def eps_coalgebra(words: RElement, nvars: int) -> Form:
     polynomial coefficients; rotations carry the graded-cyclic sign of R.
     Words with two or more non-singleton letters contribute nothing.
     """
-    total = Form.zero(nvars)
+    total = AlgebraElement.zero()
     for word, c in words.terms.items():
         s = len(word)
         degs = [len(l) - 1 for l in word]
@@ -601,8 +541,8 @@ def eps_coalgebra(words: RElement, nvars: int) -> Form:
             if mono is None:
                 continue
             s2, m = mono
-            total = total + Form(AlgebraElement.from_monomial(m, sign * s2 * c), nvars)
-    return total
+            total.add_term(m, sign * s2 * c)
+    return Form(total, nvars)
 
 
 def form_from_labels(u_vars: Sequence[int], n: int, p: int, nvars: int) -> Form:

@@ -6,10 +6,6 @@ the de Rham differential d sends (w, p) to (w-1, p+1) in coefficient weight
 and raises form degree by one.  Contraction with the Euler vector field
 sum_i xi d/dxi goes the other way, and together they satisfy
 (d iota + iota d) = (w + p) on a homogeneous (w, p) component.
-
-The same underlying data can be re-read as an element of the de Rham
-coalgebra, where a (w, p) component sits in homological degree 2w + p; the
-:class:`DRCView` wrapper is that re-tagging and costs nothing.
 """
 
 from __future__ import annotations
@@ -78,16 +74,6 @@ class Form:
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
-
-
-@dataclass(frozen=True)
-class DRCView:
-    """The same form, read as a de Rham coalgebra element (degree 2w + p)."""
-
-    form: Form
-
-    def coalgebra_degree(self, weight: int, form_degree: int) -> int:
-        return 2 * weight + form_degree
 
 
 def monomial_bidegree(m: Monomial) -> Tuple[int, int]:

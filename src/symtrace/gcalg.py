@@ -22,8 +22,9 @@ Coefficients are ``fractions.Fraction`` -- no floating point anywhere.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, Optional, Sequence, Tuple
 
 # generator kinds, in canonical order: even variable < odd dx < lam letter
 X_KIND = 0
@@ -38,6 +39,19 @@ ONE_MONOMIAL: Monomial = ()
 
 class InvalidInputError(ValueError):
     """Raised when an operation is called outside its contract."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A materialization exceeded the configured budget or caps."""
+
+
+class IntegrityError(RuntimeError):
+    """An internal consistency assertion failed."""
+
+
+def max_basis_budget() -> int:
+    """Basis-size budget for materialized complexes (SYMTRACE_MAX_BASIS)."""
+    return int(os.environ.get("SYMTRACE_MAX_BASIS", "200000"))
 
 
 def x_gen(i: int) -> Generator:
@@ -189,6 +203,32 @@ def monomial_mul(m1: Monomial, m2: Monomial) -> Optional[Tuple[int, Monomial]]:
     return sign, tuple(out)
 
 
+def lam_product(arg_lists: Iterable[Sequence[int]]) -> Optional[Tuple[int, Monomial]]:
+    """(sign, monomial) of lam(args_1) * ... * lam(args_k); None if zero."""
+    sign = 1
+    letters = []
+    for args in arg_lists:
+        r = lam_letter(args)
+        if r is None:
+            return None
+        sign *= r[0]
+        letters.append(r[1])
+    prod = monomial_from_factors(letters)
+    if prod is None:
+        return None
+    return sign * prod[0], prod[1]
+
+
+def perm_sign(seq: Sequence) -> int:
+    """(-1)^(number of inversions) of a sequence of distinct items."""
+    inv = 0
+    for a, item in enumerate(seq):
+        for later in seq[a + 1 :]:
+            if item > later:
+                inv += 1
+    return -1 if inv % 2 else 1
+
+
 def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
     """Sign of permuting homogeneous slots: (-1)^(odd-odd inversions).
 
@@ -201,27 +241,96 @@ def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
         raise InvalidInputError("permutation and degree sequence lengths differ")
     if sorted(permutation) != list(range(n)):
         raise InvalidInputError(f"not a permutation of 0..{n - 1}: {permutation}")
-    inv = 0
-    for i in range(n):
-        if degrees[i] % 2 == 0:
-            continue
-        for j in range(i + 1, n):
-            if degrees[j] % 2 and permutation[i] > permutation[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    return perm_sign([permutation[i] for i in range(n) if degrees[i] % 2])
 
 
-class AlgebraElement:
-    """Exact-rational linear combination of monomials; immutable by contract."""
+_ZERO = Fraction(0)
+
+
+class LinComb:
+    """Exact-rational linear combination of hashable keys; immutable by contract.
+
+    Entries that cancel to zero are dropped, so ``==`` and ``hash`` compare
+    the stored dicts directly.  ``add_term`` and ``iadd`` mutate in place:
+    use them only on an accumulator the calling function created itself,
+    never on an argument or on an element someone else holds.
+    Subclasses carrying ambient data (a slot count, an ambient algebra)
+    override ``_new`` so that derived combinations keep it.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[dict] = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
 
-    @staticmethod
-    def zero() -> "AlgebraElement":
-        return AlgebraElement()
+    def _new(self, terms: dict) -> "LinComb":
+        return type(self)(terms)
+
+    @classmethod
+    def zero(cls, *ambient) -> "LinComb":
+        return cls(*ambient)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def add_term(self, key: Hashable, c) -> "LinComb":
+        """In place: add c to the coefficient of key."""
+        terms = self.terms
+        total = terms.get(key, _ZERO) + c
+        if total:
+            terms[key] = total
+        else:
+            terms.pop(key, None)
+        return self
+
+    def iadd(self, other: "LinComb", c=1) -> "LinComb":
+        """In place: self += c * other."""
+        if not c:
+            return self
+        terms = self.terms
+        for key, v in other.terms.items():
+            total = terms.get(key, _ZERO) + (v if c == 1 else c * v)
+            if total:
+                terms[key] = total
+            else:
+                del terms[key]
+        return self
+
+    def __add__(self, other: "LinComb") -> "LinComb":
+        return self._new(self.terms).iadd(other)
+
+    def __sub__(self, other: "LinComb") -> "LinComb":
+        return self._new(self.terms).iadd(other, -1)
+
+    def __neg__(self) -> "LinComb":
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c) -> "LinComb":
+        c = Fraction(c)
+        return self._new({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def __rmul__(self, c) -> "LinComb":
+        if isinstance(c, (int, Fraction)):
+            return self.scale(c)
+        return NotImplemented
+
+
+class AlgebraElement(LinComb):
+    """Exact-rational linear combination of monomials; immutable by contract."""
+
+    __slots__ = ()
+
+    # bound in this class body so that the benchmark tracer finds them in vars()
+    __add__ = LinComb.__add__
+    __sub__ = LinComb.__sub__
 
     @staticmethod
     def one() -> "AlgebraElement":
@@ -238,43 +347,6 @@ class AlgebraElement:
     @staticmethod
     def from_monomial(m: Monomial, c=1) -> "AlgebraElement":
         return AlgebraElement({m: Fraction(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return AlgebraElement(out)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return AlgebraElement(out)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement({m: -c for m, c in self.terms.items()})
-
-    def scale(self, c) -> "AlgebraElement":
-        c = Fraction(c)
-        if c == 0:
-            return AlgebraElement()
-        return AlgebraElement({m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c) -> "AlgebraElement":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
 
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, Fraction)):
@@ -297,15 +369,6 @@ class AlgebraElement:
             result = result * self
         return result
 
-    def homogeneous_components(self) -> Iterator[Tuple[Tuple[int, int], "AlgebraElement"]]:
-        """Split by (weight, homological degree)."""
-        buckets: dict = {}
-        for m, c in self.terms.items():
-            key = (monomial_weight(m), monomial_degree(m))
-            buckets.setdefault(key, {})[m] = c
-        for key in sorted(buckets):
-            yield key, AlgebraElement(buckets[key])
-
     def substitute_zero(self) -> "AlgebraElement":
         """Keep only monomials with no even-variable factor (f -> f(0,...,0))."""
         return AlgebraElement(
@@ -326,16 +389,6 @@ class AlgebraElement:
                     out[mm] = out.get(mm, Fraction(0)) + c * e
                     break
         return AlgebraElement(out)
-
-    def max_var_index(self) -> int:
-        top = 0
-        for m in self.terms:
-            for g, _ in m:
-                if g[0] == LAM_KIND:
-                    top = max(top, g[1][-1])
-                else:
-                    top = max(top, g[1])
-        return top
 
     def __repr__(self):
         return f"AlgebraElement({render(self)!r})"
@@ -358,10 +411,6 @@ def render_monomial(m: Monomial) -> str:
     return "*".join(render_generator(g, e) for g, e in m)
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c)
-
-
 def monomial_sort_key(m: Monomial):
     return (monomial_weight(m), monomial_degree(m), m)
 
@@ -375,11 +424,11 @@ def render(a: AlgebraElement) -> str:
         c = a.terms[m]
         mono = render_monomial(m)
         if m == ONE_MONOMIAL:
-            body = _coeff_str(abs(c))
+            body = str(abs(c))
         elif abs(c) == 1:
             body = mono
         else:
-            body = f"{_coeff_str(abs(c))}*{mono}"
+            body = f"{abs(c)}*{mono}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

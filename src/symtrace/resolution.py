@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .derham import Form, bigrade_split
 from .gcalg import (
@@ -29,8 +29,10 @@ from .gcalg import (
     X_KIND,
     AlgebraElement,
     InvalidInputError,
+    LinComb,
     lam_letter,
-    monomial_from_factors,
+    lam_product,
+    perm_sign,
 )
 
 Letter = Tuple[int, ...]  # strictly increasing variable indices, len >= 1
@@ -55,51 +57,18 @@ def word_weight(word: RWord) -> int:
     return sum(len(l) for l in word)
 
 
-class RElement:
+class RElement(LinComb):
     """Rational linear combination of words in the free algebra R."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Optional[Dict[RWord, Fraction]] = None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
-
-    @staticmethod
-    def zero() -> "RElement":
-        return RElement()
+    # bound in this class body so that the benchmark tracer finds them in vars()
+    __add__ = LinComb.__add__
+    __sub__ = LinComb.__sub__
 
     @staticmethod
     def from_word(word: RWord, c=1) -> "RElement":
         return RElement({word: Fraction(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RElement) and self.terms == other.terms
-
-    def __add__(self, other: "RElement") -> "RElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return RElement(out)
-
-    def __sub__(self, other: "RElement") -> "RElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) - c
-        return RElement(out)
-
-    def __neg__(self) -> "RElement":
-        return RElement({w: -c for w, c in self.terms.items()})
-
-    def scale(self, c) -> "RElement":
-        c = Fraction(c)
-        return RElement({w: c * v for w, v in self.terms.items()})
-
-    def __rmul__(self, c) -> "RElement":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
 
     def __mul__(self, other) -> "RElement":
         if isinstance(other, (int, Fraction)):
@@ -134,18 +103,31 @@ def commutator(a: RElement, b: RElement) -> RElement:
     for da, ea in a.degree_components().items():
         for db, eb in b.degree_components().items():
             sign = -1 if (da * db) % 2 else 1
-            out = out + ea * eb - sign * (eb * ea)
+            out.iadd(ea * eb)
+            out.iadd(eb * ea, -sign)
     return out
+
+
+def _lam_word(arg_lists: Iterable[Sequence[int]]) -> Optional[Tuple[int, RWord]]:
+    """(sign, word) of the letters lam(args_1) ... lam(args_k); None if zero."""
+    sign = 1
+    word = []
+    for args in arg_lists:
+        r = lam_letter(args)
+        if r is None:
+            return None
+        sign *= r[0]
+        g = r[1]
+        word.append(g[1] if g[0] == LAM_KIND else (g[1],))
+    return sign, tuple(word)
 
 
 def lam_element(indices: Sequence[int]) -> RElement:
     """The letter lam(indices) as an element of R (zero on repeats)."""
-    r = lam_letter(indices)
+    r = _lam_word([indices])
     if r is None:
         return RElement.zero()
-    sign, g = r
-    letter = g[1] if g[0] == LAM_KIND else (g[1],)
-    return RElement({(letter,): Fraction(sign)})
+    return RElement({r[1]: Fraction(r[0])})
 
 
 def _shuffles(n: int, p: int):
@@ -153,14 +135,7 @@ def _shuffles(n: int, p: int):
     positions = tuple(range(n))
     for first in combinations(positions, p):
         second = tuple(i for i in positions if i not in first)
-        perm = first + second
-        inv = sum(
-            1
-            for a in range(n)
-            for b in range(a + 1, n)
-            if perm[a] > perm[b]
-        )
-        yield first, second, (-1 if inv % 2 else 1)
+        yield first, second, perm_sign(first + second)
 
 
 def delta_letter(letter: Letter) -> RElement:
@@ -177,14 +152,13 @@ def delta_letter(letter: Letter) -> RElement:
                 continue
             a = lam_element([letter[i] for i in first])
             b = lam_element([letter[i] for i in second])
-            out = out + (sign_p * sign_sh) * commutator(a, b)
+            out.iadd(commutator(a, b), sign_p * sign_sh)
     return out
 
 
 def delta_R(e: RElement) -> RElement:
     """Degree -1 derivation extending the shuffle differential on letters."""
     out: Dict[RWord, Fraction] = {}
-    result = RElement(out)
     for word, c in e.terms.items():
         prefix_deg = 0
         for pos, letter in enumerate(word):
@@ -193,31 +167,19 @@ def delta_R(e: RElement) -> RElement:
                 sign = -1 if prefix_deg % 2 else 1
                 for mid, cm in dl.terms.items():
                     w = word[:pos] + mid + word[pos + 1 :]
-                    result.terms[w] = result.terms.get(w, Fraction(0)) + sign * c * cm
+                    out[w] = out.get(w, Fraction(0)) + sign * c * cm
             prefix_deg += letter_degree(letter)
-    return RElement(result.terms)
+    return RElement(out)
 
 
 def abelianize(e: RElement) -> AlgebraElement:
     """Image in the graded-commutative algebra; commutators die."""
     out: Dict = {}
     for word, c in e.terms.items():
-        factors = []
-        ok = True
-        for letter in word:
-            r = lam_letter(letter)
-            if r is None:
-                ok = False
-                break
-            s, g = r
-            c = c * s  # letters are stored sorted, so s is always 1
-            factors.append(g)
-        if not ok:
+        prod = lam_product(word)
+        if prod is None:
             continue
-        m = monomial_from_factors(factors)
-        if m is None:
-            continue
-        s, mono = m
+        s, mono = prod
         out[mono] = out.get(mono, Fraction(0)) + s * c
     return AlgebraElement(out)
 
@@ -232,17 +194,11 @@ def s_inv(omega: Form) -> AlgebraElement:
         if p == 0:
             raise InvalidInputError("s_inv needs form degree >= 1 in every term")
         for m, c in part.body.terms.items():
-            poly = tuple((g, e) for g, e in m if g[0] == X_KIND)
+            xs = [[g[1]] for g, e in m if g[0] == X_KIND for _ in range(e)]
             dxs = [g[1] for g, e in m if g[0] == DX_KIND]
-            r = lam_letter(dxs)
-            if r is None:
-                continue
-            sign, g = r
-            mm = monomial_from_factors([gen for gen, e in poly for _ in range(e)] + [g])
-            if mm is None:
-                continue
-            s2, mono = mm
-            out = out + AlgebraElement.from_monomial(mono, sign * s2 * c)
+            prod = lam_product(xs + [dxs])
+            if prod is not None:
+                out.add_term(prod[1], prod[0] * c)
     return out
 
 

@@ -28,25 +28,27 @@ import enum
 import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .derham import Form, bigrade_split, d
 from .gcalg import (
     DX_KIND,
     X_KIND,
     AlgebraElement,
-    Generator,
     InvalidInputError,
     Monomial,
+    dx_gen,
     lam_letter,
+    lam_product,
     monomial_from_factors,
     monomial_mul,
+    perm_sign,
     x_gen,
 )
 from .resolution import s_inv
 
 
-class UnsupportedDegreeError(ValueError):
+class UnsupportedDegreeError(InvalidInputError):
     """Raised when trace_diffop is asked for form degree >= 3."""
 
 
@@ -77,30 +79,8 @@ def expand_multilinear(omega: Form) -> Iterator[MultilinearTerm]:
         yield c, tuple(us), tuple(dus)
 
 
-def _du_shuffle_sign(blocks: Sequence[Sequence[int]]) -> int:
-    """Sign of rearranging dx source positions into concatenated blocks."""
-    target = [pos for block in blocks for pos in block]
-    inv = 0
-    for a in range(len(target)):
-        for b in range(a + 1, len(target)):
-            if target[a] > target[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
-def _letters_product(letters: Iterable[Generator]) -> Optional[Tuple[int, Monomial]]:
-    return monomial_from_factors(letters)
-
-
-def _as_form(term):
-    from .derham import DRCView
-
-    return term.form if isinstance(term, DRCView) else term
-
-
 def theta_eval(term_form) -> AlgebraElement:
     """Connection evaluator: f dx_{i1}..dx_{ip} -> f(0,..,0) lam(i1..ip)."""
-    term_form = _as_form(term_form)
     out = AlgebraElement.zero()
     for c, us, dus in expand_multilinear(term_form):
         if us or not dus:
@@ -109,13 +89,12 @@ def theta_eval(term_form) -> AlgebraElement:
         if r is None:
             continue
         sign, g = r
-        out = out + AlgebraElement.from_gen(g).scale(sign * c)
+        out.add_term(((g, 1),), sign * c)
     return out
 
 
 def omega_eval(term_form) -> AlgebraElement:
     """Curvature evaluator: f dx-block -> lam(f, block) for linear f, else 0."""
-    term_form = _as_form(term_form)
     out = AlgebraElement.zero()
     for c, us, dus in expand_multilinear(term_form):
         if len(us) != 1:
@@ -124,7 +103,7 @@ def omega_eval(term_form) -> AlgebraElement:
         if r is None:
             continue
         sign, g = r
-        out = out + AlgebraElement.from_gen(g).scale(sign * c)
+        out.add_term(((g, 1),), sign * c)
     return out
 
 
@@ -141,27 +120,15 @@ def _slot_term(
     ``omega_blocks`` is (u position, dx positions) for a curvature slot.  The
     result already includes the shuffle sign and all letter sorting signs.
     """
-    blocks = [theta_block] + [b for _, b in omega_blocks]
-    sign = _du_shuffle_sign(blocks)
-    letters: List[Generator] = []
-    r = lam_letter([dus[p] for p in theta_block])
-    if r is None:
-        return None
-    s, g = r
-    sign *= s
-    letters.append(g)
-    for upos, block in omega_blocks:
-        r = lam_letter([us[upos]] + [dus[p] for p in block])
-        if r is None:
-            return None
-        s, g = r
-        sign *= s
-        letters.append(g)
-    prod = _letters_product(letters)
+    prod = lam_product(
+        [[dus[p] for p in theta_block]]
+        + [[us[upos]] + [dus[p] for p in block] for upos, block in omega_blocks]
+    )
     if prod is None:
         return None
     s, mono = prod
-    return coeff * sign * s, mono
+    shuffle = perm_sign(list(theta_block) + [p for _, b in omega_blocks for p in b])
+    return coeff * shuffle * s, mono
 
 
 def _assignments(
@@ -207,29 +174,29 @@ def theta_omega_q(omega: Form, q: int, prune: bool = True) -> AlgebraElement:
                 c, mono = r
                 out[mono] = out.get(mono, Fraction(0)) + c
         else:
-            out_unpruned = _theta_omega_q_unpruned(coeff, us, dus, q, omega.nvars)
-            for mono, c in out_unpruned.items():
+            unpruned = _theta_omega_q_unpruned(coeff, us, dus, q, omega.nvars)
+            for mono, c in unpruned.terms.items():
                 out[mono] = out.get(mono, Fraction(0)) + c
     return AlgebraElement(out)
 
 
 def _theta_omega_q_unpruned(
     coeff: Fraction, us: Tuple[int, ...], dus: Tuple[int, ...], q: int, nvars: int
-) -> Dict[Monomial, Fraction]:
+) -> AlgebraElement:
     """Evaluation over all ordered set partitions into q+1 slots.
 
     Each slot content is rebuilt as a form and fed through theta_eval or
     omega_eval, so vanishing happens inside the evaluators rather than by a
     combinatorial shortcut.
     """
-    out: Dict[Monomial, Fraction] = {}
+    out = AlgebraElement.zero()
     n_slots = q + 1
     for u_assign in product(range(n_slots), repeat=len(us)):
         for du_assign in product(range(n_slots), repeat=len(dus)):
             du_blocks: List[List[int]] = [[] for _ in range(n_slots)]
             for pos, slot in enumerate(du_assign):
                 du_blocks[slot].append(pos)
-            sign = _du_shuffle_sign(du_blocks)
+            sign = perm_sign([pos for block in du_blocks for pos in block])
             value = AlgebraElement.constant(coeff * sign)
             for slot in range(n_slots):
                 factors = [x_gen(us[pos]) for pos, s in enumerate(u_assign) if s == slot]
@@ -244,8 +211,7 @@ def _theta_omega_q_unpruned(
                 value = value * evaluated
                 if value.is_zero():
                     break
-            for mono, c in value.terms.items():
-                out[mono] = out.get(mono, Fraction(0)) + c
+            out.iadd(value)
     return out
 
 
@@ -263,7 +229,7 @@ def cs_trace_raw(omega: Form) -> AlgebraElement:
         eta = d(part)
         if eta.is_zero():
             continue
-        out = out + theta_omega_q(eta, r).scale(Fraction(1, math.factorial(r + 1)))
+        out.iadd(theta_omega_q(eta, r), Fraction(1, math.factorial(r + 1)))
     return out
 
 
@@ -278,23 +244,11 @@ def trace_simple(omega: Form) -> AlgebraElement:
             blocks: List[List[int]] = [[] for _ in range(n)]
             for pos, j in enumerate(f):
                 blocks[j].append(pos)
-            sign = _du_shuffle_sign(blocks)
-            letters: List[Generator] = []
-            zero = False
-            for j in range(n):
-                r = lam_letter([us[j]] + [dus[pos] for pos in blocks[j]])
-                if r is None:
-                    zero = True
-                    break
-                s, g = r
-                sign *= s
-                letters.append(g)
-            if zero:
-                continue
-            prod = _letters_product(letters)
+            prod = lam_product([us[j]] + [dus[pos] for pos in blocks[j]] for j in range(n))
             if prod is None:
                 continue
             s, mono = prod
+            sign = perm_sign([pos for block in blocks for pos in block])
             out[mono] = out.get(mono, Fraction(0)) + coeff * sign * s
     return AlgebraElement(out)
 
@@ -316,31 +270,16 @@ def F_eval(eta: Form) -> AlgebraElement:
                     blocks[j].append(pos)
                 if not blocks[0]:
                     continue
-                sign = _du_shuffle_sign(blocks)
-                letters: List[Generator] = []
-                zero = False
-                r = lam_letter([dus[pos] for pos in blocks[0]])
-                if r is None:
-                    continue
-                s, g = r
-                sign *= s
-                letters.append(g)
-                for j in range(1, n + 1):
-                    r = lam_letter([us[j - 1]] + [dus[pos] for pos in blocks[j]])
-                    if r is None:
-                        zero = True
-                        break
-                    s, g = r
-                    sign *= s
-                    letters.append(g)
-                if zero:
-                    continue
-                prod = _letters_product(letters)
+                prod = lam_product(
+                    [[dus[pos] for pos in blocks[0]]]
+                    + [[us[j - 1]] + [dus[pos] for pos in blocks[j]] for j in range(1, n + 1)]
+                )
                 if prod is None:
                     continue
                 s, mono = prod
+                sign = perm_sign([pos for block in blocks for pos in block])
                 acc[mono] = acc.get(mono, Fraction(0)) + coeff * sign * s
-        out = out + AlgebraElement(acc).scale(Fraction(1, w + 1))
+        out.iadd(AlgebraElement(acc), Fraction(1, w + 1))
     return out
 
 
@@ -418,8 +357,7 @@ def D_op(omega: Form, indices: Sequence[int]) -> AlgebraElement:
                 if r is None:
                     continue
                 s, g = r
-                all_letters = [g] + letters
-                prod = _letters_product(all_letters)
+                prod = monomial_from_factors([g] + letters)
                 if prod is None:
                     continue
                 s2, lam_mono = prod
@@ -441,7 +379,7 @@ def hat_D_op(eta: Form, indices: Sequence[int]) -> AlgebraElement:
     a bare polynomial factor.
     """
     indices = tuple(indices)
-    out: Dict[Monomial, Fraction] = {}
+    out = AlgebraElement.zero()
     for w, k, part in bigrade_split(eta):
         _validate_tuple(indices, k)
         theta_size = indices[-1]
@@ -460,10 +398,8 @@ def hat_D_op(eta: Form, indices: Sequence[int]) -> AlgebraElement:
                     continue
                 c, mono = term
                 acc[mono] = acc.get(mono, Fraction(0)) + c
-            scale = Fraction(1, math.factorial(r))
-            for mono, c in acc.items():
-                out[mono] = out.get(mono, Fraction(0)) + c * scale
-    return AlgebraElement(out)
+            out.iadd(AlgebraElement(acc), Fraction(1, math.factorial(r)))
+    return out
 
 
 def trace_diffop(omega: Form) -> AlgebraElement:
@@ -472,17 +408,18 @@ def trace_diffop(omega: Form) -> AlgebraElement:
     for w, p, part in bigrade_split(omega):
         if p == 0:
             if w > 0:
-                out = out + part.body
+                out.iadd(part.body)
             continue
         if p == 1:
             dpart = d(part)
             if not dpart.is_zero():
-                out = out + s_inv(dpart)
+                out.iadd(s_inv(dpart))
             continue
         if p == 2:
             dpart = d(part)
             if not dpart.is_zero():
-                out = out + s_inv(dpart) - D_op(dpart, (2, 2))
+                out.iadd(s_inv(dpart))
+                out.iadd(D_op(dpart, (2, 2)), -1)
             continue
         raise UnsupportedDegreeError(
             "trace_diffop handles form degree <= 2; use the cs or simple routes"

@@ -159,6 +159,48 @@ class TestCommands:
                      "--deg", "2"]) == 0
 
 
+class TestExitContract:
+    def test_zero_denominator_is_a_parse_error(self, capsys):
+        with pytest.raises(ParseError):
+            parse_form("1/0*x1", 1)
+        assert main(["trace", "1/0*x1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("params", [("n=2", "q=x"), ("n=2", "n=3"), ("m=2", "q=0"), ("n2", "q=0")])
+    def test_bad_cartan_parameters(self, params, capsys):
+        assert main(["trace", "--cartan", *params, "x1*dx2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "routes", "--vars", "0"],
+        ["trace", "--vars", "-1", "x1"],
+        ["homology", "--vars", "0"],
+    ])
+    def test_vars_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_integrity_failure_exits_one(self, monkeypatch, capsys):
+        from symtrace import cartan
+
+        monkeypatch.setattr(
+            cartan, "_cartan_slot_route", lambda omega, n, q: cartan.DiagonalTraceValue.zero(n)
+        )
+        assert main(["trace", "--cartan", "n=2", "q=0", "x1*dx2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: integrity check failed: ")
+        assert "Traceback" not in err
+
+    def test_one_error_hierarchy(self):
+        from symtrace import ainfty, cartan, cyclic, gcalg
+
+        assert cyclic.IntegrityError is ainfty.IntegrityError is cartan.IntegrityError
+        assert cartan.IntegrityError is gcalg.IntegrityError
+        assert cyclic.ResourceLimitError is ainfty.ResourceLimitError is gcalg.ResourceLimitError
+
+
 class TestJsonRendering:
     def test_element_to_json_rational(self):
         from fractions import Fraction

@@ -6,6 +6,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
+from symtrace.cartan import DiagonalTraceValue
 from symtrace.gcalg import (
     AlgebraElement,
     InvalidInputError,
@@ -13,11 +14,14 @@ from symtrace.gcalg import (
     koszul_sign,
     lam_gen,
     lam_letter,
+    lam_product,
     monomial_from_factors,
     monomial_parity,
+    perm_sign,
     render,
     x_gen,
 )
+from symtrace.resolution import RElement
 
 
 def X(i):
@@ -198,3 +202,73 @@ class TestRendering:
         assert e.differentiate(1) == 2 * (X(1) * X(2))
         assert e.differentiate(2) == X(1) ** 2
         assert e.differentiate(3).is_zero()
+
+
+class TestLinComb:
+    def test_sum_and_difference_leave_operands_unchanged(self):
+        a = X(1) + 2 * DX(2)
+        b = DX(2) - X(3)
+        a_terms, b_terms = dict(a.terms), dict(b.terms)
+        assert a + b == X(1) + 3 * DX(2) - X(3)
+        assert a - b == X(1) + DX(2) + X(3)
+        assert a.terms == a_terms and b.terms == b_terms
+        r, s = RElement.from_word(((1,),)), RElement.from_word(((1, 2),), 2)
+        assert (r + s).terms == {((1,),): 1, ((1, 2),): 2}
+        assert (r - s).terms == {((1,),): 1, ((1, 2),): -2}
+        assert r.terms == {((1,),): 1} and s.terms == {((1, 2),): 2}
+
+    def test_in_place_sums_drop_cancelled_entries(self):
+        fresh = 2 * X(1) + DX(2)
+        acc = AlgebraElement.zero()
+        acc.iadd(X(1) + X(3), 2)
+        acc.add_term(((dx_gen(2), 1),), Fraction(1))
+        acc.iadd(X(3), -2)
+        assert acc.terms == fresh.terms
+        assert acc == fresh and hash(acc) == hash(fresh)
+        acc.add_term(((dx_gen(2), 1),), Fraction(-1))
+        acc.iadd(X(1), -2)
+        assert acc.terms == {} and acc == AlgebraElement.zero()
+
+    def test_diagonal_sum_across_slot_counts_raises(self):
+        one, two = DiagonalTraceValue.zero(1), DiagonalTraceValue.zero(2)
+        with pytest.raises(InvalidInputError):
+            one + two
+        with pytest.raises(InvalidInputError):
+            one.iadd(two)
+
+
+def _inversion_parity(seq):
+    inv = sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b])
+    return -1 if inv % 2 else 1
+
+
+class TestPermSign:
+    def test_matches_inversion_count(self):
+        for n in range(7):
+            for sigma in permutations(range(n)):
+                assert perm_sign(sigma) == _inversion_parity(sigma)
+
+    def test_items_need_not_be_a_permutation(self):
+        assert perm_sign([3, 7, 5]) == -1
+        assert perm_sign(()) == 1
+
+
+class TestLamProduct:
+    def test_matches_letters_then_product(self):
+        args = [
+            blk
+            for size in range(0, 4)
+            for blk in product(range(1, 4), repeat=size)
+        ]
+        for nblocks in range(1, 4):
+            for blocks in product(args, repeat=nblocks):
+                letters = [lam_letter(b) for b in blocks]
+                expected = None
+                if None not in letters:
+                    prod = monomial_from_factors([g for _, g in letters])
+                    if prod is not None:
+                        sign = prod[0]
+                        for s, _ in letters:
+                            sign *= s
+                        expected = (sign, prod[1])
+                assert lam_product(blocks) == expected

@@ -88,7 +88,7 @@ class TestChernSimonsRoute:
 
     def test_only_leading_q_contributes(self):
         # honest, unpruned evaluation of the slot sums away from q = r
-        omega = F(X(1) * X(2) * DX(1) * DX(2), 2)
+        omega = F(X(1) * X(2) * DX(3), 3)
         eta = d(omega)
         r = 1  # d omega has linear coefficients
         for q in range(0, 4):
