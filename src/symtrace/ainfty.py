@@ -35,11 +35,15 @@ from .derham import Form, bigrade_split, d, monomial_basis
 from .gcalg import (
     AlgebraElement,
     DX_KIND,
+    Echelon,
     IntegrityError,
     InvalidInputError,
     Monomial,
     ResourceLimitError,
+    SparseVec,
     X_KIND,
+    echelon,
+    echelon_split,
     max_basis_budget,
     monomial_from_factors,
     perm_sign,
@@ -137,78 +141,6 @@ def enumerate_labeled_classes(k: int) -> List[Tuple[Tuple[int, ...], PlanarTree]
     return list(seen.values())
 
 
-# -- exact sparse linear algebra ----------------------------------------------
-
-SparseVec = Dict[int, Fraction]
-
-
-def _rref(rows: List[SparseVec]) -> List[Tuple[SparseVec, SparseVec]]:
-    """Reduced row echelon form with combination tracking.
-
-    Returns (row, combo) pairs where row = sum_j combo[j] * input_rows[j],
-    rows have pairwise distinct pivots (their minimal coordinates), pivot
-    entries 1, and zeros at each other's pivots; sorted by pivot.
-    """
-    echelon: List[Tuple[SparseVec, SparseVec]] = []
-    for idx, row in enumerate(rows):
-        row = dict(row)
-        combo: SparseVec = {idx: Fraction(1)}
-        for er, ec in echelon:
-            p = min(er)
-            c = row.get(p)
-            if c:
-                for k, v in er.items():
-                    row[k] = row.get(k, Fraction(0)) - c * v
-                for k, v in ec.items():
-                    combo[k] = combo.get(k, Fraction(0)) - c * v
-                row = {k: v for k, v in row.items() if v != 0}
-        if not row:
-            continue
-        p = min(row)
-        inv = 1 / row[p]
-        row = {k: v * inv for k, v in row.items()}
-        combo = {k: v * inv for k, v in combo.items() if v != 0}
-        # clear the new pivot column from earlier rows
-        for i, (er, ec) in enumerate(echelon):
-            c = er.get(p)
-            if c:
-                er = dict(er)
-                ec = dict(ec)
-                for k, v in row.items():
-                    er[k] = er.get(k, Fraction(0)) - c * v
-                for k, v in combo.items():
-                    ec[k] = ec.get(k, Fraction(0)) - c * v
-                echelon[i] = (
-                    {k: v for k, v in er.items() if v != 0},
-                    {k: v for k, v in ec.items() if v != 0},
-                )
-        echelon.append((row, combo))
-    echelon.sort(key=lambda rc: min(rc[0]))
-    return echelon
-
-
-def _reduce(vec: SparseVec, echelon: List[Tuple[SparseVec, SparseVec]]):
-    """Split vec = (combination of echelon rows) + residual.
-
-    Returns (coeffs over echelon rows, combo over original rows, residual).
-    The residual vanishes at every pivot coordinate.
-    """
-    vec = dict(vec)
-    coeffs: SparseVec = {}
-    combo: SparseVec = {}
-    for i, (er, ec) in enumerate(echelon):
-        p = min(er)
-        c = vec.get(p)
-        if c:
-            coeffs[i] = c
-            for k, v in er.items():
-                vec[k] = vec.get(k, Fraction(0)) - c * v
-            for k, v in ec.items():
-                combo[k] = combo.get(k, Fraction(0)) + c * v
-            vec = {k: v for k, v in vec.items() if v != 0}
-    return coeffs, combo, vec
-
-
 class MerkulovData:
     """Bases, boundary splittings, section and homotopy for R within caps."""
 
@@ -219,7 +151,7 @@ class MerkulovData:
         self.basis: Dict[Tuple[int, int], List[RWord]] = {}
         self.index: Dict[Tuple[int, int], Dict[RWord, int]] = {}
         # per bidegree: echelon of B = im(delta) with upper-level combos
-        self._b_ech: Dict[Tuple[int, int], List[Tuple[SparseVec, SparseVec]]] = {}
+        self._b_ech: Dict[Tuple[int, int], Echelon] = {}
         # per bidegree: h on the B-echelon basis, as elements one degree up
         self._h_rows: Dict[Tuple[int, int], List[RElement]] = {}
         self._build()
@@ -249,20 +181,17 @@ class MerkulovData:
                 self._to_vec(delta_R(RElement.from_word(word)), deg, w)
                 for word in upper
             ]
-            self._b_ech[(deg, w)] = _rref(rows)
+            self._b_ech[(deg, w)] = echelon(rows)
         for deg, w in self._bidegrees():
             if deg + 1 > self.degree_cap:
                 continue
-            upper = self.basis[(deg + 1, w)]
-            up_ech = self._b_ech.get((deg + 1, w), [])
-            h_rows: List[RElement] = []
-            for er, combo in self._b_ech[(deg, w)]:
-                # preimage of the echelon row from the tracked combination,
-                # projected onto the L-complement one degree up
-                vec_up: SparseVec = {j: c for j, c in combo.items() if c != 0}
-                _, _, residual = _reduce(vec_up, up_ech)
-                h_rows.append(self._from_vec(residual, deg + 1, w))
-            self._h_rows[(deg, w)] = h_rows
+            up_ech = self._b_ech.get((deg + 1, w), Echelon())
+            # preimage of each echelon row from its tracked combination,
+            # projected onto the L-complement one degree up
+            self._h_rows[(deg, w)] = [
+                self._from_vec(echelon_split(up_ech, combo)[1], deg + 1, w)
+                for combo in self._b_ech[(deg, w)].combos
+            ]
 
     def _to_vec(self, e: RElement, deg: int, w: int) -> SparseVec:
         idx = self.index[(deg, w)]
@@ -315,7 +244,7 @@ class MerkulovData:
                     f"(degree_cap={self.degree_cap}, weight_cap={self.weight_cap})"
                 )
             ech = self._b_ech[(deg, w)]
-            coeffs, _, residual = _reduce(self._to_vec(part, deg, w), ech)
+            coeffs, residual = echelon_split(ech, self._to_vec(part, deg, w))
             if deg == 0 and residual:
                 raise IntegrityError("kernel of pi is not exhausted by boundaries")
             h_rows = self._h_rows[(deg, w)]

@@ -44,7 +44,9 @@ from .gcalg import (
     LinComb,
     Monomial,
     ResourceLimitError,
+    SparseVec,
     dx_gen,
+    echelon,
     max_basis_budget,
     monomial_from_factors,
     monomial_mul,
@@ -196,13 +198,24 @@ def boundary(chain: CyclicChain) -> CyclicChain:
 
 
 class ChainComplexQ:
-    """Bigraded complex with labeled bases and exact boundary matrices."""
+    """Bigraded complex with labeled bases and exact boundary matrices.
+
+    ``columns`` holds the same boundaries as sparse columns, {row: entry};
+    they are read off ``matrices`` unless the builder already has them.
+    """
 
     def __init__(self, basis: Dict[Tuple[int, int], List[ChainKey]],
                  matrices: Dict[Tuple[int, int], List[List[Fraction]]],
-                 degree_cap: int, weight_cap: int):
+                 degree_cap: int, weight_cap: int,
+                 columns: Optional[Dict[Tuple[int, int], List[SparseVec]]] = None):
         self.basis = basis
         self.matrices = matrices  # (deg, w) -> matrix of partial_deg, rows = deg-1 basis
+        if columns is None:
+            columns = {
+                key: [{r: v for r, v in enumerate(col) if v} for col in zip(*mat)]
+                for key, mat in matrices.items()
+            }
+        self.columns = columns
         self.degree_cap = degree_cap
         self.weight_cap = weight_cap
 
@@ -293,91 +306,79 @@ def build_connes_complex(
         basis[key].sort()
 
     matrices: Dict[Tuple[int, int], List[List[Fraction]]] = {}
+    columns: Dict[Tuple[int, int], List[SparseVec]] = {}
     for (deg, w), keys in sorted(basis.items()):
         if deg == 0:
             continue
         lower = basis.get((deg - 1, w), [])
         index = {k: i for i, k in enumerate(lower)}
         mat = [[Fraction(0)] * len(keys) for _ in range(len(lower))]
-        for col, key in enumerate(keys):
+        cols: List[SparseVec] = []
+        for j, key in enumerate(keys):
             img = boundary(CyclicChain(ambient, {key: Fraction(1)})).canonicalized()
+            col: SparseVec = {}
             for k2, c in img.terms.items():
                 if chain_degree(ambient, k2) != deg - 1:
                     raise IntegrityError("boundary is not homogeneous of degree -1")
                 if k2 not in index:
                     raise IntegrityError("boundary left the materialized basis")
-                mat[index[k2]][col] = c
+                i = index[k2]
+                mat[i][j] = col[i] = c
+            cols.append(col)
         matrices[(deg, w)] = mat
+        columns[(deg, w)] = cols
 
-    cpx = ChainComplexQ(basis, matrices, degree_cap, weight_cap)
+    cpx = ChainComplexQ(basis, matrices, degree_cap, weight_cap, columns)
     _check_square_zero(cpx)
     return cpx
 
 
 def _check_square_zero(cpx: ChainComplexQ):
-    for (deg, w), mat in cpx.matrices.items():
-        lower = cpx.matrices.get((deg - 1, w))
-        if not lower or not mat:
+    """Exact check that every composite of two boundaries vanishes.
+
+    Column j of lower * mat is the combination of the columns of lower
+    weighted by column j of mat; every product is formed, none is sampled.
+    """
+    for (deg, w), cols in cpx.columns.items():
+        lower = cpx.columns.get((deg - 1, w))
+        if not lower:
             continue
-        cols = len(mat[0]) if mat else 0
-        for col in range(cols):
-            for row in range(len(lower)):
-                v = sum(lower[row][k] * mat[k][col] for k in range(len(mat)))
-                if v != 0:
-                    raise IntegrityError(f"boundary squared nonzero at ({deg}, {w})")
+        for col in cols:
+            product: SparseVec = {}
+            for k, v in col.items():
+                for r, c in lower[k].items():
+                    product[r] = product.get(r, 0) + c * v
+            if any(product.values()):
+                raise IntegrityError(f"boundary squared nonzero at ({deg}, {w})")
 
 
-def bareiss_rank(rows: List[List[int]]) -> int:
-    """Fraction-free Gaussian elimination rank of an integer matrix."""
-    if not rows or not rows[0]:
-        return 0
-    m = [row[:] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for r in range(row + 1, n_rows):
-            for c in range(col + 1, n_cols):
-                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
+def bareiss_rank(rows: Sequence) -> int:
+    """Rank over Q by the shared sparse echelon in gcalg.
 
-
-def _rank(mat: List[List[Fraction]]) -> int:
-    if not mat or not mat[0]:
-        return 0
-    int_rows: List[List[int]] = []
-    for row in mat:
-        denom = 1
-        for v in row:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        int_rows.append([int(v * denom) for v in row])
-    return bareiss_rank(int_rows)
+    Each row is a dense list or a sparse {index: entry} dict; the rank of
+    the columns is the same.
+    """
+    return echelon(
+        row if isinstance(row, dict) else {j: v for j, v in enumerate(row) if v}
+        for row in rows
+    ).rank
 
 
 def homology(cpx: ChainComplexQ) -> HomologySummary:
-    """dim H = dim ker - rank of the incoming boundary, per bidegree."""
+    """dim H = dim ker - rank of the incoming boundary, per bidegree.
+
+    Each boundary matrix is ranked once, although it is both the outgoing
+    boundary of its degree and the incoming one of the degree below.
+    """
+    ranks = {key: bareiss_rank(cols) for key, cols in cpx.columns.items()}
     dims: Dict[Tuple[int, int], int] = {}
-    keys = set(cpx.basis)
-    for deg, w in sorted(keys):
+    for deg, w in sorted(cpx.basis):
         if deg >= cpx.degree_cap:
             continue  # the incoming boundary is outside the materialized caps
         n = cpx.dim(deg, w)
         if n == 0:
             continue
-        rank_out = _rank(cpx.matrices.get((deg, w), []))
-        rank_in = _rank(cpx.matrices.get((deg + 1, w), []))
-        h = n - rank_out - rank_in
+        h = n - ranks.get((deg, w), 0) - ranks.get((deg + 1, w), 0)
         if h:
             dims[(deg, w)] = h
     return HomologySummary(dims)
@@ -404,16 +405,12 @@ def derham_quotient_dims(nvars: int, weight_cap: int, degree_cap: int) -> Dict[T
             dim_target = len(target)
             rank_d = 0
             if n >= 1 and poly_w + 1 >= 0:
-                source = form_basis(nvars, poly_w + 1, n - 1)
                 index = {mki: i for i, mki in enumerate(target)}
-                mat: List[List[Fraction]] = [
-                    [Fraction(0)] * len(source) for _ in range(len(target))
-                ]
-                for col, mono in enumerate(source):
+                rows = []
+                for mono in form_basis(nvars, poly_w + 1, n - 1):
                     img = d(Form(AlgebraElement.from_monomial(mono), nvars))
-                    for m2, c in img.body.terms.items():
-                        mat[index[m2]][col] = c
-                rank_d = _rank(mat)
+                    rows.append({index[m2]: c for m2, c in img.body.terms.items()})
+                rank_d = bareiss_rank(rows)
             hdim = dim_target - rank_d
             if n == 0:
                 hdim = dim_target  # constants already excluded by weight >= 1

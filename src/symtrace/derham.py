@@ -22,6 +22,8 @@ from .gcalg import (
     InvalidInputError,
     Monomial,
     dx_gen,
+    echelon,
+    echelon_split,
     gen_parity,
     monomial_mul,
     x_gen,
@@ -173,8 +175,8 @@ def exactness_witness(omega: Form) -> Optional[Form]:
     """Solve d(eta) = omega on the finite (w+1, p-1) basis; None if not exact.
 
     The input must be homogeneous in (weight, form-degree).  Any valid witness
-    is acceptable; the solver returns one particular solution of the linear
-    system over Q.
+    is acceptable; this one is the particular solution supported on the first
+    independent images d(m_j) of the source basis.
     """
     if omega.is_zero():
         return Form.zero(omega.nvars)
@@ -185,33 +187,23 @@ def exactness_witness(omega: Form) -> Optional[Form]:
     if p == 0:
         return None
     source = form_basis(omega.nvars, w + 1, p - 1)
-    if not source:
+    index: dict = {}
+    rows = []
+    for m in source:
+        img = d(Form(AlgebraElement.from_monomial(m), omega.nvars))
+        rows.append({index.setdefault(m2, len(index)): c for m2, c in img.body.terms.items()})
+    if any(m not in index for m in omega.body.terms):
         return None
-    images = [d(Form(AlgebraElement.from_monomial(m), omega.nvars)) for m in source]
-    target_index: dict = {}
-    for img in images:
-        for m in img.body.terms:
-            target_index.setdefault(m, len(target_index))
-    for m in omega.body.terms:
-        if m not in target_index:
-            return None
-    rows = len(target_index)
-    cols = len(source)
-    mat = [[Fraction(0)] * (cols + 1) for _ in range(rows)]
-    for j, img in enumerate(images):
-        for m, c in img.body.terms.items():
-            mat[target_index[m]][j] = c
-    for m, c in omega.body.terms.items():
-        mat[target_index[m]][cols] = c
-    solution = _solve(mat, rows, cols)
-    if solution is None:
+    vec = {index[m]: c for m, c in omega.body.terms.items()}
+    ech = echelon(rows)
+    coeffs, residual = echelon_split(ech, vec)
+    if residual:
         return None
-    body: dict = {}
-    for j, m in enumerate(source):
-        if solution[j]:
-            body[m] = solution[j]
-    eta = Form(AlgebraElement(body), omega.nvars)
-    return eta
+    eta = AlgebraElement.zero()
+    for i, c in coeffs.items():
+        for j, v in ech.combos[i].items():
+            eta.add_term(source[j], c * v)
+    return Form(eta, omega.nvars)
 
 
 def equal_mod_exact(a: Form, b: Form) -> bool:
@@ -220,31 +212,3 @@ def equal_mod_exact(a: Form, b: Form) -> bool:
     if diff.is_zero():
         return True
     return all(exactness_witness(part) is not None for _, _, part in bigrade_split(diff))
-
-
-def _solve(mat, rows: int, cols: int) -> Optional[List[Fraction]]:
-    """Gaussian elimination for the augmented system; one particular solution."""
-    pivots = []
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if mat[i][cols] != 0:
-            return None
-    solution = [Fraction(0)] * cols
-    for row, col in enumerate(pivots):
-        solution[col] = mat[row][cols]
-    return solution

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 # generator kinds, in canonical order: even variable < odd dx < lam letter
 X_KIND = 0
@@ -51,7 +51,14 @@ class IntegrityError(RuntimeError):
 
 def max_basis_budget() -> int:
     """Basis-size budget for materialized complexes (SYMTRACE_MAX_BASIS)."""
-    return int(os.environ.get("SYMTRACE_MAX_BASIS", "200000"))
+    raw = os.environ.get("SYMTRACE_MAX_BASIS", "200000")
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise InvalidInputError(f"SYMTRACE_MAX_BASIS must be an integer >= 1, got {raw!r}")
+    return budget
 
 
 def x_gen(i: int) -> Generator:
@@ -321,6 +328,95 @@ class LinComb:
         if isinstance(c, (int, Fraction)):
             return self.scale(c)
         return NotImplemented
+
+
+# -- exact sparse linear algebra ----------------------------------------------
+
+SparseVec = Dict[int, Fraction]
+
+
+def _sub_multiple(vec: SparseVec, c, other: SparseVec) -> None:
+    """In place: vec -= c * other, dropping entries that cancel."""
+    c = -c
+    for k, v in other.items():
+        old = vec.get(k)
+        if old is None:
+            vec[k] = c * v
+        else:
+            total = old + c * v
+            if total:
+                vec[k] = total
+            else:
+                del vec[k]
+
+
+class Echelon:
+    """Reduced row echelon form of a span of sparse rows, with combinations.
+
+    ``rows[i] == sum_j combos[i][j] * input_rows[j]``.  Each row has entry 1
+    at its pivot, its least coordinate, and 0 at every other row's pivot;
+    ``pivot_row`` maps a pivot to its row.
+    """
+
+    __slots__ = ("rows", "combos", "pivot_row")
+
+    def __init__(self):
+        self.rows: List[SparseVec] = []
+        self.combos: List[SparseVec] = []
+        self.pivot_row: Dict[int, int] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def echelon_split(ech: Echelon, vec: SparseVec) -> Tuple[SparseVec, SparseVec]:
+    """Split vec = sum_i coeffs[i] * ech.rows[i] + residual.
+
+    Returns (coeffs, residual); the residual is 0 at every pivot.  Only the
+    pivots present in vec are visited: subtracting a row leaves vec unchanged
+    at every other pivot, so each coefficient is vec's own entry there.
+    """
+    residual = dict(vec)
+    coeffs: SparseVec = {}
+    for p, c in vec.items():
+        i = ech.pivot_row.get(p)
+        if i is not None:
+            coeffs[i] = c
+            _sub_multiple(residual, c, ech.rows[i])
+    return coeffs, residual
+
+
+def echelon(rows: Iterable[SparseVec]) -> Echelon:
+    """The one exact elimination routine: RREF over Q of the given rows.
+
+    Input row j is keyed j in the combinations.  A row dependent on the
+    earlier ones adds nothing, so every combination is supported on the
+    independent input rows.
+    """
+    ech = Echelon()
+    for j, row in enumerate(rows):
+        coeffs, vec = echelon_split(ech, row)
+        if not vec:
+            continue
+        combo: SparseVec = {j: Fraction(1)}
+        for i, c in coeffs.items():
+            _sub_multiple(combo, c, ech.combos[i])
+        p = min(vec)
+        if vec[p] != 1:
+            inv = 1 / Fraction(vec[p])  # integer rows stay exact
+            vec = {k: v * inv for k, v in vec.items()}
+            combo = {k: v * inv for k, v in combo.items()}
+        # clear the new pivot column from the earlier rows
+        for er, ec in zip(ech.rows, ech.combos):
+            c = er.get(p)
+            if c:
+                _sub_multiple(er, c, vec)
+                _sub_multiple(ec, c, combo)
+        ech.pivot_row[p] = len(ech.rows)
+        ech.rows.append(vec)
+        ech.combos.append(combo)
+    return ech
 
 
 class AlgebraElement(LinComb):

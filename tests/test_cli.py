@@ -182,6 +182,14 @@ class TestExitContract:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
+    def test_malformed_basis_budget(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", value)
+        assert main(["homology", "--vars", "1", "--weight", "2", "--deg", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SYMTRACE_MAX_BASIS must be an integer >= 1")
+        assert "Traceback" not in err
+
     def test_integrity_failure_exits_one(self, monkeypatch, capsys):
         from symtrace import cartan
 

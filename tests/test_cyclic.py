@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from symtrace.cyclic import (
     ChainComplexQ,
     CyclicChain,
+    _check_square_zero,
     bareiss_rank,
     beta_cocycle,
     beta_one_slot_words,
@@ -22,7 +25,7 @@ from symtrace.cyclic import (
     verify_conj1,
 )
 from symtrace.derham import Form, d, equal_mod_exact
-from symtrace.gcalg import AlgebraElement, dx_gen, x_gen
+from symtrace.gcalg import AlgebraElement, IntegrityError, dx_gen, x_gen
 from symtrace.resolution import abelianize, r_word_basis
 from symtrace.trace import trace_simple
 
@@ -103,6 +106,32 @@ class TestConnesHomology:
     def test_boundary_squares_checked_on_build(self):
         cpx = build_connes_complex("A", 1, 3, 3)
         assert isinstance(cpx, ChainComplexQ)
+
+    @staticmethod
+    def _two_step_complex(upper):
+        # Q <-(1 1)- Q^2 <-upper- Q^2, all in weight 1
+        basis = {(0, 1): [("a",)], (1, 1): [("b",), ("c",)], (2, 1): [("e",), ("f",)]}
+        mats = {
+            (1, 1): [[Fraction(1), Fraction(1)]],
+            (2, 1): [[Fraction(v) for v in row] for row in upper],
+        }
+        return ChainComplexQ(basis, mats, 3, 1)
+
+    def test_square_zero_check_names_the_bidegree(self):
+        # the composite is (0, 1): nonzero only in its last column
+        cpx = self._two_step_complex([[1, 1], [-1, 0]])
+        with pytest.raises(IntegrityError, match=r"\(2, 1\)"):
+            _check_square_zero(cpx)
+
+    def test_built_columns_match_the_matrices(self):
+        cpx = build_connes_complex("A", 2, 3, 3)
+        read_off = ChainComplexQ(cpx.basis, cpx.matrices, cpx.degree_cap, cpx.weight_cap)
+        assert read_off.columns == cpx.columns
+
+    def test_square_zero_check_passes_on_a_complex(self):
+        cpx = self._two_step_complex([[1, 0], [-1, 0]])
+        _check_square_zero(cpx)
+        assert homology(cpx).dims == {(2, 1): 1}
 
 
 class TestRank:

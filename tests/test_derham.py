@@ -1,6 +1,7 @@
 """De Rham operations: differential, Euler contraction, exactness."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from symtrace.derham import (
     Form,
@@ -122,3 +123,28 @@ class TestExactnessWitness:
         shifted = omega + d(F(X(1) ** 2 * X(2)))
         assert equal_mod_exact(omega, shifted)
         assert not equal_mod_exact(omega, F(X(2) * DX(1)))
+
+    @pytest.mark.parametrize("omega, nvars, eta", [
+        (DX(1) * DX(2), 2, -X(2) * DX(1)),
+        (X(1) ** 2 * DX(1) * DX(2), 2, -(X(1) ** 2) * X(2) * DX(1)),
+        (DX(1) * DX(2) * DX(3), 3, X(3) * DX(1) * DX(2)),
+    ])
+    def test_pinned_witnesses(self, omega, nvars, eta):
+        # the particular solution supported on the first independent images
+        assert exactness_witness(F(omega, nvars)) == F(eta, nvars)
+
+    @given(st.data())
+    def test_adding_an_exact_form_is_invisible(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        forms = []
+        for _ in range(2):
+            w = data.draw(st.integers(0, 3))
+            p = data.draw(st.integers(0, nvars))
+            basis = form_basis(nvars, w, p)
+            coeffs = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3),
+                                        min_size=len(basis), max_size=len(basis)))
+            forms.append(F(AlgebraElement(dict(zip(basis, coeffs))), nvars))
+        eta, omega = forms
+        assert equal_mod_exact(omega + d(eta), omega)
+        witness = exactness_witness(d(eta))
+        assert witness is not None and d(witness) == d(eta)

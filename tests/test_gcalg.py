@@ -4,13 +4,15 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symtrace.cartan import DiagonalTraceValue
 from symtrace.gcalg import (
     AlgebraElement,
     InvalidInputError,
     dx_gen,
+    echelon,
+    echelon_split,
     koszul_sign,
     lam_gen,
     lam_letter,
@@ -272,3 +274,69 @@ class TestLamProduct:
                             sign *= s
                         expected = (sign, prod[1])
                 assert lam_product(blocks) == expected
+
+
+# integer matrices of at most 6 x 6 with entries in -3..3
+MATRICES = st.integers(1, 6).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=1, max_size=6
+    )
+)
+
+
+def _sparse(mat):
+    return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in mat]
+
+
+def _combine(coeffs, rows):
+    out = {}
+    for i, c in coeffs.items():
+        for k, v in rows[i].items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+class TestEchelon:
+    @settings(deadline=None)  # the first call imports sympy
+    @given(MATRICES)
+    def test_rank_matches_sympy(self, mat):
+        sympy = pytest.importorskip("sympy")
+        assert echelon(_sparse(mat)).rank == sympy.Matrix(mat).rank()
+
+    @given(MATRICES)
+    def test_rank_of_transpose(self, mat):
+        transpose = [list(col) for col in zip(*mat)]
+        assert echelon(_sparse(mat)).rank == echelon(_sparse(transpose)).rank
+
+    @given(MATRICES)
+    def test_rows_are_their_combinations(self, mat):
+        rows = _sparse(mat)
+        ech = echelon(rows)
+        assert sorted(ech.pivot_row.values()) == list(range(ech.rank))
+        for p, i in ech.pivot_row.items():
+            row = ech.rows[i]
+            assert row == _combine(ech.combos[i], rows)
+            assert min(row) == p and row[p] == 1
+            assert all(q == p or q not in row for q in ech.pivot_row)
+
+    @given(MATRICES, st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+    def test_split(self, mat, entries):
+        ech = echelon(_sparse(mat))
+        vec = {j: Fraction(v) for j, v in enumerate(entries) if v}
+        coeffs, residual = echelon_split(ech, vec)
+        total = _combine(coeffs, ech.rows)
+        for k, v in residual.items():
+            total[k] = total.get(k, 0) + v
+        assert {k: v for k, v in total.items() if v} == vec
+        assert not any(p in residual for p in ech.pivot_row)
+
+    def test_dependent_rows_add_nothing(self):
+        ech = echelon(_sparse([[0, 2, 4], [0, 1, 2], [1, 0, 1]]))
+        assert ech.rank == 2
+        assert ech.rows == [{1: 1, 2: 2}, {0: 1, 2: 1}]
+        assert ech.combos == [{0: Fraction(1, 2)}, {2: 1}]
+
+    def test_integer_rows_stay_exact(self):
+        ech = echelon([{0: 3, 1: 1}])
+        assert ech.rows == [{0: 1, 1: Fraction(1, 3)}]
+        assert all(isinstance(v, Fraction) for v in ech.rows[0].values())
