@@ -301,17 +301,17 @@ class MerkulovData:
 
     def f_tree(self, t: PlanarTree, args: Sequence[AlgebraElement]) -> RElement:
         """Tree evaluation: f1 on leaves, h mu_2 inside, -h mu_2 at the root."""
-        if leaf_count(t) != len(args):
-            raise InvalidInputError("argument count must match leaf count")
-        lifted = [self.f1(a) for a in args]
-        return -self.h(self._eval_tree(t, lifted, use_comm=False))
+        return self._f_tree(t, args, use_comm=False)
 
     def f_tree_commutator(self, t: PlanarTree, args: Sequence[AlgebraElement]) -> RElement:
         """Same as f_tree with every product replaced by a graded commutator."""
+        return self._f_tree(t, args, use_comm=True)
+
+    def _f_tree(self, t: PlanarTree, args: Sequence[AlgebraElement], use_comm: bool) -> RElement:
         if leaf_count(t) != len(args):
             raise InvalidInputError("argument count must match leaf count")
         lifted = [self.f1(a) for a in args]
-        return -self.h(self._eval_tree(t, lifted, use_comm=True))
+        return -self.h(self._eval_tree(t, lifted, use_comm))
 
     def _eval_tree(self, t: PlanarTree, lifted: Sequence[RElement], use_comm: bool) -> RElement:
         if t is None:
@@ -345,11 +345,7 @@ def tree_trace_args(md: MerkulovData, args: Sequence[AlgebraElement]) -> Algebra
     for sigma in permutations(range(k + 1)):
         value = md.f_taylor([args[j] for j in sigma])
         total_perm.iadd(abelianize(value), perm_sign(sigma))
-    total_class = AlgebraElement.zero()
-    for sigma, t in enumerate_labeled_classes(k):
-        value = md.f_tree_commutator(t, [args[j] for j in sigma])
-        total_class.iadd(abelianize(value), perm_sign(sigma) * tree_sign(t))
-    if total_perm != total_class:
+    if total_perm != class_tree_sum(md, args):
         raise IntegrityError("permutation and labeled-class tree sums disagree")
     return total_perm
 

@@ -29,7 +29,7 @@ from .gcalg import (
     monomial_parity,
     monomial_units,
 )
-from .trace import _assignments, _slot_term, expand_multilinear, trace_simple
+from .trace import theta_omega_q, trace_simple
 
 SlotKey = Tuple[Monomial, ...]
 
@@ -77,16 +77,6 @@ class DiagonalTraceValue(LinComb):
         )
 
 
-def _place(element: AlgebraElement, n: int) -> DiagonalTraceValue:
-    """sum_i (1, .., element, .., 1) with the element whole in slot i."""
-    out: Dict[SlotKey, Fraction] = {}
-    for m, c in element.terms.items():
-        for i in range(n):
-            key = tuple(m if j == i else ONE for j in range(n))
-            out[key] = out.get(key, Fraction(0)) + c
-    return DiagonalTraceValue(n, out)
-
-
 def vartheta_power_sum(t: AlgebraElement, n: int, q: int) -> DiagonalTraceValue:
     """Evaluate the (q+1)-th power sum against the diagonal placement of t.
 
@@ -98,12 +88,20 @@ def vartheta_power_sum(t: AlgebraElement, n: int, q: int) -> DiagonalTraceValue:
     filtered = AlgebraElement(
         {m: c for m, c in t.terms.items() if monomial_units(m) == q + 1}
     )
-    return _place(filtered, n)
+    return vartheta_symmetrize(filtered, n)
 
 
 def vartheta_symmetrize(t: AlgebraElement, n: int) -> DiagonalTraceValue:
-    """The direct sum over all q: the symmetrization map."""
-    return _place(t, n)
+    """The direct sum over all q: the symmetrization map.
+
+    sum_i (1, .., t, .., 1), with t whole in slot i.
+    """
+    out: Dict[SlotKey, Fraction] = {}
+    for m, c in t.terms.items():
+        for i in range(n):
+            key = tuple(m if j == i else ONE for j in range(n))
+            out[key] = out.get(key, Fraction(0)) + c
+    return DiagonalTraceValue(n, out)
 
 
 def _cartan_slot_route(omega: Form, n: int, q: int) -> DiagonalTraceValue:
@@ -115,23 +113,9 @@ def _cartan_slot_route(omega: Form, n: int, q: int) -> DiagonalTraceValue:
     """
     out = DiagonalTraceValue.zero(n)
     for w, p, part in bigrade_split(omega):
-        if w == 0:
-            continue
-        r = w - 1
-        if q != r:
-            continue
-        eta = d(part)
-        acc: Dict[SlotKey, Fraction] = {}
-        for coeff, us, dus in expand_multilinear(eta):
-            for theta_block, omega_blocks in _assignments(us, dus, r):
-                term = _slot_term(coeff, us, dus, theta_block, omega_blocks)
-                if term is None:
-                    continue
-                c, mono = term
-                for i in range(n):
-                    key = tuple(mono if j == i else ONE for j in range(n))
-                    acc[key] = acc.get(key, Fraction(0)) + c
-        out.iadd(DiagonalTraceValue(n, acc), Fraction(1, math.factorial(r + 1)))
+        if w - 1 == q:
+            slots = vartheta_symmetrize(theta_omega_q(d(part), q), n)
+            out.iadd(slots, Fraction(1, math.factorial(q + 1)))
     return out
 
 

@@ -439,6 +439,8 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     report = SUITES[args.suite](args)
     report.wall_time = time.perf_counter() - t0
+    if report.cases == 0:
+        raise InvalidInputError(f"suite {args.suite} ran 0 cases; widen its caps")
     if args.json:
         print(json.dumps(report.to_json()))
     else:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .derham import Form, d, monomial_basis
+from .derham import Form, d, exact_image, form_basis, monomial_basis
 from .gcalg import (
     DX_KIND,
     X_KIND,
@@ -45,6 +45,8 @@ from .gcalg import (
     Monomial,
     ResourceLimitError,
     SparseVec,
+    block_maps,
+    block_sign,
     dx_gen,
     echelon,
     max_basis_budget,
@@ -391,8 +393,6 @@ def derham_quotient_dims(nvars: int, weight_cap: int, degree_cap: int) -> Dict[T
     w + p.  The quotient divides out d of the (n-1)-forms of the same total
     weight; degree 0 excludes constants.
     """
-    from .derham import form_basis
-
     dims: Dict[Tuple[int, int], int] = {}
     for n in range(degree_cap + 1):
         for total_w in range(1, weight_cap + 1):
@@ -402,18 +402,9 @@ def derham_quotient_dims(nvars: int, weight_cap: int, degree_cap: int) -> Dict[T
             target = form_basis(nvars, poly_w, n)
             if not target:
                 continue
-            dim_target = len(target)
-            rank_d = 0
-            if n >= 1 and poly_w + 1 >= 0:
-                index = {mki: i for i, mki in enumerate(target)}
-                rows = []
-                for mono in form_basis(nvars, poly_w + 1, n - 1):
-                    img = d(Form(AlgebraElement.from_monomial(mono), nvars))
-                    rows.append({index[m2]: c for m2, c in img.body.terms.items()})
-                rank_d = bareiss_rank(rows)
-            hdim = dim_target - rank_d
-            if n == 0:
-                hdim = dim_target  # constants already excluded by weight >= 1
+            # degree 0 divides out nothing: constants are excluded by weight >= 1
+            rank_d = exact_image(nvars, poly_w, n)[2].rank if n >= 1 else 0
+            hdim = len(target) - rank_d
             if hdim:
                 dims[(n, total_w)] = hdim
     return dims
@@ -457,45 +448,26 @@ def hkr_I(chain: CyclicChain, nvars: int) -> Form:
 # -- the closed bridge cocycle ---------------------------------------------------
 
 
-def _barred_maps(du_labels: Sequence[int], n: int, m: int):
-    """Maps f: du labels -> {1..n} u {bar 1..bar m}, onto the barred part.
-
-    Targets 1..n are encoded as 1..n and bar j as -j.
-    """
-    targets = list(range(1, n + 1)) + [-j for j in range(1, m + 1)]
-    for f in product(targets, repeat=len(du_labels)):
-        hit = {t for t in f if t < 0}
-        if len(hit) == m:
-            yield f
-
-
 def beta_cocycle(u_vars: Sequence[int], n: int, p: int) -> CyclicChain:
     """The closed chain over R attached to u_1..u_n du_{n+1}..du_{n+p}."""
     if len(u_vars) != n + p or n < 0 or p < 0:
         raise InvalidInputError("need n + p variables")
     out: Dict[ChainKey, Fraction] = {}
-    du_positions = list(range(p))
     for sigma in permutations(range(n)):
         for m in range(0, p + 1):
-            for f in _barred_maps(du_positions, n, m):
-                blocks: List[List[int]] = [[] for _ in range(n)]
-                barred: List[List[int]] = [[] for _ in range(m)]
-                for pos, target in zip(du_positions, f):
-                    if target > 0:
-                        blocks[target - 1].append(pos)
-                    else:
-                        barred[-target - 1].append(pos)
+            # blocks n..n+m-1 are the barred targets, each hit at least once
+            for blocks in block_maps(p, n + m, onto=range(n, n + m)):
                 head = _lam_word(
                     [u_vars[sigma[j]]] + [u_vars[n + pos] for pos in blocks[j]]
                     for j in range(n)
                 )
                 if head is None:
                     continue
-                tail = _lam_word([u_vars[n + pos] for pos in block] for block in barred)
+                tail = _lam_word([u_vars[n + pos] for pos in block] for block in blocks[n:])
                 if tail is None:
                     continue
                 key = (head[1],) + tuple((letter,) for letter in tail[1])
-                sign = perm_sign([pos for block in blocks + barred for pos in block])
+                sign = block_sign(blocks)
                 # (-1)^m aligns the column grading with the boundary
                 # convention used here; the one-slot part is unaffected
                 coeff = Fraction(sign * head[0] * tail[0] * (-1) ** m, math.factorial(n))

@@ -10,9 +10,11 @@ sum_i xi d/dxi goes the other way, and together they satisfy
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from itertools import combinations
+from typing import Dict, List, Optional, Tuple
 
 from .gcalg import (
     DX_KIND,
@@ -20,6 +22,7 @@ from .gcalg import (
     X_KIND,
     AlgebraElement,
     InvalidInputError,
+    Echelon,
     Monomial,
     dx_gen,
     echelon,
@@ -161,14 +164,29 @@ def monomial_basis(nvars: int, weight: int) -> List[Monomial]:
 
 def form_basis(nvars: int, weight: int, form_degree: int) -> List[Monomial]:
     """Monomial basis of the (weight, form_degree) component of the forms."""
-    from itertools import combinations
-
     out: List[Monomial] = []
     for poly in monomial_basis(nvars, weight):
         for dxs in combinations(range(1, nvars + 1), form_degree):
             m = poly + tuple((dx_gen(i), 1) for i in dxs)
             out.append(m)
     return out
+
+
+@functools.lru_cache
+def exact_image(nvars: int, w: int, p: int) -> Tuple[List[Monomial], Dict[Monomial, int], Echelon]:
+    """d on the (w+1, p-1) forms: (source basis, target index, echelon).
+
+    Row j of the echelon is d of ``source[j]`` written in the index of the
+    (w, p) form basis.  Needs p >= 1.  The result is cached per bidegree and
+    shared between callers, so it must not be mutated.
+    """
+    source = form_basis(nvars, w + 1, p - 1)
+    index = {m: i for i, m in enumerate(form_basis(nvars, w, p))}
+    rows = []
+    for m in source:
+        img = d(Form(AlgebraElement.from_monomial(m), nvars))
+        rows.append({index[m2]: c for m2, c in img.body.terms.items()})
+    return source, index, echelon(rows)
 
 
 def exactness_witness(omega: Form) -> Optional[Form]:
@@ -186,16 +204,8 @@ def exactness_witness(omega: Form) -> Optional[Form]:
     w, p, _ = parts[0]
     if p == 0:
         return None
-    source = form_basis(omega.nvars, w + 1, p - 1)
-    index: dict = {}
-    rows = []
-    for m in source:
-        img = d(Form(AlgebraElement.from_monomial(m), omega.nvars))
-        rows.append({index.setdefault(m2, len(index)): c for m2, c in img.body.terms.items()})
-    if any(m not in index for m in omega.body.terms):
-        return None
+    source, index, ech = exact_image(omega.nvars, w, p)
     vec = {index[m]: c for m, c in omega.body.terms.items()}
-    ech = echelon(rows)
     coeffs, residual = echelon_split(ech, vec)
     if residual:
         return None

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from itertools import combinations, product
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # generator kinds, in canonical order: even variable < odd dx < lam letter
 X_KIND = 0
@@ -234,6 +235,37 @@ def perm_sign(seq: Sequence) -> int:
             if item > later:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+def block_maps(p: int, k: int, onto: Iterable[int] = ()) -> Iterator[List[List[int]]]:
+    """Every map from positions 0..p-1 to k ordered blocks, as k block lists.
+
+    Each block keeps its positions in source order.  Maps that leave a block
+    listed in ``onto`` empty are skipped before any block is built.
+    """
+    need = tuple(onto)
+    for f in product(range(k), repeat=p):
+        for j in need:
+            if j not in f:
+                break
+        else:
+            blocks: List[List[int]] = [[] for _ in range(k)]
+            for pos, j in enumerate(f):
+                blocks[j].append(pos)
+            yield blocks
+
+
+def block_sign(blocks: Iterable[Sequence[int]]) -> int:
+    """(-1)^f: parity of moving odd symbols from source order into the blocks."""
+    return perm_sign([pos for block in blocks for pos in block])
+
+
+def shuffles(n: int, p: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+    """(p, n-p)-shuffles of 0..n-1 as (first block, second block, signature)."""
+    positions = tuple(range(n))
+    for first in combinations(positions, p):
+        second = tuple(i for i in positions if i not in first)
+        yield first, second, perm_sign(first + second)
 
 
 def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:

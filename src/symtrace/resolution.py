@@ -32,7 +32,7 @@ from .gcalg import (
     LinComb,
     lam_letter,
     lam_product,
-    perm_sign,
+    shuffles,
 )
 
 Letter = Tuple[int, ...]  # strictly increasing variable indices, len >= 1
@@ -130,14 +130,6 @@ def lam_element(indices: Sequence[int]) -> RElement:
     return RElement({r[1]: Fraction(r[0])})
 
 
-def _shuffles(n: int, p: int):
-    """(p, n-p)-shuffles as (first block, second block, signature)."""
-    positions = tuple(range(n))
-    for first in combinations(positions, p):
-        second = tuple(i for i in positions if i not in first)
-        yield first, second, perm_sign(first + second)
-
-
 def delta_letter(letter: Letter) -> RElement:
     """The shuffle differential on a single letter."""
     n = len(letter)
@@ -147,7 +139,7 @@ def delta_letter(letter: Letter) -> RElement:
     for p in range(1, n // 2 + 1):
         q = n - p
         sign_p = -1 if p % 2 else 1
-        for first, second, sign_sh in _shuffles(n, p):
+        for first, second, sign_sh in shuffles(n, p):
             if p == q and 0 not in first:
                 continue
             a = lam_element([letter[i] for i in first])

@@ -19,7 +19,9 @@ Sign convention everywhere: dx symbols are odd, polynomial factors even; the
 sign of a term is the parity of the permutation rearranging the dx symbols
 from their source order into the concatenated target blocks (within a block,
 source order is kept), times whatever signs the graded-commutative target
-algebra produces when letters are sorted.
+algebra produces when letters are sorted.  Every route draws its blocks from
+``gcalg.block_maps`` or ``gcalg.shuffles`` and that parity from
+``gcalg.block_sign``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .derham import Form, bigrade_split, d
@@ -37,12 +39,15 @@ from .gcalg import (
     AlgebraElement,
     InvalidInputError,
     Monomial,
+    block_maps,
+    block_sign,
     dx_gen,
     lam_letter,
     lam_product,
     monomial_from_factors,
     monomial_mul,
     perm_sign,
+    shuffles,
     x_gen,
 )
 from .resolution import s_inv
@@ -111,29 +116,29 @@ def _slot_term(
     coeff: Fraction,
     us: Tuple[int, ...],
     dus: Tuple[int, ...],
-    theta_block: Sequence[int],
-    omega_blocks: Sequence[Tuple[int, Sequence[int]]],
+    blocks: List[List[int]],
+    perm: Tuple[int, ...],
 ) -> Optional[Tuple[Fraction, Monomial]]:
     """Evaluate one slot assignment.
 
-    ``theta_block`` holds dx positions for the connection slot; each entry of
-    ``omega_blocks`` is (u position, dx positions) for a curvature slot.  The
-    result already includes the shuffle sign and all letter sorting signs.
+    ``blocks[0]`` holds dx positions for the connection slot; curvature slot
+    s gets the polynomial factor at position ``perm[s]`` and the dx positions
+    ``blocks[s + 1]``.  The result already includes the shuffle sign and all
+    letter sorting signs.
     """
     prod = lam_product(
-        [[dus[p] for p in theta_block]]
-        + [[us[upos]] + [dus[p] for p in block] for upos, block in omega_blocks]
+        [[dus[p] for p in blocks[0]]]
+        + [[us[upos]] + [dus[p] for p in blocks[i + 1]] for i, upos in enumerate(perm)]
     )
     if prod is None:
         return None
     s, mono = prod
-    shuffle = perm_sign(list(theta_block) + [p for _, b in omega_blocks for p in b])
-    return coeff * shuffle * s, mono
+    return coeff * block_sign(blocks) * s, mono
 
 
 def _assignments(
     us: Tuple[int, ...], dus: Tuple[int, ...], q: int
-) -> Iterator[Tuple[Tuple[int, ...], List[Tuple[int, List[int]]]]]:
+) -> Iterator[Tuple[List[List[int]], Tuple[int, ...]]]:
     """Surviving slot assignments for [theta . Omega^q] on one term.
 
     Only assignments that can evaluate to something nonzero are produced:
@@ -142,18 +147,11 @@ def _assignments(
     q == len(us).
     """
     r = len(us)
-    if q != r or not dus:
+    if q != r:
         return
-    du_positions = list(range(len(dus)))
-    for theta_size in range(1, len(dus) + 1):
-        for theta_block in combinations(du_positions, theta_size):
-            rest = [p for p in du_positions if p not in theta_block]
-            for placement in product(range(r), repeat=len(rest)):
-                slot_blocks: List[List[int]] = [[] for _ in range(r)]
-                for pos, slot in zip(rest, placement):
-                    slot_blocks[slot].append(pos)
-                for perm in permutations(range(r)):
-                    yield theta_block, [(perm[s], slot_blocks[s]) for s in range(r)]
+    for blocks in block_maps(len(dus), r + 1, onto=(0,)):
+        for perm in permutations(range(r)):
+            yield blocks, perm
 
 
 def theta_omega_q(omega: Form, q: int, prune: bool = True) -> AlgebraElement:
@@ -167,8 +165,8 @@ def theta_omega_q(omega: Form, q: int, prune: bool = True) -> AlgebraElement:
     out: Dict[Monomial, Fraction] = {}
     for coeff, us, dus in expand_multilinear(omega):
         if prune:
-            for theta_block, omega_blocks in _assignments(us, dus, q):
-                r = _slot_term(coeff, us, dus, theta_block, omega_blocks)
+            for blocks, perm in _assignments(us, dus, q):
+                r = _slot_term(coeff, us, dus, blocks, perm)
                 if r is None:
                     continue
                 c, mono = r
@@ -240,16 +238,12 @@ def trace_simple(omega: Form) -> AlgebraElement:
         n, p = len(us), len(dus)
         if n == 0:
             continue
-        for f in product(range(n), repeat=p):
-            blocks: List[List[int]] = [[] for _ in range(n)]
-            for pos, j in enumerate(f):
-                blocks[j].append(pos)
+        for blocks in block_maps(p, n):
             prod = lam_product([us[j]] + [dus[pos] for pos in blocks[j]] for j in range(n))
             if prod is None:
                 continue
             s, mono = prod
-            sign = perm_sign([pos for block in blocks for pos in block])
-            out[mono] = out.get(mono, Fraction(0)) + coeff * sign * s
+            out[mono] = out.get(mono, Fraction(0)) + coeff * block_sign(blocks) * s
     return AlgebraElement(out)
 
 
@@ -264,12 +258,7 @@ def F_eval(eta: Form) -> AlgebraElement:
         acc: Dict[Monomial, Fraction] = {}
         for coeff, us, dus in expand_multilinear(part):
             n = len(us)
-            for f in product(range(n + 1), repeat=len(dus)):
-                blocks: List[List[int]] = [[] for _ in range(n + 1)]
-                for pos, j in enumerate(f):
-                    blocks[j].append(pos)
-                if not blocks[0]:
-                    continue
+            for blocks in block_maps(len(dus), n + 1, onto=(0,)):
                 prod = lam_product(
                     [[dus[pos] for pos in blocks[0]]]
                     + [[us[j - 1]] + [dus[pos] for pos in blocks[j]] for j in range(1, n + 1)]
@@ -277,16 +266,9 @@ def F_eval(eta: Form) -> AlgebraElement:
                 if prod is None:
                     continue
                 s, mono = prod
-                sign = perm_sign([pos for block in blocks for pos in block])
-                acc[mono] = acc.get(mono, Fraction(0)) + coeff * sign * s
+                acc[mono] = acc.get(mono, Fraction(0)) + coeff * block_sign(blocks) * s
         out.iadd(AlgebraElement(acc), Fraction(1, w + 1))
     return out
-
-
-def _split_sign(positions: Sequence[int], p: int) -> int:
-    """(-1)^(sum of 1-based positions - p(p-1)/2) for extracting p-1 slots."""
-    e = sum(pos + 1 for pos in positions) - p * (p - 1) // 2
-    return -1 if e % 2 else 1
 
 
 def _validate_tuple(indices: Sequence[int], k: int) -> None:
@@ -306,8 +288,8 @@ def D_op(omega: Form, indices: Sequence[int]) -> AlgebraElement:
 
     Built by iterated wedge splittings.  Each splitting peels the rightmost
     wedge factor of the target: a derivative variable u is prepended to the
-    left part together with a chosen (p-1)-subset, with sign
-    (-1)^(sum of chosen 1-based positions - p(p-1)/2) and prefactor 1/p!,
+    left part together with a chosen (p-1)-subset, with the shuffle sign of
+    the chosen positions ahead of the rest and prefactor 1/p!,
     and the remaining factors become a lam letter.  The derivative variables
     act on the polynomial coefficient as constant-coefficient derivations.
     """
@@ -335,10 +317,9 @@ def D_op(omega: Form, indices: Sequence[int]) -> AlgebraElement:
                         dpoly = coeff_poly.differentiate(var)
                         if dpoly.is_zero():
                             continue
-                        for chosen in combinations(range(len(vs)), p_cur - 1):
-                            sign = _split_sign(chosen, p_cur)
+                        for chosen, rest, sign in shuffles(len(vs), p_cur - 1):
                             left = [var] + [vs[a] for a in chosen]
-                            right = [vs[a] for a in range(len(vs)) if a not in chosen]
+                            right = [vs[a] for a in rest]
                             r = lam_letter(right)
                             if r is None:
                                 continue
@@ -387,13 +368,13 @@ def hat_D_op(eta: Form, indices: Sequence[int]) -> AlgebraElement:
         for coeff, us, dus in expand_multilinear(part):
             r = len(us)
             acc: Dict[Monomial, Fraction] = {}
-            for theta_block, omega_blocks in _assignments(us, dus, r):
-                if len(theta_block) != theta_size:
+            for blocks, perm in _assignments(us, dus, r):
+                if len(blocks[0]) != theta_size:
                     continue
-                profile = sorted(len(b) for _, b in omega_blocks if b)
+                profile = sorted(len(b) for b in blocks[1:] if b)
                 if profile != needed:
                     continue
-                term = _slot_term(coeff, us, dus, theta_block, omega_blocks)
+                term = _slot_term(coeff, us, dus, blocks, perm)
                 if term is None:
                     continue
                 c, mono = term

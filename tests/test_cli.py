@@ -182,6 +182,19 @@ class TestExitContract:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["routes", "--weight", "-1"],
+        ["cstree", "--k", "0"],
+        ["conj1", "--cap", "0"],
+        ["cartan", "--n", "0"],
+        ["derham", "--deg", "-1"],
+    ])
+    def test_empty_suite_is_a_usage_error(self, argv, capsys):
+        assert main(["verify", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith(f"error: suite {argv[0]} ran 0 cases")
+        assert "[ok]" not in out.out
+
     @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
     def test_malformed_basis_budget(self, value, monkeypatch, capsys):
         monkeypatch.setenv("SYMTRACE_MAX_BASIS", value)

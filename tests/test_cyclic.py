@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symtrace.cyclic import (
     ChainComplexQ,
@@ -205,6 +206,14 @@ class TestBetaCocycle:
             for u in product((1, 2), repeat=n + p):
                 beta = beta_cocycle(u, n, p)
                 assert boundary(beta).canonicalized().is_zero()
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_closed_on_random_labels(self, data):
+        n = data.draw(st.integers(0, 4))
+        p = data.draw(st.integers(0, 4 - n))
+        u = data.draw(st.lists(st.integers(1, 4), min_size=n + p, max_size=n + p))
+        assert boundary(beta_cocycle(u, n, p)).canonicalized().is_zero()
 
     def test_one_slot_projection_is_trace(self):
         for n, p in [(1, 1), (2, 1), (1, 2), (2, 2)]:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ from symtrace.cartan import DiagonalTraceValue
 from symtrace.gcalg import (
     AlgebraElement,
     InvalidInputError,
+    block_maps,
+    block_sign,
     dx_gen,
     echelon,
     echelon_split,
@@ -21,6 +24,7 @@ from symtrace.gcalg import (
     monomial_parity,
     perm_sign,
     render,
+    shuffles,
     x_gen,
 )
 from symtrace.resolution import RElement
@@ -253,6 +257,46 @@ class TestPermSign:
     def test_items_need_not_be_a_permutation(self):
         assert perm_sign([3, 7, 5]) == -1
         assert perm_sign(()) == 1
+
+
+class TestBlockMaps:
+    @pytest.mark.parametrize("p, k", [(0, 1), (1, 3), (3, 2), (4, 3)])
+    def test_every_map_once_in_source_order(self, p, k):
+        maps = list(block_maps(p, k))
+        assert len(maps) == k**p
+        seen = set()
+        for blocks in maps:
+            assert len(blocks) == k
+            assert sorted(pos for b in blocks for pos in b) == list(range(p))
+            assert all(b == sorted(b) for b in blocks)
+            seen.add(tuple(next(j for j, b in enumerate(blocks) if pos in b) for pos in range(p)))
+        assert seen == set(product(range(k), repeat=p))
+
+    @pytest.mark.parametrize("p, k, onto", [(3, 3, (0,)), (4, 4, (2, 3)), (2, 3, (0, 1, 2)), (0, 2, (0,))])
+    def test_onto_drops_exactly_the_maps_missing_a_block(self, p, k, onto):
+        expected = [b for b in block_maps(p, k) if all(b[j] for j in onto)]
+        assert list(block_maps(p, k, onto=onto)) == expected
+
+    def test_no_positions_is_one_empty_map(self):
+        assert list(block_maps(0, 3)) == [[[], [], []]]
+        assert list(block_maps(0, 0)) == [[]]
+
+    def test_sign_is_the_parity_of_the_concatenation(self):
+        assert block_sign([[1], [0, 2]]) == -1
+        assert block_sign([[0, 2], [], [1, 3]]) == -1
+        assert block_sign([[], []]) == 1
+        for blocks in block_maps(4, 3):
+            assert block_sign(blocks) == _inversion_parity([pos for b in blocks for pos in b])
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_shuffle_signs_match_the_closed_formula(self, n):
+        for k in range(n + 1):
+            got = list(shuffles(n, k))
+            assert len(got) == comb(n, k)
+            for first, second, sign in got:
+                assert sorted(first + second) == list(range(n))
+                e = sum(first) - k * (k - 1) // 2
+                assert sign == (-1 if e % 2 else 1)
 
 
 class TestLamProduct:

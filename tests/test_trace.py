@@ -5,8 +5,9 @@ from itertools import product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symtrace.derham import Form, d, form_basis
+from symtrace.derham import Form, bigrade_split, d, form_basis
 from symtrace.gcalg import (
     AlgebraElement,
     InvalidInputError,
@@ -190,6 +191,23 @@ class TestRouteAgreement:
         for _, _, form in basis_forms(2, 3, 2):
             for route in (cs_trace_raw, trace_simple):
                 assert route(swap_form(form)) == swap_target(route(form))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_random_non_homogeneous_forms(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        body = AlgebraElement.zero()
+        for _ in range(data.draw(st.integers(1, 3))):
+            w = data.draw(st.integers(0, 3))
+            p = data.draw(st.integers(0, nvars))
+            m = data.draw(st.sampled_from(form_basis(nvars, w, p)))
+            c = data.draw(st.fractions(-3, 3, max_denominator=3).filter(bool))
+            body.add_term(m, c)
+        form = Form(body, nvars)
+        a = cs_trace_raw(form)
+        assert a == trace_simple(form) == F_eval(d(form))
+        if all(p <= 2 for _, p, _ in bigrade_split(form)):
+            assert a == trace_diffop(form)
 
 
 class TestDOperators:
