@@ -233,36 +233,46 @@ class MerkulovData:
         for word, c in e.terms.items():
             buckets.setdefault((word_degree(word), word_weight(word)), {})[word] = c
         for (deg, w), terms in buckets.items():
-            part = RElement(terms)
-            if deg == 0:
-                part = part - self.f1(self.pi(part))
-                if part.is_zero():
-                    continue
-            if deg + 1 > self.degree_cap or w > self.weight_cap:
-                raise ResourceLimitError(
-                    f"homotopy at degree {deg}, weight {w} is outside the caps "
-                    f"(degree_cap={self.degree_cap}, weight_cap={self.weight_cap})"
-                )
-            ech = self._b_ech[(deg, w)]
-            coeffs, residual = echelon_split(ech, self._to_vec(part, deg, w))
-            if deg == 0 and residual:
-                raise IntegrityError("kernel of pi is not exhausted by boundaries")
-            h_rows = self._h_rows[(deg, w)]
-            for i, c in coeffs.items():
-                out.iadd(h_rows[i], c)
+            for i, c in self._h_coeffs(RElement(terms), deg, w).items():
+                out.iadd(self._h_rows[(deg, w)][i], c)
         return out
+
+    def _h_coeffs(self, part: RElement, deg: int, w: int) -> SparseVec:
+        """h(part) as coefficients on ``_h_rows[(deg, w)]``; part is homogeneous."""
+        if deg == 0:
+            part = part - self.f1(self.pi(part))
+            if part.is_zero():
+                return {}
+        if deg + 1 > self.degree_cap or w > self.weight_cap:
+            raise ResourceLimitError(
+                f"homotopy at degree {deg}, weight {w} is outside the caps "
+                f"(degree_cap={self.degree_cap}, weight_cap={self.weight_cap})"
+            )
+        coeffs, residual = echelon_split(self._b_ech[(deg, w)], self._to_vec(part, deg, w))
+        if deg == 0 and residual:
+            raise IntegrityError("kernel of pi is not exhausted by boundaries")
+        return coeffs
 
     # -- construction-time consistency -----------------------------------------
 
     def _check_side_conditions(self):
+        """h h = 0 and delta h + h delta = 1 - f1 pi on every basis word.
+
+        h(e) is a combination of the rows ``_h_rows``, so delta h(e) is the
+        same combination of the rows' images, each formed once per bidegree.
+        """
         for deg in range(self.degree_cap):
             for w in range(self.weight_cap + 1):
+                h_rows = self._h_rows[(deg, w)]
+                delta_rows = [delta_R(row) for row in h_rows]
                 for word in self.basis[(deg, w)]:
                     e = RElement.from_word(word)
-                    he = self.h(e)
+                    he, lhs = RElement.zero(), RElement.zero()
+                    for i, c in self._h_coeffs(e, deg, w).items():
+                        he.iadd(h_rows[i], c)
+                        lhs.iadd(delta_rows[i], c)
                     if deg + 2 <= self.degree_cap and not self.h(he).is_zero():
                         raise IntegrityError("h h != 0")
-                    lhs = delta_R(he)
                     if deg == 0:
                         rhs = e - self.f1(self.pi(e))
                     else:

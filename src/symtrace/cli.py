@@ -11,13 +11,18 @@ Grammar for form expressions (whitespace insignificant)::
 Exit codes: 0 success, 1 verification failures (including a failed internal
 integrity check, reported as ``error: integrity check failed: ...``), 2 usage,
 parse or resource errors.  The environment variable SYMTRACE_MAX_BASIS bounds
-materialized bases.
+materialized bases.  The parser turns every malformed, oversized or too
+deeply nested text into a ``ParseError``, before doing the work: a single
+``*`` or ``^`` may cost at most ``MAX_EXPANSION`` monomial products, no
+coefficient may need more than ``MAX_COEFFICIENT_BITS`` bits in numerator or
+denominator, and parentheses nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -63,8 +68,19 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<dvar>dx\d+)|(?P<var>x\d+)|(?P<num>\d+)|(?P<op>[-+*^()/]))"
+    r"\s*(?:(?P<dvar>dx\d+)|(?P<var>x\d+)|(?P<num>\d+)|(?P<op>[-+*^()/]))", re.ASCII
 )
+
+MAX_EXPANSION = 200_000
+MAX_COEFFICIENT_BITS = 4096
+MAX_NESTING = 50
+
+
+def _coefficient_bits(a: AlgebraElement) -> int:
+    return max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in a.terms.values()),
+        default=0,
+    )
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -91,6 +107,7 @@ class _Parser:
         self.nvars = nvars
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Optional[Tuple[str, str, int]]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -136,7 +153,12 @@ class _Parser:
             if tok is None or tok[0] != "op" or tok[1] != "*":
                 return value
             self.next()
-            value = value * self.factor()
+            rhs = self.factor()
+            t = min(len(value.terms), len(rhs.terms))
+            bits = _coefficient_bits(value) + _coefficient_bits(rhs) + t.bit_length()
+            if len(value.terms) * len(rhs.terms) > MAX_EXPANSION or bits > MAX_COEFFICIENT_BITS:
+                raise ParseError("product expands too far", tok[2])
+            value = value * rhs
 
     def factor(self) -> AlgebraElement:
         value = self.primary()
@@ -148,34 +170,52 @@ class _Parser:
             tok = self.next()
             if tok[0] != "num":
                 raise ParseError("expected a positive integer exponent", tok[2])
-            value = value ** int(tok[1])
+            k, t = self._int(tok[1], tok[2]), len(value.terms)
+            # t terms to the k have at most comb(t+k-1, k) terms, each of
+            # the k multiplications costing t products per term, and
+            # coefficients of at most k * (bits + log2 t) bits
+            bits = k * (_coefficient_bits(value) + t.bit_length())
+            if bits > MAX_COEFFICIENT_BITS or (t and k * t * math.comb(t + k - 1, k) > MAX_EXPANSION):
+                raise ParseError("power expands too far", tok[2])
+            value = value ** k
+
+    @staticmethod
+    def _int(digits: str, pos: int) -> int:
+        if 3 * len(digits) > MAX_COEFFICIENT_BITS:  # a decimal digit is > 3 bits
+            raise ParseError("number too long", pos)
+        return int(digits)
 
     def primary(self) -> AlgebraElement:
         tok = self.next()
         kind, text, pos = tok
         if kind == "num":
-            num = int(text)
+            num = self._int(text, pos)
             nxt = self.peek()
             if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
                 self.next()
                 den_tok = self.next()
                 if den_tok[0] != "num":
                     raise ParseError("expected a denominator", den_tok[2])
-                if int(den_tok[1]) == 0:
+                den = self._int(den_tok[1], den_tok[2])
+                if den == 0:
                     raise ParseError("zero denominator", den_tok[2])
-                return AlgebraElement.constant(Fraction(num, int(den_tok[1])))
+                return AlgebraElement.constant(Fraction(num, den))
             return AlgebraElement.constant(num)
         if kind == "var":
-            idx = int(text[1:])
+            idx = self._int(text[1:], pos)
             self._check_index(idx, pos)
             return AlgebraElement.from_gen(x_gen(idx))
         if kind == "dvar":
-            idx = int(text[2:])
+            idx = self._int(text[2:], pos)
             self._check_index(idx, pos)
             return AlgebraElement.from_gen(dx_gen(idx))
         if kind == "op" and text == "(":
+            if self.depth >= MAX_NESTING:
+                raise ParseError("parentheses nested too deeply", pos)
+            self.depth += 1
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {text!r}", pos)
 

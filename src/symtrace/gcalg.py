@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -92,27 +93,23 @@ def lam_gen(indices: Sequence[int]) -> Optional[Generator]:
     return (LAM_KIND, idx)
 
 
-def lam_letter(indices: Sequence[int]) -> Optional[Tuple[int, Generator]]:
+def lam_letter(indices: Iterable[int]) -> Optional[Tuple[int, Generator]]:
     """(sign, generator) for lam applied to an arbitrary argument list.
 
     All arguments are treated as odd symbols, so sorting them into increasing
     order contributes the signature of the sorting permutation; a repeated
-    index gives the zero element (returns None).
+    index gives the zero element (returns None).  The trace routes ask for the
+    same few argument lists millions of times, so the answer is memoized on
+    the argument tuple.
     """
-    idx = list(indices)
-    if not idx:
+    return _lam_letter(tuple(indices))
+
+
+@lru_cache(maxsize=4096)
+def _lam_letter(idx: Tuple[int, ...]) -> Optional[Tuple[int, Generator]]:
+    if not idx or len(set(idx)) < len(idx):
         return None
-    sign = 1
-    # insertion sort, counting inversions
-    for a in range(1, len(idx)):
-        b = a
-        while b > 0 and idx[b - 1] > idx[b]:
-            idx[b - 1], idx[b] = idx[b], idx[b - 1]
-            sign = -sign
-            b -= 1
-    if any(p == q for p, q in zip(idx, idx[1:])):
-        return None
-    return sign, lam_gen(idx)
+    return perm_sign(idx), lam_gen(sorted(idx))
 
 
 def gen_parity(g: Generator) -> int:
@@ -158,17 +155,22 @@ def monomial_units(m: Monomial) -> int:
 
 
 def monomial_from_factors(factors: Iterable[Generator]) -> Optional[Tuple[int, Monomial]]:
-    """Canonicalize a factor sequence into (sign, monomial); None if zero."""
-    result: Monomial = ONE_MONOMIAL
-    sign = 1
-    for g in factors:
-        m = ((g, 1),)
-        step = monomial_mul(result, m)
-        if step is None:
-            return None
-        s, result = step
-        sign *= s
-    return sign, result
+    """Canonicalize a factor sequence into (sign, monomial); None if zero.
+
+    Sorting moves odd factors only past each other with a sign, so the sign
+    is the parity of the odd factors' own order; a repeated odd factor is 0.
+    """
+    gens = list(factors)
+    odd = [g for g in gens if gen_parity(g)]
+    if len(set(odd)) < len(odd):
+        return None
+    out: List[Tuple[Generator, int]] = []
+    for g in sorted(gens):
+        if out and out[-1][0] == g:
+            out[-1] = (g, out[-1][1] + 1)
+        else:
+            out.append((g, 1))
+    return perm_sign(odd), tuple(out)
 
 
 def monomial_mul(m1: Monomial, m2: Monomial) -> Optional[Tuple[int, Monomial]]:

@@ -19,6 +19,7 @@ of :mod:`symtrace.gcalg`, with singleton letters becoming even variables.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -131,10 +132,17 @@ def lam_element(indices: Sequence[int]) -> RElement:
 
 
 def delta_letter(letter: Letter) -> RElement:
-    """The shuffle differential on a single letter."""
+    """The shuffle differential on a single letter.
+
+    ``delta_R`` asks for the same few letters on every word it touches, so the
+    terms are memoized per letter; each call returns a fresh element.
+    """
+    return RElement(dict(_delta_letter_terms(tuple(letter))))
+
+
+@lru_cache(maxsize=1024)
+def _delta_letter_terms(letter: Letter) -> Tuple[Tuple[RWord, Fraction], ...]:
     n = len(letter)
-    if n <= 1:
-        return RElement.zero()
     out = RElement.zero()
     for p in range(1, n // 2 + 1):
         q = n - p
@@ -145,7 +153,7 @@ def delta_letter(letter: Letter) -> RElement:
             a = lam_element([letter[i] for i in first])
             b = lam_element([letter[i] for i in second])
             out.iadd(commutator(a, b), sign_p * sign_sh)
-    return out
+    return tuple(out.terms.items())
 
 
 def delta_R(e: RElement) -> RElement:

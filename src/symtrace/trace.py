@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .derham import Form, bigrade_split, d
 from .gcalg import (
@@ -112,46 +113,67 @@ def omega_eval(term_form) -> AlgebraElement:
     return out
 
 
-def _slot_term(
+def _label_orderings(us: Sequence[int]) -> Tuple[List[Tuple[int, ...]], int]:
+    """Distinct orderings of the multiset ``us`` and the weight of each.
+
+    Two permutations of the polynomial factors that differ only by swapping
+    equal labels put the same label in every slot, so their slot terms are
+    identical.  Each distinct ordering therefore stands for prod(mult!)
+    permutations, and the orderings times that weight count all r! of them.
+    """
+    counts = Counter(us)
+    weight = math.prod(math.factorial(m) for m in counts.values())
+    labels = sorted(counts)
+    out: List[Tuple[int, ...]] = []
+
+    def extend(prefix: Tuple[int, ...]) -> None:
+        if len(prefix) == len(us):
+            out.append(prefix)
+            return
+        for u in labels:
+            if counts[u]:
+                counts[u] -= 1
+                extend(prefix + (u,))
+                counts[u] += 1
+
+    extend(())
+    return out, weight
+
+
+def _slot_sum(
     coeff: Fraction,
     us: Tuple[int, ...],
     dus: Tuple[int, ...],
-    blocks: List[List[int]],
-    perm: Tuple[int, ...],
-) -> Optional[Tuple[Fraction, Monomial]]:
-    """Evaluate one slot assignment.
+    keep: Optional[Callable[[List[List[int]]], bool]] = None,
+) -> AlgebraElement:
+    """[theta . Omega^r] on one term coeff * us * dus, r = len(us).
 
-    ``blocks[0]`` holds dx positions for the connection slot; curvature slot
-    s gets the polynomial factor at position ``perm[s]`` and the dx positions
-    ``blocks[s + 1]``.  The result already includes the shuffle sign and all
-    letter sorting signs.
+    Only assignments that can evaluate to something nonzero are enumerated:
+    the theta slot gets no polynomial factor and a nonempty dx block
+    ``blocks[0]``, and curvature slot s gets exactly one polynomial factor,
+    ``labels[s]``, and the dx block ``blocks[s + 1]``.  The factors are
+    placed by the distinct orderings of ``us``, each standing for ``weight``
+    permutations; only equal labels are grouped, the curvature slots stay
+    distinct.  ``keep`` selects block maps.  Each term carries the shuffle
+    sign and all letter sorting signs.
     """
-    prod = lam_product(
-        [[dus[p] for p in blocks[0]]]
-        + [[us[upos]] + [dus[p] for p in blocks[i + 1]] for i, upos in enumerate(perm)]
-    )
-    if prod is None:
-        return None
-    s, mono = prod
-    return coeff * block_sign(blocks) * s, mono
-
-
-def _assignments(
-    us: Tuple[int, ...], dus: Tuple[int, ...], q: int
-) -> Iterator[Tuple[List[List[int]], Tuple[int, ...]]]:
-    """Surviving slot assignments for [theta . Omega^q] on one term.
-
-    Only assignments that can evaluate to something nonzero are produced:
-    the theta slot gets no polynomial factor and a nonempty dx block, and
-    every curvature slot gets exactly one polynomial factor.  That forces
-    q == len(us).
-    """
-    r = len(us)
-    if q != r:
-        return
-    for blocks in block_maps(len(dus), r + 1, onto=(0,)):
-        for perm in permutations(range(r)):
-            yield blocks, perm
+    orderings, weight = _label_orderings(us)
+    acc: Dict[Monomial, int] = {}
+    for blocks in block_maps(len(dus), len(us) + 1, onto=(0,)):
+        if keep is not None and not keep(blocks):
+            continue
+        sign = block_sign(blocks)
+        theta, *curvature = [tuple(dus[p] for p in block) for block in blocks]
+        for labels in orderings:
+            prod = lam_product(
+                [theta] + [(u,) + block for u, block in zip(labels, curvature)]
+            )
+            if prod is None:
+                continue
+            s, mono = prod
+            acc[mono] = acc.get(mono, 0) + sign * s
+    c = coeff * weight
+    return AlgebraElement({mono: c * n for mono, n in acc.items()})
 
 
 def theta_omega_q(omega: Form, q: int, prune: bool = True) -> AlgebraElement:
@@ -162,20 +184,13 @@ def theta_omega_q(omega: Form, q: int, prune: bool = True) -> AlgebraElement:
     evaluated through the theta/Omega rules (used to check that q != r sums
     vanish honestly).
     """
-    out: Dict[Monomial, Fraction] = {}
+    out = AlgebraElement.zero()
     for coeff, us, dus in expand_multilinear(omega):
-        if prune:
-            for blocks, perm in _assignments(us, dus, q):
-                r = _slot_term(coeff, us, dus, blocks, perm)
-                if r is None:
-                    continue
-                c, mono = r
-                out[mono] = out.get(mono, Fraction(0)) + c
-        else:
-            unpruned = _theta_omega_q_unpruned(coeff, us, dus, q, omega.nvars)
-            for mono, c in unpruned.terms.items():
-                out[mono] = out.get(mono, Fraction(0)) + c
-    return AlgebraElement(out)
+        if not prune:
+            out.iadd(_theta_omega_q_unpruned(coeff, us, dus, q, omega.nvars))
+        elif len(us) == q:
+            out.iadd(_slot_sum(coeff, us, dus))
+    return out
 
 
 def _theta_omega_q_unpruned(
@@ -365,21 +380,14 @@ def hat_D_op(eta: Form, indices: Sequence[int]) -> AlgebraElement:
         _validate_tuple(indices, k)
         theta_size = indices[-1]
         needed = sorted(i - 1 for i in indices[:-1])
+
+        def keep(blocks: List[List[int]]) -> bool:
+            return len(blocks[0]) == theta_size and sorted(
+                len(b) for b in blocks[1:] if b
+            ) == needed
+
         for coeff, us, dus in expand_multilinear(part):
-            r = len(us)
-            acc: Dict[Monomial, Fraction] = {}
-            for blocks, perm in _assignments(us, dus, r):
-                if len(blocks[0]) != theta_size:
-                    continue
-                profile = sorted(len(b) for b in blocks[1:] if b)
-                if profile != needed:
-                    continue
-                term = _slot_term(coeff, us, dus, blocks, perm)
-                if term is None:
-                    continue
-                c, mono = term
-                acc[mono] = acc.get(mono, Fraction(0)) + c
-            out.iadd(AlgebraElement(acc), Fraction(1, math.factorial(r)))
+            out.iadd(_slot_sum(coeff, us, dus, keep), Fraction(1, math.factorial(len(us))))
     return out
 
 

@@ -19,7 +19,7 @@ from symtrace.ainfty import (
     verify_cstree,
 )
 from symtrace.derham import Form, d
-from symtrace.gcalg import AlgebraElement, lam_gen, x_gen
+from symtrace.gcalg import AlgebraElement, IntegrityError, lam_gen, x_gen
 from symtrace.resolution import RElement, abelianize
 from symtrace.trace import trace_simple
 
@@ -130,6 +130,15 @@ class TestMerkulov:
         md1 = build_merkulov(1, 4, 2)
         assert md1.f_taylor([X(1), X(1)]).is_zero()
         assert md1.h(md1.f1(X(1) * X(1))).is_zero()
+
+    @pytest.mark.parametrize("key", [(0, 2), (0, 4), (1, 3), (1, 4)])
+    def test_side_conditions_catch_a_wrong_homotopy_row(self, key):
+        md = build_merkulov(3, 4, 3)
+        rows = md._h_rows[key]
+        md._check_side_conditions()
+        rows[-1] = rows[-1].scale(2)
+        with pytest.raises(IntegrityError):
+            md._check_side_conditions()
 
     def test_mu2_is_concatenation(self, md2):
         a = md2.f1(X(1))

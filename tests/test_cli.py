@@ -1,12 +1,15 @@
 """Parser round-trips, command output, exit codes, JSON consistency."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from symtrace.cli import ParseError, element_to_json, main, parse_form
 from symtrace.gcalg import AlgebraElement, dx_gen, render, x_gen
-from symtrace.derham import Form
+from symtrace.derham import Form, form_basis
 
 
 def X(i):
@@ -62,6 +65,73 @@ class TestParser:
         once = render(parse_form(text, 3).body)
         twice = render(parse_form(once, 3).body)
         assert once == twice
+
+
+@st.composite
+def small_forms(draw, nvars=3):
+    body = AlgebraElement.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        w = draw(st.integers(0, 3))
+        p = draw(st.integers(0, nvars))
+        m = draw(st.sampled_from(form_basis(nvars, w, p)))
+        body.add_term(m, draw(st.fractions(-5, 5, max_denominator=4).filter(bool)))
+    return Form(body, nvars)
+
+
+# text drawn mostly from the grammar's own characters, and some of anything
+FORM_TEXT = st.one_of(
+    st.text(alphabet="xd0123456789+-*^/() ", max_size=40),
+    st.text(max_size=40),
+)
+
+
+class TestParserFuzz:
+    @given(small_forms())
+    def test_parse_inverts_render(self, form):
+        assert parse_form(render(form.body), 3) == form
+
+    @settings(deadline=None)
+    @given(FORM_TEXT)
+    def test_text_parses_or_raises_parse_error(self, text):
+        try:
+            form = parse_form(text, 3)
+        except ParseError:
+            return
+        assert isinstance(form, Form)
+
+    @settings(deadline=None)
+    @given(FORM_TEXT)
+    def test_bad_text_exits_two_without_traceback(self, text):
+        try:
+            parse_form(text, 3)
+        except ParseError:
+            pass
+        else:
+            assume(False)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["trace", "--vars", "3", "--", text])
+        assert code == 2
+        assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 2000 + "x1" + ")" * 2000,  # recursion depth
+            "1" * 5000,  # beyond the integer-string limit
+            "x" + "1" * 5000,
+            "x1^99999999999",  # would multiply for ever
+            "(x1+x2)^1000",
+            "((x1+x2+x3)^20)^3",
+            "(x1+x2+x3)^40*(x1+x2+x3)^40",
+            "\u0663*x1",  # a non-ASCII digit
+            "x\u0661",
+        ],
+    )
+    def test_oversized_and_odd_text_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_form(text, 3)
 
 
 class TestCommands:

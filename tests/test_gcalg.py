@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symtrace import gcalg
 from symtrace.cartan import DiagonalTraceValue
 from symtrace.gcalg import (
     AlgebraElement,
@@ -21,6 +22,7 @@ from symtrace.gcalg import (
     lam_letter,
     lam_product,
     monomial_from_factors,
+    monomial_mul,
     monomial_parity,
     perm_sign,
     render,
@@ -188,6 +190,52 @@ class TestLamLetter:
     def test_singleton_collapses(self):
         sign, g = lam_letter([3])
         assert sign == 1 and g == x_gen(3)
+
+
+class TestLamLetterMemo:
+    def test_list_tuple_and_generator_agree(self):
+        for args in ([3, 1, 2], [2, 4], [1, 3, 1], [4]):
+            expected = lam_letter(list(args))
+            assert lam_letter(tuple(args)) == expected
+            assert lam_letter(a for a in args) == expected
+
+    def test_mutating_the_argument_changes_no_later_answer(self):
+        args = [2, 1]
+        first = lam_letter(args)
+        args.reverse()
+        assert lam_letter(args) == (1, lam_gen((1, 2)))
+        args[0] = 2
+        assert lam_letter(args) is None
+        assert lam_letter([2, 1]) == first == (-1, lam_gen((1, 2)))
+
+    def test_memo_is_bounded(self):
+        maxsize = gcalg._lam_letter.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+
+    @given(st.lists(st.integers(1, 6), max_size=6))
+    def test_matches_a_direct_sort(self, args):
+        got = lam_letter(args)
+        if not args or len(set(args)) < len(args):
+            assert got is None
+        else:
+            inversions = sum(a > b for i, a in enumerate(args) for b in args[i + 1 :])
+            assert got == ((-1) ** inversions, lam_gen(tuple(sorted(args))))
+
+
+GENERATORS = [x_gen(1), x_gen(2), dx_gen(1), dx_gen(2), dx_gen(3), lam_gen((1, 2)), lam_gen((1, 2, 3))]
+
+
+@given(st.lists(st.sampled_from(GENERATORS), max_size=6))
+def test_monomial_from_factors_is_the_fold_of_monomial_mul(factors):
+    expected = (1, ())
+    for g in factors:
+        step = monomial_mul(expected[1], ((g, 1),))
+        if step is None:
+            expected = None
+            break
+        expected = (expected[0] * step[0], step[1])
+    assert monomial_from_factors(factors) == expected
+    assert monomial_from_factors(iter(factors)) == expected
 
 
 class TestRendering:

@@ -12,9 +12,11 @@ from symtrace.gcalg import (
     lam_gen,
     x_gen,
 )
+from symtrace import resolution
 from symtrace.resolution import (
     RElement,
     abelianize,
+    delta_letter,
     delta_R,
     lam_element,
     r_word_basis,
@@ -134,3 +136,20 @@ class TestWordBasis:
 
     def test_empty_word(self):
         assert r_word_basis(2, 0, 0) == [()]
+
+
+class TestDeltaLetterMemo:
+    def test_argument_kinds_agree_and_memo_is_bounded(self):
+        for letter in [(1, 2), (1, 2, 3), (1, 2, 3, 4), (2,)]:
+            expected = delta_letter(letter)
+            assert delta_letter(list(letter)) == expected
+            assert delta_R(RElement.from_word((letter,))) == expected
+            assert RElement(dict(resolution._delta_letter_terms.__wrapped__(letter))) == expected
+        maxsize = resolution._delta_letter_terms.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+
+    def test_each_call_returns_a_fresh_element(self):
+        first = delta_letter((1, 2, 3))
+        first.iadd(first)
+        assert delta_letter((1, 2, 3)) != first
+        assert delta_letter((1, 2, 3)) == delta_letter([1, 2, 3])

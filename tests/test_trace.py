@@ -1,7 +1,8 @@
 """Trace evaluators: the four routes, operators, and coefficients."""
 
+import importlib
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
@@ -11,8 +12,11 @@ from symtrace.derham import Form, bigrade_split, d, form_basis
 from symtrace.gcalg import (
     AlgebraElement,
     InvalidInputError,
+    block_maps,
+    block_sign,
     dx_gen,
     lam_gen,
+    lam_product,
     render,
     x_gen,
 )
@@ -22,7 +26,9 @@ from symtrace.trace import (
     TraceMethod,
     UnsupportedDegreeError,
     cs_coefficient,
+    _label_orderings,
     cs_trace_raw,
+    expand_multilinear,
     hat_D_op,
     omega_eval,
     theta_eval,
@@ -208,6 +214,105 @@ class TestRouteAgreement:
         assert a == trace_simple(form) == F_eval(d(form))
         if all(p <= 2 for _, p, _ in bigrade_split(form)):
             assert a == trace_diffop(form)
+
+
+def slot_sum_every_permutation(eta, keep=lambda blocks: True):
+    """Reference for the grouped cs enumeration: [theta . Omega^r] / r! over
+    every one of the r! placements of the polynomial factors, with no
+    grouping of equal labels."""
+    out = AlgebraElement.zero()
+    for coeff, us, dus in expand_multilinear(eta):
+        r = len(us)
+        for blocks in block_maps(len(dus), r + 1, onto=(0,)):
+            if not keep(blocks):
+                continue
+            for perm in permutations(range(r)):
+                prod = lam_product(
+                    [[dus[p] for p in blocks[0]]]
+                    + [[us[perm[s]]] + [dus[p] for p in blocks[s + 1]] for s in range(r)]
+                )
+                if prod is not None:
+                    sign, mono = prod
+                    out.add_term(mono, coeff * block_sign(blocks) * sign / factorial(r))
+    return out
+
+
+def valid_tuples(k):
+    """Every (i1, .., im) with leading entries >= 2, last >= 1, sum k + m - 1."""
+    for m in range(1, k + 1):
+        for t in product(range(1, k + 1), repeat=m):
+            if sum(t) == k + m - 1 and all(i >= 2 for i in t[:-1]):
+                yield t
+
+
+REPEATED_FACTOR_FORMS = [
+    X(1) ** 3 * X(2) * DX(3),
+    X(2) ** 2 * X(3) * DX(1) * DX(3),
+    X(1) ** 2 * X(2) ** 2 * DX(1),
+    X(3) ** 4 * DX(1) * DX(2),
+]
+
+
+class TestGroupedEnumeration:
+    """cs places polynomial factors by distinct orderings of equal labels."""
+
+    @pytest.mark.parametrize("body", REPEATED_FACTOR_FORMS[:2])
+    def test_pruned_equals_unpruned_on_repeated_factors(self, body):
+        eta = d(F(body))
+        r = max(len(us) for _, us, _ in expand_multilinear(eta))
+        value = theta_omega_q(eta, r)
+        assert not value.is_zero()
+        assert value == theta_omega_q(eta, r, prune=False)
+
+    @pytest.mark.parametrize("body", REPEATED_FACTOR_FORMS)
+    def test_slot_sum_matches_every_permutation(self, body):
+        eta = d(F(body))
+        r = max(len(us) for _, us, _ in expand_multilinear(eta))
+        expected = slot_sum_every_permutation(eta)
+        assert not expected.is_zero()
+        assert theta_omega_q(eta, r) == factorial(r) * expected
+
+    @pytest.mark.parametrize("body", REPEATED_FACTOR_FORMS)
+    def test_hat_D_matches_every_permutation(self, body):
+        eta = d(F(body))
+        k = max(p for _, p, _ in bigrade_split(eta))
+        nonzero = 0
+        for indices in valid_tuples(k):
+            theta_size, needed = indices[-1], sorted(i - 1 for i in indices[:-1])
+
+            def keep(blocks):
+                profile = sorted(len(b) for b in blocks[1:] if b)
+                return len(blocks[0]) == theta_size and profile == needed
+
+            got = hat_D_op(eta, indices)
+            assert got == slot_sum_every_permutation(eta, keep)
+            nonzero += not got.is_zero()
+        assert nonzero
+
+    def test_every_distinct_ordering_is_evaluated(self, monkeypatch):
+        # the curvature slots stay distinct: only equal labels are grouped,
+        # so each block map is evaluated once per distinct ordering of us
+        trace_module = importlib.import_module("symtrace.trace")
+        calls = []
+
+        def counting(arg_lists):
+            calls.append(1)
+            return lam_product(arg_lists)
+
+        monkeypatch.setattr(trace_module, "lam_product", counting)
+        eta = F(X(1) ** 2 * X(2) * DX(1) * DX(3))  # us = (1, 1, 2), two dx
+        theta_omega_q(eta, 3)
+        r, p = 3, 2
+        assert len(calls) == ((r + 1) ** p - r**p) * 3
+
+    @pytest.mark.parametrize(
+        "us", [(), (1,), (1, 1), (1, 1, 1, 2), (1, 2, 2, 3), (2, 2, 3, 3, 3), (1, 2, 3, 4)]
+    )
+    def test_multiplicities_sum_to_r_factorial(self, us):
+        orderings, weight = _label_orderings(us)
+        assert len(set(orderings)) == len(orderings)
+        assert set(orderings) == set(permutations(us))
+        assert len(orderings) * weight == factorial(len(us))
 
 
 class TestDOperators:
