@@ -28,6 +28,7 @@ labeled trees.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -129,8 +130,16 @@ def labeled_class_key(sigma: Sequence[int], t: PlanarTree) -> str:
     return _canon(t, list(sigma))
 
 
-def enumerate_labeled_classes(k: int) -> List[Tuple[Tuple[int, ...], PlanarTree]]:
-    """One representative (sigma, T) per class of leaf-labeled planar trees."""
+def enumerate_labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree], ...]:
+    """One representative (sigma, T) per class of leaf-labeled planar trees.
+
+    Built once per k and shared, as a tuple so that no caller can mutate it.
+    """
+    return _labeled_classes(k)
+
+
+@lru_cache(maxsize=8)
+def _labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree], ...]:
     seen: Dict[str, Tuple[Tuple[int, ...], PlanarTree]] = {}
     trees = enumerate_pbt(k)
     for sigma in permutations(range(k + 1)):
@@ -138,7 +147,7 @@ def enumerate_labeled_classes(k: int) -> List[Tuple[Tuple[int, ...], PlanarTree]
             key = labeled_class_key(sigma, t)
             if key not in seen:
                 seen[key] = (sigma, t)
-    return list(seen.values())
+    return tuple(seen.values())
 
 
 class MerkulovData:
@@ -379,9 +388,10 @@ def tree_trace(md: MerkulovData, omega: Form, k: int) -> AlgebraElement:
 def class_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraElement:
     """Just the labeled-class commutator sum (one side of the identity)."""
     k = len(args) - 1
+    lifted = [md.f1(a) for a in args]  # once per call; each class permutes them
     total = AlgebraElement.zero()
     for sigma, t in enumerate_labeled_classes(k):
-        value = md.f_tree_commutator(t, [args[j] for j in sigma])
+        value = -md.h(md._eval_tree(t, [lifted[j] for j in sigma], True))
         total.iadd(abelianize(value), perm_sign(sigma) * tree_sign(t))
     return total
 

@@ -232,9 +232,6 @@ class HomologySummary:
     def dim(self, deg: int, w: int) -> int:
         return self.dims.get((deg, w), 0)
 
-    def table(self) -> Dict[str, int]:
-        return {f"deg={d},weight={w}": v for (d, w), v in sorted(self.dims.items())}
-
 
 def _slot_basis(ambient: str, nvars: int, weight: int) -> List[Slot]:
     if ambient == "A":
@@ -246,54 +243,45 @@ def _slot_basis(ambient: str, nvars: int, weight: int) -> List[Slot]:
 
 
 def build_connes_complex(
-    ambient: str, nvars: int, weight_cap: int, degree_cap: int,
-    max_basis: Optional[int] = None,
+    ambient: str, nvars: int, weight_cap: int, degree_cap: int
 ) -> ChainComplexQ:
     """Materialize the reduced cyclic complex up to the caps.
 
     Basis elements are canonical rotations of slot tuples of total weight
-    1..weight_cap; the boundary is checked to square to zero.  The basis
-    budget defaults to the SYMTRACE_MAX_BASIS environment variable.
+    1..weight_cap, each class enumerated once, at its least rotation; the
+    boundary is checked to square to zero.  The basis budget is the
+    SYMTRACE_MAX_BASIS environment variable.
     """
     if weight_cap < 0 or degree_cap < 0:
         raise InvalidInputError("caps must be nonnegative")
-    if max_basis is None:
-        max_basis = max_basis_budget()
+    max_basis = max_basis_budget()
     slot_pool: Dict[int, List[Slot]] = {
         w: _slot_basis(ambient, nvars, w) for w in range(1, weight_cap + 1)
     }
     slot_pool[0] = [()]  # the unit slot, shared by both ambients
 
     basis: Dict[Tuple[int, int], List[ChainKey]] = {}
-    seen: Dict[Tuple[int, int], set] = {}
-
-    def consider(key: ChainKey):
-        degree = chain_degree(ambient, key)
-        w = chain_weight(ambient, key)
-        if degree > degree_cap or w > weight_cap or w < 1:
-            return
-        r = cyclic_canonical(ambient, key)
-        if r is None:
-            return
-        _, canon = r
-        bucket = seen.setdefault((degree, w), set())
-        if canon not in bucket:
-            bucket.add(canon)
-            basis.setdefault((degree, w), []).append(canon)
 
     def tuples(slots_left: int, weight_left: int, acc: List[Slot]):
         if slots_left == 0:
-            consider(tuple(acc))
+            key = tuple(acc)
+            degree = chain_degree(ambient, key)
+            w = weight_cap - weight_left
+            # a nonzero class is kept at its least rotation, with sign +1
+            if degree <= degree_cap and w >= 1 and cyclic_canonical(ambient, key) == (1, key):
+                basis.setdefault((degree, w), []).append(key)
             return
         for w in range(0, weight_left + 1):
             for s in slot_pool.get(w, []):
+                # the least rotation starts with its least slot
+                if acc and s < acc[0]:
+                    continue
                 if ambient == "R" and _slot_degree(ambient, s) + len(acc) > degree_cap + 1:
                     continue
                 acc.append(s)
                 tuples(slots_left - 1, weight_left - w, acc)
                 acc.pop()
 
-    total = 0
     for nslots in range(1, degree_cap + 2):
         tuples(nslots, weight_cap, [])
         total = sum(len(v) for v in basis.values())

@@ -81,12 +81,6 @@ class RElement(LinComb):
                 out[w] = out.get(w, Fraction(0)) + c1 * c2
         return RElement(out)
 
-    def degree_components(self) -> Dict[int, "RElement"]:
-        buckets: Dict[int, Dict[RWord, Fraction]] = {}
-        for w, c in self.terms.items():
-            buckets.setdefault(word_degree(w), {})[w] = c
-        return {deg: RElement(t) for deg, t in buckets.items()}
-
     def __repr__(self):
         if not self.terms:
             return "RElement(0)"
@@ -99,14 +93,17 @@ class RElement(LinComb):
 
 
 def commutator(a: RElement, b: RElement) -> RElement:
-    """Graded commutator [a, b] = ab - (-1)^{|a||b|} ba, degreewise."""
-    out = RElement.zero()
-    for da, ea in a.degree_components().items():
-        for db, eb in b.degree_components().items():
-            sign = -1 if (da * db) % 2 else 1
-            out.iadd(ea * eb)
-            out.iadd(eb * ea, -sign)
-    return out
+    """Graded commutator [a, b] = ab - (-1)^{|a||b|} ba, one pass over word pairs."""
+    out: Dict[RWord, Fraction] = {}
+    right = [(w2, c2, word_degree(w2) % 2) for w2, c2 in b.terms.items()]
+    for w1, c1 in a.terms.items():
+        odd1 = word_degree(w1) % 2
+        for w2, c2, odd2 in right:
+            c = c1 * c2
+            ab, ba = w1 + w2, w2 + w1
+            out[ab] = out.get(ab, 0) + c
+            out[ba] = out.get(ba, 0) + (c if odd1 and odd2 else -c)
+    return RElement(out)
 
 
 def _lam_word(arg_lists: Iterable[Sequence[int]]) -> Optional[Tuple[int, RWord]]:

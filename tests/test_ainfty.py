@@ -4,10 +4,12 @@ from itertools import permutations, product
 
 import pytest
 
+from symtrace import ainfty
 from symtrace.ainfty import (
     LEAF,
     MerkulovData,
     build_merkulov,
+    class_tree_sum,
     enumerate_labeled_classes,
     enumerate_pbt,
     labeled_class_key,
@@ -211,6 +213,40 @@ class TestTreeTrace:
                 md2.f_tree_commutator(t2, [args[j] for j in sigma2])
             )
             assert v1 == v2
+
+
+class TestClassTreeSum:
+    def test_labeled_classes_are_built_once_and_immutable(self):
+        first = enumerate_labeled_classes(3)
+        assert isinstance(first, tuple) and first is enumerate_labeled_classes(3)
+        assert first == tuple(ainfty._labeled_classes.__wrapped__(3))
+        maxsize = ainfty._labeled_classes.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+
+    def test_matches_the_commutator_tree_maps(self, md2):
+        from symtrace.ainfty import perm_sign
+
+        for args in [(X(1), X(2), X(1) * X(2)), (X(2), X(1) ** 2, X(1)), (X(1), X(2))]:
+            expected = AlgebraElement.zero()
+            for sigma, t in enumerate_labeled_classes(len(args) - 1):
+                value = md2.f_tree_commutator(t, [args[j] for j in sigma])
+                expected = expected + perm_sign(sigma) * tree_sign(t) * abelianize(value)
+            assert class_tree_sum(md2, list(args)) == expected
+
+    def test_lifts_each_argument_once(self, md3, monkeypatch):
+        # every class evaluates the same lifted objects; the list keeps them alive
+        seen = []
+        original = md3._eval_tree
+
+        def recording(t, lifted, use_comm):
+            seen.extend(lifted)
+            return original(t, lifted, use_comm)
+
+        monkeypatch.setattr(md3, "_eval_tree", recording)
+        args = [X(1), X(2), X(3)]
+        assert not class_tree_sum(md3, args).is_zero()
+        assert len({id(e) for e in seen}) == len(args)
+        assert {e for e in seen} == {md3.f1(a) for a in args}
 
 
 class TestCsTree:

@@ -1,6 +1,8 @@
 """Diagonal Cartan traces: power sums, symmetrization, route agreement."""
 
+import random
 from fractions import Fraction
+from itertools import permutations
 
 from symtrace.cartan import (
     DiagonalTraceValue,
@@ -115,3 +117,39 @@ class TestSlotPermutation:
         asym = DiagonalTraceValue(2, {(lam_mono, ONE): Fraction(1)})
         assert sym.is_symmetric()
         assert not asym.is_symmetric()
+
+    def test_symmetric_under_one_transposition_only_is_rejected(self):
+        a, b = next(iter(X(1).terms)), next(iter(X(2).terms))
+        v = DiagonalTraceValue(3, {(a, b, ONE): Fraction(1), (b, a, ONE): Fraction(1)})
+        assert v.permute_slots((1, 0, 2)) == v
+        assert v.permute_slots((0, 2, 1)) != v
+        assert not v.is_symmetric()
+
+    def test_checks_only_the_adjacent_transpositions(self, monkeypatch):
+        lam_mono = next(iter(LAM(1, 2).terms))
+        v = vartheta_symmetrize(AlgebraElement.from_monomial(lam_mono), 5)
+        calls = []
+        original = DiagonalTraceValue.permute_slots
+
+        def counting(self, sigma):
+            calls.append(tuple(sigma))
+            return original(self, sigma)
+
+        monkeypatch.setattr(DiagonalTraceValue, "permute_slots", counting)
+        assert v.is_symmetric()
+        assert len(calls) == 4
+
+    def test_agrees_with_every_permutation(self):
+        rng = random.Random(3)
+        slots = [ONE, next(iter(X(1).terms)), next(iter(LAM(1, 2).terms)),
+                 next(iter(LAM(1, 3).terms))]
+        for _ in range(200):
+            keys = [tuple(rng.choice(slots) for _ in range(3)) for _ in range(rng.randint(1, 3))]
+            v = DiagonalTraceValue(3, {k: Fraction(rng.choice((-1, 1))) for k in keys})
+            if rng.random() < 0.5:
+                total = DiagonalTraceValue.zero(3)
+                for sigma in permutations(range(3)):
+                    total.iadd(v.permute_slots(sigma))
+                v = total
+            expected = all(v.permute_slots(s) == v for s in permutations(range(3)))
+            assert v.is_symmetric() == expected

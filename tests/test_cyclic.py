@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symtrace import cyclic
 from symtrace.cyclic import (
     ChainComplexQ,
     CyclicChain,
@@ -16,6 +17,8 @@ from symtrace.cyclic import (
     beta_one_slot_words,
     boundary,
     build_connes_complex,
+    chain_degree,
+    chain_weight,
     cyclic_canonical,
     derham_quotient_dims,
     eps_coalgebra,
@@ -133,6 +136,57 @@ class TestConnesHomology:
         cpx = self._two_step_complex([[1, 0], [-1, 0]])
         _check_square_zero(cpx)
         assert homology(cpx).dims == {(2, 1): 1}
+
+
+def _reference_basis(ambient, nvars, weight_cap, degree_cap):
+    """Every slot tuple within the caps, canonicalized and deduplicated."""
+    pool = {w: cyclic._slot_basis(ambient, nvars, w) for w in range(1, weight_cap + 1)}
+    pool[0] = [()]
+    basis = {}
+
+    def grow(key, weight_left, slots_left):
+        if slots_left == 0:
+            degree, w = chain_degree(ambient, key), chain_weight(ambient, key)
+            r = cyclic_canonical(ambient, key)
+            if degree <= degree_cap and w >= 1 and r is not None:
+                basis.setdefault((degree, w), set()).add(r[1])
+            return
+        for w in range(weight_left + 1):
+            for s in pool[w]:
+                grow(key + (s,), weight_left - w, slots_left - 1)
+
+    for nslots in range(1, degree_cap + 2):
+        grow((), weight_cap, nslots)
+    return {bideg: sorted(keys) for bideg, keys in basis.items()}
+
+
+class TestLeastRotationBasis:
+    CAPS = [("A", 2, 4, 3), ("A", 3, 3, 3), ("A", 2, 3, 4), ("A", 1, 5, 4),
+            ("R", 2, 3, 3), ("R", 2, 4, 2)]
+
+    @pytest.mark.parametrize("ambient,nvars,weight_cap,degree_cap", CAPS)
+    def test_basis_equals_the_canonicalized_enumeration(self, ambient, nvars, weight_cap, degree_cap):
+        cpx = build_connes_complex(ambient, nvars, weight_cap, degree_cap)
+        expected = _reference_basis(ambient, nvars, weight_cap, degree_cap)
+        assert sorted(cpx.basis) == sorted(expected)
+        for bideg, keys in expected.items():
+            assert cpx.basis[bideg] == keys, bideg
+        for keys in cpx.basis.values():
+            assert len(set(keys)) == len(keys)
+            for key in keys:
+                assert cyclic_canonical(ambient, key) == (1, key)
+
+    def test_classes_with_a_repeated_least_slot_are_kept(self):
+        # (x1, x1, x2) is its own least rotation; a non-strict prune drops it
+        key = (mono(1), mono(1), mono(2))
+        assert key in build_connes_complex("A", 2, 4, 3).basis[(2, 3)]
+
+    def test_homology_matches_derham_at_three_vars(self):
+        hs = homology(build_connes_complex("A", 3, 4, 3))
+        dr = derham_quotient_dims(3, 4, 2)
+        for degc in range(0, 3):
+            for w in range(1, 5):
+                assert hs.dim(degc, w) == dr.get((degc, w), 0)
 
 
 class TestRank:

@@ -1,8 +1,10 @@
 """Minimal resolution: shuffle differential, abelianization, s^-1 embedding."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symtrace.derham import Form
 from symtrace.gcalg import (
@@ -16,6 +18,7 @@ from symtrace import resolution
 from symtrace.resolution import (
     RElement,
     abelianize,
+    commutator,
     delta_letter,
     delta_R,
     lam_element,
@@ -76,6 +79,59 @@ class TestDifferential:
         for wd in de.terms:
             assert word_weight(wd) == 3
             assert word_degree(wd) == 1
+
+
+def _degreewise_commutator(a, b):
+    """[a, b] summed over pairs of homogeneous components, as products."""
+    def components(e):
+        parts = {}
+        for wd, c in e.terms.items():
+            parts.setdefault(word_degree(wd), {})[wd] = c
+        return {deg: RElement(t) for deg, t in parts.items()}
+
+    out = RElement.zero()
+    for da, ea in components(a).items():
+        for db, eb in components(b).items():
+            out = out + ea * eb - (-1) ** (da * db) * (eb * ea)
+    return out
+
+
+LETTERS = [l for k in (1, 2, 3) for l in combinations((1, 2, 3), k)]
+
+r_elements = st.dictionaries(
+    st.lists(st.sampled_from(LETTERS), max_size=3).map(tuple),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    max_size=5,
+).map(RElement)
+
+
+class TestCommutator:
+    def test_odd_odd_is_the_anticommutator(self):
+        a, b = lam_element((1, 2)), lam_element((1, 3))
+        assert commutator(a, b) == word((1, 2), (1, 3)) + word((1, 3), (1, 2))
+
+    def test_even_odd_is_the_plain_commutator(self):
+        a, b = word((1,)), lam_element((1, 2))
+        assert commutator(a, b) == word((1,), (1, 2)) - word((1, 2), (1,))
+
+    def test_odd_square_doubles_and_even_square_vanishes(self):
+        assert commutator(lam_element((1, 2)), lam_element((1, 2))) == 2 * word((1, 2), (1, 2))
+        assert commutator(word((1,), (2,)), word((1,), (2,))).is_zero()
+
+    @settings(deadline=None, max_examples=200)
+    @given(r_elements, r_elements)
+    def test_matches_the_degreewise_reference(self, a, b):
+        assert commutator(a, b) == _degreewise_commutator(a, b)
+
+    @settings(deadline=None)
+    @given(r_elements, r_elements)
+    def test_graded_antisymmetry(self, a, b):
+        # [a, b] = -(-1)^{|a||b|} [b, a] on homogeneous parts
+        for wa, ca in a.terms.items():
+            for wb, cb in b.terms.items():
+                x, y = RElement({wa: ca}), RElement({wb: cb})
+                sign = (-1) ** (word_degree(wa) * word_degree(wb))
+                assert commutator(x, y) == -sign * commutator(y, x)
 
 
 class TestAbelianize:
