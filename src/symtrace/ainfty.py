@@ -46,7 +46,6 @@ from .gcalg import (
     echelon,
     echelon_split,
     max_basis_budget,
-    monomial_from_factors,
     perm_sign,
     render,
     x_gen,
@@ -212,17 +211,6 @@ class MerkulovData:
 
     # -- the resolution maps --------------------------------------------------
 
-    def pi(self, e: RElement) -> AlgebraElement:
-        """Projection R -> A: kills positive degrees, multiplies letters."""
-        out = AlgebraElement.zero()
-        for word, c in e.terms.items():
-            if word_degree(word) != 0:
-                continue
-            mono = monomial_from_factors([x_gen(l[0]) for l in word])
-            s, m = mono
-            out.add_term(m, s * c)
-        return out
-
     def f1(self, a: AlgebraElement) -> RElement:
         """Linear section of pi: a monomial becomes its sorted word."""
         out = RElement.zero()
@@ -233,6 +221,15 @@ class MerkulovData:
                     raise InvalidInputError("f1 takes polynomial elements only")
                 letters.extend([(g[1],)] * e)
             out.add_term(tuple(letters), c)
+        return out
+
+    @staticmethod
+    def _f1_pi(e: RElement) -> RElement:
+        """f1 pi: a degree-0 word becomes its sorted word; positive degrees die."""
+        out = RElement.zero()
+        for word, c in e.terms.items():
+            if word_degree(word) == 0:
+                out.add_term(tuple(sorted(word)), c)
         return out
 
     def h(self, e: RElement) -> RElement:
@@ -249,7 +246,7 @@ class MerkulovData:
     def _h_coeffs(self, part: RElement, deg: int, w: int) -> SparseVec:
         """h(part) as coefficients on ``_h_rows[(deg, w)]``; part is homogeneous."""
         if deg == 0:
-            part = part - self.f1(self.pi(part))
+            part = part - self._f1_pi(part)
             if part.is_zero():
                 return {}
         if deg + 1 > self.degree_cap or w > self.weight_cap:
@@ -283,7 +280,7 @@ class MerkulovData:
                     if deg + 2 <= self.degree_cap and not self.h(he).is_zero():
                         raise IntegrityError("h h != 0")
                     if deg == 0:
-                        rhs = e - self.f1(self.pi(e))
+                        rhs = e - self._f1_pi(e)
                     else:
                         rhs = e - self.h(delta_R(e))
                     if not (lhs - rhs).is_zero():

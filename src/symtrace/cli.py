@@ -573,10 +573,12 @@ def cmd_trees(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -589,7 +591,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="evaluate a trace of a form expression")
     p_trace.add_argument("--method", default="simple",
                          choices=[m.value for m in TraceMethod])
-    p_trace.add_argument("--vars", type=_positive_int, default=3)
+    p_trace.add_argument("--vars", type=_int_at_least(1), default=3)
     p_trace.add_argument("--cartan", nargs=2, metavar=("n=N", "q=Q"), default=None)
     p_trace.add_argument("--json", action="store_true")
     p_trace.add_argument("expr")
@@ -597,7 +599,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--vars", type=_positive_int, default=3)
+    p_verify.add_argument("--vars", type=_int_at_least(1), default=3)
     p_verify.add_argument("--weight", type=int, default=4)
     p_verify.add_argument("--deg", type=int, default=3)
     p_verify.add_argument("--k", type=int, default=3)
@@ -609,9 +611,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_hom = sub.add_parser("homology", help="cyclic homology dimension table")
     p_hom.add_argument("--ambient", choices=["A", "R"], default="A")
-    p_hom.add_argument("--vars", type=_positive_int, default=1)
-    p_hom.add_argument("--weight", type=int, default=4)
-    p_hom.add_argument("--deg", type=int, default=3)
+    p_hom.add_argument("--vars", type=_int_at_least(1), default=1)
+    p_hom.add_argument("--weight", type=_int_at_least(1), default=4)
+    p_hom.add_argument("--deg", type=_int_at_least(0), default=3)
     p_hom.add_argument("--json", action="store_true")
     p_hom.set_defaults(func=cmd_homology)
 

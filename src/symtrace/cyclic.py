@@ -141,14 +141,17 @@ def _tau(ambient: str, key: ChainKey) -> Tuple[int, ChainKey]:
 
 def cyclic_canonical(ambient: str, key: ChainKey) -> Optional[Tuple[int, ChainKey]]:
     """Least rotation with tracked sign; None when the class is zero."""
+    sus = [_slot_degree(ambient, s) + 1 for s in key]
+    total = sum(sus)
     best = key
     best_sign = 1
     cur = key
     sign = 1
     zero = False
-    for _ in range(len(key) - 1):
-        s, cur = _tau(ambient, cur)
-        sign *= s
+    for step in range(1, len(key)):
+        moved = sus[-step]  # as in _tau, the last slot passes all the others
+        sign *= -1 if moved * (total - moved) % 2 else 1
+        cur = key[-step:] + key[:-step]
         if cur == key and sign == -1:
             zero = True
         if cur < best:
@@ -200,26 +203,30 @@ def boundary(chain: CyclicChain) -> CyclicChain:
 
 
 class ChainComplexQ:
-    """Bigraded complex with labeled bases and exact boundary matrices.
+    """Bigraded complex with labeled bases and exact sparse boundaries.
 
-    ``columns`` holds the same boundaries as sparse columns, {row: entry};
-    they are read off ``matrices`` unless the builder already has them.
+    ``columns[(deg, w)][j]`` is the boundary of ``basis[(deg, w)][j]`` as a
+    sparse column {row: entry}, rows indexing ``basis[(deg - 1, w)]``.
     """
 
     def __init__(self, basis: Dict[Tuple[int, int], List[ChainKey]],
-                 matrices: Dict[Tuple[int, int], List[List[Fraction]]],
-                 degree_cap: int, weight_cap: int,
-                 columns: Optional[Dict[Tuple[int, int], List[SparseVec]]] = None):
+                 columns: Dict[Tuple[int, int], List[SparseVec]],
+                 degree_cap: int, weight_cap: int):
         self.basis = basis
-        self.matrices = matrices  # (deg, w) -> matrix of partial_deg, rows = deg-1 basis
-        if columns is None:
-            columns = {
-                key: [{r: v for r, v in enumerate(col) if v} for col in zip(*mat)]
-                for key, mat in matrices.items()
-            }
         self.columns = columns
         self.degree_cap = degree_cap
         self.weight_cap = weight_cap
+
+    @property
+    def matrices(self) -> Dict[Tuple[int, int], List[List[Fraction]]]:
+        """Dense view of ``columns``, built on each access.  Its only reader is the
+        benchmark tracer (``cyclic.matrix_cells``, ``cyclic.matrix_nnz``); the
+        benchmark change that moves those counters to the columns deletes it."""
+        return {
+            (deg, w): [[col.get(i, Fraction(0)) for col in cols]
+                       for i in range(self.dim(deg - 1, w))]
+            for (deg, w), cols in self.columns.items()
+        }
 
     def dim(self, deg: int, w: int) -> int:
         return len(self.basis.get((deg, w), []))
@@ -295,16 +302,13 @@ def build_connes_complex(
     for key in basis:
         basis[key].sort()
 
-    matrices: Dict[Tuple[int, int], List[List[Fraction]]] = {}
     columns: Dict[Tuple[int, int], List[SparseVec]] = {}
     for (deg, w), keys in sorted(basis.items()):
         if deg == 0:
             continue
-        lower = basis.get((deg - 1, w), [])
-        index = {k: i for i, k in enumerate(lower)}
-        mat = [[Fraction(0)] * len(keys) for _ in range(len(lower))]
+        index = {k: i for i, k in enumerate(basis.get((deg - 1, w), []))}
         cols: List[SparseVec] = []
-        for j, key in enumerate(keys):
+        for key in keys:
             img = boundary(CyclicChain(ambient, {key: Fraction(1)})).canonicalized()
             col: SparseVec = {}
             for k2, c in img.terms.items():
@@ -312,13 +316,11 @@ def build_connes_complex(
                     raise IntegrityError("boundary is not homogeneous of degree -1")
                 if k2 not in index:
                     raise IntegrityError("boundary left the materialized basis")
-                i = index[k2]
-                mat[i][j] = col[i] = c
+                col[index[k2]] = c
             cols.append(col)
-        matrices[(deg, w)] = mat
         columns[(deg, w)] = cols
 
-    cpx = ChainComplexQ(basis, matrices, degree_cap, weight_cap, columns)
+    cpx = ChainComplexQ(basis, columns, degree_cap, weight_cap)
     _check_square_zero(cpx)
     return cpx
 
@@ -326,8 +328,8 @@ def build_connes_complex(
 def _check_square_zero(cpx: ChainComplexQ):
     """Exact check that every composite of two boundaries vanishes.
 
-    Column j of lower * mat is the combination of the columns of lower
-    weighted by column j of mat; every product is formed, none is sampled.
+    The composite of a column is the combination of the lower columns
+    weighted by its entries; every product is formed, none is sampled.
     """
     for (deg, w), cols in cpx.columns.items():
         lower = cpx.columns.get((deg - 1, w))
@@ -342,16 +344,12 @@ def _check_square_zero(cpx: ChainComplexQ):
                 raise IntegrityError(f"boundary squared nonzero at ({deg}, {w})")
 
 
-def bareiss_rank(rows: Sequence) -> int:
-    """Rank over Q by the shared sparse echelon in gcalg.
+def bareiss_rank(rows: Sequence[SparseVec]) -> int:
+    """Rank over Q of sparse {index: entry} rows, by the shared echelon in gcalg.
 
-    Each row is a dense list or a sparse {index: entry} dict; the rank of
-    the columns is the same.
+    The rank of a boundary's columns equals the rank of its rows.
     """
-    return echelon(
-        row if isinstance(row, dict) else {j: v for j, v in enumerate(row) if v}
-        for row in rows
-    ).rank
+    return echelon(rows).rank
 
 
 def homology(cpx: ChainComplexQ) -> HomologySummary:

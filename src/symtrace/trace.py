@@ -248,18 +248,20 @@ def cs_trace_raw(omega: Form) -> AlgebraElement:
 
 def trace_simple(omega: Form) -> AlgebraElement:
     """Closed formula: sum over maps f from dx labels to polynomial labels."""
-    out: Dict[Monomial, Fraction] = {}
+    out = AlgebraElement.zero()
     for coeff, us, dus in expand_multilinear(omega):
         n, p = len(us), len(dus)
         if n == 0:
             continue
+        acc: Dict[Monomial, int] = {}
         for blocks in block_maps(p, n):
             prod = lam_product([us[j]] + [dus[pos] for pos in blocks[j]] for j in range(n))
             if prod is None:
                 continue
             s, mono = prod
-            out[mono] = out.get(mono, Fraction(0)) + coeff * block_sign(blocks) * s
-    return AlgebraElement(out)
+            acc[mono] = acc.get(mono, 0) + block_sign(blocks) * s
+        out.iadd(AlgebraElement(acc), coeff)
+    return out
 
 
 def F_eval(eta: Form) -> AlgebraElement:
@@ -269,20 +271,19 @@ def F_eval(eta: Form) -> AlgebraElement:
     connection slot kills constants).  Satisfies F(d omega) == trace_simple(omega).
     """
     out = AlgebraElement.zero()
-    for w, p, part in bigrade_split(eta):
-        acc: Dict[Monomial, Fraction] = {}
-        for coeff, us, dus in expand_multilinear(part):
-            n = len(us)
-            for blocks in block_maps(len(dus), n + 1, onto=(0,)):
-                prod = lam_product(
-                    [[dus[pos] for pos in blocks[0]]]
-                    + [[us[j - 1]] + [dus[pos] for pos in blocks[j]] for j in range(1, n + 1)]
-                )
-                if prod is None:
-                    continue
-                s, mono = prod
-                acc[mono] = acc.get(mono, Fraction(0)) + coeff * block_sign(blocks) * s
-        out.iadd(AlgebraElement(acc), Fraction(1, w + 1))
+    for coeff, us, dus in expand_multilinear(eta):
+        n = len(us)
+        acc: Dict[Monomial, int] = {}
+        for blocks in block_maps(len(dus), n + 1, onto=(0,)):
+            prod = lam_product(
+                [[dus[pos] for pos in blocks[0]]]
+                + [[us[j - 1]] + [dus[pos] for pos in blocks[j]] for j in range(1, n + 1)]
+            )
+            if prod is None:
+                continue
+            s, mono = prod
+            acc[mono] = acc.get(mono, 0) + block_sign(blocks) * s
+        out.iadd(AlgebraElement(acc), coeff / (n + 1))
     return out
 
 

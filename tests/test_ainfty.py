@@ -133,6 +133,17 @@ class TestMerkulov:
         assert md1.f_taylor([X(1), X(1)]).is_zero()
         assert md1.h(md1.f1(X(1) * X(1))).is_zero()
 
+    def test_section_after_projection_sorts_degree_zero_words(self, md2):
+        # the projection R -> A is the abelianization on degree-0 words
+        from symtrace.resolution import r_word_basis
+
+        for w in range(5):
+            for degc in range(3):
+                for word in r_word_basis(3, w, degc):
+                    e = RElement.from_word(word, 3)
+                    expected = md2.f1(abelianize(e)) if degc == 0 else RElement.zero()
+                    assert MerkulovData._f1_pi(e) == expected, word
+
     @pytest.mark.parametrize("key", [(0, 2), (0, 4), (1, 3), (1, 4)])
     def test_side_conditions_catch_a_wrong_homotopy_row(self, key):
         md = build_merkulov(3, 4, 3)

@@ -245,6 +245,8 @@ class TestExitContract:
         ["verify", "routes", "--vars", "0"],
         ["trace", "--vars", "-1", "x1"],
         ["homology", "--vars", "0"],
+        ["homology", "--weight", "0"],
+        ["homology", "--deg", "-1"],
     ])
     def test_vars_must_be_positive(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
