@@ -27,7 +27,6 @@ labeled trees.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -150,18 +149,19 @@ def _labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree], ...]:
 
 
 class MerkulovData:
-    """Bases, boundary splittings, section and homotopy for R within caps."""
+    """Bases, section and homotopy for R within caps."""
 
     def __init__(self, nvars: int, weight_cap: int, degree_cap: int):
+        if weight_cap < 1 or degree_cap < 0:
+            raise InvalidInputError("need weight_cap >= 1 and degree_cap >= 0")
         self.nvars = nvars
         self.weight_cap = weight_cap
         self.degree_cap = degree_cap
         self.basis: Dict[Tuple[int, int], List[RWord]] = {}
         self.index: Dict[Tuple[int, int], Dict[RWord, int]] = {}
-        # per bidegree: echelon of B = im(delta) with upper-level combos
-        self._b_ech: Dict[Tuple[int, int], Echelon] = {}
-        # per bidegree: h on the B-echelon basis, as elements one degree up
-        self._h_rows: Dict[Tuple[int, int], List[RElement]] = {}
+        # h on each pivot word of B = im(delta), an element one degree up;
+        # h is the linear extension of this table
+        self._h_pivot: Dict[RWord, RElement] = {}
         self._build()
         self._check_side_conditions()
 
@@ -181,33 +181,34 @@ class MerkulovData:
                 )
             self.basis[(deg, w)] = words
             self.index[(deg, w)] = {word: i for i, word in enumerate(words)}
+        # per bidegree: echelon of B with the combinations of upper words
+        b_ech: Dict[Tuple[int, int], Echelon] = {}
         for deg, w in self._bidegrees():
-            if deg + 1 > self.degree_cap:
-                continue
-            upper = self.basis[(deg + 1, w)]
-            rows = [
-                self._to_vec(delta_R(RElement.from_word(word)), deg, w)
-                for word in upper
-            ]
-            self._b_ech[(deg, w)] = echelon(rows)
-        for deg, w in self._bidegrees():
-            if deg + 1 > self.degree_cap:
-                continue
-            up_ech = self._b_ech.get((deg + 1, w), Echelon())
+            if deg < self.degree_cap:
+                b_ech[(deg, w)] = echelon(
+                    self._to_vec(delta_R(RElement.from_word(word)), deg, w)
+                    for word in self.basis[(deg + 1, w)]
+                )
+        for (deg, w), ech in b_ech.items():
+            up_ech = b_ech.get((deg + 1, w), Echelon())
+            words, upper = self.basis[(deg, w)], self.basis[(deg + 1, w)]
             # preimage of each echelon row from its tracked combination,
             # projected onto the L-complement one degree up
-            self._h_rows[(deg, w)] = [
-                self._from_vec(echelon_split(up_ech, combo)[1], deg + 1, w)
-                for combo in self._b_ech[(deg, w)].combos
-            ]
+            for p, i in ech.pivot_row.items():
+                residual = echelon_split(up_ech, ech.combos[i])[1]
+                self._h_pivot[words[p]] = RElement({upper[j]: c for j, c in residual.items()})
+            if deg > 0:
+                continue
+            # w - sorted(w) must lie in B; by linearity this covers every
+            # degree-0 input of h
+            for word in words:
+                part = RElement.from_word(word) - RElement.from_word(tuple(sorted(word)))
+                if echelon_split(ech, self._to_vec(part, deg, w))[1]:
+                    raise IntegrityError("kernel of pi is not exhausted by boundaries")
 
     def _to_vec(self, e: RElement, deg: int, w: int) -> SparseVec:
         idx = self.index[(deg, w)]
         return {idx[word]: c for word, c in e.terms.items()}
-
-    def _from_vec(self, vec: SparseVec, deg: int, w: int) -> RElement:
-        words = self.basis[(deg, w)]
-        return RElement({words[i]: c for i, c in vec.items() if c != 0})
 
     # -- the resolution maps --------------------------------------------------
 
@@ -223,67 +224,57 @@ class MerkulovData:
             out.add_term(tuple(letters), c)
         return out
 
-    @staticmethod
-    def _f1_pi(e: RElement) -> RElement:
-        """f1 pi: a degree-0 word becomes its sorted word; positive degrees die."""
-        out = RElement.zero()
-        for word, c in e.terms.items():
-            if word_degree(word) == 0:
-                out.add_term(tuple(sorted(word)), c)
-        return out
-
     def h(self, e: RElement) -> RElement:
-        """The homotopy, applied per bidegree; kills the L-complement."""
-        out = RElement.zero()
-        buckets: Dict[Tuple[int, int], Dict[RWord, Fraction]] = {}
-        for word, c in e.terms.items():
-            buckets.setdefault((word_degree(word), word_weight(word)), {})[word] = c
-        for (deg, w), terms in buckets.items():
-            for i, c in self._h_coeffs(RElement(terms), deg, w).items():
-                out.iadd(self._h_rows[(deg, w)][i], c)
-        return out
+        """The homotopy: a lookup of each word in its values on the pivot words."""
+        return self._extend(self._h_pivot, e)
 
-    def _h_coeffs(self, part: RElement, deg: int, w: int) -> SparseVec:
-        """h(part) as coefficients on ``_h_rows[(deg, w)]``; part is homogeneous."""
-        if deg == 0:
-            part = part - self._f1_pi(part)
-            if part.is_zero():
-                return {}
-        if deg + 1 > self.degree_cap or w > self.weight_cap:
-            raise ResourceLimitError(
-                f"homotopy at degree {deg}, weight {w} is outside the caps "
-                f"(degree_cap={self.degree_cap}, weight_cap={self.weight_cap})"
-            )
-        coeffs, residual = echelon_split(self._b_ech[(deg, w)], self._to_vec(part, deg, w))
-        if deg == 0 and residual:
-            raise IntegrityError("kernel of pi is not exhausted by boundaries")
-        return coeffs
+    def _extend(self, table: Dict[RWord, RElement], e: RElement) -> RElement:
+        """The linear map that is ``table`` on the pivot words of B.
+
+        A degree-0 word w goes to the image of w - sorted(w), so a sorted word
+        goes to 0; every other basis word below the top degree goes to 0.
+        """
+        out = RElement.zero()
+        for word, c in e.terms.items():
+            deg = word_degree(word)
+            if deg == 0:
+                low = tuple(sorted(word))
+                if low == word:
+                    continue
+            w = word_weight(word)
+            if deg + 1 > self.degree_cap or w > self.weight_cap:
+                raise ResourceLimitError(
+                    f"homotopy at degree {deg}, weight {w} is outside the caps "
+                    f"(degree_cap={self.degree_cap}, weight_cap={self.weight_cap})"
+                )
+            value = table.get(word)
+            if value is not None:
+                out.iadd(value, c)
+            elif word not in self.index.get((deg, w), ()):
+                raise InvalidInputError(f"{word!r} is not a word of R on {self.nvars} variables")
+            if deg == 0 and low in table:
+                out.iadd(table[low], -c)
+        return out
 
     # -- construction-time consistency -----------------------------------------
 
     def _check_side_conditions(self):
         """h h = 0 and delta h + h delta = 1 - f1 pi on every basis word.
 
-        h(e) is a combination of the rows ``_h_rows``, so delta h(e) is the
-        same combination of the rows' images, each formed once per bidegree.
+        delta h is the same extension of delta of each pivot value, formed once.
         """
+        delta_table = {word: delta_R(value) for word, value in self._h_pivot.items()}
         for deg in range(self.degree_cap):
             for w in range(self.weight_cap + 1):
-                h_rows = self._h_rows[(deg, w)]
-                delta_rows = [delta_R(row) for row in h_rows]
                 for word in self.basis[(deg, w)]:
                     e = RElement.from_word(word)
-                    he, lhs = RElement.zero(), RElement.zero()
-                    for i, c in self._h_coeffs(e, deg, w).items():
-                        he.iadd(h_rows[i], c)
-                        lhs.iadd(delta_rows[i], c)
-                    if deg + 2 <= self.degree_cap and not self.h(he).is_zero():
+                    if deg + 2 <= self.degree_cap and not self.h(self.h(e)).is_zero():
                         raise IntegrityError("h h != 0")
                     if deg == 0:
-                        rhs = e - self._f1_pi(e)
+                        rhs = e - RElement.from_word(tuple(sorted(word)))
                     else:
                         rhs = e - self.h(delta_R(e))
-                    if not (lhs - rhs).is_zero():
+                    if not (self._extend(delta_table, e) - rhs).is_zero():
                         raise IntegrityError(
                             f"homotopy relation fails at ({deg}, {w})"
                         )

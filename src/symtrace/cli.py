@@ -366,6 +366,8 @@ def suite_conj1(nvars: int, cap: int) -> VerificationReport:
 def suite_cartan(nvars: int, weight_cap: int, n_max: int, q_max: int) -> VerificationReport:
     """Both Cartan routes agree, outputs are symmetric, and the q-sum
     symmetrizes."""
+    if q_max < 0:
+        raise InvalidInputError(f"q must be >= 0, got {q_max}")
     report = VerificationReport("cartan")
     for w, p, form in _basis_forms(nvars, weight_cap, min(nvars, 2)):
         for n in range(1, n_max + 1):

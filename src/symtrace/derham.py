@@ -24,10 +24,12 @@ from .gcalg import (
     InvalidInputError,
     Echelon,
     Monomial,
+    ResourceLimitError,
     dx_gen,
     echelon,
     echelon_split,
     gen_parity,
+    max_basis_budget,
     monomial_mul,
     x_gen,
 )
@@ -178,10 +180,17 @@ def exact_image(nvars: int, w: int, p: int) -> Tuple[List[Monomial], Dict[Monomi
 
     Row j of the echelon is d of ``source[j]`` written in the index of the
     (w, p) form basis.  Needs p >= 1.  The result is cached per bidegree and
-    shared between callers, so it must not be mutated.
+    shared between callers, so it must not be mutated.  Either basis over
+    ``max_basis_budget()`` raises ResourceLimitError.
     """
-    source = form_basis(nvars, w + 1, p - 1)
-    index = {m: i for i, m in enumerate(form_basis(nvars, w, p))}
+    source, target = form_basis(nvars, w + 1, p - 1), form_basis(nvars, w, p)
+    budget = max_basis_budget()
+    if max(len(source), len(target)) > budget:
+        raise ResourceLimitError(
+            f"d into weight {w}, form degree {p} maps {len(source)} onto "
+            f"{len(target)} basis forms (budget {budget})"
+        )
+    index = {m: i for i, m in enumerate(target)}
     rows = []
     for m in source:
         img = d(Form(AlgebraElement.from_monomial(m), nvars))

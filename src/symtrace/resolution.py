@@ -39,8 +39,6 @@ from .gcalg import (
 Letter = Tuple[int, ...]  # strictly increasing variable indices, len >= 1
 RWord = Tuple[Letter, ...]
 
-EMPTY_WORD: RWord = ()
-
 
 def letter_degree(letter: Letter) -> int:
     return len(letter) - 1

@@ -3,6 +3,7 @@
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symtrace import ainfty
 from symtrace.ainfty import (
@@ -21,8 +22,24 @@ from symtrace.ainfty import (
     verify_cstree,
 )
 from symtrace.derham import Form, d
-from symtrace.gcalg import AlgebraElement, IntegrityError, lam_gen, x_gen
-from symtrace.resolution import RElement, abelianize
+from symtrace.gcalg import (
+    AlgebraElement,
+    Echelon,
+    IntegrityError,
+    InvalidInputError,
+    ResourceLimitError,
+    echelon,
+    echelon_split,
+    lam_gen,
+    x_gen,
+)
+from symtrace.resolution import (
+    RElement,
+    abelianize,
+    delta_R,
+    word_degree,
+    word_weight,
+)
 from symtrace.trace import trace_simple
 
 
@@ -99,6 +116,77 @@ def md3():
     return build_merkulov(3, 4, 3)
 
 
+class ReferenceHomotopy:
+    """h solved per call against the echelon of B: the reference for the lookup.
+
+    The echelons of B = im(delta) are rebuilt from ``md.basis``.  A call
+    buckets its input by bidegree, subtracts the sorted word at degree 0,
+    splits each bucket against the echelon of B and combines the preimages
+    of the echelon rows.
+    """
+
+    def __init__(self, md):
+        self.md = md
+        self.ech, self.rows = {}, {}
+        for deg, w in md.basis:
+            if deg < md.degree_cap:
+                self.ech[(deg, w)] = echelon(
+                    self.vec(delta_R(RElement.from_word(u)), deg, w)
+                    for u in md.basis[(deg + 1, w)]
+                )
+        for (deg, w), ech in self.ech.items():
+            up = self.ech.get((deg + 1, w), Echelon())
+            upper = md.basis[(deg + 1, w)]
+            self.rows[(deg, w)] = [
+                RElement({upper[j]: c for j, c in echelon_split(up, combo)[1].items()})
+                for combo in ech.combos
+            ]
+
+    def vec(self, e, deg, w):
+        words = self.md.basis[(deg, w)]
+        return {words.index(word): c for word, c in e.terms.items()}
+
+    def __call__(self, e):
+        md = self.md
+        buckets = {}
+        for word, c in e.terms.items():
+            buckets.setdefault((word_degree(word), word_weight(word)), {})[word] = c
+        out = RElement.zero()
+        for (deg, w), terms in buckets.items():
+            part = RElement(terms)
+            if deg == 0:
+                for word, c in terms.items():
+                    part.add_term(tuple(sorted(word)), -c)
+                if part.is_zero():
+                    continue
+            if deg + 1 > md.degree_cap or w > md.weight_cap:
+                raise ResourceLimitError(f"outside the caps at ({deg}, {w})")
+            coeffs, residual = echelon_split(self.ech[(deg, w)], self.vec(part, deg, w))
+            assert not (deg == 0 and residual)
+            for i, c in coeffs.items():
+                out.iadd(self.rows[(deg, w)][i], c)
+        return out
+
+
+def words_below_top(md):
+    return [
+        word
+        for (deg, w), words in sorted(md.basis.items())
+        if deg < md.degree_cap
+        for word in words
+    ]
+
+
+@pytest.fixture(scope="module")
+def ref2(md2):
+    return ReferenceHomotopy(md2)
+
+
+@pytest.fixture(scope="module")
+def ref3(md3):
+    return ReferenceHomotopy(md3)
+
+
 class TestMerkulov:
     def test_build_runs_side_conditions(self, md2):
         assert isinstance(md2, MerkulovData)
@@ -133,25 +221,54 @@ class TestMerkulov:
         assert md1.f_taylor([X(1), X(1)]).is_zero()
         assert md1.h(md1.f1(X(1) * X(1))).is_zero()
 
-    def test_section_after_projection_sorts_degree_zero_words(self, md2):
-        # the projection R -> A is the abelianization on degree-0 words
-        from symtrace.resolution import r_word_basis
-
-        for w in range(5):
-            for degc in range(3):
-                for word in r_word_basis(3, w, degc):
-                    e = RElement.from_word(word, 3)
-                    expected = md2.f1(abelianize(e)) if degc == 0 else RElement.zero()
-                    assert MerkulovData._f1_pi(e) == expected, word
+    def test_section_after_projection_sorts_degree_zero_words(self, md3, ref3):
+        # the projection R -> A is the abelianization on degree-0 words, so
+        # h f1 pi = 0, and h of a degree-0 word is h of it minus its sorted word
+        words = [word for w in range(5) for word in md3.basis[(0, w)]]
+        assert len(words) == 121
+        for word in words:
+            e = RElement.from_word(word, 3)
+            assert md3.h(md3.f1(abelianize(e))).is_zero(), word
+            assert md3.h(e) == ref3(e), word
 
     @pytest.mark.parametrize("key", [(0, 2), (0, 4), (1, 3), (1, 4)])
     def test_side_conditions_catch_a_wrong_homotopy_row(self, key):
         md = build_merkulov(3, 4, 3)
-        rows = md._h_rows[key]
+        pivots = [
+            word for word in md._h_pivot if (word_degree(word), word_weight(word)) == key
+        ]
+        assert pivots
         md._check_side_conditions()
-        rows[-1] = rows[-1].scale(2)
+        md._h_pivot[pivots[-1]] = md._h_pivot[pivots[-1]].scale(2)
         with pytest.raises(IntegrityError):
             md._check_side_conditions()
+
+    def test_side_conditions_catch_a_homotopy_that_does_not_square_to_zero(self):
+        md = build_merkulov(3, 4, 3)
+
+        def pivots(key):
+            return [w for w in md._h_pivot if (word_degree(w), word_weight(w)) == key]
+
+        # a pivot word one degree up is not killed by h, so h h(p) != 0
+        p, q = pivots((0, 3))[-1], pivots((1, 3))[0]
+        md._h_pivot[p] = md._h_pivot[p] + RElement.from_word(q)
+        with pytest.raises(IntegrityError, match="h h != 0"):
+            md._check_side_conditions()
+
+    def test_build_checks_that_boundaries_exhaust_the_kernel_of_pi(self, monkeypatch):
+        # without the word lam(1,2) nothing bounds x1 x2 - x2 x1
+        full = ainfty.r_word_basis
+        monkeypatch.setattr(
+            ainfty, "r_word_basis",
+            lambda n, w, deg: [u for u in full(n, w, deg) if u != ((1, 2),)],
+        )
+        with pytest.raises(IntegrityError, match="kernel of pi is not exhausted"):
+            build_merkulov(2, 4, 3)
+
+    @pytest.mark.parametrize("caps", [(4, -1), (0, 3), (-1, 3)])
+    def test_caps_must_admit_a_basis(self, caps):
+        with pytest.raises(InvalidInputError):
+            build_merkulov(2, *caps)
 
     def test_mu2_is_concatenation(self, md2):
         a = md2.f1(X(1))
@@ -165,6 +282,60 @@ class TestMerkulov:
         assert one == RElement.from_word(())
         lifted = md2.f1(X(1) * X(2))
         assert md2.mu(2, [one, lifted]) == lifted
+
+
+class TestHomotopyTable:
+    """h, a lookup in its values on the pivot words, against the solve."""
+
+    @pytest.mark.parametrize("name", ["md2", "md3"])
+    def test_every_basis_word_below_the_top_degree(self, name, request):
+        md = request.getfixturevalue(name)
+        ref = request.getfixturevalue(name.replace("md", "ref"))
+        words = words_below_top(md)
+        assert (len(words), len(md._h_pivot)) == {"md2": (49, 17), "md3": (239, 102)}[name]
+        for word in words:
+            e = RElement.from_word(word)
+            assert md.h(e) == ref(e), word
+
+    @pytest.mark.parametrize("name", ["md2", "md3"])
+    def test_combinations_of_basis_words(self, name, request):
+        md = request.getfixturevalue(name)
+        ref = request.getfixturevalue(name.replace("md", "ref"))
+        words = words_below_top(md)
+
+        @settings(deadline=None, max_examples=150)
+        @given(st.lists(st.tuples(st.sampled_from(words), st.integers(-3, 3)), max_size=8))
+        def check(terms):
+            e = RElement.zero()
+            for word, c in terms:
+                e.add_term(word, c)
+            assert md.h(e) == ref(e)
+
+        check()
+
+    @pytest.mark.parametrize("caps, word", [
+        ((3, 4, 2), ((1, 2, 3),)),
+        ((3, 4, 2), ((1, 2), (3,), (3,), (1,))),
+        ((2, 4, 3), ((2,), (1,), (1,), (1,), (2,))),
+    ])
+    def test_words_outside_the_caps_are_refused(self, caps, word):
+        md = build_merkulov(*caps)
+        deg, w = word_degree(word), word_weight(word)
+        message = (
+            f"homotopy at degree {deg}, weight {w} is outside the caps "
+            f"(degree_cap={caps[2]}, weight_cap={caps[1]})"
+        )
+        with pytest.raises(ResourceLimitError) as exc:
+            md.h(RElement.from_word(word))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("word", [(), ((1,), (1,), (1,), (2,), (2,))])
+    def test_sorted_words_go_to_zero_at_every_weight(self, md2, word):
+        assert md2.h(RElement.from_word(word)).is_zero()
+
+    def test_a_word_on_too_many_variables_is_refused(self, md2):
+        with pytest.raises(InvalidInputError, match="not a word of R on 2 variables"):
+            md2.h(RElement.from_word(((3,), (1,))))
 
 
 class TestTreeExpansion:

@@ -267,6 +267,31 @@ class TestExitContract:
         assert out.err.startswith(f"error: suite {argv[0]} ran 0 cases")
         assert "[ok]" not in out.out
 
+    @pytest.mark.parametrize("argv", [
+        ["merkulov", "--weight", "0"],
+        ["merkulov", "--weight", "-1"],
+        ["cartan", "--q", "-1"],
+    ])
+    def test_caps_that_check_nothing_are_usage_errors(self, argv, capsys):
+        assert main(["verify", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ")
+        assert "Traceback" not in out.err
+        assert "[ok]" not in out.out
+
+    def test_exact_image_honours_the_basis_budget(self, monkeypatch, capsys):
+        from symtrace.derham import exact_image
+
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", "10")
+        exact_image.cache_clear()  # a cached bidegree is not rebuilt
+        try:
+            assert main(["verify", "derham", "--vars", "3", "--weight", "5", "--deg", "3"]) == 2
+        finally:
+            exact_image.cache_clear()
+        err = capsys.readouterr().err
+        assert err.startswith("error: d into weight ")
+        assert err.rstrip().endswith("(budget 10)")
+
     @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
     def test_malformed_basis_budget(self, value, monkeypatch, capsys):
         monkeypatch.setenv("SYMTRACE_MAX_BASIS", value)
