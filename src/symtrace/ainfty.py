@@ -162,6 +162,9 @@ class MerkulovData:
         # h on each pivot word of B = im(delta), an element one degree up;
         # h is the linear extension of this table
         self._h_pivot: Dict[RWord, RElement] = {}
+        # delta of every basis word of positive degree, formed once in _build
+        # and read again by the side check
+        self._delta: Dict[RWord, RElement] = {}
         self._build()
         self._check_side_conditions()
 
@@ -185,9 +188,11 @@ class MerkulovData:
         b_ech: Dict[Tuple[int, int], Echelon] = {}
         for deg, w in self._bidegrees():
             if deg < self.degree_cap:
+                upper = self.basis[(deg + 1, w)]
+                for word in upper:
+                    self._delta[word] = delta_R(RElement.from_word(word))
                 b_ech[(deg, w)] = echelon(
-                    self._to_vec(delta_R(RElement.from_word(word)), deg, w)
-                    for word in self.basis[(deg + 1, w)]
+                    self._to_vec(self._delta[word], deg, w) for word in upper
                 )
         for (deg, w), ech in b_ech.items():
             up_ech = b_ech.get((deg + 1, w), Echelon())
@@ -261,9 +266,16 @@ class MerkulovData:
     def _check_side_conditions(self):
         """h h = 0 and delta h + h delta = 1 - f1 pi on every basis word.
 
-        delta h is the same extension of delta of each pivot value, formed once.
+        delta h is the same extension of delta of each pivot value, formed once
+        from the images of the basis words that ``_build`` kept; h delta reads
+        those images too.
         """
-        delta_table = {word: delta_R(value) for word, value in self._h_pivot.items()}
+        delta_table = {}
+        for pivot, value in self._h_pivot.items():
+            image = RElement.zero()
+            for word, c in value.terms.items():
+                image.iadd(self._delta[word], c)
+            delta_table[pivot] = image
         for deg in range(self.degree_cap):
             for w in range(self.weight_cap + 1):
                 for word in self.basis[(deg, w)]:
@@ -273,7 +285,7 @@ class MerkulovData:
                     if deg == 0:
                         rhs = e - RElement.from_word(tuple(sorted(word)))
                     else:
-                        rhs = e - self.h(delta_R(e))
+                        rhs = e - self.h(self._delta[word])
                     if not (self._extend(delta_table, e) - rhs).is_zero():
                         raise IntegrityError(
                             f"homotopy relation fails at ({deg}, {w})"

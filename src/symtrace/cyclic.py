@@ -45,6 +45,7 @@ from .gcalg import (
     Monomial,
     ResourceLimitError,
     SparseVec,
+    _label_orderings,
     block_maps,
     block_sign,
     dx_gen,
@@ -61,7 +62,7 @@ from .resolution import (
     RWord,
     _lam_word,
     abelianize,
-    delta_R,
+    delta_word,
     r_word_basis,
     word_degree,
     word_weight,
@@ -165,38 +166,39 @@ def cyclic_canonical(ambient: str, key: ChainKey) -> Optional[Tuple[int, ChainKe
 
 
 def boundary(chain: CyclicChain) -> CyclicChain:
-    """Cyclic Hochschild boundary plus the slotwise internal differential."""
+    """Cyclic Hochschild boundary plus the slotwise internal differential.
+
+    The coefficients are brought to their common denominator, the terms are
+    summed as integers, and each output term is one fraction over it.
+    """
     ambient = chain.ambient
-    out: Dict[ChainKey, Fraction] = {}
-
-    def emit(key: ChainKey, c: Fraction):
-        if c:
-            out[key] = out.get(key, Fraction(0)) + c
-
+    den = math.lcm(*(c.denominator for c in chain.terms.values()))
+    out: Dict[ChainKey, int] = {}
     for key, c in chain.terms.items():
+        v = c.numerator * (den // c.denominator)
         m = len(key) - 1
         sus = [_slot_degree(ambient, s) + 1 for s in key]
         if m >= 1:
             prefix = 0
             for i in range(m):
                 prefix += sus[i]
-                sign = -1 if prefix % 2 else 1
                 s2, merged = _slot_mul(ambient, key[i], key[i + 1])
-                emit(key[:i] + (merged,) + key[i + 2 :], sign * s2 * c)
+                k2 = key[:i] + (merged,) + key[i + 2 :]
+                out[k2] = out.get(k2, 0) + (-s2 * v if prefix % 2 else s2 * v)
             tau_sign, rotated = _tau(ambient, key)
             wrap_sign = tau_sign * (-1 if sus[-1] % 2 else 1)
             s2, merged = _slot_mul(ambient, rotated[0], rotated[1])
-            emit((merged,) + rotated[2:], wrap_sign * s2 * c)
+            k2 = (merged,) + rotated[2:]
+            out[k2] = out.get(k2, 0) + wrap_sign * s2 * v
         if ambient == "R":
             prefix = 0
             for i in range(m + 1):
-                dslot = delta_R(RElement.from_word(key[i]))
-                if not dslot.is_zero():
-                    sign = -1 if prefix % 2 else 1
-                    for word, cw in dslot.terms.items():
-                        emit(key[:i] + (word,) + key[i + 1 :], sign * c * cw)
+                sv = -v if prefix % 2 else v
+                for word, cw in delta_word(key[i]):
+                    k2 = key[:i] + (word,) + key[i + 1 :]
+                    out[k2] = out.get(k2, 0) + sv * cw
                 prefix += sus[i]
-    return CyclicChain(ambient, out)
+    return CyclicChain(ambient, {k: Fraction(v, den) for k, v in out.items() if v})
 
 
 # -- materialized complexes ----------------------------------------------------
@@ -435,30 +437,40 @@ def hkr_I(chain: CyclicChain, nvars: int) -> Form:
 
 
 def beta_cocycle(u_vars: Sequence[int], n: int, p: int) -> CyclicChain:
-    """The closed chain over R attached to u_1..u_n du_{n+1}..du_{n+p}."""
+    """The closed chain over R attached to u_1..u_n du_{n+1}..du_{n+p}.
+
+    The polynomial labels are placed by their distinct orderings, each
+    standing for ``weight`` of the n! permutations, and a du label never
+    enters the head letter of its own label (that letter is zero).  Signs
+    are summed as integers per key and scaled once by weight / n!.
+    """
     if len(u_vars) != n + p or n < 0 or p < 0:
         raise InvalidInputError("need n + p variables")
-    out: Dict[ChainKey, Fraction] = {}
-    for sigma in permutations(range(n)):
+    orderings, weight = _label_orderings(u_vars[:n])
+    dx = u_vars[n:]
+    acc: Dict[ChainKey, int] = {}
+    for labels in orderings:
+        heads = [[j for j, u in enumerate(labels) if u != v] for v in dx]
         for m in range(0, p + 1):
             # blocks n..n+m-1 are the barred targets, each hit at least once
-            for blocks in block_maps(p, n + m, onto=range(n, n + m)):
+            barred = list(range(n, n + m))
+            allowed = [h + barred for h in heads]
+            for blocks in block_maps(p, n + m, onto=barred, allowed=allowed):
                 head = _lam_word(
-                    [u_vars[sigma[j]]] + [u_vars[n + pos] for pos in blocks[j]]
-                    for j in range(n)
+                    [labels[j]] + [dx[pos] for pos in blocks[j]] for j in range(n)
                 )
                 if head is None:
                     continue
-                tail = _lam_word([u_vars[n + pos] for pos in block] for block in blocks[n:])
+                tail = _lam_word([dx[pos] for pos in block] for block in blocks[n:])
                 if tail is None:
                     continue
                 key = (head[1],) + tuple((letter,) for letter in tail[1])
-                sign = block_sign(blocks)
                 # (-1)^m aligns the column grading with the boundary
                 # convention used here; the one-slot part is unaffected
-                coeff = Fraction(sign * head[0] * tail[0] * (-1) ** m, math.factorial(n))
-                out[key] = out.get(key, Fraction(0)) + coeff
-    return CyclicChain("R", out)
+                sign = block_sign(blocks) * head[0] * tail[0]
+                acc[key] = acc.get(key, 0) + (-sign if m % 2 else sign)
+    scale = Fraction(weight, math.factorial(n))
+    return CyclicChain("R", {key: scale * v for key, v in acc.items()})
 
 
 def beta_one_slot_words(beta: CyclicChain) -> RElement:
@@ -476,10 +488,13 @@ def eps_coalgebra(words: RElement, nvars: int) -> Form:
     For each word, every rotation whose tail letters are all singletons
     contributes the front letter as a dx-block with the tail variables as
     polynomial coefficients; rotations carry the graded-cyclic sign of R.
-    Words with two or more non-singleton letters contribute nothing.
+    Words with two or more non-singleton letters contribute nothing.  Signs
+    are summed as integers per monomial and scaled by the word's coefficient
+    once.
     """
     total = AlgebraElement.zero()
     for word, c in words.terms.items():
+        acc: Dict[Monomial, int] = {}
         s = len(word)
         degs = [len(l) - 1 for l in word]
         for j in range(s):
@@ -496,7 +511,8 @@ def eps_coalgebra(words: RElement, nvars: int) -> Form:
             if mono is None:
                 continue
             s2, m = mono
-            total.add_term(m, sign * s2 * c)
+            acc[m] = acc.get(m, 0) + sign * s2
+        total.iadd(AlgebraElement(acc), c)
     return Form(total, nvars)
 
 

@@ -22,7 +22,9 @@ Coefficients are ``fractions.Fraction`` -- no floating point anywhere.
 
 from __future__ import annotations
 
+import math
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -239,14 +241,24 @@ def perm_sign(seq: Sequence) -> int:
     return -1 if inv % 2 else 1
 
 
-def block_maps(p: int, k: int, onto: Iterable[int] = ()) -> Iterator[List[List[int]]]:
+def block_maps(
+    p: int,
+    k: int,
+    onto: Iterable[int] = (),
+    allowed: Optional[Sequence[Sequence[int]]] = None,
+) -> Iterator[List[List[int]]]:
     """Every map from positions 0..p-1 to k ordered blocks, as k block lists.
 
     Each block keeps its positions in source order.  Maps that leave a block
-    listed in ``onto`` empty are skipped before any block is built.
+    listed in ``onto`` empty are skipped before any block is built.  With
+    ``allowed``, position ``pos`` goes only to the blocks in ``allowed[pos]``,
+    listed in increasing order: a slot route passes every block except the
+    ones whose letter would repeat that position's label, a literal zero.
+    The surviving maps come in the same relative order as without it.
     """
     need = tuple(onto)
-    for f in product(range(k), repeat=p):
+    targets = product(range(k), repeat=p) if allowed is None else product(*allowed)
+    for f in targets:
         for j in need:
             if j not in f:
                 break
@@ -260,6 +272,34 @@ def block_maps(p: int, k: int, onto: Iterable[int] = ()) -> Iterator[List[List[i
 def block_sign(blocks: Iterable[Sequence[int]]) -> int:
     """(-1)^f: parity of moving odd symbols from source order into the blocks."""
     return perm_sign([pos for block in blocks for pos in block])
+
+
+def _label_orderings(us: Sequence[int]) -> Tuple[List[Tuple[int, ...]], int]:
+    """Distinct orderings of the multiset ``us`` and the weight of each.
+
+    Two permutations of the polynomial factors that differ only by swapping
+    equal labels put the same label in every slot, so their slot terms are
+    identical.  Each distinct ordering therefore stands for prod(mult!)
+    permutations, and the orderings times that weight count all r! of them.
+    The cs route and the bridge cocycle place their labels this way.
+    """
+    counts = Counter(us)
+    weight = math.prod(math.factorial(m) for m in counts.values())
+    labels = sorted(counts)
+    out: List[Tuple[int, ...]] = []
+
+    def extend(prefix: Tuple[int, ...]) -> None:
+        if len(prefix) == len(us):
+            out.append(prefix)
+            return
+        for u in labels:
+            if counts[u]:
+                counts[u] -= 1
+                extend(prefix + (u,))
+                counts[u] += 1
+
+    extend(())
+    return out, weight
 
 
 def shuffles(n: int, p: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:

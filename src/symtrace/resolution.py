@@ -167,6 +167,21 @@ def delta_R(e: RElement) -> RElement:
     return RElement(out)
 
 
+def delta_word(word: RWord) -> Tuple[Tuple[RWord, int], ...]:
+    """delta_R of a single word, as (word, integer coefficient) pairs.
+
+    The cyclic boundary asks for the same few slot words on every chain, so
+    the terms are memoized per word in a bounded cache.  The coefficients
+    are integers because every letter differential has integer ones.
+    """
+    return _delta_word_terms(word)
+
+
+@lru_cache(maxsize=4096)
+def _delta_word_terms(word: RWord) -> Tuple[Tuple[RWord, int], ...]:
+    return tuple((w, c.numerator) for w, c in delta_R(RElement.from_word(word)).terms.items())
+
+
 def abelianize(e: RElement) -> AlgebraElement:
     """Image in the graded-commutative algebra; commutators die."""
     out: Dict = {}

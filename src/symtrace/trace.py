@@ -21,14 +21,18 @@ from their source order into the concatenated target blocks (within a block,
 source order is kept), times whatever signs the graded-commutative target
 algebra produces when letters are sorted.  Every route draws its blocks from
 ``gcalg.block_maps`` or ``gcalg.shuffles`` and that parity from
-``gcalg.block_sign``.
+``gcalg.block_sign``.  No route builds a letter in which a dx label meets
+its own polynomial label, a repeated index and so a zero: the simple and F
+routes pass ``block_maps`` the blocks each dx label may enter, and cs, which
+places repeated polynomial labels once per distinct ordering
+(``gcalg._label_orderings``, weighted by the product of the multiplicities'
+factorials), drops such an ordering per block map before building letters.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -40,6 +44,7 @@ from .gcalg import (
     AlgebraElement,
     InvalidInputError,
     Monomial,
+    _label_orderings,
     block_maps,
     block_sign,
     dx_gen,
@@ -113,33 +118,6 @@ def omega_eval(term_form) -> AlgebraElement:
     return out
 
 
-def _label_orderings(us: Sequence[int]) -> Tuple[List[Tuple[int, ...]], int]:
-    """Distinct orderings of the multiset ``us`` and the weight of each.
-
-    Two permutations of the polynomial factors that differ only by swapping
-    equal labels put the same label in every slot, so their slot terms are
-    identical.  Each distinct ordering therefore stands for prod(mult!)
-    permutations, and the orderings times that weight count all r! of them.
-    """
-    counts = Counter(us)
-    weight = math.prod(math.factorial(m) for m in counts.values())
-    labels = sorted(counts)
-    out: List[Tuple[int, ...]] = []
-
-    def extend(prefix: Tuple[int, ...]) -> None:
-        if len(prefix) == len(us):
-            out.append(prefix)
-            return
-        for u in labels:
-            if counts[u]:
-                counts[u] -= 1
-                extend(prefix + (u,))
-                counts[u] += 1
-
-    extend(())
-    return out, weight
-
-
 def _slot_sum(
     coeff: Fraction,
     us: Tuple[int, ...],
@@ -154,17 +132,25 @@ def _slot_sum(
     ``labels[s]``, and the dx block ``blocks[s + 1]``.  The factors are
     placed by the distinct orderings of ``us``, each standing for ``weight``
     permutations; only equal labels are grouped, the curvature slots stay
-    distinct.  ``keep`` selects block maps.  Each term carries the shuffle
-    sign and all letter sorting signs.
+    distinct.  Each block map is built once, and an ordering that puts a
+    label on a curvature slot whose block holds that same dx label (a letter
+    with a repeated index) is dropped before any letter is built.  ``keep``
+    selects block maps.  Each term carries the shuffle sign and all letter
+    sorting signs.
     """
     orderings, weight = _label_orderings(us)
+    # the (slot, label) pairs of each ordering, against a map's dx pairs
+    placed = [(labels, set(enumerate(labels))) for labels in orderings]
     acc: Dict[Monomial, int] = {}
     for blocks in block_maps(len(dus), len(us) + 1, onto=(0,)):
         if keep is not None and not keep(blocks):
             continue
         sign = block_sign(blocks)
         theta, *curvature = [tuple(dus[p] for p in block) for block in blocks]
-        for labels in orderings:
+        held = {(s, v) for s, block in enumerate(curvature) for v in block}
+        for labels, pairs in placed:
+            if not held.isdisjoint(pairs):
+                continue  # a curvature slot holds its own label: a zero letter
             prod = lam_product(
                 [theta] + [(u,) + block for u, block in zip(labels, curvature)]
             )
@@ -254,7 +240,9 @@ def trace_simple(omega: Form) -> AlgebraElement:
         if n == 0:
             continue
         acc: Dict[Monomial, int] = {}
-        for blocks in block_maps(p, n):
+        # a dx label never joins the block of its own polynomial label
+        allowed = [[j for j, u in enumerate(us) if u != v] for v in dus]
+        for blocks in block_maps(p, n, allowed=allowed):
             prod = lam_product([us[j]] + [dus[pos] for pos in blocks[j]] for j in range(n))
             if prod is None:
                 continue
@@ -274,7 +262,8 @@ def F_eval(eta: Form) -> AlgebraElement:
     for coeff, us, dus in expand_multilinear(eta):
         n = len(us)
         acc: Dict[Monomial, int] = {}
-        for blocks in block_maps(len(dus), n + 1, onto=(0,)):
+        allowed = [[0] + [j + 1 for j, u in enumerate(us) if u != v] for v in dus]
+        for blocks in block_maps(len(dus), n + 1, onto=(0,), allowed=allowed):
             prod = lam_product(
                 [[dus[pos] for pos in blocks[0]]]
                 + [[us[j - 1]] + [dus[pos] for pos in blocks[j]] for j in range(1, n + 1)]

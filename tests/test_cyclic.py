@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symtrace import cyclic
+from symtrace import cyclic, resolution
 from symtrace.cyclic import (
     ChainComplexQ,
     CyclicChain,
@@ -29,8 +30,8 @@ from symtrace.cyclic import (
     verify_conj1,
 )
 from symtrace.derham import Form, d, equal_mod_exact
-from symtrace.gcalg import AlgebraElement, IntegrityError, dx_gen, x_gen
-from symtrace.resolution import abelianize, r_word_basis
+from symtrace.gcalg import AlgebraElement, IntegrityError, block_maps, block_sign, dx_gen, x_gen
+from symtrace.resolution import RElement, _lam_word, abelianize, delta_R, delta_word, r_word_basis
 from symtrace.trace import trace_simple
 
 
@@ -374,3 +375,155 @@ class TestBetaCocycle:
     def test_runner(self):
         fails, cases = verify_conj1(2, 3)
         assert cases == 48 and not fails
+
+
+def _reference_beta(u_vars, n, p):
+    """The bridge cocycle as the sum over all n! permutations, a Fraction per map."""
+    out = {}
+    for sigma in permutations(range(n)):
+        for m in range(p + 1):
+            for blocks in block_maps(p, n + m, onto=range(n, n + m)):
+                head = _lam_word(
+                    [u_vars[sigma[j]]] + [u_vars[n + pos] for pos in blocks[j]]
+                    for j in range(n)
+                )
+                if head is None:
+                    continue
+                tail = _lam_word([u_vars[n + pos] for pos in block] for block in blocks[n:])
+                if tail is None:
+                    continue
+                key = (head[1],) + tuple((letter,) for letter in tail[1])
+                sign = block_sign(blocks) * head[0] * tail[0] * (-1) ** m
+                out[key] = out.get(key, Fraction(0)) + Fraction(sign, factorial(n))
+    return {key: c for key, c in out.items() if c}
+
+
+def _reference_boundary(chain):
+    """The Fraction boundary: every term scaled and summed as a Fraction."""
+    ambient = chain.ambient
+    out = {}
+    for key, c in chain.terms.items():
+        m = len(key) - 1
+        sus = [cyclic._slot_degree(ambient, s) + 1 for s in key]
+        if m >= 1:
+            prefix = 0
+            for i in range(m):
+                prefix += sus[i]
+                s2, merged = cyclic._slot_mul(ambient, key[i], key[i + 1])
+                k2 = key[:i] + (merged,) + key[i + 2:]
+                out[k2] = out.get(k2, Fraction(0)) + (-1) ** prefix * s2 * c
+            tau_sign, rotated = cyclic._tau(ambient, key)
+            s2, merged = cyclic._slot_mul(ambient, rotated[0], rotated[1])
+            k2 = (merged,) + rotated[2:]
+            out[k2] = out.get(k2, Fraction(0)) + tau_sign * (-1) ** sus[-1] * s2 * c
+        if ambient == "R":
+            prefix = 0
+            for i in range(m + 1):
+                for word, cw in delta_R(RElement.from_word(key[i])).terms.items():
+                    k2 = key[:i] + (word,) + key[i + 1:]
+                    out[k2] = out.get(k2, Fraction(0)) + (-1) ** prefix * c * cw
+                prefix += sus[i]
+    return {key: c for key, c in out.items() if c}
+
+
+def _relabeling_classes(nvars, length):
+    """One tuple per class under renaming the variables: first uses come in order."""
+    for u in product(range(1, nvars + 1), repeat=length):
+        firsts = [v for i, v in enumerate(u) if v not in u[:i]]
+        if firsts == list(range(1, len(firsts) + 1)):
+            yield u
+
+
+MIXED = [Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6), Fraction(3, 4), Fraction(-2), Fraction(1)]
+A_SLOTS = [(), mono(1), mono(2), mono(1, 1), mono(1, 2), mono(2, 2, 3)]
+R_SLOTS = [()] + [w for wt in range(1, 4) for deg in range(3) for w in r_word_basis(3, wt, deg)]
+
+
+class TestGroupedBridge:
+    def test_beta_equals_the_permutation_sum_up_to_four_labels(self):
+        for total in range(1, 5):
+            for n in range(total + 1):
+                for u in product((1, 2, 3), repeat=total):
+                    assert beta_cocycle(u, n, total - n).terms == _reference_beta(u, n, total - n), (u, n)
+
+    def test_beta_equals_the_permutation_sum_on_five_labels(self):
+        cases = 0
+        for u in _relabeling_classes(3, 5):
+            for n in range(6):
+                assert beta_cocycle(u, n, 5 - n).terms == _reference_beta(u, n, 5 - n), (u, n)
+                cases += 1
+        # every stratum (n, label multiplicities) of the five-label tuples
+        assert cases == 41 * 6
+
+    def test_repeated_labels_are_weighted(self):
+        # x1 x1 dx2: the two permutations are one ordering of weight 2, over
+        # 2!; without the weight the term would be 1/2, without the 1/2! it would be 2
+        beta = beta_cocycle((1, 1, 2), 2, 1)
+        assert beta.terms == _reference_beta((1, 1, 2), 2, 1)
+        assert beta.terms[(((1,), (1, 2)),)] == 1
+        assert beta_cocycle((1, 2, 3), 2, 1).terms[(((1,), (2, 3)),)] == Fraction(1, 2)
+
+    def test_beta_walks_only_live_maps(self, monkeypatch):
+        # per distinct ordering and column count m, the maps that hit every
+        # barred column and put no du label into its own label's head letter
+        u, n, p = (1, 2, 1, 1, 2), 3, 2
+        full = cyclic.block_maps
+        walked = []
+
+        def counting(*args, **kwargs):
+            for blocks in full(*args, **kwargs):
+                walked.append(1)
+                yield blocks
+
+        monkeypatch.setattr(cyclic, "block_maps", counting)
+        beta = beta_cocycle(u, n, p)
+        live = 0
+        for labels in set(permutations(u[:n])):
+            for m in range(p + 1):
+                for f in product(range(n + m), repeat=p):
+                    hit = all(j in f for j in range(n, n + m))
+                    if hit and all(j >= n or labels[j] != v for j, v in zip(f, u[n:])):
+                        live += 1
+        assert 0 < live and len(walked) == live
+        assert beta.terms == _reference_beta(u, n, p)
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_integer_boundary_equals_the_fraction_boundary(self, data):
+        ambient = data.draw(st.sampled_from(["A", "R"]))
+        slots = A_SLOTS if ambient == "A" else R_SLOTS
+        keys = st.lists(st.sampled_from(slots), min_size=1, max_size=3).map(tuple)
+        terms = data.draw(st.dictionaries(keys, st.sampled_from(MIXED), min_size=1, max_size=5))
+        chain = CyclicChain(ambient, terms)
+        got = boundary(chain)
+        assert got.terms == _reference_boundary(chain)
+        assert all(isinstance(c, Fraction) for c in got.terms.values())
+
+    def test_integer_boundary_on_chains_that_cancel(self):
+        # a two-slot chain over A: the merge and the wraparound cancel exactly
+        chain = CyclicChain("A", {(mono(1), mono(2)): Fraction(1, 2),
+                                  (mono(1, 1), mono(2)): Fraction(-5, 6)})
+        assert _reference_boundary(chain) == {}
+        assert boundary(chain).is_zero()
+        # scaled bridge cocycles over mixed denominators: their terms cancel
+        chain = CyclicChain("R", {})
+        for c, (u, n, p) in zip(MIXED, [((1, 2, 3), 1, 2), ((2, 2, 1), 2, 1), ((1, 3, 1, 2), 2, 2)]):
+            chain.iadd(beta_cocycle(u, n, p), c)
+        assert {c.denominator for c in chain.terms.values()} == {2, 3, 12}
+        assert _reference_boundary(chain) == {}
+        assert boundary(chain).is_zero()
+        # plus one chain that is not closed: the common denominator is 12
+        chain.add_term((((1, 2),), ((1,), (3,))), Fraction(1, 3))
+        chain.add_term((((2, 3), (1,)),), Fraction(-1, 4))
+        got = boundary(chain)
+        assert got.terms == _reference_boundary(chain)
+        assert {c.denominator for c in got.terms.values()} == {3, 4}
+
+    def test_word_differential_memo(self):
+        words = [w for wt in range(1, 5) for deg in range(4) for w in r_word_basis(3, wt, deg)]
+        for w in words:
+            terms = delta_word(w)
+            assert list(terms) == list(delta_R(RElement.from_word(w)).terms.items())
+            assert all(type(c) is int for _, c in terms)
+        maxsize = resolution._delta_word_terms.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0

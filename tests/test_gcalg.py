@@ -325,6 +325,28 @@ class TestBlockMaps:
         expected = [b for b in block_maps(p, k) if all(b[j] for j in onto)]
         assert list(block_maps(p, k, onto=onto)) == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_allowed_keeps_the_filtered_maps_in_order(self, data):
+        p = data.draw(st.integers(0, 4))
+        k = data.draw(st.integers(1, 4))
+        onto = data.draw(st.lists(st.integers(0, k - 1), max_size=2, unique=True))
+        allowed = [
+            sorted(data.draw(st.sets(st.integers(0, k - 1), max_size=k))) for _ in range(p)
+        ]
+        expected = [
+            b for b in block_maps(p, k, onto=onto)
+            if all(j in allowed[pos] for j in range(k) for pos in b[j])
+        ]
+        assert list(block_maps(p, k, onto=onto, allowed=allowed)) == expected
+
+    def test_allowed_drops_a_label_from_its_own_block(self):
+        # dx labels (1, 3) against slot labels (1, 2): position 0 stays out of block 0
+        allowed = [[j for j, u in enumerate((1, 2)) if u != v] for v in (1, 3)]
+        got = list(block_maps(2, 2, allowed=allowed))
+        assert got == [[[1], [0]], [[], [0, 1]]]
+        assert got == [b for b in block_maps(2, 2) if 0 not in b[0]]
+
     def test_no_positions_is_one_empty_map(self):
         assert list(block_maps(0, 3)) == [[[], [], []]]
         assert list(block_maps(0, 0)) == [[]]

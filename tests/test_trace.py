@@ -291,7 +291,9 @@ class TestGroupedEnumeration:
 
     def test_every_distinct_ordering_is_evaluated(self, monkeypatch):
         # the curvature slots stay distinct: only equal labels are grouped,
-        # so each block map is evaluated once per distinct ordering of us
+        # so each block map is evaluated once per distinct ordering of us;
+        # a map putting a dx label into the curvature slot of the same label
+        # is a literal zero and is never evaluated
         trace_module = importlib.import_module("symtrace.trace")
         calls = []
 
@@ -302,8 +304,15 @@ class TestGroupedEnumeration:
         monkeypatch.setattr(trace_module, "lam_product", counting)
         eta = F(X(1) ** 2 * X(2) * DX(1) * DX(3))  # us = (1, 1, 2), two dx
         theta_omega_q(eta, 3)
-        r, p = 3, 2
-        assert len(calls) == ((r + 1) ** p - r**p) * 3
+        us, dus = (1, 1, 2), (1, 3)
+        r, p = len(us), len(dus)
+        live = 0
+        for labels in set(permutations(us)):
+            for f in product(range(r + 1), repeat=p):
+                if 0 in f and all(j == 0 or labels[j - 1] != v for j, v in zip(f, dus)):
+                    live += 1
+        assert 0 < live < ((r + 1) ** p - r**p) * 3
+        assert len(calls) == live
 
     @pytest.mark.parametrize(
         "us", [(), (1,), (1, 1), (1, 1, 1, 2), (1, 2, 2, 3), (2, 2, 3, 3, 3), (1, 2, 3, 4)]
@@ -313,6 +322,42 @@ class TestGroupedEnumeration:
         assert len(set(orderings)) == len(orderings)
         assert set(orderings) == set(permutations(us))
         assert len(orderings) * weight == factorial(len(us))
+
+
+class TestLiveBlockMaps:
+    """simple and F never build a letter holding a dx label and its own label."""
+
+    def _count_lam_products(self, monkeypatch, route, form):
+        trace_module = importlib.import_module("symtrace.trace")
+        calls = []
+
+        def counting(arg_lists):
+            calls.append(1)
+            return lam_product(arg_lists)
+
+        monkeypatch.setattr(trace_module, "lam_product", counting)
+        route(form)
+        return len(calls)
+
+    def test_simple_evaluates_only_live_maps(self, monkeypatch):
+        us, dus = (1, 1, 2, 3), (1, 2, 4)
+        omega = F(X(1) ** 2 * X(2) * X(3) * DX(1) * DX(2) * DX(4), 4)
+        live = sum(
+            all(us[j] != v for j, v in zip(f, dus))
+            for f in product(range(len(us)), repeat=len(dus))
+        )
+        assert 0 < live < len(us) ** len(dus)
+        assert self._count_lam_products(monkeypatch, trace_simple, omega) == live
+
+    def test_F_evaluates_only_live_maps(self, monkeypatch):
+        us, dus = (1, 2, 2), (1, 2, 3)
+        eta = F(X(1) * X(2) ** 2 * DX(1) * DX(2) * DX(3))
+        live = sum(
+            0 in f and all(j == 0 or us[j - 1] != v for j, v in zip(f, dus))
+            for f in product(range(len(us) + 1), repeat=len(dus))
+        )
+        assert 0 < live < (len(us) + 1) ** len(dus) - len(us) ** len(dus)
+        assert self._count_lam_products(monkeypatch, F_eval, eta) == live
 
 
 class TestDOperators:
