@@ -27,6 +27,8 @@ labeled trees.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,6 +46,7 @@ from .gcalg import (
     X_KIND,
     echelon,
     echelon_split,
+    lam_product,
     max_basis_budget,
     perm_sign,
     render,
@@ -53,11 +56,13 @@ from .resolution import (
     Letter,
     RElement,
     RWord,
+    Terms,
     abelianize,
-    commutator,
-    delta_R,
+    delta_word,
     r_word_basis,
+    word_commutator,
     word_degree,
+    word_product,
     word_weight,
 )
 from .trace import cs_trace_raw
@@ -138,6 +143,14 @@ def enumerate_labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree
 
 @lru_cache(maxsize=8)
 def _labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree], ...]:
+    # every labeling of every tree is canonicalized: (k+1)! * Catalan(k) strings
+    labeled = math.factorial(k + 1) * math.comb(2 * k, k) // (k + 1) if k >= 1 else 0
+    budget = max_basis_budget()
+    if labeled > budget:
+        raise ResourceLimitError(
+            f"{labeled} labeled trees with {k + 1} leaves exceed the budget {budget} "
+            f"(SYMTRACE_MAX_BASIS)"
+        )
     seen: Dict[str, Tuple[Tuple[int, ...], PlanarTree]] = {}
     trees = enumerate_pbt(k)
     for sigma in permutations(range(k + 1)):
@@ -146,6 +159,12 @@ def _labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree], ...]:
             if key not in seen:
                 seen[key] = (sigma, t)
     return tuple(seen.values())
+
+
+@lru_cache(maxsize=8)
+def _class_signs(k: int) -> Tuple[int, ...]:
+    """perm_sign(sigma) * tree_sign(t) of each labeled class, in class order."""
+    return tuple(perm_sign(sigma) * tree_sign(t) for sigma, t in _labeled_classes(k))
 
 
 class MerkulovData:
@@ -159,12 +178,14 @@ class MerkulovData:
         self.degree_cap = degree_cap
         self.basis: Dict[Tuple[int, int], List[RWord]] = {}
         self.index: Dict[Tuple[int, int], Dict[RWord, int]] = {}
-        # h on each pivot word of B = im(delta), an element one degree up;
-        # h is the linear extension of this table
-        self._h_pivot: Dict[RWord, RElement] = {}
+        # h on each pivot word of B = im(delta), an element one degree up, as
+        # integer terms over the one denominator _h_den; h is the linear
+        # extension of this table
+        self._h_pivot: Dict[RWord, Dict[RWord, int]] = {}
+        self._h_den = 1
         # delta of every basis word of positive degree, formed once in _build
         # and read again by the side check
-        self._delta: Dict[RWord, RElement] = {}
+        self._delta: Dict[RWord, Dict[RWord, int]] = {}
         self._build()
         self._check_side_conditions()
 
@@ -190,10 +211,11 @@ class MerkulovData:
             if deg < self.degree_cap:
                 upper = self.basis[(deg + 1, w)]
                 for word in upper:
-                    self._delta[word] = delta_R(RElement.from_word(word))
+                    self._delta[word] = dict(delta_word(word))
                 b_ech[(deg, w)] = echelon(
                     self._to_vec(self._delta[word], deg, w) for word in upper
                 )
+        values: Dict[RWord, Dict[RWord, Fraction]] = {}
         for (deg, w), ech in b_ech.items():
             up_ech = b_ech.get((deg + 1, w), Echelon())
             words, upper = self.basis[(deg, w)], self.basis[(deg + 1, w)]
@@ -201,46 +223,54 @@ class MerkulovData:
             # projected onto the L-complement one degree up
             for p, i in ech.pivot_row.items():
                 residual = echelon_split(up_ech, ech.combos[i])[1]
-                self._h_pivot[words[p]] = RElement({upper[j]: c for j, c in residual.items()})
+                values[words[p]] = {upper[j]: c for j, c in residual.items()}
             if deg > 0:
                 continue
             # w - sorted(w) must lie in B; by linearity this covers every
             # degree-0 input of h
             for word in words:
                 part = RElement.from_word(word) - RElement.from_word(tuple(sorted(word)))
-                if echelon_split(ech, self._to_vec(part, deg, w))[1]:
+                if echelon_split(ech, self._to_vec(part.terms, deg, w))[1]:
                     raise IntegrityError("kernel of pi is not exhausted by boundaries")
+        self._h_den = math.lcm(*(c.denominator for v in values.values() for c in v.values()))
+        self._h_pivot = {p: _lift(v, self._h_den) for p, v in values.items()}
 
-    def _to_vec(self, e: RElement, deg: int, w: int) -> SparseVec:
+    def _to_vec(self, terms: Terms, deg: int, w: int) -> SparseVec:
         idx = self.index[(deg, w)]
-        return {idx[word]: c for word, c in e.terms.items()}
+        return {idx[word]: c for word, c in terms.items()}
 
     # -- the resolution maps --------------------------------------------------
 
     def f1(self, a: AlgebraElement) -> RElement:
         """Linear section of pi: a monomial becomes its sorted word."""
-        out = RElement.zero()
+        out: Terms = {}
         for m, c in a.terms.items():
             letters: List[Letter] = []
             for g, e in m:
                 if g[0] != X_KIND:
                     raise InvalidInputError("f1 takes polynomial elements only")
                 letters.extend([(g[1],)] * e)
-            out.add_term(tuple(letters), c)
-        return out
+            out[tuple(letters)] = c  # distinct monomials give distinct words
+        return RElement(out)
 
     def h(self, e: RElement) -> RElement:
         """The homotopy: a lookup of each word in its values on the pivot words."""
-        return self._extend(self._h_pivot, e)
+        terms, scale = _lift_terms(e.terms)
+        return _over(self._h_int(terms), scale * self._h_den)
 
-    def _extend(self, table: Dict[RWord, RElement], e: RElement) -> RElement:
-        """The linear map that is ``table`` on the pivot words of B.
+    def _h_int(self, terms: Dict[RWord, int]) -> Dict[RWord, int]:
+        """den * h on integer terms, den being the table's denominator."""
+        return self._extend(self._h_pivot, terms)
+
+    def _extend(self, table: Dict[RWord, Dict[RWord, int]],
+                terms: Dict[RWord, int]) -> Dict[RWord, int]:
+        """The linear map that is ``table`` on the pivot words of B, on integer terms.
 
         A degree-0 word w goes to the image of w - sorted(w), so a sorted word
         goes to 0; every other basis word below the top degree goes to 0.
         """
-        out = RElement.zero()
-        for word, c in e.terms.items():
+        out: Dict[RWord, int] = {}
+        for word, c in terms.items():
             deg = word_degree(word)
             if deg == 0:
                 low = tuple(sorted(word))
@@ -254,11 +284,11 @@ class MerkulovData:
                 )
             value = table.get(word)
             if value is not None:
-                out.iadd(value, c)
+                _add_into(out, value, c)
             elif word not in self.index.get((deg, w), ()):
                 raise InvalidInputError(f"{word!r} is not a word of R on {self.nvars} variables")
             if deg == 0 and low in table:
-                out.iadd(table[low], -c)
+                _add_into(out, table[low], -c)
         return out
 
     # -- construction-time consistency -----------------------------------------
@@ -266,57 +296,73 @@ class MerkulovData:
     def _check_side_conditions(self):
         """h h = 0 and delta h + h delta = 1 - f1 pi on every basis word.
 
-        delta h is the same extension of delta of each pivot value, formed once
-        from the images of the basis words that ``_build`` kept; h delta reads
-        those images too.
+        Both sides are formed on integer terms, times the denominator of the
+        table that h reads.  delta h is the same extension of delta of each
+        pivot value, formed once from the images of the basis words that
+        ``_build`` kept; h delta reads those images too.
         """
+        den = self._h_den
         delta_table = {}
         for pivot, value in self._h_pivot.items():
-            image = RElement.zero()
-            for word, c in value.terms.items():
-                image.iadd(self._delta[word], c)
+            image: Dict[RWord, int] = {}
+            for word, c in value.items():
+                _add_into(image, self._delta[word], c)
             delta_table[pivot] = image
         for deg in range(self.degree_cap):
             for w in range(self.weight_cap + 1):
                 for word in self.basis[(deg, w)]:
-                    e = RElement.from_word(word)
-                    if deg + 2 <= self.degree_cap and not self.h(self.h(e)).is_zero():
+                    e = {word: 1}
+                    if deg + 2 <= self.degree_cap and self._h_int(self._h_int(e)):
                         raise IntegrityError("h h != 0")
+                    # delta h(e) + h delta(e) - e + f1 pi(e), times den
+                    diff = self._extend(delta_table, e)
+                    _add_into(diff, e, -den)
                     if deg == 0:
-                        rhs = e - RElement.from_word(tuple(sorted(word)))
+                        _add_into(diff, {tuple(sorted(word)): 1}, den)
                     else:
-                        rhs = e - self.h(self._delta[word])
-                    if not (self._extend(delta_table, e) - rhs).is_zero():
+                        _add_into(diff, self._h_int(self._delta[word]), 1)
+                    if diff:
                         raise IntegrityError(
                             f"homotopy relation fails at ({deg}, {w})"
                         )
 
     # -- transfer ----------------------------------------------------------------
 
+    # The maps below run on integer terms: each argument is lifted once to
+    # integers over its common denominator, every product, commutator and h is
+    # formed on integers, and each output term is one fraction over the
+    # product of the argument scales times den^(number of h applications).
+
     def mu(self, i: int, args: Sequence[RElement]) -> RElement:
         """Higher products: mu_2 is multiplication, then the h-recursion."""
         if i < 2 or len(args) != i:
             raise InvalidInputError(f"mu_{i} needs exactly {i} arguments")
-        if i == 2:
-            return args[0] * args[1]
-        out = RElement.zero()
-        for s in range(1, i):
-            t = i - s
+        lifted, scale = _lift_all(a.terms for a in args)
+        return _over(self._mu_int(lifted), scale * self._h_den ** (i - 2))
+
+    def _mu_int(self, args: Sequence[Dict[RWord, int]]) -> Dict[RWord, int]:
+        """den^(i-2) * mu_i on integer terms."""
+        if len(args) == 2:
+            return word_product(args[0], args[1])
+        out: Dict[RWord, int] = {}
+        for s in range(1, len(args)):
             sign = 1 if (s + 1) % 2 == 0 else -1
-            out.iadd(self._h_mu(s, args[:s]) * self._h_mu(t, args[s:]), sign)
+            _add_into(out, word_product(self._h_mu_int(args[:s]), self._h_mu_int(args[s:])), sign)
         return out
 
-    def _h_mu(self, s: int, args: Sequence[RElement]) -> RElement:
-        if s == 1:
-            return -args[0]
-        return self.h(self.mu(s, args))
+    def _h_mu_int(self, args: Sequence[Dict[RWord, int]]) -> Dict[RWord, int]:
+        """den^(s-1) * h mu_s on integer terms, with h mu_1 = -id."""
+        if len(args) == 1:
+            return {word: -c for word, c in args[0].items()}
+        return self._h_int(self._mu_int(args))
 
     def f_taylor(self, args: Sequence[AlgebraElement]) -> RElement:
         """f_{k+1} = -h mu_{k+1} f1^(k+1) on k+1 polynomial arguments."""
         if len(args) < 2:
             raise InvalidInputError("f_taylor needs at least two arguments")
-        lifted = [self.f1(a) for a in args]
-        return -self.h(self.mu(len(args), lifted))
+        lifted, scale = _lift_all(self.f1(a).terms for a in args)
+        value = self._h_int(self._mu_int(lifted))
+        return _over(value, -scale * self._h_den ** (len(args) - 1))
 
     def f_tree(self, t: PlanarTree, args: Sequence[AlgebraElement]) -> RElement:
         """Tree evaluation: f1 on leaves, h mu_2 inside, -h mu_2 at the root."""
@@ -329,24 +375,68 @@ class MerkulovData:
     def _f_tree(self, t: PlanarTree, args: Sequence[AlgebraElement], use_comm: bool) -> RElement:
         if leaf_count(t) != len(args):
             raise InvalidInputError("argument count must match leaf count")
-        lifted = [self.f1(a) for a in args]
-        return -self.h(self._eval_tree(t, lifted, use_comm))
+        lifted, scale = _lift_all(self.f1(a).terms for a in args)
+        value = self._h_int(self._eval_tree(t, tuple(range(len(args))), lifted, use_comm, {}))
+        return _over(value, -scale * self._h_den ** (len(args) - 1))
 
-    def _eval_tree(self, t: PlanarTree, lifted: Sequence[RElement], use_comm: bool) -> RElement:
+    def _eval_tree(self, t: PlanarTree, pos: Tuple[int, ...], lifted: Sequence[Dict[RWord, int]],
+                   use_comm: bool, memo: Dict) -> Dict[RWord, int]:
+        """The product at the root of t on integer terms, leaf i being lifted[pos[i]].
+
+        h(eval(subtree)) is kept in ``memo`` keyed on the subtree and its leaf
+        positions, so that a hit is the literal same term.
+        """
         if t is None:
             raise InvalidInputError("a bare leaf is not a tree evaluation")
         nl = leaf_count(t[0])
-        left = (
-            lifted[0]
-            if t[0] is None
-            else self.h(self._eval_tree(t[0], lifted[:nl], use_comm))
-        )
-        right = (
-            lifted[nl]
-            if t[1] is None
-            else self.h(self._eval_tree(t[1], lifted[nl:], use_comm))
-        )
-        return commutator(left, right) if use_comm else left * right
+        sides = []
+        for sub, at in ((t[0], pos[:nl]), (t[1], pos[nl:])):
+            if sub is None:
+                sides.append(lifted[at[0]])
+                continue
+            value = memo.get((sub, at))
+            if value is None:
+                value = memo[(sub, at)] = self._h_int(
+                    self._eval_tree(sub, at, lifted, use_comm, memo)
+                )
+            sides.append(value)
+        return word_commutator(*sides) if use_comm else word_product(*sides)
+
+
+def _add_into(acc: Dict, terms: Dict, c: int) -> None:
+    """In place: acc += c * terms, dropping entries that cancel."""
+    for key, v in terms.items():
+        total = acc.get(key, 0) + c * v
+        if total:
+            acc[key] = total
+        else:
+            del acc[key]
+
+
+def _lift(terms: Terms, scale: int) -> Dict[RWord, int]:
+    """scale * terms as integers; scale must clear every denominator."""
+    return {word: c.numerator * (scale // c.denominator) for word, c in terms.items()}
+
+
+def _lift_terms(terms: Terms) -> Tuple[Dict[RWord, int], int]:
+    """Integer terms over the common denominator of ``terms``, and that denominator."""
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    return _lift(terms, scale), scale
+
+
+def _lift_all(elements) -> Tuple[List[Dict[RWord, int]], int]:
+    """Each term dict lifted on its own, and the product of the scales."""
+    lifted, total = [], 1
+    for terms in elements:
+        ints, scale = _lift_terms(terms)
+        lifted.append(ints)
+        total *= scale
+    return lifted, total
+
+
+def _over(terms: Dict[RWord, int], divisor: int) -> RElement:
+    """The element with integer terms divided by ``divisor``, one fraction each."""
+    return RElement({word: Fraction(c, divisor) for word, c in terms.items()})
 
 
 def build_merkulov(nvars: int, weight_cap: int, degree_cap: int) -> MerkulovData:
@@ -386,14 +476,24 @@ def tree_trace(md: MerkulovData, omega: Form, k: int) -> AlgebraElement:
 
 
 def class_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraElement:
-    """Just the labeled-class commutator sum (one side of the identity)."""
+    """Just the labeled-class commutator sum (one side of the identity).
+
+    Each argument is lifted once per call and every class permutes the
+    lifted terms; h of each labeled subtree is evaluated once per call.  The
+    classes are abelianized into one integer accumulator, divided once.
+    """
     k = len(args) - 1
-    lifted = [md.f1(a) for a in args]  # once per call; each class permutes them
-    total = AlgebraElement.zero()
-    for sigma, t in enumerate_labeled_classes(k):
-        value = -md.h(md._eval_tree(t, [lifted[j] for j in sigma], True))
-        total.iadd(abelianize(value), perm_sign(sigma) * tree_sign(t))
-    return total
+    lifted, scale = _lift_all(md.f1(a).terms for a in args)
+    memo: Dict = {}
+    acc: Dict[Monomial, int] = {}
+    for (sigma, t), sign in zip(enumerate_labeled_classes(k), _class_signs(k)):
+        for word, c in md._h_int(md._eval_tree(t, sigma, lifted, True, memo)).items():
+            prod = lam_product(word)
+            if prod is not None:
+                acc[prod[1]] = acc.get(prod[1], 0) + sign * prod[0] * c
+    # the root's minus sign goes into the divisor
+    divisor = -scale * md._h_den ** k
+    return AlgebraElement({m: Fraction(v, divisor) for m, v in acc.items() if v})
 
 
 def verify_cstree(md: MerkulovData, k: int, samples: Sequence[Sequence[AlgebraElement]]):

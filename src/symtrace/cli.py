@@ -544,8 +544,8 @@ def _class_term_text(sigma, t) -> str:
 
 def cmd_trees(args) -> int:
     k = args.k
+    classes = ainfty.enumerate_labeled_classes(k)  # budget-checked before the trees
     trees = ainfty.enumerate_pbt(k)
-    classes = ainfty.enumerate_labeled_classes(k)
     if args.json:
         payload = {
             "k": k,

@@ -487,31 +487,26 @@ def eps_coalgebra(words: RElement, nvars: int) -> Form:
 
     For each word, every rotation whose tail letters are all singletons
     contributes the front letter as a dx-block with the tail variables as
-    polynomial coefficients; rotations carry the graded-cyclic sign of R.
-    Words with two or more non-singleton letters contribute nothing.  Signs
-    are summed as integers per monomial and scaled by the word's coefficient
-    once.
+    polynomial coefficients.  So a word with two or more non-singleton
+    letters contributes nothing, a word with one contributes only the
+    rotation that puts that letter in front, and a word of singletons
+    contributes every rotation.  The letters a contributing rotation moves
+    past the front all have degree 0, so its graded-cyclic sign is +1.
+    Signs are summed as integers per monomial and scaled by the word's
+    coefficient once.
     """
     total = AlgebraElement.zero()
     for word, c in words.terms.items():
+        big = [j for j, letter in enumerate(word) if len(letter) > 1]
+        if len(big) > 1:
+            continue
         acc: Dict[Monomial, int] = {}
-        s = len(word)
-        degs = [len(l) - 1 for l in word]
-        for j in range(s):
-            if any(len(word[i]) > 1 for i in range(s) if i != j):
-                continue
-            moved = sum(degs[:j])
-            rest = sum(degs[j:])
-            sign = -1 if (moved * rest) % 2 else 1
-            factors = [dx_gen(i) for i in word[j]]
-            for i2 in range(s):
-                if i2 != j:
-                    factors.append(x_gen(word[i2][0]))
+        for j in big or range(len(word)):
+            factors = [(DX_KIND, i) for i in word[j]]
+            factors.extend((X_KIND, letter[0]) for i, letter in enumerate(word) if i != j)
             mono = monomial_from_factors(factors)
-            if mono is None:
-                continue
-            s2, m = mono
-            acc[m] = acc.get(m, 0) + sign * s2
+            if mono is not None:
+                acc[mono[1]] = acc.get(mono[1], 0) + mono[0]
         total.iadd(AlgebraElement(acc), c)
     return Form(total, nvars)
 

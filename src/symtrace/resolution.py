@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .derham import Form, bigrade_split
 from .gcalg import (
@@ -38,6 +38,7 @@ from .gcalg import (
 
 Letter = Tuple[int, ...]  # strictly increasing variable indices, len >= 1
 RWord = Tuple[Letter, ...]
+Terms = Dict[RWord, Union[int, Fraction]]  # a plain term dict, integer or rational
 
 
 def letter_degree(letter: Letter) -> int:
@@ -49,11 +50,11 @@ def letter_weight(letter: Letter) -> int:
 
 
 def word_degree(word: RWord) -> int:
-    return sum(len(l) - 1 for l in word)
+    return sum(map(len, word)) - len(word)
 
 
 def word_weight(word: RWord) -> int:
-    return sum(len(l) for l in word)
+    return sum(map(len, word))
 
 
 class RElement(LinComb):
@@ -72,12 +73,7 @@ class RElement(LinComb):
     def __mul__(self, other) -> "RElement":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out: Dict[RWord, Fraction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
-        return RElement(out)
+        return RElement(word_product(self.terms, other.terms))
 
     def __repr__(self):
         if not self.terms:
@@ -90,18 +86,34 @@ class RElement(LinComb):
         return "RElement(" + " + ".join(bits) + ")"
 
 
-def commutator(a: RElement, b: RElement) -> RElement:
-    """Graded commutator [a, b] = ab - (-1)^{|a||b|} ba, one pass over word pairs."""
-    out: Dict[RWord, Fraction] = {}
-    right = [(w2, c2, word_degree(w2) % 2) for w2, c2 in b.terms.items()]
-    for w1, c1 in a.terms.items():
+def word_product(a: Terms, b: Terms) -> Terms:
+    """Concatenation product of two term dicts; integer terms give integer terms."""
+    out: Terms = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            out[w] = out.get(w, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def word_commutator(a: Terms, b: Terms) -> Terms:
+    """Graded commutator ab - (-1)^{|a||b|} ba of two term dicts, one pass over
+    word pairs; integer terms give integer terms."""
+    out: Terms = {}
+    right = [(w2, c2, word_degree(w2) % 2) for w2, c2 in b.items()]
+    for w1, c1 in a.items():
         odd1 = word_degree(w1) % 2
         for w2, c2, odd2 in right:
             c = c1 * c2
             ab, ba = w1 + w2, w2 + w1
             out[ab] = out.get(ab, 0) + c
             out[ba] = out.get(ba, 0) + (c if odd1 and odd2 else -c)
-    return RElement(out)
+    return {w: c for w, c in out.items() if c}
+
+
+def commutator(a: RElement, b: RElement) -> RElement:
+    """Graded commutator [a, b] = ab - (-1)^{|a||b|} ba."""
+    return RElement(word_commutator(a.terms, b.terms))
 
 
 def _lam_word(arg_lists: Iterable[Sequence[int]]) -> Optional[Tuple[int, RWord]]:

@@ -1,5 +1,8 @@
 """Trees, signs, labeled classes, homotopy transfer, and tree traces."""
 
+import copy
+import random
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -36,6 +39,7 @@ from symtrace.gcalg import (
 from symtrace.resolution import (
     RElement,
     abelianize,
+    commutator,
     delta_R,
     word_degree,
     word_weight,
@@ -239,7 +243,7 @@ class TestMerkulov:
         ]
         assert pivots
         md._check_side_conditions()
-        md._h_pivot[pivots[-1]] = md._h_pivot[pivots[-1]].scale(2)
+        md._h_pivot[pivots[-1]] = {u: 2 * c for u, c in md._h_pivot[pivots[-1]].items()}
         with pytest.raises(IntegrityError):
             md._check_side_conditions()
 
@@ -251,8 +255,24 @@ class TestMerkulov:
 
         # a pivot word one degree up is not killed by h, so h h(p) != 0
         p, q = pivots((0, 3))[-1], pivots((1, 3))[0]
-        md._h_pivot[p] = md._h_pivot[p] + RElement.from_word(q)
+        value = dict(md._h_pivot[p])
+        value[q] = value.get(q, 0) + md._h_den
+        md._h_pivot[p] = value
         with pytest.raises(IntegrityError, match="h h != 0"):
+            md._check_side_conditions()
+
+    def test_side_conditions_read_the_table_over_its_denominator(self, md3):
+        # the same homotopy written over the denominator 3 passes, and h is unchanged;
+        # the values alone over 3 are h/3, which fails
+        md = copy.copy(md3)
+        md._h_pivot = {p: {u: 3 * c for u, c in v.items()} for p, v in md3._h_pivot.items()}
+        md._h_den = 3 * md3._h_den
+        md._check_side_conditions()
+        for word in words_below_top(md3):
+            e = RElement.from_word(word, Fraction(2, 5))
+            assert md.h(e) == md3.h(e)
+        md._h_pivot = md3._h_pivot
+        with pytest.raises(IntegrityError):
             md._check_side_conditions()
 
     def test_build_checks_that_boundaries_exhaust_the_kernel_of_pi(self, monkeypatch):
@@ -420,15 +440,243 @@ class TestClassTreeSum:
         seen = []
         original = md3._eval_tree
 
-        def recording(t, lifted, use_comm):
-            seen.extend(lifted)
-            return original(t, lifted, use_comm)
+        def recording(t, pos, lifted, use_comm, memo):
+            seen.extend(lifted[j] for j in pos)
+            return original(t, pos, lifted, use_comm, memo)
 
         monkeypatch.setattr(md3, "_eval_tree", recording)
         args = [X(1), X(2), X(3)]
         assert not class_tree_sum(md3, args).is_zero()
-        assert len({id(e) for e in seen}) == len(args)
-        assert {e for e in seen} == {md3.f1(a) for a in args}
+        distinct = list({id(e): e for e in seen}.values())
+        assert len(distinct) == len(args)
+        expected = [ainfty._lift_terms(md3.f1(a).terms)[0] for a in args]
+        assert sorted(distinct, key=repr) == sorted(expected, key=repr)
+
+
+def labeled_subtrees(t, pos):
+    """Every internal vertex of t with the argument positions of its leaves."""
+    if t is None:
+        return
+    yield t, pos
+    nl = leaf_count(t[0])
+    yield from labeled_subtrees(t[0], pos[:nl])
+    yield from labeled_subtrees(t[1], pos[nl:])
+
+
+class FractionTransfer:
+    """The evaluator on ``Fraction`` coefficients: the reference for the integer path.
+
+    h is the linear extension of the table with each pivot value divided by
+    the table's denominator, applied to ``RElement``s; mu, the tree maps and
+    the class sum are formed with ``RElement`` products and commutators, with
+    no memo, and ``class_tree_sum`` abelianizes each class on its own.
+    """
+
+    def __init__(self, md):
+        self.md = md
+        self.table = {
+            p: RElement({u: Fraction(c, md._h_den) for u, c in value.items()})
+            for p, value in md._h_pivot.items()
+        }
+
+    def h(self, e):
+        md, out = self.md, RElement.zero()
+        for word, c in e.terms.items():
+            deg, w = word_degree(word), word_weight(word)
+            low = tuple(sorted(word))
+            if deg == 0 and low == word:
+                continue
+            if deg + 1 > md.degree_cap or w > md.weight_cap:
+                raise ResourceLimitError(f"outside the caps at ({deg}, {w})")
+            if word in self.table:
+                out.iadd(self.table[word], c)
+            elif word not in md.index.get((deg, w), ()):
+                raise InvalidInputError(f"{word!r} is not a word of R")
+            if deg == 0 and low in self.table:
+                out.iadd(self.table[low], -c)
+        return out
+
+    def mu(self, i, args):
+        if i == 2:
+            return args[0] * args[1]
+        out = RElement.zero()
+        for s in range(1, i):
+            left = -args[0] if s == 1 else self.h(self.mu(s, args[:s]))
+            right = -args[s] if i - s == 1 else self.h(self.mu(i - s, args[s:]))
+            out.iadd(left * right, 1 if (s + 1) % 2 == 0 else -1)
+        return out
+
+    def f_taylor(self, args):
+        return -self.h(self.mu(len(args), [self.md.f1(a) for a in args]))
+
+    def f_tree(self, t, args, use_comm=False):
+        return -self.h(self._eval_tree(t, [self.md.f1(a) for a in args], use_comm))
+
+    def _eval_tree(self, t, lifted, use_comm):
+        nl = leaf_count(t[0])
+        left = lifted[0] if t[0] is None else self.h(self._eval_tree(t[0], lifted[:nl], use_comm))
+        right = lifted[nl] if t[1] is None else self.h(self._eval_tree(t[1], lifted[nl:], use_comm))
+        return commutator(left, right) if use_comm else left * right
+
+    def class_tree_sum(self, args):
+        from symtrace.ainfty import perm_sign
+
+        total = AlgebraElement.zero()
+        for sigma, t in enumerate_labeled_classes(len(args) - 1):
+            value = self.f_tree(t, [args[j] for j in sigma], use_comm=True)
+            total.iadd(abelianize(value), perm_sign(sigma) * tree_sign(t))
+        return total
+
+
+@pytest.fixture(scope="module")
+def md353():
+    return build_merkulov(3, 5, 3)
+
+
+@pytest.fixture(scope="module")
+def md354():
+    return build_merkulov(3, 5, 4)
+
+
+@pytest.fixture(scope="module")
+def md443():
+    return build_merkulov(4, 4, 3)
+
+
+def thirds(md):
+    """A copy of md whose table values are all scaled by 1/3."""
+    scaled = copy.copy(md)
+    scaled._h_den = 3 * md._h_den
+    return scaled
+
+
+def mixed_tuples(md, k, count, seed):
+    """Argument tuples with mixed fraction coefficients, e.g. 3/2*x1 - 1/3*x2;
+    the first argument has weight 2 when the weight cap leaves room."""
+    rng = random.Random(seed)
+    heavy = k + 2 <= md.weight_cap
+    out = []
+    for _ in range(count):
+        args = []
+        for slot in range(k + 1):
+            i, j = rng.sample(range(1, md.nvars + 1), 2)
+            a = Fraction(rng.choice((1, 3, -5)), rng.choice((1, 2, 4)))
+            b = Fraction(rng.choice((-1, 2, 7)), rng.choice((1, 3, 9)))
+            if slot == 0 and heavy:
+                args.append(a * X(i) * X(j) + b * X(j) ** 2)
+            else:
+                args.append(a * X(i) + b * X(j))
+        out.append(args)
+    return out
+
+
+def assert_transfer_matches(md, ref, args, trees):
+    assert md.f_taylor(args) == ref.f_taylor(args)
+    for t in trees:
+        assert md.f_tree(t, args) == ref.f_tree(t, args)
+        assert md.f_tree_commutator(t, args) == ref.f_tree(t, args, use_comm=True)
+    assert class_tree_sum(md, args) == ref.class_tree_sum(args)
+
+
+class TestIntegerTransfer:
+    """The transfer on integer terms against the evaluator on fractions."""
+
+    def test_every_table_value_is_integral_over_one_denominator(self, md353, md354):
+        for md in (md353, md354):
+            assert md._h_den == 1
+            assert all(
+                isinstance(c, int) for value in md._h_pivot.values() for c in value.values()
+            )
+        assert sum(len(v) for v in md353._h_pivot.values()) == 1241
+
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_h_and_mu_on_fraction_coefficients(self, md353, scale):
+        md = md353 if scale == 1 else thirds(md353)
+        ref = FractionTransfer(md)
+        rng = random.Random(7)
+        words = words_below_top(md)
+        low = [w for w in words if word_degree(w) == 0 and word_weight(w) == 1]
+        for _ in range(300):
+            e = RElement({
+                rng.choice(words): Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                for _ in range(5)
+            })
+            assert md.h(e) == ref.h(e)
+        for i in (2, 3, 4):
+            for _ in range(40):
+                args = [
+                    RElement({u: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                              for u in rng.sample(low, 2)})
+                    for _ in range(i)
+                ]
+                assert md.mu(i, args) == ref.mu(i, args)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_tuple_up_to_k3(self, md353, k):
+        ref = FractionTransfer(md353)
+        trees = enumerate_pbt(k)
+        tuples = monomial_tuples(3, k + 1, 5)
+        assert len(tuples) == {1: 351, 2: 783, 3: 729}[k]
+        for args in tuples:
+            assert_transfer_matches(md353, ref, list(args), trees)
+
+    def test_k4_weight5_tuples(self, md354):
+        ref = FractionTransfer(md354)
+        trees = enumerate_pbt(4)
+        tuples = monomial_tuples(3, 5, 5)
+        assert len(tuples) == 243
+        for args in tuples:
+            assert class_tree_sum(md354, list(args)) == ref.class_tree_sum(list(args))
+        for args in tuples[::12]:
+            assert_transfer_matches(md354, ref, list(args), trees)
+
+    @pytest.mark.parametrize("scale", [1, 3])
+    @pytest.mark.parametrize("name, k", [("md353", 1), ("md353", 2), ("md443", 3)])
+    def test_mixed_fraction_arguments(self, name, k, scale, request):
+        # on three variables every class sum with k = 3 is 0, so k = 3 runs on four
+        md = request.getfixturevalue(name)
+        md = md if scale == 1 else thirds(md)
+        ref = FractionTransfer(md)
+        trees = enumerate_pbt(k)
+        nonzero = set()
+        for args in mixed_tuples(md, k, 8, seed=k):
+            assert_transfer_matches(md, ref, args, trees)
+            if not md.f_taylor(args).is_zero():
+                nonzero.add("f_taylor")
+            if not class_tree_sum(md, args).is_zero():
+                nonzero.add("class_tree_sum")
+        assert nonzero == {"f_taylor", "class_tree_sum"}
+
+    def test_scaled_table_on_monomial_tuples(self, md353, md354):
+        for md, k in ((md353, 2), (md353, 3), (md354, 4)):
+            scaled = thirds(md)
+            ref = FractionTransfer(scaled)
+            trees = enumerate_pbt(k)
+            for args in monomial_tuples(3, k + 1, 5)[::25]:
+                assert_transfer_matches(scaled, ref, list(args), trees)
+                assert scaled.f_taylor(list(args)) == md.f_taylor(list(args)).scale(
+                    Fraction(1, 3 ** k)
+                )
+
+
+    def test_each_labeled_subtree_is_evaluated_once_per_call(self, md354, monkeypatch):
+        # one commutator per evaluated subtree; the memo keys on the subtree
+        # and its leaf positions, so the count is the number of distinct pairs
+        classes = enumerate_labeled_classes(4)
+        every = [pair for sigma, t in classes for pair in labeled_subtrees(t, sigma)]
+        distinct = set(every)
+        assert (len(every), len(distinct)) == (420, 220)
+        calls = []
+        original = ainfty.word_commutator
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(ainfty, "word_commutator", counting)
+        args = [X(1), X(2), X(3), X(1), X(2)]
+        assert class_tree_sum(md354, args) == FractionTransfer(md354).class_tree_sum(args)
+        assert len(calls) == len(distinct)
 
 
 class TestCsTree:

@@ -193,6 +193,50 @@ class TestCommands:
         assert "trace of a0 da1 .. da2 as the class sum:" in out
         assert out.count("h1[") >= 3
 
+    def test_trees_beyond_the_budget_are_refused_at_once(self, monkeypatch, capsys):
+        # (k+1)! * Catalan(k) labeled trees: 17,297,280 at k = 7
+        import time
+
+        monkeypatch.delenv("SYMTRACE_MAX_BASIS", raising=False)
+        start = time.perf_counter()
+        assert main(["trees", "--k", "7"]) == 2
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: 17297280 labeled trees with 8 leaves exceed the budget 200000 "
+            "(SYMTRACE_MAX_BASIS)\n"
+        )
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["trees", "--k", "5"],
+         "9c382046d75fbda252ab8181f1a52163744bc0925610451b62d8de7e4a579fe0"),
+        (["trees", "--k", "5", "--json"],
+         "b63d72018251feb1f1ea55f9458e44df385f2a1a63fe14bb173d5500573fba42"),
+    ])
+    def test_trees_within_the_budget_print_the_same_output(self, argv, digest, monkeypatch,
+                                                           capsys):
+        import hashlib
+
+        monkeypatch.delenv("SYMTRACE_MAX_BASIS", raising=False)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_labeled_class_budget_is_checked_before_enumerating(self, monkeypatch):
+        from symtrace import ainfty
+        from symtrace.gcalg import ResourceLimitError
+
+        ainfty._labeled_classes.cache_clear()  # a cached k is not rebuilt
+        try:
+            monkeypatch.setenv("SYMTRACE_MAX_BASIS", "30239")
+            with pytest.raises(ResourceLimitError, match="30240 labeled trees with 6 leaves"):
+                ainfty.enumerate_labeled_classes(5)
+            monkeypatch.setenv("SYMTRACE_MAX_BASIS", "30240")
+            assert len(ainfty.enumerate_labeled_classes(5)) == 945
+        finally:
+            ainfty._labeled_classes.cache_clear()
+
     def test_homology_table(self, capsys):
         rc = main(["homology", "--ambient", "A", "--vars", "1", "--weight", "4",
                    "--deg", "2"])

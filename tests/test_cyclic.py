@@ -434,6 +434,26 @@ def _relabeling_classes(nvars, length):
             yield u
 
 
+def _reference_eps(words, nvars):
+    """eps_coalgebra rotation by rotation, with the graded-cyclic sign of each."""
+    from symtrace.gcalg import monomial_from_factors
+
+    total = AlgebraElement.zero()
+    for word, c in words.terms.items():
+        s = len(word)
+        degs = [len(letter) - 1 for letter in word]
+        for j in range(s):
+            if any(len(word[i]) > 1 for i in range(s) if i != j):
+                continue
+            sign = -1 if (sum(degs[:j]) * sum(degs[j:])) % 2 else 1
+            factors = [dx_gen(i) for i in word[j]]
+            factors += [x_gen(word[i][0]) for i in range(s) if i != j]
+            mono = monomial_from_factors(factors)
+            if mono is not None:
+                total.add_term(mono[1], sign * mono[0] * c)
+    return Form(total, nvars)
+
+
 MIXED = [Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6), Fraction(3, 4), Fraction(-2), Fraction(1)]
 A_SLOTS = [(), mono(1), mono(2), mono(1, 1), mono(1, 2), mono(2, 2, 3)]
 R_SLOTS = [()] + [w for wt in range(1, 4) for deg in range(3) for w in r_word_basis(3, wt, deg)]
@@ -518,6 +538,23 @@ class TestGroupedBridge:
         got = boundary(chain)
         assert got.terms == _reference_boundary(chain)
         assert {c.denominator for c in got.terms.values()} == {3, 4}
+
+    def test_coalgebra_evaluation_equals_the_rotation_sum(self):
+        # every word of R on three variables up to weight 5, alone and in
+        # mixed combinations; words with 0, 1 and 2+ non-singleton letters
+        words = [w for wt in range(6) for deg in range(4) for w in r_word_basis(3, wt, deg)]
+        big = {sum(len(letter) > 1 for letter in w) for w in words}
+        assert {0, 1, 2} <= big
+        nonzero = 0
+        for w in words:
+            e = RElement.from_word(w, Fraction(-2, 3))
+            assert eps_coalgebra(e, 3) == _reference_eps(e, 3), w
+            nonzero += not eps_coalgebra(e, 3).body.is_zero()
+        assert nonzero
+        rng = random.Random(3)
+        for _ in range(200):
+            e = RElement({rng.choice(words): rng.choice(MIXED) for _ in range(6)})
+            assert eps_coalgebra(e, 3) == _reference_eps(e, 3)
 
     def test_word_differential_memo(self):
         words = [w for wt in range(1, 5) for deg in range(4) for w in r_word_basis(3, wt, deg)]
