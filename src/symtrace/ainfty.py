@@ -33,10 +33,9 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .derham import Form, bigrade_split, d, monomial_basis
+from .derham import Form, d, monomial_basis
 from .gcalg import (
     AlgebraElement,
-    DX_KIND,
     Echelon,
     IntegrityError,
     InvalidInputError,
@@ -44,13 +43,15 @@ from .gcalg import (
     ResourceLimitError,
     SparseVec,
     X_KIND,
+    add_into,
     echelon,
     echelon_split,
     lam_product,
+    lift,
+    lift_terms,
     max_basis_budget,
     perm_sign,
     render,
-    x_gen,
 )
 from .resolution import (
     Letter,
@@ -233,7 +234,7 @@ class MerkulovData:
                 if echelon_split(ech, self._to_vec(part.terms, deg, w))[1]:
                     raise IntegrityError("kernel of pi is not exhausted by boundaries")
         self._h_den = math.lcm(*(c.denominator for v in values.values() for c in v.values()))
-        self._h_pivot = {p: _lift(v, self._h_den) for p, v in values.items()}
+        self._h_pivot = {p: lift(v, self._h_den) for p, v in values.items()}
 
     def _to_vec(self, terms: Terms, deg: int, w: int) -> SparseVec:
         idx = self.index[(deg, w)]
@@ -255,7 +256,7 @@ class MerkulovData:
 
     def h(self, e: RElement) -> RElement:
         """The homotopy: a lookup of each word in its values on the pivot words."""
-        terms, scale = _lift_terms(e.terms)
+        terms, scale = lift_terms(e.terms)
         return _over(self._h_int(terms), scale * self._h_den)
 
     def _h_int(self, terms: Dict[RWord, int]) -> Dict[RWord, int]:
@@ -284,11 +285,11 @@ class MerkulovData:
                 )
             value = table.get(word)
             if value is not None:
-                _add_into(out, value, c)
+                add_into(out, value, c)
             elif word not in self.index.get((deg, w), ()):
                 raise InvalidInputError(f"{word!r} is not a word of R on {self.nvars} variables")
             if deg == 0 and low in table:
-                _add_into(out, table[low], -c)
+                add_into(out, table[low], -c)
         return out
 
     # -- construction-time consistency -----------------------------------------
@@ -306,7 +307,7 @@ class MerkulovData:
         for pivot, value in self._h_pivot.items():
             image: Dict[RWord, int] = {}
             for word, c in value.items():
-                _add_into(image, self._delta[word], c)
+                add_into(image, self._delta[word], c)
             delta_table[pivot] = image
         for deg in range(self.degree_cap):
             for w in range(self.weight_cap + 1):
@@ -316,11 +317,11 @@ class MerkulovData:
                         raise IntegrityError("h h != 0")
                     # delta h(e) + h delta(e) - e + f1 pi(e), times den
                     diff = self._extend(delta_table, e)
-                    _add_into(diff, e, -den)
+                    add_into(diff, e, -den)
                     if deg == 0:
-                        _add_into(diff, {tuple(sorted(word)): 1}, den)
+                        add_into(diff, {tuple(sorted(word)): 1}, den)
                     else:
-                        _add_into(diff, self._h_int(self._delta[word]), 1)
+                        add_into(diff, self._h_int(self._delta[word]), 1)
                     if diff:
                         raise IntegrityError(
                             f"homotopy relation fails at ({deg}, {w})"
@@ -347,7 +348,7 @@ class MerkulovData:
         out: Dict[RWord, int] = {}
         for s in range(1, len(args)):
             sign = 1 if (s + 1) % 2 == 0 else -1
-            _add_into(out, word_product(self._h_mu_int(args[:s]), self._h_mu_int(args[s:])), sign)
+            add_into(out, word_product(self._h_mu_int(args[:s]), self._h_mu_int(args[s:])), sign)
         return out
 
     def _h_mu_int(self, args: Sequence[Dict[RWord, int]]) -> Dict[RWord, int]:
@@ -366,17 +367,10 @@ class MerkulovData:
 
     def f_tree(self, t: PlanarTree, args: Sequence[AlgebraElement]) -> RElement:
         """Tree evaluation: f1 on leaves, h mu_2 inside, -h mu_2 at the root."""
-        return self._f_tree(t, args, use_comm=False)
-
-    def f_tree_commutator(self, t: PlanarTree, args: Sequence[AlgebraElement]) -> RElement:
-        """Same as f_tree with every product replaced by a graded commutator."""
-        return self._f_tree(t, args, use_comm=True)
-
-    def _f_tree(self, t: PlanarTree, args: Sequence[AlgebraElement], use_comm: bool) -> RElement:
         if leaf_count(t) != len(args):
             raise InvalidInputError("argument count must match leaf count")
         lifted, scale = _lift_all(self.f1(a).terms for a in args)
-        value = self._h_int(self._eval_tree(t, tuple(range(len(args))), lifted, use_comm, {}))
+        value = self._h_int(self._eval_tree(t, tuple(range(len(args))), lifted, False, {}))
         return _over(value, -scale * self._h_den ** (len(args) - 1))
 
     def _eval_tree(self, t: PlanarTree, pos: Tuple[int, ...], lifted: Sequence[Dict[RWord, int]],
@@ -403,32 +397,11 @@ class MerkulovData:
         return word_commutator(*sides) if use_comm else word_product(*sides)
 
 
-def _add_into(acc: Dict, terms: Dict, c: int) -> None:
-    """In place: acc += c * terms, dropping entries that cancel."""
-    for key, v in terms.items():
-        total = acc.get(key, 0) + c * v
-        if total:
-            acc[key] = total
-        else:
-            del acc[key]
-
-
-def _lift(terms: Terms, scale: int) -> Dict[RWord, int]:
-    """scale * terms as integers; scale must clear every denominator."""
-    return {word: c.numerator * (scale // c.denominator) for word, c in terms.items()}
-
-
-def _lift_terms(terms: Terms) -> Tuple[Dict[RWord, int], int]:
-    """Integer terms over the common denominator of ``terms``, and that denominator."""
-    scale = math.lcm(*(c.denominator for c in terms.values()))
-    return _lift(terms, scale), scale
-
-
 def _lift_all(elements) -> Tuple[List[Dict[RWord, int]], int]:
     """Each term dict lifted on its own, and the product of the scales."""
     lifted, total = [], 1
     for terms in elements:
-        ints, scale = _lift_terms(terms)
+        ints, scale = lift_terms(terms)
         lifted.append(ints)
         total *= scale
     return lifted, total
@@ -457,22 +430,6 @@ def tree_trace_args(md: MerkulovData, args: Sequence[AlgebraElement]) -> Algebra
     if total_perm != class_tree_sum(md, args):
         raise IntegrityError("permutation and labeled-class tree sums disagree")
     return total_perm
-
-
-def tree_trace(md: MerkulovData, omega: Form, k: int) -> AlgebraElement:
-    """Tree-formula trace of a k-form, decomposed over its monomial basis."""
-    out = AlgebraElement.zero()
-    for w, p, part in bigrade_split(omega):
-        if p != k:
-            raise InvalidInputError(f"expected a {k}-form, found form degree {p}")
-        for m, c in part.body.terms.items():
-            poly: Monomial = tuple((g, e) for g, e in m if g[0] == X_KIND)
-            dxs = [g[1] for g, e in m if g[0] == DX_KIND]
-            args = [AlgebraElement.from_monomial(poly)] + [
-                AlgebraElement.from_gen(x_gen(i)) for i in dxs
-            ]
-            out.iadd(tree_trace_args(md, args), c)
-    return out
 
 
 def class_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraElement:

@@ -128,8 +128,3 @@ def trace_cartan(omega: Form, n: int, q: int) -> DiagonalTraceValue:
     if via_factorization != via_slots:
         raise IntegrityError("cartan trace routes disagree")
     return via_factorization
-
-
-def trace_cartan_total(omega: Form, n: int) -> DiagonalTraceValue:
-    """Sum of the power-sum traces over all q (the symmetrized trace)."""
-    return vartheta_symmetrize(trace_simple(omega), n)

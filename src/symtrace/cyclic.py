@@ -50,10 +50,10 @@ from .gcalg import (
     block_sign,
     dx_gen,
     echelon,
+    lift_terms,
     max_basis_budget,
     monomial_from_factors,
     monomial_mul,
-    monomial_weight,
     perm_sign,
     x_gen,
 )
@@ -65,7 +65,6 @@ from .resolution import (
     delta_word,
     r_word_basis,
     word_degree,
-    word_weight,
 )
 from .trace import trace_simple
 
@@ -79,10 +78,6 @@ def _slot_degree(ambient: str, slot: Slot) -> int:
     return word_degree(slot) if ambient == "R" else 0
 
 
-def _slot_weight(ambient: str, slot: Slot) -> int:
-    return word_weight(slot) if ambient == "R" else monomial_weight(slot)
-
-
 def _slot_mul(ambient: str, a: Slot, b: Slot) -> Tuple[int, Slot]:
     if ambient == "R":
         return 1, a + b
@@ -92,10 +87,6 @@ def _slot_mul(ambient: str, a: Slot, b: Slot) -> Tuple[int, Slot]:
 
 def chain_degree(ambient: str, key: ChainKey) -> int:
     return len(key) - 1 + sum(_slot_degree(ambient, s) for s in key)
-
-
-def chain_weight(ambient: str, key: ChainKey) -> int:
-    return sum(_slot_weight(ambient, s) for s in key)
 
 
 class CyclicChain(LinComb):
@@ -131,15 +122,6 @@ class CyclicChain(LinComb):
         )
 
 
-def _tau(ambient: str, key: ChainKey) -> Tuple[int, ChainKey]:
-    """Rotate the last slot to the front, with the suspended Koszul sign."""
-    last = key[-1]
-    sd = _slot_degree(ambient, last) + 1
-    rest = sum(_slot_degree(ambient, s) + 1 for s in key[:-1])
-    sign = -1 if (sd * rest) % 2 else 1
-    return sign, (last,) + key[:-1]
-
-
 def cyclic_canonical(ambient: str, key: ChainKey) -> Optional[Tuple[int, ChainKey]]:
     """Least rotation with tracked sign; None when the class is zero."""
     sus = [_slot_degree(ambient, s) + 1 for s in key]
@@ -150,7 +132,8 @@ def cyclic_canonical(ambient: str, key: ChainKey) -> Optional[Tuple[int, ChainKe
     sign = 1
     zero = False
     for step in range(1, len(key)):
-        moved = sus[-step]  # as in _tau, the last slot passes all the others
+        # rotating the last slot to the front moves it past all the others
+        moved = sus[-step]
         sign *= -1 if moved * (total - moved) % 2 else 1
         cur = key[-step:] + key[:-step]
         if cur == key and sign == -1:
@@ -172,10 +155,9 @@ def boundary(chain: CyclicChain) -> CyclicChain:
     summed as integers, and each output term is one fraction over it.
     """
     ambient = chain.ambient
-    den = math.lcm(*(c.denominator for c in chain.terms.values()))
+    ints, den = lift_terms(chain.terms)
     out: Dict[ChainKey, int] = {}
-    for key, c in chain.terms.items():
-        v = c.numerator * (den // c.denominator)
+    for key, v in ints.items():
         m = len(key) - 1
         sus = [_slot_degree(ambient, s) + 1 for s in key]
         if m >= 1:
@@ -185,11 +167,12 @@ def boundary(chain: CyclicChain) -> CyclicChain:
                 s2, merged = _slot_mul(ambient, key[i], key[i + 1])
                 k2 = key[:i] + (merged,) + key[i + 2 :]
                 out[k2] = out.get(k2, 0) + (-s2 * v if prefix % 2 else s2 * v)
-            tau_sign, rotated = _tau(ambient, key)
-            wrap_sign = tau_sign * (-1 if sus[-1] % 2 else 1)
-            s2, merged = _slot_mul(ambient, rotated[0], rotated[1])
-            k2 = (merged,) + rotated[2:]
-            out[k2] = out.get(k2, 0) + wrap_sign * s2 * v
+            # a_m moves to the front past the others, (-1)^(s (total - s)) as
+            # in cyclic_canonical with s = <a_m> and total - s = prefix, then
+            # the wrap term carries (-1)^s
+            s2, merged = _slot_mul(ambient, key[m], key[0])
+            k2 = (merged,) + key[1:m]
+            out[k2] = out.get(k2, 0) + (-s2 * v if sus[m] * (prefix + 1) % 2 else s2 * v)
         if ambient == "R":
             prefix = 0
             for i in range(m + 1):
@@ -242,11 +225,13 @@ class HomologySummary:
         return self.dims.get((deg, w), 0)
 
 
-def _slot_basis(ambient: str, nvars: int, weight: int) -> List[Slot]:
+def _slot_basis(ambient: str, nvars: int, weight: int, degree_cap: int) -> List[Slot]:
+    """The slots of one weight; over R only words of degree <= degree_cap,
+    since a chain within the cap holds no other word."""
     if ambient == "A":
         return list(monomial_basis(nvars, weight))
     out: List[Slot] = []
-    for degc in range(weight):
+    for degc in range(min(weight, degree_cap + 1)):
         out.extend(r_word_basis(nvars, weight, degc))
     return out
 
@@ -259,17 +244,32 @@ def build_connes_complex(
     Basis elements are canonical rotations of slot tuples of total weight
     1..weight_cap, each class enumerated once, at its least rotation; the
     boundary is checked to square to zero.  The basis budget is the
-    SYMTRACE_MAX_BASIS environment variable.
+    SYMTRACE_MAX_BASIS environment variable, checked on every class added.
     """
     if weight_cap < 0 or degree_cap < 0:
         raise InvalidInputError("caps must be nonnegative")
     max_basis = max_basis_budget()
-    slot_pool: Dict[int, List[Slot]] = {
-        w: _slot_basis(ambient, nvars, w) for w in range(1, weight_cap + 1)
-    }
-    slot_pool[0] = [()]  # the unit slot, shared by both ambients
-
     basis: Dict[Tuple[int, int], List[ChainKey]] = {}
+    size = 0
+
+    def add(key: ChainKey, degree: int, w: int):
+        nonlocal size
+        basis.setdefault((degree, w), []).append(key)
+        size += 1
+        if size > max_basis:
+            worst = max(basis, key=lambda k: len(basis[k]))
+            raise ResourceLimitError(
+                f"cyclic basis exceeded budget {max_basis}; largest bidegree "
+                f"(degree, weight) = {worst} holds {len(basis[worst])} classes so far"
+            )
+
+    # every slot of weight >= 1 is itself a one-slot class, added as the
+    # pool is built so that the budget stops an oversized pool early
+    slot_pool: Dict[int, List[Slot]] = {0: [()]}  # the unit slot, shared by both ambients
+    for w in range(1, weight_cap + 1):
+        slot_pool[w] = _slot_basis(ambient, nvars, w, degree_cap)
+        for s in slot_pool[w]:
+            add((s,), _slot_degree(ambient, s), w)
 
     def tuples(slots_left: int, weight_left: int, acc: List[Slot]):
         if slots_left == 0:
@@ -278,7 +278,7 @@ def build_connes_complex(
             w = weight_cap - weight_left
             # a nonzero class is kept at its least rotation, with sign +1
             if degree <= degree_cap and w >= 1 and cyclic_canonical(ambient, key) == (1, key):
-                basis.setdefault((degree, w), []).append(key)
+                add(key, degree, w)
             return
         for w in range(0, weight_left + 1):
             for s in slot_pool.get(w, []):
@@ -291,15 +291,8 @@ def build_connes_complex(
                 tuples(slots_left - 1, weight_left - w, acc)
                 acc.pop()
 
-    for nslots in range(1, degree_cap + 2):
+    for nslots in range(2, degree_cap + 2):
         tuples(nslots, weight_cap, [])
-        total = sum(len(v) for v in basis.values())
-        if total > max_basis:
-            worst = max(basis, key=lambda k: len(basis[k]))
-            raise ResourceLimitError(
-                f"cyclic basis exceeded budget {max_basis}; largest bidegree "
-                f"(degree, weight) = {worst} holds {len(basis[worst])} classes"
-            )
 
     for key in basis:
         basis[key].sort()
@@ -507,7 +500,7 @@ def eps_coalgebra(words: RElement, nvars: int) -> Form:
             mono = monomial_from_factors(factors)
             if mono is not None:
                 acc[mono[1]] = acc.get(mono[1], 0) + mono[0]
-        total.iadd(AlgebraElement(acc), c)
+        total.iadd(AlgebraElement({mono: c * v for mono, v in acc.items()}))
     return Form(total, nvars)
 
 

@@ -328,6 +328,41 @@ def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
 _ZERO = Fraction(0)
 
 
+def add_into(acc: dict, terms: dict, c=1) -> None:
+    """In place: acc += c * terms, dropping entries that cancel.
+
+    Every in-place sum of term dicts goes through here: ``LinComb.iadd``, the
+    echelon and the integer transfer.  A key new to ``acc`` is stored with no
+    addition, and ``c == 1`` multiplies nothing.
+    """
+    if not c:
+        return
+    scaled = c != 1
+    for key, v in terms.items():
+        if scaled:
+            v = c * v
+        old = acc.get(key)
+        if old is None:
+            acc[key] = v
+        else:
+            total = old + v
+            if total:
+                acc[key] = total
+            else:
+                del acc[key]
+
+
+def lift(terms: dict, scale: int) -> dict:
+    """scale * terms as integers; scale must clear every denominator."""
+    return {key: c.numerator * (scale // c.denominator) for key, c in terms.items()}
+
+
+def lift_terms(terms: dict) -> Tuple[dict, int]:
+    """Integer terms over the common denominator of ``terms``, and that denominator."""
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    return lift(terms, scale), scale
+
+
 class LinComb:
     """Exact-rational linear combination of hashable keys; immutable by contract.
 
@@ -374,15 +409,7 @@ class LinComb:
 
     def iadd(self, other: "LinComb", c=1) -> "LinComb":
         """In place: self += c * other."""
-        if not c:
-            return self
-        terms = self.terms
-        for key, v in other.terms.items():
-            total = terms.get(key, _ZERO) + (v if c == 1 else c * v)
-            if total:
-                terms[key] = total
-            else:
-                del terms[key]
+        add_into(self.terms, other.terms, c)
         return self
 
     def __add__(self, other: "LinComb") -> "LinComb":
@@ -407,21 +434,6 @@ class LinComb:
 # -- exact sparse linear algebra ----------------------------------------------
 
 SparseVec = Dict[int, Fraction]
-
-
-def _sub_multiple(vec: SparseVec, c, other: SparseVec) -> None:
-    """In place: vec -= c * other, dropping entries that cancel."""
-    c = -c
-    for k, v in other.items():
-        old = vec.get(k)
-        if old is None:
-            vec[k] = c * v
-        else:
-            total = old + c * v
-            if total:
-                vec[k] = total
-            else:
-                del vec[k]
 
 
 class Echelon:
@@ -457,7 +469,7 @@ def echelon_split(ech: Echelon, vec: SparseVec) -> Tuple[SparseVec, SparseVec]:
         i = ech.pivot_row.get(p)
         if i is not None:
             coeffs[i] = c
-            _sub_multiple(residual, c, ech.rows[i])
+            add_into(residual, ech.rows[i], -c)
     return coeffs, residual
 
 
@@ -475,7 +487,7 @@ def echelon(rows: Iterable[SparseVec]) -> Echelon:
             continue
         combo: SparseVec = {j: Fraction(1)}
         for i, c in coeffs.items():
-            _sub_multiple(combo, c, ech.combos[i])
+            add_into(combo, ech.combos[i], -c)
         p = min(vec)
         if vec[p] != 1:
             inv = 1 / Fraction(vec[p])  # integer rows stay exact
@@ -485,8 +497,8 @@ def echelon(rows: Iterable[SparseVec]) -> Echelon:
         for er, ec in zip(ech.rows, ech.combos):
             c = er.get(p)
             if c:
-                _sub_multiple(er, c, vec)
-                _sub_multiple(ec, c, combo)
+                add_into(er, vec, -c)
+                add_into(ec, combo, -c)
         ech.pivot_row[p] = len(ech.rows)
         ech.rows.append(vec)
         ech.combos.append(combo)
@@ -538,12 +550,6 @@ class AlgebraElement(LinComb):
         for _ in range(k):
             result = result * self
         return result
-
-    def substitute_zero(self) -> "AlgebraElement":
-        """Keep only monomials with no even-variable factor (f -> f(0,...,0))."""
-        return AlgebraElement(
-            {m: c for m, c in self.terms.items() if all(g[0] != X_KIND for g, _ in m)}
-        )
 
     def differentiate(self, i: int) -> "AlgebraElement":
         """Constant-coefficient derivative d/dxi (even variables only)."""

@@ -45,10 +45,6 @@ def letter_degree(letter: Letter) -> int:
     return len(letter) - 1
 
 
-def letter_weight(letter: Letter) -> int:
-    return len(letter)
-
-
 def word_degree(word: RWord) -> int:
     return sum(map(len, word)) - len(word)
 

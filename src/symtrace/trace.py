@@ -3,10 +3,13 @@
 Four routes compute the same map on form classes modulo exact forms:
 
 * ``cs_trace_raw`` -- the connection/curvature slot expansion
-  sum_q 1/(q+1)! [theta . Omega^q](d omega), evaluated on the indexed
-  multilinear expansion of d omega.  theta extracts the constant part of a
-  coefficient and turns the dx-block into a single lam letter; Omega pairs a
-  linear coefficient with its dx-block.
+  sum_q 1/(q+1)! [theta . Omega^q](d omega) on the multilinear expansion of
+  d omega.  theta extracts the constant part of a coefficient and turns the
+  dx-block into a single lam letter; Omega pairs a linear coefficient with
+  its dx-block.  Only the assignments these rules can leave nonzero are
+  enumerated: the theta slot gets a nonempty dx block and no polynomial
+  factor, each curvature slot exactly one polynomial factor, so on
+  coefficients of degree r only q = r is evaluated.
 * ``trace_simple`` -- the closed combinatorial formula
   sum_f (-1)^f u_{1 u f^-1(1)} ... u_{n u f^-1(n)} over maps f from the
   dx labels to the polynomial labels.
@@ -34,7 +37,6 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .derham import Form, bigrade_split, d
@@ -47,14 +49,11 @@ from .gcalg import (
     _label_orderings,
     block_maps,
     block_sign,
-    dx_gen,
     lam_letter,
     lam_product,
     monomial_from_factors,
     monomial_mul,
-    perm_sign,
     shuffles,
-    x_gen,
 )
 from .resolution import s_inv
 
@@ -88,34 +87,6 @@ def expand_multilinear(omega: Form) -> Iterator[MultilinearTerm]:
             else:
                 dus.append(g[1])
         yield c, tuple(us), tuple(dus)
-
-
-def theta_eval(term_form) -> AlgebraElement:
-    """Connection evaluator: f dx_{i1}..dx_{ip} -> f(0,..,0) lam(i1..ip)."""
-    out = AlgebraElement.zero()
-    for c, us, dus in expand_multilinear(term_form):
-        if us or not dus:
-            continue
-        r = lam_letter(dus)
-        if r is None:
-            continue
-        sign, g = r
-        out.add_term(((g, 1),), sign * c)
-    return out
-
-
-def omega_eval(term_form) -> AlgebraElement:
-    """Curvature evaluator: f dx-block -> lam(f, block) for linear f, else 0."""
-    out = AlgebraElement.zero()
-    for c, us, dus in expand_multilinear(term_form):
-        if len(us) != 1:
-            continue
-        r = lam_letter((us[0],) + dus)
-        if r is None:
-            continue
-        sign, g = r
-        out.add_term(((g, 1),), sign * c)
-    return out
 
 
 def _slot_sum(
@@ -162,63 +133,24 @@ def _slot_sum(
     return AlgebraElement({mono: c * n for mono, n in acc.items()})
 
 
-def theta_omega_q(omega: Form, q: int, prune: bool = True) -> AlgebraElement:
+def theta_omega_q(omega: Form, q: int) -> AlgebraElement:
     """[theta . Omega^q] evaluated on the multilinear expansion of a form.
 
-    With ``prune`` the enumeration skips assignments whose slot evaluation is
-    structurally zero; without it, all set partitions into q+1 slots are
-    evaluated through the theta/Omega rules (used to check that q != r sums
-    vanish honestly).
+    A term with r polynomial factors leaves every q + 1 slot assignment zero
+    unless q = r, so only those terms are enumerated, by ``_slot_sum``.
     """
     out = AlgebraElement.zero()
     for coeff, us, dus in expand_multilinear(omega):
-        if not prune:
-            out.iadd(_theta_omega_q_unpruned(coeff, us, dus, q, omega.nvars))
-        elif len(us) == q:
+        if len(us) == q:
             out.iadd(_slot_sum(coeff, us, dus))
-    return out
-
-
-def _theta_omega_q_unpruned(
-    coeff: Fraction, us: Tuple[int, ...], dus: Tuple[int, ...], q: int, nvars: int
-) -> AlgebraElement:
-    """Evaluation over all ordered set partitions into q+1 slots.
-
-    Each slot content is rebuilt as a form and fed through theta_eval or
-    omega_eval, so vanishing happens inside the evaluators rather than by a
-    combinatorial shortcut.
-    """
-    out = AlgebraElement.zero()
-    n_slots = q + 1
-    for u_assign in product(range(n_slots), repeat=len(us)):
-        for du_assign in product(range(n_slots), repeat=len(dus)):
-            du_blocks: List[List[int]] = [[] for _ in range(n_slots)]
-            for pos, slot in enumerate(du_assign):
-                du_blocks[slot].append(pos)
-            sign = perm_sign([pos for block in du_blocks for pos in block])
-            value = AlgebraElement.constant(coeff * sign)
-            for slot in range(n_slots):
-                factors = [x_gen(us[pos]) for pos, s in enumerate(u_assign) if s == slot]
-                factors += [dx_gen(dus[pos]) for pos in du_blocks[slot]]
-                mono = monomial_from_factors(factors)
-                if mono is None:
-                    value = AlgebraElement.zero()
-                    break
-                s, m = mono
-                slot_form = Form(AlgebraElement.from_monomial(m, s), nvars)
-                evaluated = theta_eval(slot_form) if slot == 0 else omega_eval(slot_form)
-                value = value * evaluated
-                if value.is_zero():
-                    break
-            out.iadd(value)
     return out
 
 
 def cs_trace_raw(omega: Form) -> AlgebraElement:
     """sum_q 1/(q+1)! [theta . Omega^q](d omega), componentwise.
 
-    For a component with coefficients of degree r+1 only q = r contributes;
-    the pruned enumerator generates exactly those assignments.
+    For a component with coefficients of degree r+1 only q = r contributes,
+    and only that q is evaluated.
     """
     out = AlgebraElement.zero()
     for w, p, part in bigrade_split(omega):
@@ -248,7 +180,7 @@ def trace_simple(omega: Form) -> AlgebraElement:
                 continue
             s, mono = prod
             acc[mono] = acc.get(mono, 0) + block_sign(blocks) * s
-        out.iadd(AlgebraElement(acc), coeff)
+        out.iadd(AlgebraElement({mono: coeff * v for mono, v in acc.items()}))
     return out
 
 
@@ -272,7 +204,8 @@ def F_eval(eta: Form) -> AlgebraElement:
                 continue
             s, mono = prod
             acc[mono] = acc.get(mono, 0) + block_sign(blocks) * s
-        out.iadd(AlgebraElement(acc), coeff / (n + 1))
+        c = coeff / (n + 1)
+        out.iadd(AlgebraElement({mono: c * v for mono, v in acc.items()}))
     return out
 
 

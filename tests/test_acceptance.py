@@ -12,6 +12,7 @@ from math import comb, factorial
 
 from symtrace.ainfty import (
     build_merkulov,
+    class_tree_sum,
     enumerate_labeled_classes,
     enumerate_pbt,
     labeled_class_key,
@@ -202,6 +203,26 @@ def test_criterion_06_cstree():
             total_cases += cases
     assert total_cases > 300
     _report("06 tree formula vs slot expansion", t0, budget=300)
+
+
+def test_criterion_06_cstree_k3_four_variables():
+    """k = 3 on four variables, where class sums are not all 0: every tuple of
+    four linear monomials, the class tree sum against the slot expansion."""
+    t0 = time.time()
+    md = build_merkulov(4, 4, 3)
+    samples = monomial_tuples(4, 4, 4)
+    assert len(samples) == 256
+    failures = nonzero = 0
+    for args in samples:
+        body = args[0]
+        for a in args[1:]:
+            body = body * d(Form(a, 4)).body
+        lhs = class_tree_sum(md, list(args))
+        failures += lhs != cs_trace_raw(Form(body, 4))
+        nonzero += not lhs.is_zero()
+    assert failures == 0
+    assert nonzero == 24
+    _report("06 tree formula vs slot expansion, k = 3 on 4 variables", t0, budget=300)
 
 
 def test_criterion_07_merkulov_consistency():

@@ -7,12 +7,12 @@ from itertools import permutations
 from symtrace.cartan import (
     DiagonalTraceValue,
     trace_cartan,
-    trace_cartan_total,
     vartheta_power_sum,
     vartheta_symmetrize,
 )
 from symtrace.derham import Form, form_basis
 from symtrace.gcalg import AlgebraElement, dx_gen, lam_gen, x_gen
+from symtrace.trace import trace_simple
 
 
 def X(i):
@@ -25,6 +25,11 @@ def DX(i):
 
 def LAM(*idx):
     return AlgebraElement.from_gen(lam_gen(idx))
+
+
+def trace_cartan_total(omega, n):
+    """The symmetrized trace: the sum of the power-sum traces over all q."""
+    return vartheta_symmetrize(trace_simple(omega), n)
 
 
 ONE = ()

@@ -336,6 +336,19 @@ class TestExitContract:
         assert err.startswith("error: d into weight ")
         assert err.rstrip().endswith("(budget 10)")
 
+    def test_oversized_slot_pool_is_refused_early(self, monkeypatch, capsys):
+        # the weight <= 10 monomials in 16 variables alone are 5.3 M one-slot classes
+        import time
+
+        monkeypatch.delenv("SYMTRACE_MAX_BASIS", raising=False)
+        start = time.perf_counter()
+        assert main(["homology", "--ambient", "A", "--vars", "16", "--weight", "10",
+                     "--deg", "0"]) == 2
+        assert time.perf_counter() - start < 2.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: cyclic basis exceeded budget 200000;")
+
     @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
     def test_malformed_basis_budget(self, value, monkeypatch, capsys):
         monkeypatch.setenv("SYMTRACE_MAX_BASIS", value)

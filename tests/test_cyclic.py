@@ -19,7 +19,6 @@ from symtrace.cyclic import (
     boundary,
     build_connes_complex,
     chain_degree,
-    chain_weight,
     cyclic_canonical,
     derham_quotient_dims,
     eps_coalgebra,
@@ -29,9 +28,14 @@ from symtrace.cyclic import (
     homology,
     verify_conj1,
 )
-from symtrace.derham import Form, d, equal_mod_exact
-from symtrace.gcalg import AlgebraElement, IntegrityError, block_maps, block_sign, dx_gen, x_gen
-from symtrace.resolution import RElement, _lam_word, abelianize, delta_R, delta_word, r_word_basis
+from symtrace.derham import Form, d, equal_mod_exact, monomial_basis
+from symtrace.gcalg import (
+    AlgebraElement, IntegrityError, ResourceLimitError, block_maps, block_sign, dx_gen,
+    monomial_weight, x_gen,
+)
+from symtrace.resolution import (
+    RElement, _lam_word, abelianize, delta_R, delta_word, r_word_basis, word_weight,
+)
 from symtrace.trace import trace_simple
 
 
@@ -170,9 +174,30 @@ class TestConnesHomology:
         assert homology(cpx).dims == {(2, 1): 1}
 
 
+def _all_slots(ambient, nvars, w):
+    """Every slot of weight w: the monomials over A, the words of every degree over R."""
+    if ambient == "A":
+        return monomial_basis(nvars, w)
+    return [word for degc in range(w) for word in r_word_basis(nvars, w, degc)]
+
+
+def chain_weight(ambient, key):
+    weight = word_weight if ambient == "R" else monomial_weight
+    return sum(weight(s) for s in key)
+
+
+def _tau(ambient, key):
+    """Rotate the last slot to the front, with the suspended Koszul sign."""
+    last = key[-1]
+    sd = cyclic._slot_degree(ambient, last) + 1
+    rest = sum(cyclic._slot_degree(ambient, s) + 1 for s in key[:-1])
+    sign = -1 if (sd * rest) % 2 else 1
+    return sign, (last,) + key[:-1]
+
+
 def _reference_basis(ambient, nvars, weight_cap, degree_cap):
     """Every slot tuple within the caps, canonicalized and deduplicated."""
-    pool = {w: cyclic._slot_basis(ambient, nvars, w) for w in range(1, weight_cap + 1)}
+    pool = {w: _all_slots(ambient, nvars, w) for w in range(1, weight_cap + 1)}
     pool[0] = [()]
     basis = {}
 
@@ -208,6 +233,21 @@ class TestLeastRotationBasis:
             for key in keys:
                 assert cyclic_canonical(ambient, key) == (1, key)
 
+    @pytest.mark.parametrize("ambient,nvars,weight_cap,degree_cap", [("A", 2, 4, 3), ("R", 2, 3, 3)])
+    def test_the_budget_bounds_the_whole_basis(self, ambient, nvars, weight_cap, degree_cap,
+                                               monkeypatch):
+        # the budget is checked on each class added, one-slot and longer alike
+        cpx = build_connes_complex(ambient, nvars, weight_cap, degree_cap)
+        size = sum(map(len, cpx.basis.values()))
+        one_slot = sum(len(key) == 1 for keys in cpx.basis.values() for key in keys)
+        assert one_slot < size - 1
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", str(size))
+        assert build_connes_complex(ambient, nvars, weight_cap, degree_cap).basis == cpx.basis
+        for budget in (size - 1, one_slot - 1):
+            monkeypatch.setenv("SYMTRACE_MAX_BASIS", str(budget))
+            with pytest.raises(ResourceLimitError, match="^cyclic basis exceeded budget"):
+                build_connes_complex(ambient, nvars, weight_cap, degree_cap)
+
     def test_classes_with_a_repeated_least_slot_are_kept(self):
         # (x1, x1, x2) is its own least rotation; a non-strict prune drops it
         key = (mono(1), mono(1), mono(2))
@@ -225,7 +265,7 @@ def _reference_canonical(ambient, key):
     """Least rotation by repeated ``_tau``, each step summing the other slots."""
     best, best_sign, cur, sign, zero = key, 1, key, 1, False
     for _ in range(len(key) - 1):
-        s, cur = cyclic._tau(ambient, cur)
+        s, cur = _tau(ambient, cur)
         sign *= s
         if cur == key and sign == -1:
             zero = True
@@ -238,7 +278,7 @@ def _reference_canonical(ambient, key):
 
 def _every_tuple(ambient, nvars, weight_cap, degree_cap):
     """Every slot tuple of total weight <= weight_cap and at most degree_cap + 1 slots."""
-    pool = [s for w in range(1, weight_cap + 1) for s in cyclic._slot_basis(ambient, nvars, w)]
+    pool = [s for w in range(1, weight_cap + 1) for s in _all_slots(ambient, nvars, w)]
     pool.append(())
 
     def grow(key, weight_left):
@@ -412,7 +452,7 @@ def _reference_boundary(chain):
                 s2, merged = cyclic._slot_mul(ambient, key[i], key[i + 1])
                 k2 = key[:i] + (merged,) + key[i + 2:]
                 out[k2] = out.get(k2, Fraction(0)) + (-1) ** prefix * s2 * c
-            tau_sign, rotated = cyclic._tau(ambient, key)
+            tau_sign, rotated = _tau(ambient, key)
             s2, merged = cyclic._slot_mul(ambient, rotated[0], rotated[1])
             k2 = (merged,) + rotated[2:]
             out[k2] = out.get(k2, Fraction(0)) + tau_sign * (-1) ** sus[-1] * s2 * c
@@ -555,6 +595,13 @@ class TestGroupedBridge:
         for _ in range(200):
             e = RElement({rng.choice(words): rng.choice(MIXED) for _ in range(6)})
             assert eps_coalgebra(e, 3) == _reference_eps(e, 3)
+
+    def test_coalgebra_evaluation_keeps_fraction_coefficients(self):
+        # a word with coefficient 1 must not pass its integer sign sums through
+        words = [w for wt in range(1, 5) for deg in range(3) for w in r_word_basis(3, wt, deg)]
+        values = [eps_coalgebra(RElement.from_word(w), 3).body for w in words]
+        assert any(not v.is_zero() for v in values)
+        assert all(type(c) is Fraction for v in values for c in v.terms.values())
 
     def test_word_differential_memo(self):
         words = [w for wt in range(1, 5) for deg in range(4) for w in r_word_basis(3, wt, deg)]

@@ -169,16 +169,6 @@ class TestAlgebraLaws:
         assert AlgebraElement(e.terms) == e
 
 
-class TestSubstituteZero:
-    def test_keeps_constant_and_pure_dx(self):
-        e = AlgebraElement.constant(3) + X(1) + DX(1) * DX(2)
-        expected = AlgebraElement.constant(3) + DX(1) * DX(2)
-        assert e.substitute_zero() == expected
-
-    def test_kills_mixed(self):
-        assert (X(1) * DX(2)).substitute_zero().is_zero()
-
-
 class TestLamLetter:
     def test_sorting_sign(self):
         sign, g = lam_letter([2, 1])

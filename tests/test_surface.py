@@ -1,0 +1,69 @@
+"""The package defines no public name that only the tests call.
+
+Every public function, class and method under ``src/symtrace`` must be
+referenced somewhere in the package besides its own definition, be exported
+in ``symtrace.__all__``, or be listed below with the reason it stays.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import symtrace
+
+SRC = Path(symtrace.__file__).resolve().parent
+
+# name -> why it is kept although nothing in the package reads it
+ALLOWED = {
+    "matrices": "the benchmark tracer reads ChainComplexQ.matrices",
+    "mu": "the benchmark tracer patches MerkulovData.mu",
+    "derham_quotient_dims": "the benchmark's homology oracle calls it",
+    "equal_mod_exact": "the README documents equality modulo exact forms",
+    "hkr_eps": "the README documents the HKR pair",
+    "hkr_I": "the README documents the HKR pair",
+}
+
+
+def public_definitions(tree):
+    """Every public top-level function or class and every public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item
+
+
+def references(node):
+    """How often each name is read in the subtree of node, bare or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced(src_dir, allowed):
+    """module:line name of each public definition read nowhere else in src_dir,
+    unless exported or allowed."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src_dir.glob("*.py"))}
+    total = sum((references(t) for t in trees.values()), Counter())
+    return [
+        f"{module}:{node.lineno} {node.name}"
+        for module, tree in trees.items()
+        for node in public_definitions(tree)
+        if total[node.name] == references(node)[node.name]
+        and node.name not in symtrace.__all__
+        and node.name not in allowed
+    ]
+
+
+def test_every_public_definition_is_used_by_the_package():
+    assert unreferenced(SRC, ALLOWED) == []
+
+
+def test_every_allowed_name_is_needed():
+    # an entry that the package itself now reads, or that no longer exists, goes
+    flagged = {entry.split()[-1] for entry in unreferenced(SRC, {})}
+    assert set(ALLOWED) <= flagged

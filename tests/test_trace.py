@@ -16,7 +16,10 @@ from symtrace.gcalg import (
     block_sign,
     dx_gen,
     lam_gen,
+    lam_letter,
     lam_product,
+    monomial_from_factors,
+    perm_sign,
     render,
     x_gen,
 )
@@ -30,8 +33,6 @@ from symtrace.trace import (
     cs_trace_raw,
     expand_multilinear,
     hat_D_op,
-    omega_eval,
-    theta_eval,
     theta_omega_q,
     trace,
     trace_diffop,
@@ -60,6 +61,68 @@ def basis_forms(nvars, weight_cap, degree_cap):
         for p in range(min(nvars, degree_cap) + 1):
             for m in form_basis(nvars, w, p):
                 yield w, p, Form(AlgebraElement.from_monomial(m), nvars)
+
+
+def theta_eval(term_form):
+    """Connection evaluator: f dx_{i1}..dx_{ip} -> f(0,..,0) lam(i1..ip)."""
+    out = AlgebraElement.zero()
+    for c, us, dus in expand_multilinear(term_form):
+        if us or not dus:
+            continue
+        r = lam_letter(dus)
+        if r is None:
+            continue
+        sign, g = r
+        out.add_term(((g, 1),), sign * c)
+    return out
+
+
+def omega_eval(term_form):
+    """Curvature evaluator: f dx-block -> lam(f, block) for linear f, else 0."""
+    out = AlgebraElement.zero()
+    for c, us, dus in expand_multilinear(term_form):
+        if len(us) != 1:
+            continue
+        r = lam_letter((us[0],) + dus)
+        if r is None:
+            continue
+        sign, g = r
+        out.add_term(((g, 1),), sign * c)
+    return out
+
+
+def theta_omega_q_unpruned(omega, q):
+    """[theta . Omega^q] over all ordered set partitions into q+1 slots.
+
+    The reference for ``theta_omega_q``: each slot content is rebuilt as a
+    form and fed through ``theta_eval`` or ``omega_eval``, so vanishing
+    happens inside the evaluators rather than by a combinatorial shortcut.
+    """
+    out = AlgebraElement.zero()
+    n_slots = q + 1
+    for coeff, us, dus in expand_multilinear(omega):
+        for u_assign in product(range(n_slots), repeat=len(us)):
+            for du_assign in product(range(n_slots), repeat=len(dus)):
+                du_blocks = [[] for _ in range(n_slots)]
+                for pos, slot in enumerate(du_assign):
+                    du_blocks[slot].append(pos)
+                sign = perm_sign([pos for block in du_blocks for pos in block])
+                value = AlgebraElement.constant(coeff * sign)
+                for slot in range(n_slots):
+                    factors = [x_gen(us[pos]) for pos, s in enumerate(u_assign) if s == slot]
+                    factors += [dx_gen(dus[pos]) for pos in du_blocks[slot]]
+                    mono = monomial_from_factors(factors)
+                    if mono is None:
+                        value = AlgebraElement.zero()
+                        break
+                    s, m = mono
+                    slot_form = Form(AlgebraElement.from_monomial(m, s), omega.nvars)
+                    evaluated = theta_eval(slot_form) if slot == 0 else omega_eval(slot_form)
+                    value = value * evaluated
+                    if value.is_zero():
+                        break
+                out.iadd(value)
+    return out
 
 
 class TestEvaluators:
@@ -99,7 +162,7 @@ class TestChernSimonsRoute:
         eta = d(omega)
         r = 1  # d omega has linear coefficients
         for q in range(0, 4):
-            value = theta_omega_q(eta, q, prune=False)
+            value = theta_omega_q_unpruned(eta, q)
             if q == r:
                 assert value == theta_omega_q(eta, r)
                 assert not value.is_zero() or cs_trace_raw(omega).is_zero()
@@ -153,6 +216,13 @@ class TestRouteAgreement:
             assert a == b == c
             if p <= 2:
                 assert a == trace_diffop(form)
+
+    def test_every_route_keeps_fraction_coefficients(self):
+        # the routes sum integer signs; a coefficient of 1 must not let them through
+        for _, _, form in basis_forms(3, 3, 3):
+            for value in (cs_trace_raw(form), trace_simple(form), F_eval(d(form)),
+                          F_eval(form)):
+                assert all(type(c) is Fraction for c in value.terms.values())
 
     def test_permutation_equivariance(self):
         # swapping x1 <-> x2 commutes with every route
@@ -262,7 +332,7 @@ class TestGroupedEnumeration:
         r = max(len(us) for _, us, _ in expand_multilinear(eta))
         value = theta_omega_q(eta, r)
         assert not value.is_zero()
-        assert value == theta_omega_q(eta, r, prune=False)
+        assert value == theta_omega_q_unpruned(eta, r)
 
     @pytest.mark.parametrize("body", REPEATED_FACTOR_FORMS)
     def test_slot_sum_matches_every_permutation(self, body):
