@@ -73,6 +73,7 @@ PlanarTree = Optional[tuple]  # None = leaf, (left, right) = internal vertex
 LEAF: PlanarTree = None
 
 
+@lru_cache(maxsize=1024)
 def leaf_count(t: PlanarTree) -> int:
     if t is None:
         return 1
@@ -342,20 +343,37 @@ class MerkulovData:
         return _over(self._mu_int(lifted), scale * self._h_den ** (i - 2))
 
     def _mu_int(self, args: Sequence[Dict[RWord, int]]) -> Dict[RWord, int]:
-        """den^(i-2) * mu_i on integer terms."""
-        if len(args) == 2:
-            return word_product(args[0], args[1])
+        """den^(i-2) * mu_i on integer terms.
+
+        Every branch of the recursion needs h mu on contiguous ranges of the
+        arguments; each range is evaluated once per call, kept in a memo keyed
+        on (lo, hi), so that a hit is the literal same term.
+        """
+        return self._mu_range(args, 0, len(args), {})
+
+    def _mu_range(self, args: Sequence[Dict[RWord, int]], lo: int, hi: int,
+                  memo: Dict[Tuple[int, int], Dict[RWord, int]]) -> Dict[RWord, int]:
+        """den^(hi-lo-2) * mu on args[lo:hi]."""
+        if hi - lo == 2:
+            return word_product(args[lo], args[lo + 1])
         out: Dict[RWord, int] = {}
-        for s in range(1, len(args)):
-            sign = 1 if (s + 1) % 2 == 0 else -1
-            add_into(out, word_product(self._h_mu_int(args[:s]), self._h_mu_int(args[s:])), sign)
+        for s in range(lo + 1, hi):
+            sign = 1 if (s - lo + 1) % 2 == 0 else -1
+            left = self._h_mu_range(args, lo, s, memo)
+            add_into(out, word_product(left, self._h_mu_range(args, s, hi, memo)), sign)
         return out
 
-    def _h_mu_int(self, args: Sequence[Dict[RWord, int]]) -> Dict[RWord, int]:
-        """den^(s-1) * h mu_s on integer terms, with h mu_1 = -id."""
-        if len(args) == 1:
-            return {word: -c for word, c in args[0].items()}
-        return self._h_int(self._mu_int(args))
+    def _h_mu_range(self, args: Sequence[Dict[RWord, int]], lo: int, hi: int,
+                    memo: Dict[Tuple[int, int], Dict[RWord, int]]) -> Dict[RWord, int]:
+        """den^(hi-lo-1) * h mu on args[lo:hi], with h mu_1 = -id."""
+        value = memo.get((lo, hi))
+        if value is None:
+            if hi - lo == 1:
+                value = {word: -c for word, c in args[lo].items()}
+            else:
+                value = self._h_int(self._mu_range(args, lo, hi, memo))
+            memo[(lo, hi)] = value
+        return value
 
     def f_taylor(self, args: Sequence[AlgebraElement]) -> RElement:
         """f_{k+1} = -h mu_{k+1} f1^(k+1) on k+1 polynomial arguments."""

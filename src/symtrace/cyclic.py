@@ -264,7 +264,15 @@ def build_connes_complex(
             )
 
     # every slot of weight >= 1 is itself a one-slot class, added as the
-    # pool is built so that the budget stops an oversized pool early
+    # pool is built so that the budget stops an oversized pool early; over A
+    # the pool is every monomial of weight 1..weight_cap, so its size,
+    # sum_w comb(nvars + w - 1, w), is checked before any slot is built
+    pool = math.comb(nvars + weight_cap, weight_cap) - 1
+    if ambient == "A" and pool > max_basis:
+        raise ResourceLimitError(
+            f"cyclic basis exceeded budget {max_basis}; the {pool} monomials of "
+            f"weight 1..{weight_cap} are each a one-slot class"
+        )
     slot_pool: Dict[int, List[Slot]] = {0: [()]}  # the unit slot, shared by both ambients
     for w in range(1, weight_cap + 1):
         slot_pool[w] = _slot_basis(ambient, nvars, w, degree_cap)

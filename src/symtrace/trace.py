@@ -30,6 +30,14 @@ routes pass ``block_maps`` the blocks each dx label may enter, and cs, which
 places repeated polynomial labels once per distinct ordering
 (``gcalg._label_orderings``, weighted by the product of the multiplicities'
 factorials), drops such an ordering per block map before building letters.
+
+The cs and F routes depend on a term u dx_I of the expansion only through
+its labels (us, dus), and d of several basis forms holds the same term.
+Each route memoizes its integer terms per (us, dus) in its own bounded
+cache (``_cs_terms`` and ``_F_terms``, 1,024 entries each); a cs entry is
+still a full enumeration of every block map over every distinct ordering.
+The caller scales the cached terms by the coefficient into a fresh element.
+The ``keep`` path of ``hat_D_op`` and ``trace_simple`` are not cached.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .derham import Form, bigrade_split, d
@@ -70,6 +79,8 @@ class TraceMethod(enum.Enum):
 
 
 MultilinearTerm = Tuple[Fraction, Tuple[int, ...], Tuple[int, ...]]
+# the integer terms of one route on one multilinear term, as (monomial, count)
+IntTerms = Tuple[Tuple[Monomial, int], ...]
 
 
 def expand_multilinear(omega: Form) -> Iterator[MultilinearTerm]:
@@ -96,6 +107,32 @@ def _slot_sum(
     keep: Optional[Callable[[List[List[int]]], bool]] = None,
 ) -> AlgebraElement:
     """[theta . Omega^r] on one term coeff * us * dus, r = len(us).
+
+    The integer terms and their ordering weight come from ``_cs_terms``,
+    memoized per term, or, when ``keep`` selects block maps, from an
+    uncached ``_cs_enumerate``; each is scaled by the coefficient here.
+    """
+    terms, weight = _cs_terms(us, dus) if keep is None else _cs_enumerate(us, dus, keep)
+    c = coeff * weight
+    return AlgebraElement({mono: c * n for mono, n in terms})
+
+
+@lru_cache(maxsize=1024)
+def _cs_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, int]:
+    """``_cs_enumerate`` over every block map, once per term (us, dus).
+
+    d omega holds the same term u dx_I for every basis form x_i u dx_{I - i},
+    so a route over many forms meets most terms several times.
+    """
+    return _cs_enumerate(us, dus)
+
+
+def _cs_enumerate(
+    us: Tuple[int, ...],
+    dus: Tuple[int, ...],
+    keep: Optional[Callable[[List[List[int]]], bool]] = None,
+) -> Tuple[IntTerms, int]:
+    """Integer terms of [theta . Omega^r] on us * dus, and the ordering weight.
 
     Only assignments that can evaluate to something nonzero are enumerated:
     the theta slot gets no polynomial factor and a nonempty dx block
@@ -129,8 +166,7 @@ def _slot_sum(
                 continue
             s, mono = prod
             acc[mono] = acc.get(mono, 0) + sign * s
-    c = coeff * weight
-    return AlgebraElement({mono: c * n for mono, n in acc.items()})
+    return tuple(acc.items()), weight
 
 
 def theta_omega_q(omega: Form, q: int) -> AlgebraElement:
@@ -192,21 +228,27 @@ def F_eval(eta: Form) -> AlgebraElement:
     """
     out = AlgebraElement.zero()
     for coeff, us, dus in expand_multilinear(eta):
-        n = len(us)
-        acc: Dict[Monomial, int] = {}
-        allowed = [[0] + [j + 1 for j, u in enumerate(us) if u != v] for v in dus]
-        for blocks in block_maps(len(dus), n + 1, onto=(0,), allowed=allowed):
-            prod = lam_product(
-                [[dus[pos] for pos in blocks[0]]]
-                + [[us[j - 1]] + [dus[pos] for pos in blocks[j]] for j in range(1, n + 1)]
-            )
-            if prod is None:
-                continue
-            s, mono = prod
-            acc[mono] = acc.get(mono, 0) + block_sign(blocks) * s
-        c = coeff / (n + 1)
-        out.iadd(AlgebraElement({mono: c * v for mono, v in acc.items()}))
+        c = coeff / (len(us) + 1)
+        out.iadd(AlgebraElement({mono: c * v for mono, v in _F_terms(us, dus)}))
     return out
+
+
+@lru_cache(maxsize=1024)
+def _F_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> IntTerms:
+    """Integer terms of F's slot count on one term us * dus, once per term."""
+    n = len(us)
+    acc: Dict[Monomial, int] = {}
+    allowed = [[0] + [j + 1 for j, u in enumerate(us) if u != v] for v in dus]
+    for blocks in block_maps(len(dus), n + 1, onto=(0,), allowed=allowed):
+        prod = lam_product(
+            [[dus[pos] for pos in blocks[0]]]
+            + [[us[j - 1]] + [dus[pos] for pos in blocks[j]] for j in range(1, n + 1)]
+        )
+        if prod is None:
+            continue
+        s, mono = prod
+        acc[mono] = acc.get(mono, 0) + block_sign(blocks) * s
+    return tuple(acc.items())
 
 
 def _validate_tuple(indices: Sequence[int], k: int) -> None:

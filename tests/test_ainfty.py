@@ -689,6 +689,36 @@ class TestIntegerTransfer:
         assert class_tree_sum(md354, args) == FractionTransfer(md354).class_tree_sum(args)
         assert len(calls) == len(distinct)
 
+    def test_each_mu_range_is_evaluated_once_per_call(self, monkeypatch):
+        # at k = 4 the recursion meets 10 contiguous ranges of length >= 2:
+        # the whole one and 2 + 3 + 4 proper ones; without the memo it makes
+        # 27 mu evaluations, as the reference below does.  f_5 needs weight 6
+        # on three variables: 3 of the 2,673 monomial tuples have f_5 != 0
+        md = build_merkulov(3, 6, 4)
+        ref = FractionTransfer(md)
+        ref_calls = []
+        ref_mu = ref.mu
+
+        def counting_ref(i, args):
+            ref_calls.append(i)
+            return ref_mu(i, args)
+
+        ref.mu = counting_ref
+        calls = []
+        original = MerkulovData._mu_range
+
+        def counting(self, args, lo, hi, memo):
+            calls.append((lo, hi))
+            return original(self, args, lo, hi, memo)
+
+        monkeypatch.setattr(MerkulovData, "_mu_range", counting)
+        args = [X(1), X(2), X(1), X(3) ** 2, X(2)]
+        value = md.f_taylor(args)
+        assert not value.is_zero()
+        assert value == ref.f_taylor(args)
+        assert len(calls) == len(set(calls)) == 10
+        assert len(ref_calls) == 27
+
 
 class TestCsTree:
     def test_k2_exhaustive_two_vars(self, md2):

@@ -349,6 +349,23 @@ class TestExitContract:
         assert out.out == ""
         assert out.err.startswith("error: cyclic basis exceeded budget 200000;")
 
+    def test_oversized_slot_pool_is_refused_before_it_is_built(self, monkeypatch, capsys):
+        # over A the pool size comb(16 + 10, 10) - 1 is known before any monomial
+        import time
+
+        monkeypatch.delenv("SYMTRACE_MAX_BASIS", raising=False)
+        start = time.perf_counter()
+        assert main(["homology", "--ambient", "A", "--vars", "16", "--weight", "10",
+                     "--deg", "0"]) == 2
+        assert time.perf_counter() - start < 0.5
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "Traceback" not in out.err
+        assert out.err == (
+            "error: cyclic basis exceeded budget 200000; the 5311734 monomials of "
+            "weight 1..10 are each a one-slot class\n"
+        )
+
     @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
     def test_malformed_basis_budget(self, value, monkeypatch, capsys):
         monkeypatch.setenv("SYMTRACE_MAX_BASIS", value)

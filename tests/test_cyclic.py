@@ -248,6 +248,21 @@ class TestLeastRotationBasis:
             with pytest.raises(ResourceLimitError, match="^cyclic basis exceeded budget"):
                 build_connes_complex(ambient, nvars, weight_cap, degree_cap)
 
+    def test_the_pool_over_A_is_checked_before_it_is_built(self, monkeypatch):
+        # at degree 0 the basis is the one-slot classes: comb(3 + 4, 4) - 1 = 34
+        # monomials of weight 1..4; one class over the budget builds no slot
+        cpx = build_connes_complex("A", 3, 4, 0)
+        assert sum(map(len, cpx.basis.values())) == 34
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", "34")
+        assert build_connes_complex("A", 3, 4, 0).basis == cpx.basis
+        built = []
+        monkeypatch.setattr(cyclic, "monomial_basis",
+                            lambda nvars, w: built.append(w) or [])
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", "33")
+        with pytest.raises(ResourceLimitError, match="^cyclic basis exceeded budget 33; the 34 "):
+            build_connes_complex("A", 3, 4, 0)
+        assert built == []
+
     def test_classes_with_a_repeated_least_slot_are_kept(self):
         # (x1, x1, x2) is its own least rotation; a non-strict prune drops it
         key = (mono(1), mono(1), mono(2))

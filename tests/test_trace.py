@@ -430,6 +430,74 @@ class TestLiveBlockMaps:
         assert self._count_lam_products(monkeypatch, F_eval, eta) == live
 
 
+class TestTermMemo:
+    """cs and F keep their integer terms per (us, dus), each in its own table."""
+
+    FORM = F(X(1) ** 2 * X(2) * DX(1) * DX(3))
+
+    def _count_lam_products(self, monkeypatch, route, form):
+        trace_module = importlib.import_module("symtrace.trace")
+        calls = []
+
+        def counting(arg_lists):
+            calls.append(1)
+            return lam_product(arg_lists)
+
+        monkeypatch.setattr(trace_module, "lam_product", counting)
+        value = route(form)
+        return value, len(calls)
+
+    @pytest.mark.parametrize(
+        "route,form", [(cs_trace_raw, FORM), (F_eval, d(FORM))], ids=["cs", "F"]
+    )
+    def test_a_second_evaluation_builds_no_letter(self, monkeypatch, route, form):
+        first, cold = self._count_lam_products(monkeypatch, route, form)
+        second, warm = self._count_lam_products(monkeypatch, route, form)
+        assert cold > 0 and not first.is_zero()
+        assert warm == 0
+        assert second == first
+
+    @pytest.mark.parametrize(
+        "route,form", [(cs_trace_raw, FORM), (F_eval, d(FORM))], ids=["cs", "F"]
+    )
+    def test_a_returned_element_does_not_alias_the_memo(self, route, form):
+        first = route(form)
+        expected = AlgebraElement(dict(first.terms))
+        for mono in first.terms:
+            first.terms[mono] *= 3
+        first.iadd(LAM(1, 2), 7)
+        assert route(form) == expected
+
+    def test_the_routes_keep_separate_tables(self):
+        trace_module = importlib.import_module("symtrace.trace")
+        cs_table, f_table = trace_module._cs_terms, trace_module._F_terms
+        assert cs_table is not f_table
+        cs_trace_raw(self.FORM)
+        assert cs_table.cache_info().currsize > 0
+        assert f_table.cache_info().currsize == 0
+        cs_table.cache_clear()
+        F_eval(d(self.FORM))
+        assert cs_table.cache_info().currsize == 0
+        assert f_table.cache_info().currsize > 0
+
+    def test_hat_D_does_not_fill_the_cs_table(self):
+        trace_module = importlib.import_module("symtrace.trace")
+        eta = d(self.FORM)
+        assert any(not hat_D_op(eta, indices).is_zero() for indices in valid_tuples(3))
+        assert trace_module._cs_terms.cache_info().currsize == 0
+
+    def test_routes_agree_on_warm_tables(self):
+        trace_module = importlib.import_module("symtrace.trace")
+        forms = [form for _, _, form in basis_forms(3, 3, 3)]
+        cold = [cs_trace_raw(form) for form in forms]
+        for form, value in zip(forms, cold):
+            assert value == trace_simple(form) == F_eval(d(form))
+        assert trace_module._cs_terms.cache_info().hits > 0
+        assert trace_module._F_terms.cache_info().hits > 0
+        for form, value in zip(forms, cold):
+            assert cs_trace_raw(form) == value == trace_simple(form) == F_eval(d(form))
+
+
 class TestDOperators:
     def test_d22_display(self):
         # the explicit splitting on u dv1 dv2 dv3
