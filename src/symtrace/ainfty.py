@@ -58,6 +58,7 @@ from .resolution import (
     RElement,
     RWord,
     Terms,
+    _word_count,
     abelianize,
     delta_word,
     r_word_basis,
@@ -104,19 +105,11 @@ def enumerate_pbt(k: int) -> List[PlanarTree]:
 
 def tree_sign(t: PlanarTree) -> int:
     """(-1)^(1 + sum of left-subtree leaf counts over internal vertices)."""
-    total = 0
+    return -1 if (1 + _left_leaves(t)) % 2 else 1
 
-    def walk(node: PlanarTree) -> int:
-        nonlocal total
-        if node is None:
-            return 1
-        nl = walk(node[0])
-        nr = walk(node[1])
-        total += nl
-        return nl + nr
 
-    walk(t)
-    return -1 if (1 + total) % 2 else 1
+def _left_leaves(t: PlanarTree) -> int:
+    return 0 if t is None else leaf_count(t[0]) + _left_leaves(t[0]) + _left_leaves(t[1])
 
 
 def _canon(t: PlanarTree, labels: Sequence[int], offset: int = 0) -> str:
@@ -198,14 +191,15 @@ class MerkulovData:
 
     def _build(self):
         budget = max_basis_budget()
+        # every bidegree is counted before any is built
         for deg, w in self._bidegrees():
-            words = r_word_basis(self.nvars, w, deg)
-            if len(words) > budget:
+            size = _word_count(self.nvars, w, deg)
+            if size > budget:
                 raise ResourceLimitError(
-                    f"basis at degree {deg}, weight {w} has {len(words)} words "
-                    f"(budget {budget})"
+                    f"basis at degree {deg}, weight {w} has {size} words (budget {budget})"
                 )
-            self.basis[(deg, w)] = words
+        for deg, w in self._bidegrees():
+            words = self.basis[(deg, w)] = r_word_basis(self.nvars, w, deg)
             self.index[(deg, w)] = {word: i for i, word in enumerate(words)}
         # per bidegree: echelon of B with the combinations of upper words
         b_ech: Dict[Tuple[int, int], Echelon] = {}
@@ -340,20 +334,16 @@ class MerkulovData:
         if i < 2 or len(args) != i:
             raise InvalidInputError(f"mu_{i} needs exactly {i} arguments")
         lifted, scale = _lift_all(a.terms for a in args)
-        return _over(self._mu_int(lifted), scale * self._h_den ** (i - 2))
-
-    def _mu_int(self, args: Sequence[Dict[RWord, int]]) -> Dict[RWord, int]:
-        """den^(i-2) * mu_i on integer terms.
-
-        Every branch of the recursion needs h mu on contiguous ranges of the
-        arguments; each range is evaluated once per call, kept in a memo keyed
-        on (lo, hi), so that a hit is the literal same term.
-        """
-        return self._mu_range(args, 0, len(args), {})
+        return _over(self._mu_range(lifted, 0, i, {}), scale * self._h_den ** (i - 2))
 
     def _mu_range(self, args: Sequence[Dict[RWord, int]], lo: int, hi: int,
                   memo: Dict[Tuple[int, int], Dict[RWord, int]]) -> Dict[RWord, int]:
-        """den^(hi-lo-2) * mu on args[lo:hi]."""
+        """den^(hi-lo-2) * mu on args[lo:hi].
+
+        Every branch of the recursion needs h mu on contiguous ranges of the
+        arguments; each range is evaluated once per call, kept in ``memo``
+        keyed on (lo, hi), so that a hit is the literal same term.
+        """
         if hi - lo == 2:
             return word_product(args[lo], args[lo + 1])
         out: Dict[RWord, int] = {}
@@ -380,7 +370,7 @@ class MerkulovData:
         if len(args) < 2:
             raise InvalidInputError("f_taylor needs at least two arguments")
         lifted, scale = _lift_all(self.f1(a).terms for a in args)
-        value = self._h_int(self._mu_int(lifted))
+        value = self._h_int(self._mu_range(lifted, 0, len(lifted), {}))
         return _over(value, -scale * self._h_den ** (len(args) - 1))
 
     def f_tree(self, t: PlanarTree, args: Sequence[AlgebraElement]) -> RElement:

@@ -6,18 +6,18 @@ rank-one trace output into a sum over diagonal slots: a product of exactly
 q+1 generator letters is placed whole into each slot in turn.  Summing over
 all q recovers the symmetrization map r -> sum_i (1, .., r, .., 1).
 
-Two routes are computed and compared: the power-sum evaluation applied after
-the combinatorial rank-one trace, and the Cartan-valued slot expansion of
-the connection/curvature evaluators with the power-sum contraction folded in.
+Two routes are computed and compared: the power-sum part of the
+combinatorial rank-one trace, and the connection/curvature slot expansion
+of the weight-(q+1) component.  Both are symmetrized into the slots, and
+symmetrization is injective for n >= 1, so they are compared before it.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .derham import Form, bigrade_split, d
+from .derham import Form, monomial_bidegree
 from .gcalg import (
     AlgebraElement,
     IntegrityError,
@@ -28,7 +28,7 @@ from .gcalg import (
     monomial_parity,
     monomial_units,
 )
-from .trace import theta_omega_q, trace_simple
+from .trace import cs_trace_raw, trace_simple
 
 SlotKey = Tuple[Monomial, ...]
 
@@ -61,7 +61,7 @@ class DiagonalTraceValue(LinComb):
         """Apply a slot permutation with Koszul signs (slot parities)."""
         out: Dict[SlotKey, Fraction] = {}
         for key, c in self.terms.items():
-            sign = koszul_sign(sigma, [monomial_parity(m) for m in key])
+            sign = koszul_sign(sigma, [monomial_parity(m) if m else 0 for m in key])
             new = [ONE] * self.n
             for j, m in enumerate(key):
                 new[sigma[j]] = m
@@ -70,13 +70,16 @@ class DiagonalTraceValue(LinComb):
         return DiagonalTraceValue(self.n, out)
 
     def is_symmetric(self) -> bool:
-        """S_n-invariance, checked on the n-1 adjacent transpositions that generate S_n."""
-        for i in range(self.n - 1):
-            sigma = list(range(self.n))
-            sigma[i], sigma[i + 1] = i + 1, i
-            if self.permute_slots(sigma) != self:
-                return False
-        return True
+        """S_n-invariance, checked on the transposition (0 1) and the n-cycle.
+
+        The two generate S_n, and the signed slot permutation is a group
+        action, so invariance under both is invariance under S_n.
+        """
+        if self.n < 2:
+            return True
+        swap = [1, 0] + list(range(2, self.n))
+        cycle = list(range(1, self.n)) + [0]
+        return all(self.permute_slots(sigma) == self for sigma in (swap, cycle))
 
 
 def vartheta_power_sum(t: AlgebraElement, n: int, q: int) -> DiagonalTraceValue:
@@ -87,10 +90,12 @@ def vartheta_power_sum(t: AlgebraElement, n: int, q: int) -> DiagonalTraceValue:
     """
     if n < 1 or q < 0:
         raise InvalidInputError("need n >= 1 and q >= 0")
-    filtered = AlgebraElement(
-        {m: c for m, c in t.terms.items() if monomial_units(m) == q + 1}
-    )
-    return vartheta_symmetrize(filtered, n)
+    return vartheta_symmetrize(_power_sum_part(t, q), n)
+
+
+def _power_sum_part(t: AlgebraElement, q: int) -> AlgebraElement:
+    """The monomials of t made of exactly q+1 generator letters."""
+    return AlgebraElement({m: c for m, c in t.terms.items() if monomial_units(m) == q + 1})
 
 
 def vartheta_symmetrize(t: AlgebraElement, n: int) -> DiagonalTraceValue:
@@ -106,25 +111,13 @@ def vartheta_symmetrize(t: AlgebraElement, n: int) -> DiagonalTraceValue:
     return DiagonalTraceValue(n, out)
 
 
-def _cartan_slot_route(omega: Form, n: int, q: int) -> DiagonalTraceValue:
-    """Cartan-valued connection/curvature expansion with power-sum contraction.
-
-    Every theta/Omega output carries a diagonal index; contracting with the
-    (q+1)-th power sum keeps exactly the assignments where all indices agree,
-    so each surviving slot product lands whole in one diagonal slot.
-    """
-    out = DiagonalTraceValue.zero(n)
-    for w, p, part in bigrade_split(omega):
-        if w - 1 == q:
-            slots = vartheta_symmetrize(theta_omega_q(d(part), q), n)
-            out.iadd(slots, Fraction(1, math.factorial(q + 1)))
-    return out
-
-
 def trace_cartan(omega: Form, n: int, q: int) -> DiagonalTraceValue:
-    """Diagonal-Cartan reduced trace; both routes computed and compared."""
-    via_factorization = vartheta_power_sum(trace_simple(omega), n, q)
-    via_slots = _cartan_slot_route(omega, n, q)
-    if via_factorization != via_slots:
+    """Diagonal-Cartan reduced trace; both rank-one routes compared, the
+    agreed element symmetrized once."""
+    if n < 1 or q < 0:
+        raise InvalidInputError("need n >= 1 and q >= 0")
+    via_factorization = _power_sum_part(trace_simple(omega), q)
+    component = {m: c for m, c in omega.body.terms.items() if monomial_bidegree(m)[0] == q + 1}
+    if via_factorization != cs_trace_raw(Form(AlgebraElement(component), omega.nvars)):
         raise IntegrityError("cartan trace routes disagree")
-    return via_factorization
+    return vartheta_symmetrize(via_factorization, n)

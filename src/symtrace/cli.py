@@ -328,8 +328,6 @@ def suite_resolution(nvars: int, weight_cap: int) -> VerificationReport:
     for w in range(1, weight_cap + 1):
         for deg in range(0, w):
             for word in r_word_basis(nvars, w, deg):
-                if not word:
-                    continue
                 e = RElement.from_word(word)
                 report.record(
                     abelianize(delta_R(e)).is_zero(), word=word, check="ab(delta)"

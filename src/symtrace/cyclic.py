@@ -61,6 +61,7 @@ from .resolution import (
     RElement,
     RWord,
     _lam_word,
+    _word_count,
     abelianize,
     delta_word,
     r_word_basis,
@@ -229,11 +230,8 @@ def _slot_basis(ambient: str, nvars: int, weight: int, degree_cap: int) -> List[
     """The slots of one weight; over R only words of degree <= degree_cap,
     since a chain within the cap holds no other word."""
     if ambient == "A":
-        return list(monomial_basis(nvars, weight))
-    out: List[Slot] = []
-    for degc in range(min(weight, degree_cap + 1)):
-        out.extend(r_word_basis(nvars, weight, degc))
-    return out
+        return monomial_basis(nvars, weight)
+    return [word for degc in range(degree_cap + 1) for word in r_word_basis(nvars, weight, degc)]
 
 
 def build_connes_complex(
@@ -263,14 +261,18 @@ def build_connes_complex(
                 f"(degree, weight) = {worst} holds {len(basis[worst])} classes so far"
             )
 
-    # every slot of weight >= 1 is itself a one-slot class, added as the
-    # pool is built so that the budget stops an oversized pool early; over A
-    # the pool is every monomial of weight 1..weight_cap, so its size,
-    # sum_w comb(nvars + w - 1, w), is checked before any slot is built
-    pool = math.comb(nvars + weight_cap, weight_cap) - 1
-    if ambient == "A" and pool > max_basis:
+    # every slot of weight >= 1 is a one-slot class, so the pool is counted
+    # before any slot is built: over A every monomial of weight 1..weight_cap,
+    # sum_w comb(nvars + w - 1, w) of them, over R every word of degree <= degree_cap
+    if ambient == "A":
+        pool, what = math.comb(nvars + weight_cap, weight_cap) - 1, "monomials"
+    else:
+        pool = sum(_word_count(nvars, w, degc) for w in range(1, weight_cap + 1)
+                   for degc in range(degree_cap + 1))
+        what = f"words of degree <= {degree_cap}"
+    if pool > max_basis:
         raise ResourceLimitError(
-            f"cyclic basis exceeded budget {max_basis}; the {pool} monomials of "
+            f"cyclic basis exceeded budget {max_basis}; the {pool} {what} of "
             f"weight 1..{weight_cap} are each a one-slot class"
         )
     slot_pool: Dict[int, List[Slot]] = {0: [()]}  # the unit slot, shared by both ambients

@@ -11,6 +11,7 @@ sum_i xi d/dxi goes the other way, and together they satisfy
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -137,31 +138,19 @@ def bigrade_split(omega: Form) -> List[Tuple[int, int, Form]]:
 
 
 def monomial_basis(nvars: int, weight: int) -> List[Monomial]:
-    """All polynomial monomials of the given degree, as canonical monomials."""
-    result: List[Monomial] = []
+    """All polynomial monomials of the given degree, as canonical monomials.
 
-    def rec(i: int, remaining: int, acc):
-        if i > nvars:
-            if remaining == 0:
-                result.append(tuple(acc))
-            return
-        if i == nvars:
-            if remaining:
-                acc.append((x_gen(i), remaining))
-                result.append(tuple(acc))
-                acc.pop()
-            else:
-                result.append(tuple(acc))
-            return
-        for e in range(remaining + 1):
-            if e:
-                acc.append((x_gen(i), e))
-            rec(i + 1, remaining - e, acc)
-            if e:
-                acc.pop()
-
-    rec(1, weight, [])
-    return result
+    Stars and bars: the nvars - 1 bar positions among weight + nvars - 1
+    places come in the lexicographic order of the exponent vectors.
+    """
+    if nvars == 0:
+        return [()] if weight == 0 else []
+    end = weight + nvars - 1
+    out: List[Monomial] = []
+    for bars in combinations(range(end), nvars - 1):
+        exps = [b - a - 1 for a, b in zip((-1,) + bars, bars + (end,))]
+        out.append(tuple((x_gen(i), e) for i, e in enumerate(exps, 1) if e))
+    return out
 
 
 def form_basis(nvars: int, weight: int, form_degree: int) -> List[Monomial]:
@@ -183,13 +172,17 @@ def exact_image(nvars: int, w: int, p: int) -> Tuple[List[Monomial], Dict[Monomi
     shared between callers, so it must not be mutated.  Either basis over
     ``max_basis_budget()`` raises ResourceLimitError.
     """
-    source, target = form_basis(nvars, w + 1, p - 1), form_basis(nvars, w, p)
+    # (v, k) forms: comb(nvars, k) dx blocks times comb(nvars + v - 1, v)
+    # monomials; with no variables there is no form of weight or degree >= 1
+    sizes = [math.comb(nvars, k) * math.comb(nvars + v - 1, v) if nvars else 0
+             for v, k in ((w + 1, p - 1), (w, p))]
     budget = max_basis_budget()
-    if max(len(source), len(target)) > budget:
+    if max(sizes) > budget:
         raise ResourceLimitError(
-            f"d into weight {w}, form degree {p} maps {len(source)} onto "
-            f"{len(target)} basis forms (budget {budget})"
+            f"d into weight {w}, form degree {p} maps {sizes[0]} onto "
+            f"{sizes[1]} basis forms (budget {budget})"
         )
+    source, target = form_basis(nvars, w + 1, p - 1), form_basis(nvars, w, p)
     index = {m: i for i, m in enumerate(target)}
     rows = []
     for m in source:

@@ -283,23 +283,19 @@ def _label_orderings(us: Sequence[int]) -> Tuple[List[Tuple[int, ...]], int]:
     permutations, and the orderings times that weight count all r! of them.
     The cs route and the bridge cocycle place their labels this way.
     """
-    counts = Counter(us)
-    weight = math.prod(math.factorial(m) for m in counts.values())
-    labels = sorted(counts)
+    weight = math.prod(math.factorial(m) for m in Counter(us).values())
+    labels = sorted(us)
     out: List[Tuple[int, ...]] = []
-
-    def extend(prefix: Tuple[int, ...]) -> None:
-        if len(prefix) == len(us):
-            out.append(prefix)
-            return
-        for u in labels:
-            if counts[u]:
-                counts[u] -= 1
-                extend(prefix + (u,))
-                counts[u] += 1
-
-    extend(())
-    return out, weight
+    while True:
+        out.append(tuple(labels))
+        # the lexicographic next permutation: swap the last ascent with the
+        # last label above it, then reverse the tail
+        i = next((i for i in reversed(range(len(labels) - 1)) if labels[i] < labels[i + 1]), None)
+        if i is None:
+            return out, weight
+        j = max(j for j in range(i + 1, len(labels)) if labels[j] > labels[i])
+        labels[i], labels[j] = labels[j], labels[i]
+        labels[i + 1:] = reversed(labels[i + 1:])
 
 
 def shuffles(n: int, p: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:

@@ -18,9 +18,10 @@ of :mod:`symtrace.gcalg`, with singleton letters becoming even variables.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .derham import Form, bigrade_split
@@ -221,24 +222,29 @@ def s_inv(omega: Form) -> AlgebraElement:
 
 
 def r_word_basis(nvars: int, weight: int, degree: int) -> List[RWord]:
-    """All words of the given weight and homological degree, graded-lex order."""
-    letters = []
-    for k in range(1, nvars + 1):
-        letters.extend(combinations(range(1, nvars + 1), k))
-    result: List[RWord] = []
+    """All words of the given weight and homological degree, in word order.
 
-    def rec(acc: List[Letter], w: int, dg: int):
-        if w == weight and dg == degree:
-            result.append(tuple(acc))
-        if w >= weight:
-            return
-        for letter in letters:
-            lw, ld = len(letter), len(letter) - 1
-            if w + lw <= weight and dg + ld <= degree:
-                acc.append(letter)
-                rec(acc, w + lw, dg + ld)
-                acc.pop()
+    A word has weight - degree letters; for each way of cutting the weight
+    into that many letter sizes of at most nvars, the words are the products
+    of the subsets of those sizes.
+    """
+    nletters = weight - degree
+    if not 0 < nletters <= weight:
+        return [()] if weight == degree == 0 else []
+    out: List[RWord] = []
+    for cuts in combinations(range(1, weight), nletters - 1):
+        sizes = [b - a for a, b in zip((0,) + cuts, cuts + (weight,))]
+        if max(sizes) <= nvars:
+            out.extend(product(*(combinations(range(1, nvars + 1), k) for k in sizes)))
+    out.sort()
+    return out
 
-    rec([], 0, 0)
-    result.sort(key=lambda word: (len(word), word))
-    return result
+
+def _word_count(nvars: int, weight: int, degree: int) -> int:
+    """len(r_word_basis(nvars, weight, degree)) unbuilt: the x^weight coefficient
+    of ((1 + x)^nvars - 1)^L, L = weight - degree, by inclusion-exclusion."""
+    n = weight - degree
+    if not 0 <= n <= weight:
+        return 0
+    return sum((-1) ** (n - j) * math.comb(n, j) * math.comb(j * nvars, weight)
+               for j in range(n + 1))

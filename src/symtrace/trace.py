@@ -37,7 +37,7 @@ Each route memoizes its integer terms per (us, dus) in its own bounded
 cache (``_cs_terms`` and ``_F_terms``, 1,024 entries each); a cs entry is
 still a full enumeration of every block map over every distinct ordering.
 The caller scales the cached terms by the coefficient into a fresh element.
-The ``keep`` path of ``hat_D_op`` and ``trace_simple`` are not cached.
+The profile path of ``hat_D_op`` and ``trace_simple`` are not cached.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .derham import Form, bigrade_split, d
 from .gcalg import (
@@ -100,19 +100,23 @@ def expand_multilinear(omega: Form) -> Iterator[MultilinearTerm]:
         yield c, tuple(us), tuple(dus)
 
 
+# a block profile: the theta block size and the sorted nonempty curvature block sizes
+Profile = Tuple[int, Tuple[int, ...]]
+
+
 def _slot_sum(
     coeff: Fraction,
     us: Tuple[int, ...],
     dus: Tuple[int, ...],
-    keep: Optional[Callable[[List[List[int]]], bool]] = None,
+    profile: Optional[Profile] = None,
 ) -> AlgebraElement:
     """[theta . Omega^r] on one term coeff * us * dus, r = len(us).
 
     The integer terms and their ordering weight come from ``_cs_terms``,
-    memoized per term, or, when ``keep`` selects block maps, from an
+    memoized per term, or, when ``profile`` selects block maps, from an
     uncached ``_cs_enumerate``; each is scaled by the coefficient here.
     """
-    terms, weight = _cs_terms(us, dus) if keep is None else _cs_enumerate(us, dus, keep)
+    terms, weight = _cs_terms(us, dus) if profile is None else _cs_enumerate(us, dus, profile)
     c = coeff * weight
     return AlgebraElement({mono: c * n for mono, n in terms})
 
@@ -130,7 +134,7 @@ def _cs_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, int]
 def _cs_enumerate(
     us: Tuple[int, ...],
     dus: Tuple[int, ...],
-    keep: Optional[Callable[[List[List[int]]], bool]] = None,
+    profile: Optional[Profile] = None,
 ) -> Tuple[IntTerms, int]:
     """Integer terms of [theta . Omega^r] on us * dus, and the ordering weight.
 
@@ -142,16 +146,18 @@ def _cs_enumerate(
     permutations; only equal labels are grouped, the curvature slots stay
     distinct.  Each block map is built once, and an ordering that puts a
     label on a curvature slot whose block holds that same dx label (a letter
-    with a repeated index) is dropped before any letter is built.  ``keep``
-    selects block maps.  Each term carries the shuffle sign and all letter
-    sorting signs.
+    with a repeated index) is dropped before any letter is built.  A
+    ``profile`` keeps only the block maps of that profile.  Each term
+    carries the shuffle sign and all letter sorting signs.
     """
     orderings, weight = _label_orderings(us)
     # the (slot, label) pairs of each ordering, against a map's dx pairs
     placed = [(labels, set(enumerate(labels))) for labels in orderings]
     acc: Dict[Monomial, int] = {}
     for blocks in block_maps(len(dus), len(us) + 1, onto=(0,)):
-        if keep is not None and not keep(blocks):
+        if profile is not None and profile != (
+            len(blocks[0]), tuple(sorted(len(b) for b in blocks[1:] if b))
+        ):
             continue
         sign = block_sign(blocks)
         theta, *curvature = [tuple(dus[p] for p in block) for block in blocks]
@@ -343,16 +349,9 @@ def hat_D_op(eta: Form, indices: Sequence[int]) -> AlgebraElement:
     out = AlgebraElement.zero()
     for w, k, part in bigrade_split(eta):
         _validate_tuple(indices, k)
-        theta_size = indices[-1]
-        needed = sorted(i - 1 for i in indices[:-1])
-
-        def keep(blocks: List[List[int]]) -> bool:
-            return len(blocks[0]) == theta_size and sorted(
-                len(b) for b in blocks[1:] if b
-            ) == needed
-
+        profile = (indices[-1], tuple(sorted(i - 1 for i in indices[:-1])))
         for coeff, us, dus in expand_multilinear(part):
-            out.iadd(_slot_sum(coeff, us, dus, keep), Fraction(1, math.factorial(len(us))))
+            out.iadd(_slot_sum(coeff, us, dus, profile), Fraction(1, math.factorial(len(us))))
     return out
 
 

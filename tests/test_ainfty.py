@@ -285,6 +285,21 @@ class TestMerkulov:
         with pytest.raises(IntegrityError, match="kernel of pi is not exhausted"):
             build_merkulov(2, 4, 3)
 
+    def test_every_bidegree_is_counted_before_any_is_built(self, monkeypatch):
+        # the largest bidegree of build_merkulov(2, 4, 3) is (0, 4), 2^4 = 16
+        # words, the fifth in build order; one word over the budget builds none
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", "16")
+        md = build_merkulov(2, 4, 3)
+        assert max(map(len, md.basis.values())) == len(md.basis[(0, 4)]) == 16
+        built = []
+        monkeypatch.setattr(ainfty, "r_word_basis",
+                            lambda n, w, deg: built.append((deg, w)) or [])
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", "15")
+        with pytest.raises(ResourceLimitError,
+                           match=r"^basis at degree 0, weight 4 has 16 words \(budget 15\)$"):
+            build_merkulov(2, 4, 3)
+        assert built == []
+
     @pytest.mark.parametrize("caps", [(4, -1), (0, 3), (-1, 3)])
     def test_caps_must_admit_a_basis(self, caps):
         with pytest.raises(InvalidInputError):
@@ -541,6 +556,11 @@ def md354():
 
 
 @pytest.fixture(scope="module")
+def md364():
+    return build_merkulov(3, 6, 4)
+
+
+@pytest.fixture(scope="module")
 def md443():
     return build_merkulov(4, 4, 3)
 
@@ -579,6 +599,16 @@ def f_tree_commutator(md, t, args):
     value = md._h_int(md._eval_tree(t, tuple(range(len(args))), lifted, True, {}))
     divisor = -scale * md._h_den ** (len(args) - 1)
     return RElement({word: Fraction(c, divisor) for word, c in value.items()})
+
+
+def k4_weight6_tuples(stride):
+    """A stride of the weight-6 monomial tuples of five arguments on three
+    variables, and the three of them on which f_5 is nonzero."""
+    return [list(args) for args in monomial_tuples(3, 5, 6)[::stride]] + [
+        [X(1), X(2), X(1), X(3) ** 2, X(2)],
+        [X(1), X(2), X(1) * X(3), X(3), X(2)],
+        [X(1), X(2) * X(3), X(1), X(3), X(2)],
+    ]
 
 
 def assert_transfer_matches(md, ref, args, trees):
@@ -641,6 +671,17 @@ class TestIntegerTransfer:
         for args in tuples[::12]:
             assert_transfer_matches(md354, ref, list(args), trees)
 
+    def test_k4_weight6_tuples(self, md364):
+        # f_5 of weight-1 arguments lies in degree 4, weight 5, which on three
+        # variables holds no nonzero word, so the comparisons above are all 0
+        ref = FractionTransfer(md364)
+        trees = enumerate_pbt(4)
+        nonzero = 0
+        for args in k4_weight6_tuples(60):
+            assert_transfer_matches(md364, ref, args, trees)
+            nonzero += not md364.f_taylor(args).is_zero()
+        assert nonzero == 3
+
     @pytest.mark.parametrize("scale", [1, 3])
     @pytest.mark.parametrize("name, k", [("md353", 1), ("md353", 2), ("md443", 3)])
     def test_mixed_fraction_arguments(self, name, k, scale, request):
@@ -658,7 +699,7 @@ class TestIntegerTransfer:
                 nonzero.add("class_tree_sum")
         assert nonzero == {"f_taylor", "class_tree_sum"}
 
-    def test_scaled_table_on_monomial_tuples(self, md353, md354):
+    def test_scaled_table_on_monomial_tuples(self, md353, md354, md364):
         for md, k in ((md353, 2), (md353, 3), (md354, 4)):
             scaled = thirds(md)
             ref = FractionTransfer(scaled)
@@ -668,6 +709,17 @@ class TestIntegerTransfer:
                 assert scaled.f_taylor(list(args)) == md.f_taylor(list(args)).scale(
                     Fraction(1, 3 ** k)
                 )
+        # at k = 4 f_5 is 0 on every tuple of weight 5; at weight 6 it is not
+        scaled = thirds(md364)
+        ref = FractionTransfer(scaled)
+        trees = enumerate_pbt(4)
+        nonzero = 0
+        for args in k4_weight6_tuples(250):
+            assert_transfer_matches(scaled, ref, args, trees)
+            value = md364.f_taylor(args)
+            assert scaled.f_taylor(args) == value.scale(Fraction(1, 3 ** 4))
+            nonzero += not value.is_zero()
+        assert nonzero == 3
 
 
     def test_each_labeled_subtree_is_evaluated_once_per_call(self, md354, monkeypatch):

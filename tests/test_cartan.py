@@ -142,7 +142,8 @@ class TestSlotPermutation:
 
         monkeypatch.setattr(DiagonalTraceValue, "permute_slots", counting)
         assert v.is_symmetric()
-        assert len(calls) == 4
+        # the transposition (0 1) and the 5-cycle, which generate S_5
+        assert calls == [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
 
     def test_agrees_with_every_permutation(self):
         rng = random.Random(3)

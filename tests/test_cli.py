@@ -366,6 +366,39 @@ class TestExitContract:
             "weight 1..10 are each a one-slot class\n"
         )
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "merkulov", "--vars", "7", "--weight", "7", "--k", "1"],
+         "error: basis at degree 0, weight 7 has 823543 words (budget 200000)\n"),
+        (["homology", "--ambient", "R", "--vars", "7", "--weight", "7", "--deg", "0"],
+         "error: cyclic basis exceeded budget 200000; the 3362800 words of degree <= 1 "
+         "of weight 1..7 are each a one-slot class\n"),
+    ])
+    def test_oversized_word_bases_are_refused_before_they_are_built(self, argv, message,
+                                                                   monkeypatch, capsys):
+        import time
+
+        monkeypatch.delenv("SYMTRACE_MAX_BASIS", raising=False)
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == message
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["trace", "--method", "cs", "--vars", "1", "x1^1200"], "x1^1200\n"),
+        (["homology", "--ambient", "A", "--vars", "1200", "--weight", "1", "--deg", "0"],
+         "            0 1200\n"),
+        (["verify", "derham", "--vars", "1500", "--weight", "1", "--deg", "0"],
+         "suite derham: 1501 cases, 0 failures"),
+    ])
+    def test_inputs_deeper_than_the_stack_run(self, argv, expected, capsys):
+        # each enumerator used to recurse once per variable, letter or label
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert expected in out.out
+        assert out.err == ""
+
     @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
     def test_malformed_basis_budget(self, value, monkeypatch, capsys):
         monkeypatch.setenv("SYMTRACE_MAX_BASIS", value)
@@ -377,9 +410,7 @@ class TestExitContract:
     def test_integrity_failure_exits_one(self, monkeypatch, capsys):
         from symtrace import cartan
 
-        monkeypatch.setattr(
-            cartan, "_cartan_slot_route", lambda omega, n, q: cartan.DiagonalTraceValue.zero(n)
-        )
+        monkeypatch.setattr(cartan, "cs_trace_raw", lambda omega: cartan.AlgebraElement.zero())
         assert main(["trace", "--cartan", "n=2", "q=0", "x1*dx2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: integrity check failed: ")

@@ -263,6 +263,32 @@ class TestLeastRotationBasis:
             build_connes_complex("A", 3, 4, 0)
         assert built == []
 
+    def test_the_pool_over_R_is_checked_before_it_is_built(self, monkeypatch):
+        # at degree cap 0 the basis is the one-slot classes: the 2 + 4 + 8 = 14
+        # degree-0 words of weight 1..3 on two variables
+        cpx = build_connes_complex("R", 2, 3, 0)
+        assert sum(map(len, cpx.basis.values())) == 14
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", "14")
+        assert build_connes_complex("R", 2, 3, 0).basis == cpx.basis
+        built = []
+        monkeypatch.setattr(cyclic, "r_word_basis", lambda *a: built.append(a) or [])
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", "13")
+        with pytest.raises(ResourceLimitError, match=(
+            r"^cyclic basis exceeded budget 13; the 14 words of degree <= 0 of weight 1..3 "
+            r"are each a one-slot class$"
+        )):
+            build_connes_complex("R", 2, 3, 0)
+        assert built == []
+
+    @pytest.mark.parametrize("nvars,weight_cap,degree_cap", [(2, 4, 3), (3, 3, 2), (1, 5, 4)])
+    def test_the_pool_count_over_R_is_exact(self, nvars, weight_cap, degree_cap, monkeypatch):
+        # every word of degree <= degree_cap is a one-slot class
+        cpx = build_connes_complex("R", nvars, weight_cap, degree_cap)
+        pool = sum(len(key) == 1 for keys in cpx.basis.values() for key in keys)
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", str(pool - 1))
+        with pytest.raises(ResourceLimitError, match=f"; the {pool} words of degree"):
+            build_connes_complex("R", nvars, weight_cap, degree_cap)
+
     def test_classes_with_a_repeated_least_slot_are_kept(self):
         # (x1, x1, x2) is its own least rotation; a non-strict prune drops it
         key = (mono(1), mono(1), mono(2))

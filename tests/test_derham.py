@@ -3,16 +3,25 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from symtrace import derham
 from symtrace.derham import (
     Form,
     bigrade_split,
     d,
     euler_contract,
+    exact_image,
     exactness_witness,
     equal_mod_exact,
     form_basis,
+    monomial_basis,
 )
-from symtrace.gcalg import AlgebraElement, InvalidInputError, dx_gen, x_gen
+from symtrace.gcalg import (
+    AlgebraElement,
+    InvalidInputError,
+    ResourceLimitError,
+    dx_gen,
+    x_gen,
+)
 
 
 def X(i):
@@ -148,3 +157,82 @@ class TestExactnessWitness:
         assert equal_mod_exact(omega + d(eta), omega)
         witness = exactness_witness(d(eta))
         assert witness is not None and d(witness) == d(eta)
+
+
+def _reference_monomial_basis(nvars, weight):
+    """The recursive enumeration the stars-and-bars one replaced: one
+    exponent per variable, in increasing order, the last variable taking the
+    remainder."""
+    result = []
+
+    def rec(i, remaining, acc):
+        if i > nvars:
+            if remaining == 0:
+                result.append(tuple(acc))
+            return
+        if i == nvars:
+            result.append(tuple(acc) + (((x_gen(i), remaining),) if remaining else ()))
+            return
+        for e in range(remaining + 1):
+            rec(i + 1, remaining - e, acc + ([(x_gen(i), e)] if e else []))
+
+    rec(1, weight, [])
+    return result
+
+
+class TestMonomialBasis:
+    def test_equals_the_recursive_reference(self):
+        for nvars in range(7):
+            for weight in range(9):
+                assert monomial_basis(nvars, weight) == _reference_monomial_basis(nvars, weight)
+
+    def test_no_variables(self):
+        assert monomial_basis(0, 0) == [()]
+        assert monomial_basis(0, 3) == []
+
+    def test_many_variables_need_no_recursion(self):
+        # one level per variable overflows the interpreter's stack at 1,500;
+        # exponent vectors come in increasing order, so x1500 comes first
+        basis = monomial_basis(1500, 1)
+        assert basis == [((x_gen(i), 1),) for i in range(1500, 0, -1)]
+
+
+class TestExactImageBudget:
+    def test_the_budget_admits_exactly_the_larger_basis(self, monkeypatch):
+        # the counted sizes equal the built ones: a budget of the larger size
+        # passes and one less is refused
+        try:
+            for nvars in range(1, 5):
+                for w in range(4):
+                    for p in range(1, nvars + 1):
+                        size = max(len(form_basis(nvars, w + 1, p - 1)),
+                                   len(form_basis(nvars, w, p)))
+                        if size < 2:
+                            continue  # the least budget is 1
+                        exact_image.cache_clear()
+                        monkeypatch.setenv("SYMTRACE_MAX_BASIS", str(size))
+                        exact_image(nvars, w, p)
+                        exact_image.cache_clear()
+                        monkeypatch.setenv("SYMTRACE_MAX_BASIS", str(size - 1))
+                        with pytest.raises(ResourceLimitError):
+                            exact_image(nvars, w, p)
+        finally:
+            exact_image.cache_clear()
+
+    def test_sizes_are_counted_before_either_basis_is_built(self, monkeypatch):
+        # d into (2, 2) on three variables maps the 10 * 3 = 30 forms of
+        # bidegree (3, 1) onto the 6 * 3 = 18 forms of bidegree (2, 2)
+        exact_image.cache_clear()
+        try:
+            source, index, _ = exact_image(3, 2, 2)
+            assert (len(source), len(index)) == (30, 18)
+            exact_image.cache_clear()
+            built = []
+            monkeypatch.setattr(derham, "form_basis", lambda *a: built.append(a) or [])
+            monkeypatch.setenv("SYMTRACE_MAX_BASIS", "29")
+            with pytest.raises(ResourceLimitError,
+                               match=r"maps 30 onto 18 basis forms \(budget 29\)"):
+                exact_image(3, 2, 2)
+            assert built == []
+        finally:
+            exact_image.cache_clear()

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +12,7 @@ from symtrace.cartan import DiagonalTraceValue
 from symtrace.gcalg import (
     AlgebraElement,
     InvalidInputError,
+    _label_orderings,
     block_maps,
     block_sign,
     dx_gen,
@@ -357,6 +358,39 @@ class TestBlockMaps:
                 assert sorted(first + second) == list(range(n))
                 e = sum(first) - k * (k - 1) // 2
                 assert sign == (-1 if e % 2 else 1)
+
+
+def _reference_label_orderings(us):
+    """The recursive enumeration the next-permutation one replaced: at each
+    position every remaining label, in increasing order."""
+    counts = {u: us.count(u) for u in us}
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == len(us):
+            out.append(prefix)
+            return
+        for u in sorted(counts):
+            if counts[u]:
+                counts[u] -= 1
+                extend(prefix + (u,))
+                counts[u] += 1
+
+    extend(())
+    return out
+
+
+class TestLabelOrderings:
+    def test_equals_the_recursive_reference(self):
+        for length in range(7):
+            for us in product((1, 2, 3), repeat=length):
+                orderings, weight = _label_orderings(us)
+                assert orderings == _reference_label_orderings(us), us
+                assert weight * len(orderings) == factorial(length)
+
+    def test_long_label_runs_need_no_recursion(self):
+        assert _label_orderings((1,) * 1200) == ([(1,) * 1200], factorial(1200))
+        assert _label_orderings((2,) * 600 + (1,))[0][-1] == (2,) * 600 + (1,)
 
 
 class TestLamProduct:

@@ -193,6 +193,49 @@ class TestWordBasis:
     def test_empty_word(self):
         assert r_word_basis(2, 0, 0) == [()]
 
+    def test_equals_the_recursive_reference(self):
+        for nvars in range(5):
+            for weight in range(8):
+                for degree in range(7):
+                    expected = _reference_word_basis(nvars, weight, degree)
+                    assert r_word_basis(nvars, weight, degree) == expected, (nvars, weight, degree)
+
+    def test_count_equals_the_basis_size(self):
+        for nvars in range(5):
+            for weight in range(7):
+                for degree in range(6):
+                    size = len(r_word_basis(nvars, weight, degree))
+                    assert resolution._word_count(nvars, weight, degree) == size
+        assert resolution._word_count(7, 7, 0) == 7 ** 7
+        assert resolution._word_count(3, 2, 3) == resolution._word_count(3, 2, -1) == 0
+
+    def test_long_words_need_no_recursion(self):
+        # 1,100 one-variable letters: a recursion one letter deep per call overflows
+        assert r_word_basis(1, 1100, 0) == [((1,),) * 1100]
+        assert r_word_basis(1, 1100, 1) == []
+
+
+def _reference_word_basis(nvars, weight, degree):
+    """The recursive enumeration the flat one replaced: letters appended one
+    at a time, sorted by (length, word)."""
+    letters = [c for k in range(1, nvars + 1) for c in combinations(range(1, nvars + 1), k)]
+    result = []
+
+    def rec(acc, w, dg):
+        if w == weight and dg == degree:
+            result.append(tuple(acc))
+        if w >= weight:
+            return
+        for letter in letters:
+            if w + len(letter) <= weight and dg + len(letter) - 1 <= degree:
+                acc.append(letter)
+                rec(acc, w + len(letter), dg + len(letter) - 1)
+                acc.pop()
+
+    rec([], 0, 0)
+    result.sort(key=lambda word: (len(word), word))
+    return result
+
 
 class TestDeltaLetterMemo:
     def test_argument_kinds_agree_and_memo_is_bounded(self):
