@@ -25,12 +25,22 @@ barred target.  It is closed under the total differential; its one-slot part
 abelianizes to the combinatorial trace formula, and rewriting the one-slot
 words as coalgebra tensors and keeping the terms with at most one non-linear
 factor recovers the de Rham differential of the input.
+
+The du are odd, so the element is alternating in the du labels: it is 0
+when a du label repeats (a map that puts two equal labels in one block
+builds a zero letter, and the other maps cancel in pairs), and reordering
+the du labels multiplies it by the sign of the reordering.  ``beta_cocycle`` returns the zero chain on a
+repeated du label before enumerating anything, and otherwise scales the
+integer terms of the sorted labels by that sign.  Those terms are memoized
+per (sorted u, sorted du) in a bounded cache (``_beta_terms``, 1,024
+entries); a caller always gets a fresh chain.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -442,15 +452,43 @@ def hkr_I(chain: CyclicChain, nvars: int) -> Form:
 def beta_cocycle(u_vars: Sequence[int], n: int, p: int) -> CyclicChain:
     """The closed chain over R attached to u_1..u_n du_{n+1}..du_{n+p}.
 
-    The polynomial labels are placed by their distinct orderings, each
-    standing for ``weight`` of the n! permutations, and a du label never
-    enters the head letter of its own label (that letter is zero).  Signs
-    are summed as integers per key and scaled once by weight / n!.
+    The du are odd, so the chain is alternating in the du labels:
+
+    * A repeated du label gives 0.  Take equal labels at positions a < b.
+      A map that sends a and b to one block builds a letter with a repeated
+      index, which is 0.  Every other map f pairs with f o (a b), which
+      builds the same key with the opposite Koszul sign.
+    * Reordering the du labels reorders odd symbols, so the chain picks up
+      the sign of that reordering.
+
+    The chain is therefore 0 on a repeated du label, and otherwise
+    perm_sign(du) times the chain of the sorted labels.  Its integer terms
+    come from ``_beta_terms``, memoized per (sorted u, sorted du), and are
+    scaled into a fresh chain here.
     """
     if len(u_vars) != n + p or n < 0 or p < 0:
         raise InvalidInputError("need n + p variables")
-    orderings, weight = _label_orderings(u_vars[:n])
-    dx = u_vars[n:]
+    dx = tuple(u_vars[n:])
+    if len(set(dx)) < p:
+        return CyclicChain("R")
+    terms, scale = _beta_terms(tuple(sorted(u_vars[:n])), tuple(sorted(dx)))
+    c = scale * perm_sign(dx)
+    return CyclicChain("R", {key: c * v for key, v in terms})
+
+
+@lru_cache(maxsize=1024)
+def _beta_terms(
+    us: Tuple[int, ...], dx: Tuple[int, ...]
+) -> Tuple[Tuple[Tuple[ChainKey, int], ...], Fraction]:
+    """Integer terms of the chain on sorted labels, and their scale weight / n!.
+
+    The polynomial labels are placed by their distinct orderings, each
+    standing for ``weight`` of the n! permutations, and a du label never
+    enters the head letter of its own label (that letter is zero).  Signs
+    are summed as integers per key.
+    """
+    n, p = len(us), len(dx)
+    orderings, weight = _label_orderings(us)
     acc: Dict[ChainKey, int] = {}
     for labels in orderings:
         heads = [[j for j, u in enumerate(labels) if u != v] for v in dx]
@@ -472,8 +510,8 @@ def beta_cocycle(u_vars: Sequence[int], n: int, p: int) -> CyclicChain:
                 # convention used here; the one-slot part is unaffected
                 sign = block_sign(blocks) * head[0] * tail[0]
                 acc[key] = acc.get(key, 0) + (-sign if m % 2 else sign)
-    scale = Fraction(weight, math.factorial(n))
-    return CyclicChain("R", {key: scale * v for key, v in acc.items()})
+    terms = tuple((key, v) for key, v in acc.items() if v)
+    return terms, Fraction(weight, math.factorial(n))
 
 
 def beta_one_slot_words(beta: CyclicChain) -> RElement:

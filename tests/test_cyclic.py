@@ -31,7 +31,7 @@ from symtrace.cyclic import (
 from symtrace.derham import Form, d, equal_mod_exact, monomial_basis
 from symtrace.gcalg import (
     AlgebraElement, IntegrityError, ResourceLimitError, block_maps, block_sign, dx_gen,
-    monomial_weight, x_gen,
+    monomial_weight, perm_sign, x_gen,
 )
 from symtrace.resolution import (
     RElement, _lam_word, abelianize, delta_R, delta_word, r_word_basis, word_weight,
@@ -426,10 +426,14 @@ class TestBetaCocycle:
         assert beta.terms == {((), ((1,),)): Fraction(-1)}
 
     def test_closed_small(self):
+        nonzero = 0
         for n, p in [(1, 1), (2, 1), (1, 2), (0, 2), (2, 2)]:
             for u in product((1, 2), repeat=n + p):
                 beta = beta_cocycle(u, n, p)
                 assert boundary(beta).canonicalized().is_zero()
+                nonzero += not beta.is_zero()
+        # the 14 of 40 tuples with a repeated du label have the zero chain
+        assert nonzero == 26
 
     @settings(deadline=None)
     @given(st.data())
@@ -438,24 +442,44 @@ class TestBetaCocycle:
         p = data.draw(st.integers(0, 4 - n))
         u = data.draw(st.lists(st.integers(1, 4), min_size=n + p, max_size=n + p))
         assert boundary(beta_cocycle(u, n, p)).canonicalized().is_zero()
+        # distinct du labels: a nonzero chain, so closedness is not 0 == 0
+        us = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        dus = data.draw(st.lists(st.integers(1, 4), min_size=p, max_size=p, unique=True))
+        beta = beta_cocycle(us + dus, n, p)
+        assert not beta.is_zero()
+        assert boundary(beta).canonicalized().is_zero()
 
     def test_one_slot_projection_is_trace(self):
+        nonzero = 0
         for n, p in [(1, 1), (2, 1), (1, 2), (2, 2)]:
             for u in product((1, 2, 3), repeat=n + p):
                 beta = beta_cocycle(u, n, p)
                 alpha = form_from_labels(u, n, p, 3)
                 assert abelianize(beta_one_slot_words(beta)) == trace_simple(alpha)
+                nonzero += not beta.is_zero()
+        assert nonzero == 108
 
     def test_coalgebra_image_is_d(self):
+        nonzero = 0
         for n, p in [(1, 0), (2, 0), (1, 1), (2, 1), (1, 2)]:
             for u in product((1, 2), repeat=n + p):
                 beta = beta_cocycle(u, n, p)
                 alpha = form_from_labels(u, n, p, 2)
                 assert eps_coalgebra(beta_one_slot_words(beta), 2) == d(alpha)
+                nonzero += not beta.is_zero()
+        assert nonzero == 22
 
     def test_runner(self):
         fails, cases = verify_conj1(2, 3)
         assert cases == 48 and not fails
+        # the runner's tuples, n + p <= 3 on two variables: 14 repeat a du label
+        shapes = [(n, total - n) for total in range(1, 4) for n in range(total + 1)]
+        nonzero = sum(
+            not beta_cocycle(u, n, p).is_zero()
+            for n, p in shapes
+            for u in product((1, 2), repeat=n + p)
+        )
+        assert nonzero == 34
 
 
 def _reference_beta(u_vars, n, p):
@@ -652,3 +676,78 @@ class TestGroupedBridge:
             assert all(type(c) is int for _, c in terms)
         maxsize = resolution._delta_word_terms.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
+
+
+def _label_tuples(nvars, cap):
+    """(u, n, p) for every label tuple with 1 <= n + p <= cap on nvars labels."""
+    for total in range(1, cap + 1):
+        for n in range(total + 1):
+            for u in product(range(1, nvars + 1), repeat=total):
+                yield u, n, total - n
+
+
+class TestBridgeAlternation:
+    def test_zero_on_a_repeated_du_label(self):
+        cases = 0
+        for u, n, p in _label_tuples(3, 5):
+            if len(set(u[n:])) < p:
+                assert _reference_beta(u, n, p) == {}, (u, n)
+                assert beta_cocycle(u, n, p).terms == {}, (u, n)
+                cases += 1
+        assert cases == 960
+
+    def test_permuting_the_du_labels_multiplies_by_the_sign(self):
+        cases = 0
+        for u, n, p in _label_tuples(3, 5):
+            if len(set(u[n:])) < p:
+                continue
+            ref = _reference_beta(u, n, p)
+            assert ref and beta_cocycle(u, n, p).terms == ref, (u, n)
+            for sigma in permutations(range(p)):
+                moved = u[:n] + tuple(u[n + i] for i in sigma)
+                sign = perm_sign(sigma)
+                assert beta_cocycle(moved, n, p).terms == {k: sign * c for k, c in ref.items()}
+                cases += 1
+        # the 1,044 tuples with distinct du labels, each with its p! reorderings
+        assert cases == 1674
+
+    def test_a_warm_call_walks_no_block_map(self, monkeypatch):
+        full = cyclic.block_maps
+        walked = []
+
+        def counting(*args, **kwargs):
+            for blocks in full(*args, **kwargs):
+                walked.append(1)
+                yield blocks
+
+        monkeypatch.setattr(cyclic, "block_maps", counting)
+        cold = beta_cocycle((1, 2, 1, 2, 3), 2, 3)
+        assert walked
+        walked.clear()
+        # the same label sets in another order; (2, 1, 3) is an odd reordering
+        warm = beta_cocycle((2, 1, 2, 1, 3), 2, 3)
+        assert not walked
+        assert warm.terms == {k: -c for k, c in cold.terms.items()}
+        assert warm.terms == _reference_beta((2, 1, 2, 1, 3), 2, 3)
+
+    def test_a_returned_chain_is_the_callers_own(self):
+        for u in [(1, 2, 3), (1, 3, 2)]:
+            expected = _reference_beta(u, 1, 2)
+            chain = beta_cocycle(u, 1, 2)
+            chain.add_term(next(iter(chain.terms)), Fraction(5, 2))
+            chain.add_term(((), ((1,),)), 1)
+            assert beta_cocycle(u, 1, 2).terms == expected
+
+    def test_no_zero_letter_is_built(self, monkeypatch):
+        full = cyclic._lam_word
+        letters = []
+
+        def recording(arg_lists):
+            r = full(arg_lists)
+            letters.append(r)
+            return r
+
+        monkeypatch.setattr(cyclic, "_lam_word", recording)
+        for u, n, p in _label_tuples(4, 4):
+            beta_cocycle(u, n, p)
+        assert letters and all(r is not None for r in letters)
