@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .derham import Form, d, monomial_basis
+from .derham import monomial_basis
 from .gcalg import (
     AlgebraElement,
     Echelon,
@@ -51,7 +51,6 @@ from .gcalg import (
     lift_terms,
     max_basis_budget,
     perm_sign,
-    render,
 )
 from .resolution import (
     Letter,
@@ -59,7 +58,6 @@ from .resolution import (
     RWord,
     Terms,
     _word_count,
-    abelianize,
     delta_word,
     r_word_basis,
     word_commutator,
@@ -67,7 +65,6 @@ from .resolution import (
     word_product,
     word_weight,
 )
-from .trace import cs_trace_raw
 
 PlanarTree = Optional[tuple]  # None = leaf, (left, right) = internal vertex
 
@@ -424,24 +421,8 @@ def build_merkulov(nvars: int, weight_cap: int, degree_cap: int) -> MerkulovData
     return MerkulovData(nvars, weight_cap, degree_cap)
 
 
-def tree_trace_args(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraElement:
-    """TTr(a0 da1 ... dak) by both tree sums; raises if they disagree.
-
-    The first sum runs over all of S_{k+1} with the transfer components; the
-    second over labeled-tree classes with the commutator tree maps.
-    """
-    k = len(args) - 1
-    total_perm = AlgebraElement.zero()
-    for sigma in permutations(range(k + 1)):
-        value = md.f_taylor([args[j] for j in sigma])
-        total_perm.iadd(abelianize(value), perm_sign(sigma))
-    if total_perm != class_tree_sum(md, args):
-        raise IntegrityError("permutation and labeled-class tree sums disagree")
-    return total_perm
-
-
 def class_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraElement:
-    """Just the labeled-class commutator sum (one side of the identity).
+    """The labeled-class commutator sum, one side of the tree-sum identity.
 
     Each argument is lifted once per call and every class permutes the
     lifted terms; h of each labeled subtree is evaluated once per call.  The
@@ -459,27 +440,6 @@ def class_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraE
     # the root's minus sign goes into the divisor
     divisor = -scale * md._h_den ** k
     return AlgebraElement({m: Fraction(v, divisor) for m, v in acc.items() if v})
-
-
-def verify_cstree(md: MerkulovData, k: int, samples: Sequence[Sequence[AlgebraElement]]):
-    """Labeled-class tree sum vs the slot-expansion trace on each sample.
-
-    Returns (failures, cases); a failure records the argument tuple and both
-    rendered values.
-    """
-    failures = []
-    cases = 0
-    for args in samples:
-        cases += 1
-        body = args[0]
-        for a in args[1:]:
-            body = body * d(Form(a, md.nvars)).body
-        omega = Form(body, md.nvars)
-        lhs = class_tree_sum(md, args)
-        rhs = cs_trace_raw(omega)
-        if lhs != rhs:
-            failures.append((tuple(args), render(lhs), render(rhs)))
-    return failures, cases
 
 
 def monomial_tuples(nvars: int, slots: int, weight_cap: int) -> List[Tuple[AlgebraElement, ...]]:

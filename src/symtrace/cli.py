@@ -28,6 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, permutations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ainfty, cartan, cyclic
@@ -46,6 +47,7 @@ from .gcalg import (
     dx_gen,
     lam_gen,
     monomial_sort_key,
+    perm_sign,
     render,
     render_monomial,
     x_gen,
@@ -245,6 +247,8 @@ class VerificationReport:
     cases: int = 0
     failures: List[dict] = field(default_factory=list)
     wall_time: float = 0.0
+    # per k with cases, how many compare a nonzero value (suites that can compare 0 with 0)
+    nonzero: Dict[int, int] = field(default_factory=dict)
 
     def record(self, ok: bool, **info):
         self.cases += 1
@@ -252,13 +256,16 @@ class VerificationReport:
             self.failures.append(info)
 
     def to_json(self) -> dict:
-        return {
+        payload = {
             "suite": self.suite,
             "cases": self.cases,
             "failures": len(self.failures),
             "failure_details": self.failures[:20],
-            "wall_time_s": round(self.wall_time, 3),
         }
+        if self.nonzero:
+            payload["nonzero_by_k"] = {str(k): n for k, n in sorted(self.nonzero.items())}
+        payload["wall_time_s"] = round(self.wall_time, 3)
+        return payload
 
     def to_text(self) -> str:
         status = "ok" if not self.failures else "FAILED"
@@ -266,6 +273,9 @@ class VerificationReport:
             f"suite {self.suite}: {self.cases} cases, "
             f"{len(self.failures)} failures, {self.wall_time:.2f}s [{status}]"
         ]
+        if self.nonzero:
+            lines.append("  nonzero cases: " + ", ".join(
+                f"k={k} {n}" for k, n in sorted(self.nonzero.items())))
         for f in self.failures[:10]:
             lines.append(f"  fail: {f}")
         return "\n".join(lines)
@@ -316,8 +326,6 @@ def suite_derham(nvars: int, weight_cap: int, degree_cap: int) -> VerificationRe
 
 def suite_resolution(nvars: int, weight_cap: int) -> VerificationReport:
     """delta^2 = 0 on letters, and the abelianized differential vanishes."""
-    from itertools import combinations
-
     report = VerificationReport("resolution")
     for k in range(1, min(nvars, 4) + 1):
         for idx in combinations(range(1, nvars + 1), k):
@@ -336,28 +344,45 @@ def suite_resolution(nvars: int, weight_cap: int) -> VerificationReport:
 
 
 def suite_cstree(nvars: int, k_max: int, weight_cap: int) -> VerificationReport:
-    """Labeled-class tree sums against the slot-expansion trace."""
+    """Labeled-class tree sums of a0 da1 .. dak against the slot-expansion
+    trace, counting per k the cases whose class sum is nonzero."""
     report = VerificationReport("cstree")
     md = ainfty.build_merkulov(nvars, weight_cap, max(3, k_max))
     for k in range(1, k_max + 1):
-        samples = ainfty.monomial_tuples(nvars, k + 1, weight_cap)
-        fails, cases = ainfty.verify_cstree(md, k, samples)
-        report.cases += cases
-        for args, lhs, rhs in fails:
-            report.failures.append(
-                {"k": k, "args": [render(a) for a in args], "tree": lhs, "cs": rhs}
-            )
+        for args in ainfty.monomial_tuples(nvars, k + 1, weight_cap):
+            body = math.prod((d(Form(a, nvars)).body for a in args[1:]), start=args[0])
+            lhs = ainfty.class_tree_sum(md, args)
+            rhs = cs_trace_raw(Form(body, nvars))
+            report.nonzero[k] = report.nonzero.get(k, 0) + (not lhs.is_zero())
+            report.record(lhs == rhs, k=k, args=[render(a) for a in args],
+                          tree=render(lhs), cs=render(rhs))
     return report
 
 
+def _bridge_fault(u: Tuple[int, ...], n: int, p: int, nvars: int) -> Optional[str]:
+    """Why the bridge chain of u_1..u_n du_{n+1}..du_{n+p} fails, or None."""
+    beta = cyclic.beta_cocycle(u, n, p)
+    if not cyclic.boundary(beta).canonicalized().is_zero():
+        return "not closed"
+    alpha = cyclic.form_from_labels(u, n, p, nvars)
+    words = cyclic.beta_one_slot_words(beta)
+    if abelianize(words) != trace_simple(alpha):
+        return "one-slot projection != trace"
+    if cyclic.eps_coalgebra(words, nvars) != d(alpha):
+        return "coalgebra image != d(form)"
+    return None
+
+
 def suite_conj1(nvars: int, cap: int) -> VerificationReport:
-    """Closedness of the bridge cocycle and its two projections."""
+    """On every label tuple with n + p <= cap: the bridge chain is closed, its
+    one-slot part abelianizes to the combinatorial trace of the form, and its
+    coalgebra image is d of the form."""
     report = VerificationReport("conj1")
-    fails, cases = cyclic.verify_conj1(nvars, cap)
-    report.cases = cases
-    report.failures = [
-        {"u": list(u), "n": n, "p": p, "reason": reason} for (u, n, p, reason) in fails
-    ]
+    for total in range(1, cap + 1):
+        for n in range(0, total + 1):
+            for u in product(range(1, nvars + 1), repeat=total):
+                reason = _bridge_fault(u, n, total - n, nvars)
+                report.record(reason is None, u=list(u), n=n, p=total - n, reason=reason)
     return report
 
 
@@ -409,12 +434,16 @@ def suite_merkulov(nvars: int, weight_cap: int, k_max: int) -> VerificationRepor
                 (lhs - rhs).is_zero(),
                 k=k, args=[render(a) for a in args], check="tree expansion",
             )
+    # the sum over all of S_{k+1} with the transfer components against the
+    # sum over labeled-tree classes with the commutator tree maps
     for args in ainfty.monomial_tuples(nvars, 2, min(weight_cap, 3)):
-        try:
-            ainfty.tree_trace_args(md, list(args))
-            report.record(True, check="trace sums agree")
-        except IntegrityError as exc:
-            report.record(False, check="trace sums agree", error=str(exc))
+        by_perm = AlgebraElement.zero()
+        for sigma in permutations(range(len(args))):
+            by_perm.iadd(abelianize(md.f_taylor([args[j] for j in sigma])), perm_sign(sigma))
+        report.record(
+            by_perm == ainfty.class_tree_sum(md, args),
+            args=[render(a) for a in args], check="trace sums agree",
+        )
     return report
 
 
@@ -476,11 +505,19 @@ def _parse_cartan(tokens: Sequence[str]) -> Dict[str, int]:
 
 
 def cmd_verify(args) -> int:
+    if args.vars is None:  # a k-check needs k + 1 variables for a nonzero class sum
+        args.vars = args.k + 1 if args.suite == "cstree" else 3
     t0 = time.perf_counter()
     report = SUITES[args.suite](args)
     report.wall_time = time.perf_counter() - t0
     if report.cases == 0:
         raise InvalidInputError(f"suite {args.suite} ran 0 cases; widen its caps")
+    vacuous = [k for k, n in sorted(report.nonzero.items()) if not n]
+    if vacuous:
+        raise InvalidInputError(
+            f"suite {args.suite}: every case at k = {', '.join(map(str, vacuous))} "
+            f"compares 0 with 0; use --vars >= {vacuous[-1] + 1}"
+        )
     if args.json:
         print(json.dumps(report.to_json()))
     else:
@@ -599,7 +636,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--vars", type=_int_at_least(1), default=3)
+    p_verify.add_argument("--vars", type=_int_at_least(1), help="default 3; cstree: k + 1")
     p_verify.add_argument("--weight", type=int, default=4)
     p_verify.add_argument("--deg", type=int, default=3)
     p_verify.add_argument("--k", type=int, default=3)

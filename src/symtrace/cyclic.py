@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .derham import Form, d, exact_image, form_basis, monomial_basis
@@ -72,12 +72,10 @@ from .resolution import (
     RWord,
     _lam_word,
     _word_count,
-    abelianize,
     delta_word,
     r_word_basis,
     word_degree,
 )
-from .trace import trace_simple
 
 
 # Slots: ambient "A" uses polynomial monomials, ambient "R" uses words.
@@ -562,36 +560,3 @@ def form_from_labels(u_vars: Sequence[int], n: int, p: int, nvars: int) -> Form:
         return Form.zero(nvars)
     s, m = mono
     return Form(AlgebraElement.from_monomial(m, s), nvars)
-
-
-def verify_conj1(nvars: int, cap: int):
-    """Run the three-way route check on all variable tuples with n + p <= cap.
-
-    For each input: the bridge chain is closed; its one-slot abelianization
-    equals the combinatorial trace of the corresponding form; its coalgebra
-    image equals the de Rham differential of the form.  Returns
-    (failures, cases).
-    """
-    failures = []
-    cases = 0
-    for total in range(1, cap + 1):
-        for n in range(0, total + 1):
-            p = total - n
-            for u_vars in product(range(1, nvars + 1), repeat=total):
-                cases += 1
-                beta = beta_cocycle(u_vars, n, p)
-                db = boundary(beta).canonicalized()
-                if not db.is_zero():
-                    failures.append((u_vars, n, p, "not closed"))
-                    continue
-                alpha = form_from_labels(u_vars, n, p, nvars)
-                words = beta_one_slot_words(beta)
-                lhs = abelianize(words)
-                rhs = trace_simple(alpha)
-                if lhs != rhs:
-                    failures.append((u_vars, n, p, "one-slot projection != trace"))
-                    continue
-                co = eps_coalgebra(words, nvars)
-                if co != d(alpha):
-                    failures.append((u_vars, n, p, "coalgebra image != d(form)"))
-    return failures, cases

@@ -32,6 +32,7 @@ from .gcalg import (
     AlgebraElement,
     InvalidInputError,
     LinComb,
+    add_into,
     lam_letter,
     lam_product,
     shuffles,
@@ -108,11 +109,6 @@ def word_commutator(a: Terms, b: Terms) -> Terms:
     return {w: c for w, c in out.items() if c}
 
 
-def commutator(a: RElement, b: RElement) -> RElement:
-    """Graded commutator [a, b] = ab - (-1)^{|a||b|} ba."""
-    return RElement(word_commutator(a.terms, b.terms))
-
-
 def _lam_word(arg_lists: Iterable[Sequence[int]]) -> Optional[Tuple[int, RWord]]:
     """(sign, word) of the letters lam(args_1) ... lam(args_k); None if zero."""
     sign = 1
@@ -136,59 +132,59 @@ def lam_element(indices: Sequence[int]) -> RElement:
 
 
 def delta_letter(letter: Letter) -> RElement:
-    """The shuffle differential on a single letter.
-
-    ``delta_R`` asks for the same few letters on every word it touches, so the
-    terms are memoized per letter; each call returns a fresh element.
-    """
-    return RElement(dict(_delta_letter_terms(tuple(letter))))
+    """The shuffle differential on a single letter, with Fraction coefficients."""
+    return RElement({w: Fraction(c) for w, c in _delta_letter_terms(tuple(letter))})
 
 
 @lru_cache(maxsize=1024)
-def _delta_letter_terms(letter: Letter) -> Tuple[Tuple[RWord, Fraction], ...]:
+def _delta_letter_terms(letter: Letter) -> Tuple[Tuple[RWord, int], ...]:
+    """delta of a letter as (word, integer coefficient) pairs, memoized per letter."""
     n = len(letter)
-    out = RElement.zero()
+    out: Dict[RWord, int] = {}
     for p in range(1, n // 2 + 1):
-        q = n - p
         sign_p = -1 if p % 2 else 1
         for first, second, sign_sh in shuffles(n, p):
-            if p == q and 0 not in first:
+            if p == n - p and 0 not in first:
                 continue
-            a = lam_element([letter[i] for i in first])
-            b = lam_element([letter[i] for i in second])
-            out.iadd(commutator(a, b), sign_p * sign_sh)
-    return tuple(out.terms.items())
+            a = _lam_word([[letter[i] for i in first]])
+            b = _lam_word([[letter[i] for i in second]])
+            if a is not None and b is not None:
+                add_into(out, word_commutator({a[1]: a[0]}, {b[1]: b[0]}), sign_p * sign_sh)
+    return tuple(out.items())
 
 
 def delta_R(e: RElement) -> RElement:
-    """Degree -1 derivation extending the shuffle differential on letters."""
+    """Degree -1 derivation extending the shuffle differential on letters:
+    the linear extension of ``delta_word``."""
     out: Dict[RWord, Fraction] = {}
     for word, c in e.terms.items():
-        prefix_deg = 0
-        for pos, letter in enumerate(word):
-            dl = delta_letter(letter)
-            if not dl.is_zero():
-                sign = -1 if prefix_deg % 2 else 1
-                for mid, cm in dl.terms.items():
-                    w = word[:pos] + mid + word[pos + 1 :]
-                    out[w] = out.get(w, Fraction(0)) + sign * c * cm
-            prefix_deg += letter_degree(letter)
+        for w, cw in delta_word(word):
+            out[w] = out.get(w, 0) + c * cw
     return RElement(out)
 
 
 def delta_word(word: RWord) -> Tuple[Tuple[RWord, int], ...]:
-    """delta_R of a single word, as (word, integer coefficient) pairs.
+    """delta of a single word, as (word, integer coefficient) pairs.
 
-    The cyclic boundary asks for the same few slot words on every chain, so
-    the terms are memoized per word in a bounded cache.  The coefficients
-    are integers because every letter differential has integer ones.
+    The letter differentials are spliced in at each position with the Koszul
+    sign of the letters before it.  The cyclic boundary asks for the same few
+    slot words on every chain, so the terms are memoized per word in a
+    bounded cache.
     """
     return _delta_word_terms(word)
 
 
 @lru_cache(maxsize=4096)
 def _delta_word_terms(word: RWord) -> Tuple[Tuple[RWord, int], ...]:
-    return tuple((w, c.numerator) for w, c in delta_R(RElement.from_word(word)).terms.items())
+    out: Dict[RWord, int] = {}
+    prefix_deg = 0
+    for pos, letter in enumerate(word):
+        sign = -1 if prefix_deg % 2 else 1
+        for mid, c in _delta_letter_terms(letter):
+            w = word[:pos] + mid + word[pos + 1 :]
+            out[w] = out.get(w, 0) + sign * c
+        prefix_deg += letter_degree(letter)
+    return tuple((w, c) for w, c in out.items() if c)
 
 
 def abelianize(e: RElement) -> AlgebraElement:

@@ -7,7 +7,7 @@ asserted where the criterion carries one.
 
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial
 
 from symtrace.ainfty import (
@@ -18,8 +18,6 @@ from symtrace.ainfty import (
     labeled_class_key,
     monomial_tuples,
     tree_sign,
-    tree_trace_args,
-    verify_cstree,
     LEAF,
 )
 from symtrace.cartan import (
@@ -32,11 +30,11 @@ from symtrace.cyclic import (
     build_connes_complex,
     derham_quotient_dims,
     homology,
-    verify_conj1,
 )
+from symtrace.cli import suite_conj1, suite_cstree
 from symtrace.derham import Form, d, form_basis, monomial_basis
-from symtrace.gcalg import AlgebraElement, dx_gen, lam_gen, x_gen
-from symtrace.resolution import s_inv
+from symtrace.gcalg import AlgebraElement, dx_gen, lam_gen, perm_sign, x_gen
+from symtrace.resolution import abelianize, s_inv
 from symtrace.trace import (
     D_op,
     F_eval,
@@ -193,14 +191,13 @@ def test_criterion_05_operator_identity():
 def test_criterion_06_cstree():
     """Labeled-class tree sums equal the slot-expansion trace, k <= 3."""
     t0 = time.time()
-    md = {n: build_merkulov(n, 4, 3) for n in (1, 2, 3)}
     total_cases = 0
     for nvars in (1, 2, 3):
-        for k in (1, 2, 3):
-            samples = monomial_tuples(nvars, k + 1, 4)
-            fails, cases = verify_cstree(md[nvars], k, samples)
-            assert not fails, fails[:3]
-            total_cases += cases
+        # k = 1, 2, 3 on every tuple of monomial_tuples(nvars, k + 1, 4),
+        # over build_merkulov(nvars, 4, 3)
+        report = suite_cstree(nvars, 3, 4)
+        assert not report.failures, report.failures[:3]
+        total_cases += report.cases
     assert total_cases > 300
     _report("06 tree formula vs slot expansion", t0, budget=300)
 
@@ -245,7 +242,12 @@ def test_criterion_07_merkulov_consistency():
         (X(1), X(2), X(3)),
         (X(3), X(1), X(2), X(1)),
     ]:
-        tree_trace_args(md3, list(args))  # raises on internal mismatch
+        # the sum over S_{k+1} with the transfer components against the sum
+        # over labeled-tree classes with the commutator tree maps
+        by_perm = AlgebraElement.zero()
+        for sigma in permutations(range(len(args))):
+            by_perm.iadd(abelianize(md3.f_taylor([args[j] for j in sigma])), perm_sign(sigma))
+        assert by_perm == class_tree_sum(md3, list(args))
     _report("07 transfer consistency", t0)
 
 
@@ -253,9 +255,9 @@ def test_criterion_08_bridge_cocycle():
     """Closedness for n + p <= 4 and both projections of the bridge chain."""
     t0 = time.time()
     for nvars in (2, 3):
-        fails, cases = verify_conj1(nvars, 4)
-        assert not fails, fails[:3]
-        assert cases == sum(
+        report = suite_conj1(nvars, 4)
+        assert not report.failures, report.failures[:3]
+        assert report.cases == sum(
             (t + 1) * nvars**t for t in range(1, 5)
         )
     _report("08 bridge cocycle routes", t0)

@@ -273,6 +273,82 @@ class TestCommands:
                      "--deg", "2"]) == 0
 
 
+class TestVerifyChecks:
+    """The verify suites own their check loops: each case is recorded with the
+    details that name it, and a route that disagrees makes the suite fail."""
+
+    def test_cstree_on_three_variables_compares_zero_with_zero(self, capsys):
+        assert main(["verify", "cstree", "--vars", "3", "--k", "3", "--weight", "4"]) == 2
+        out = capsys.readouterr()
+        assert out.err == ("error: suite cstree: every case at k = 3 compares 0 with 0; "
+                           "use --vars >= 4\n")
+        assert out.out == ""
+
+    def test_cstree_defaults_to_k_plus_one_variables(self, capsys):
+        assert main(["verify", "cstree", "--k", "3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cases"] == 1156 and payload["failures"] == 0
+        assert payload["nonzero_by_k"] == {"1": 326, "2": 276, "3": 24}
+        assert main(["verify", "cstree", "--k", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "suite cstree: 1156 cases, 0 failures" in out
+        assert "  nonzero cases: k=1 326, k=2 276, k=3 24" in out
+
+    def test_other_suites_default_to_three_variables(self, capsys):
+        argv = ["verify", "derham", "--weight", "2", "--deg", "1", "--json"]
+        assert main(argv) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--vars", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["cases"] == default["cases"] == 40
+        assert "nonzero_by_k" not in default
+
+    def test_conj1_reports_a_trace_that_disagrees(self, monkeypatch, capsys):
+        from symtrace import cli
+
+        original = cli.trace_simple
+        monkeypatch.setattr(cli, "trace_simple", lambda form: original(form) + X(1))
+        assert main(["verify", "conj1", "--vars", "2", "--cap", "1", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cases"] == payload["failures"] == 4
+        assert payload["failure_details"][0] == {
+            "u": [1], "n": 0, "p": 1, "reason": "one-slot projection != trace",
+        }
+
+    def test_cstree_reports_a_slot_expansion_that_disagrees(self, monkeypatch, capsys):
+        from symtrace import cli
+
+        monkeypatch.setattr(cli, "cs_trace_raw", lambda omega: AlgebraElement.zero())
+        assert main(["verify", "cstree", "--vars", "2", "--k", "1", "--weight", "2",
+                     "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cases"] == 4 and payload["nonzero_by_k"] == {"1": 2}
+        assert payload["failure_details"] == [
+            {"k": 1, "args": ["x2", "x1"], "tree": "-lam[1,2]", "cs": "0"},
+            {"k": 1, "args": ["x1", "x2"], "tree": "lam[1,2]", "cs": "0"},
+        ]
+
+    def test_merkulov_reports_trace_sums_that_disagree(self, monkeypatch, capsys):
+        from symtrace import cli
+
+        original = cli.ainfty.class_tree_sum
+
+        def off_at_x1_x2(md, args):
+            value = original(md, args)
+            return AlgebraElement.zero() if [render(a) for a in args] == ["x1", "x2"] else value
+
+        monkeypatch.setattr(cli.ainfty, "class_tree_sum", off_at_x1_x2)
+        assert main(["verify", "merkulov", "--vars", "2", "--weight", "2", "--k", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "failures" in out and "[FAILED]" in out
+        assert main(["verify", "merkulov", "--vars", "2", "--weight", "2", "--k", "1",
+                     "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["failures"] == 1
+        assert payload["failure_details"] == [
+            {"args": ["x1", "x2"], "check": "trace sums agree"},
+        ]
+
+
 class TestExitContract:
     def test_zero_denominator_is_a_parse_error(self, capsys):
         with pytest.raises(ParseError):

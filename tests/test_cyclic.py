@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symtrace import cyclic, resolution
+from symtrace import cli, cyclic, resolution
 from symtrace.cyclic import (
     ChainComplexQ,
     CyclicChain,
@@ -26,7 +26,6 @@ from symtrace.cyclic import (
     hkr_I,
     hkr_eps,
     homology,
-    verify_conj1,
 )
 from symtrace.derham import Form, d, equal_mod_exact, monomial_basis
 from symtrace.gcalg import (
@@ -470,8 +469,9 @@ class TestBetaCocycle:
         assert nonzero == 22
 
     def test_runner(self):
-        fails, cases = verify_conj1(2, 3)
-        assert cases == 48 and not fails
+        # the conj1 suite of the command line runs the three checks on each tuple
+        report = cli.suite_conj1(2, 3)
+        assert report.cases == 48 and not report.failures
         # the runner's tuples, n + p <= 3 on two variables: 14 repeat a du label
         shapes = [(n, total - n) for total in range(1, 4) for n in range(total + 1)]
         nonzero = sum(

@@ -12,18 +12,19 @@ from symtrace.gcalg import (
     InvalidInputError,
     dx_gen,
     lam_gen,
+    shuffles,
     x_gen,
 )
 from symtrace import resolution
 from symtrace.resolution import (
     RElement,
     abelianize,
-    commutator,
     delta_letter,
     delta_R,
     lam_element,
     r_word_basis,
     s_inv,
+    word_commutator,
     word_degree,
     word_weight,
 )
@@ -41,6 +42,11 @@ def word(*letters):
     return RElement.from_word(tuple(letters))
 
 
+def commutator(a, b):
+    """[a, b] on elements, by the term-dict commutator that the package runs."""
+    return RElement(word_commutator(a.terms, b.terms))
+
+
 class TestDifferential:
     def test_two_letter(self):
         # delta lam(v1, v2) = -[v1, v2]
@@ -51,8 +57,6 @@ class TestDifferential:
     def test_three_letter_matches_cyclic_form(self):
         # delta lam(v1,v2,v3) = -[v1, lam(2,3)] - [v2, lam(3,1)] - [v3, lam(1,2)]
         got = delta_R(lam_element((1, 2, 3)))
-        from symtrace.resolution import commutator
-
         expected = RElement.zero()
         for head, pair in [(1, (2, 3)), (2, (3, 1)), (3, (1, 2))]:
             expected = expected - commutator(word((head,)), lam_element(pair))
@@ -252,3 +256,67 @@ class TestDeltaLetterMemo:
         first.iadd(first)
         assert delta_letter((1, 2, 3)) != first
         assert delta_letter((1, 2, 3)) == delta_letter([1, 2, 3])
+
+
+def _reference_delta_letter(letter):
+    """delta of a letter on the Fraction path it was built by before it ran
+    on integers: a fresh element per block, commutators of elements."""
+    n = len(letter)
+    out = RElement.zero()
+    for p in range(1, n // 2 + 1):
+        for first, second, sign_sh in shuffles(n, p):
+            if p == n - p and 0 not in first:
+                continue
+            a = lam_element([letter[i] for i in first])
+            b = lam_element([letter[i] for i in second])
+            out.iadd(commutator(a, b), (-1 if p % 2 else 1) * sign_sh)
+    return out
+
+
+def _reference_delta_R(e):
+    """The derivation that splices each reference letter differential in with
+    the Koszul sign of the letters before it."""
+    out = {}
+    for wd, c in e.terms.items():
+        prefix_deg = 0
+        for pos, letter in enumerate(wd):
+            sign = -1 if prefix_deg % 2 else 1
+            for mid, cm in _reference_delta_letter(letter).terms.items():
+                w = wd[:pos] + mid + wd[pos + 1:]
+                out[w] = out.get(w, Fraction(0)) + sign * c * cm
+            prefix_deg += len(letter) - 1
+    return RElement(out)
+
+
+class TestIntegerDelta:
+    def test_every_small_word_matches_the_fraction_reference(self):
+        # every word with N <= 3, weight <= 5, degree <= 4: the same terms in
+        # the same order, integer in delta_word and Fraction in delta_R
+        checked = nonzero = 0
+        for nvars in (1, 2, 3):
+            for w in range(6):
+                for deg in range(5):
+                    for wd in r_word_basis(nvars, w, deg):
+                        ref = _reference_delta_R(RElement.from_word(wd))
+                        terms = resolution.delta_word(wd)
+                        assert terms == tuple(ref.terms.items())
+                        assert all(type(c) is int for _, c in terms)
+                        got = delta_R(RElement.from_word(wd))
+                        assert got == ref
+                        assert all(type(c) is Fraction for c in got.terms.values())
+                        checked += 1
+                        nonzero += bool(terms)
+        assert (checked, nonzero) == (1045, 612)
+
+    def test_letters_keep_fraction_coefficients(self):
+        for k in range(1, 6):
+            for letter in combinations(range(1, 6), k):
+                got = delta_letter(letter)
+                assert got == _reference_delta_letter(letter)
+                assert all(type(c) is Fraction for c in got.terms.values())
+                assert all(type(c) is int for _, c in resolution._delta_letter_terms(letter))
+
+    @settings(deadline=None, max_examples=200)
+    @given(r_elements)
+    def test_delta_R_is_the_linear_extension(self, e):
+        assert delta_R(e) == _reference_delta_R(e)

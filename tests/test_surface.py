@@ -1,8 +1,11 @@
-"""The package defines no public name that only the tests call.
+"""The package defines no public name that only the tests call, and its
+layers import downward only.
 
 Every public function, class and method under ``src/symtrace`` must be
 referenced somewhere in the package besides its own definition, be exported
-in ``symtrace.__all__``, or be listed below with the reason it stays.
+in ``symtrace.__all__``, or be listed below with the reason it stays.  The
+math modules never import the trace routes or the command line, which check
+them.
 """
 
 import ast
@@ -16,6 +19,7 @@ SRC = Path(symtrace.__file__).resolve().parent
 # name -> why it is kept although nothing in the package reads it
 ALLOWED = {
     "matrices": "the benchmark tracer reads ChainComplexQ.matrices",
+    "delta_letter": "the benchmark's per-layer metric resolution.delta_letter.calls names it",
     "mu": "the benchmark tracer patches MerkulovData.mu",
     "derham_quotient_dims": "the benchmark's homology oracle calls it",
     "equal_mod_exact": "the README documents equality modulo exact forms",
@@ -67,3 +71,38 @@ def test_every_allowed_name_is_needed():
     # an entry that the package itself now reads, or that no longer exists, goes
     flagged = {entry.split()[-1] for entry in unreferenced(SRC, {})}
     assert set(ALLOWED) <= flagged
+
+
+# modules under check by the trace routes and the CLI suites
+MATH_MODULES = ("gcalg", "derham", "resolution", "cyclic", "ainfty")
+
+
+def symtrace_imports(tree):
+    """The symtrace modules that a module's import statements name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("symtrace.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "symtrace":
+                    continue
+                module = module[len("symtrace."):]
+            out |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return out
+
+
+def test_symtrace_imports_reads_every_import_form():
+    code = ("from .trace import a\nfrom . import cli\nimport symtrace.gcalg\n"
+            "from symtrace import derham\nfrom symtrace.ainfty import b\nimport os\n"
+            "from itertools import product\n")
+    assert symtrace_imports(ast.parse(code)) == {"trace", "cli", "gcalg", "derham", "ainfty"}
+
+
+def test_math_modules_import_neither_the_trace_routes_nor_the_cli():
+    upward = {
+        name: sorted(symtrace_imports(ast.parse((SRC / f"{name}.py").read_text())) & {"trace", "cli"})
+        for name in MATH_MODULES
+    }
+    assert upward == {name: [] for name in MATH_MODULES}
