@@ -1,7 +1,6 @@
 """Trees, signs, labeled classes, homotopy transfer, and tree traces."""
 
 import copy
-import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -22,6 +21,7 @@ from symtrace.ainfty import (
     monomial_tuples,
     tree_sign,
 )
+from symtrace.cli import cstree_form, perm_tree_sum
 from symtrace.derham import Form, d
 from symtrace.gcalg import (
     AlgebraElement,
@@ -62,24 +62,11 @@ BALANCED4 = ((LEAF, LEAF), (LEAF, LEAF))
 RIGHT_COMB4 = (LEAF, (LEAF, (LEAF, LEAF)))
 
 
-def perm_tree_sum(md, args):
-    """The other side of the class-sum identity: the sum over all of S_{k+1}
-    of the abelianized transfer components on the permuted arguments."""
-    total = AlgebraElement.zero()
-    for sigma in permutations(range(len(args))):
-        total.iadd(abelianize(md.f_taylor([args[j] for j in sigma])), perm_sign(sigma))
-    return total
-
-
 def cstree_failures(md, samples):
     """The samples whose class tree sum differs from the slot-expansion
     trace of a0 da1 .. dak."""
-    failures = []
-    for args in samples:
-        body = math.prod((d(Form(a, md.nvars)).body for a in args[1:]), start=args[0])
-        if class_tree_sum(md, args) != cs_trace_raw(Form(body, md.nvars)):
-            failures.append(args)
-    return failures
+    return [args for args in samples
+            if class_tree_sum(md, args) != cs_trace_raw(cstree_form(args, md.nvars))]
 
 
 class TestTrees:

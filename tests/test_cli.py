@@ -327,6 +327,25 @@ class TestVerifyChecks:
             {"k": 1, "args": ["x1", "x2"], "tree": "lam[1,2]", "cs": "0"},
         ]
 
+    def test_cstree_reports_a_class_sum_that_reads_zero(self, monkeypatch, capsys):
+        # a class sum that regresses to 0 fails against the slot expansion; it
+        # is not taken for a k whose cases all compare 0 with 0
+        from symtrace import cli
+
+        monkeypatch.setattr(cli.ainfty, "class_tree_sum", lambda md, args: AlgebraElement.zero())
+        argv = ["verify", "cstree", "--vars", "2", "--k", "1", "--weight", "2"]
+        assert main(argv + ["--json"]) == 1
+        out = capsys.readouterr()
+        assert out.err == ""
+        payload = json.loads(out.out)
+        assert payload["cases"] == 4 and payload["nonzero_by_k"] == {"1": 2}
+        assert payload["failure_details"] == [
+            {"k": 1, "args": ["x2", "x1"], "tree": "0", "cs": "-lam[1,2]"},
+            {"k": 1, "args": ["x1", "x2"], "tree": "0", "cs": "lam[1,2]"},
+        ]
+        assert main(argv) == 1
+        assert "2 failures" in capsys.readouterr().out
+
     def test_merkulov_reports_trace_sums_that_disagree(self, monkeypatch, capsys):
         from symtrace import cli
 
@@ -377,6 +396,7 @@ class TestExitContract:
     @pytest.mark.parametrize("argv", [
         ["routes", "--weight", "-1"],
         ["cstree", "--k", "0"],
+        ["cstree", "--k", "-2"],
         ["conj1", "--cap", "0"],
         ["cartan", "--n", "0"],
         ["derham", "--deg", "-1"],
