@@ -31,13 +31,19 @@ places repeated polynomial labels once per distinct ordering
 (``gcalg._label_orderings``, weighted by the product of the multiplicities'
 factorials), drops such an ordering per block map before building letters.
 
-The cs and F routes depend on a term u dx_I of the expansion only through
-its labels (us, dus), and d of several basis forms holds the same term.
-Each route memoizes its integer terms per (us, dus) in its own bounded
-cache (``_cs_terms`` and ``_F_terms``, 1,024 entries each); a cs entry is
-still a full enumeration of every block map over every distinct ordering.
-The caller scales the cached terms by the coefficient into a fresh element.
-The profile path of ``hat_D_op`` and ``trace_simple`` are not cached.
+Every slot route is one loop, ``_term_sum(form, kernel)``: it walks
+``expand_multilinear(form)`` once, asks a kernel for the integer terms and
+the common scale of each term u dx_I by its labels (us, dus), and adds
+coeff * scale * n into one accumulator.  The kernels are ``_cs_terms``
+(scale weight / (r+1)!, on d omega), ``_simple_terms`` (scale 1),
+``_F_terms`` (scale 1/(n+1)) and, for ``hat_D_op``, ``_cs_enumerate`` kept
+to one block profile (scale weight / r!).  d of several basis forms holds
+the same term, so the cs and F kernels are memoized, each in its own bounded
+cache of 1,024 entries; a cs entry is still a full enumeration of every
+block map over every distinct ordering.  The simple route runs on the
+forms themselves, whose terms are mostly distinct, so a cache there would
+miss more often than it hits; the profile kernel stays uncached so that it
+never fills the cs table.
 """
 
 from __future__ import annotations
@@ -45,10 +51,10 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .derham import Form, bigrade_split, d
+from .derham import Form, bigrade_split, d, monomial_bidegree
 from .gcalg import (
     DX_KIND,
     X_KIND,
@@ -102,41 +108,39 @@ def expand_multilinear(omega: Form) -> Iterator[MultilinearTerm]:
 
 # a block profile: the theta block size and the sorted nonempty curvature block sizes
 Profile = Tuple[int, Tuple[int, ...]]
+# a route on one multilinear term (us, dus): its integer terms and their common scale
+Kernel = Callable[[Tuple[int, ...], Tuple[int, ...]], Tuple[IntTerms, Fraction]]
 
 
-def _slot_sum(
-    coeff: Fraction,
-    us: Tuple[int, ...],
-    dus: Tuple[int, ...],
-    profile: Optional[Profile] = None,
-) -> AlgebraElement:
-    """[theta . Omega^r] on one term coeff * us * dus, r = len(us).
-
-    The integer terms and their ordering weight come from ``_cs_terms``,
-    memoized per term, or, when ``profile`` selects block maps, from an
-    uncached ``_cs_enumerate``; each is scaled by the coefficient here.
-    """
-    terms, weight = _cs_terms(us, dus) if profile is None else _cs_enumerate(us, dus, profile)
-    c = coeff * weight
-    return AlgebraElement({mono: c * n for mono, n in terms})
+def _term_sum(form: Form, kernel: Kernel) -> AlgebraElement:
+    """sum of coeff * scale * n over the kernel's terms (mono, n) of each term."""
+    acc: Dict[Monomial, Fraction] = {}
+    for coeff, us, dus in expand_multilinear(form):
+        terms, scale = kernel(us, dus)
+        c = coeff * scale
+        for mono, n in terms:
+            old = acc.get(mono)
+            acc[mono] = c * n if old is None else old + c * n
+    return AlgebraElement(acc)  # drops the entries that cancel
 
 
 @lru_cache(maxsize=1024)
-def _cs_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, int]:
-    """``_cs_enumerate`` over every block map, once per term (us, dus).
+def _cs_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, Fraction]:
+    """``_cs_enumerate`` over every block map, scaled by 1/(r+1), once per term.
 
     d omega holds the same term u dx_I for every basis form x_i u dx_{I - i},
     so a route over many forms meets most terms several times.
     """
-    return _cs_enumerate(us, dus)
+    terms, scale = _cs_enumerate(us, dus)
+    return terms, scale / (len(us) + 1)
 
 
 def _cs_enumerate(
     us: Tuple[int, ...],
     dus: Tuple[int, ...],
     profile: Optional[Profile] = None,
-) -> Tuple[IntTerms, int]:
-    """Integer terms of [theta . Omega^r] on us * dus, and the ordering weight.
+) -> Tuple[IntTerms, Fraction]:
+    """Integer terms of [theta . Omega^r] on us * dus, and the scale weight / r!.
 
     Only assignments that can evaluate to something nonzero are enumerated:
     the theta slot gets no polynomial factor and a nonempty dx block
@@ -172,58 +176,40 @@ def _cs_enumerate(
                 continue
             s, mono = prod
             acc[mono] = acc.get(mono, 0) + sign * s
-    return tuple(acc.items()), weight
-
-
-def theta_omega_q(omega: Form, q: int) -> AlgebraElement:
-    """[theta . Omega^q] evaluated on the multilinear expansion of a form.
-
-    A term with r polynomial factors leaves every q + 1 slot assignment zero
-    unless q = r, so only those terms are enumerated, by ``_slot_sum``.
-    """
-    out = AlgebraElement.zero()
-    for coeff, us, dus in expand_multilinear(omega):
-        if len(us) == q:
-            out.iadd(_slot_sum(coeff, us, dus))
-    return out
+    return tuple(acc.items()), Fraction(weight, math.factorial(len(us)))
 
 
 def cs_trace_raw(omega: Form) -> AlgebraElement:
-    """sum_q 1/(q+1)! [theta . Omega^q](d omega), componentwise.
+    """sum_r 1/(r+1)! [theta . Omega^r](d omega), r the degree of each coefficient.
 
-    For a component with coefficients of degree r+1 only q = r contributes,
-    and only that q is evaluated.
+    d maps the bidegree parts of omega to distinct bidegrees of d omega and
+    kills constants, so d is taken once on the whole form; a term of
+    d omega with r polynomial factors leaves every assignment to other than
+    r + 1 slots zero, so only q = r is evaluated.
     """
-    out = AlgebraElement.zero()
-    for w, p, part in bigrade_split(omega):
-        if w == 0:
-            continue  # constants are killed in the reduced complex
-        r = w - 1
-        eta = d(part)
-        if eta.is_zero():
+    return _term_sum(d(omega), _cs_terms)
+
+
+def _simple_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, int]:
+    """Integer terms of the closed formula on one term us * dus."""
+    n = len(us)
+    if n == 0:
+        return (), 1
+    acc: Dict[Monomial, int] = {}
+    # a dx label never joins the block of its own polynomial label
+    allowed = [[j for j, u in enumerate(us) if u != v] for v in dus]
+    for blocks in block_maps(len(dus), n, allowed=allowed):
+        prod = lam_product([us[j]] + [dus[pos] for pos in blocks[j]] for j in range(n))
+        if prod is None:
             continue
-        out.iadd(theta_omega_q(eta, r), Fraction(1, math.factorial(r + 1)))
-    return out
+        s, mono = prod
+        acc[mono] = acc.get(mono, 0) + block_sign(blocks) * s
+    return tuple(acc.items()), 1
 
 
 def trace_simple(omega: Form) -> AlgebraElement:
     """Closed formula: sum over maps f from dx labels to polynomial labels."""
-    out = AlgebraElement.zero()
-    for coeff, us, dus in expand_multilinear(omega):
-        n, p = len(us), len(dus)
-        if n == 0:
-            continue
-        acc: Dict[Monomial, int] = {}
-        # a dx label never joins the block of its own polynomial label
-        allowed = [[j for j, u in enumerate(us) if u != v] for v in dus]
-        for blocks in block_maps(p, n, allowed=allowed):
-            prod = lam_product([us[j]] + [dus[pos] for pos in blocks[j]] for j in range(n))
-            if prod is None:
-                continue
-            s, mono = prod
-            acc[mono] = acc.get(mono, 0) + block_sign(blocks) * s
-        out.iadd(AlgebraElement({mono: coeff * v for mono, v in acc.items()}))
-    return out
+    return _term_sum(omega, _simple_terms)
 
 
 def F_eval(eta: Form) -> AlgebraElement:
@@ -232,16 +218,12 @@ def F_eval(eta: Form) -> AlgebraElement:
     Target 0 collects a bare lam letter; it must be hit at least once (the
     connection slot kills constants).  Satisfies F(d omega) == trace_simple(omega).
     """
-    out = AlgebraElement.zero()
-    for coeff, us, dus in expand_multilinear(eta):
-        c = coeff / (len(us) + 1)
-        out.iadd(AlgebraElement({mono: c * v for mono, v in _F_terms(us, dus)}))
-    return out
+    return _term_sum(eta, _F_terms)
 
 
 @lru_cache(maxsize=1024)
-def _F_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> IntTerms:
-    """Integer terms of F's slot count on one term us * dus, once per term."""
+def _F_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, Fraction]:
+    """Integer terms of F's slot count on one term us * dus, and 1/(n+1)."""
     n = len(us)
     acc: Dict[Monomial, int] = {}
     allowed = [[0] + [j + 1 for j, u in enumerate(us) if u != v] for v in dus]
@@ -254,7 +236,7 @@ def _F_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> IntTerms:
             continue
         s, mono = prod
         acc[mono] = acc.get(mono, 0) + block_sign(blocks) * s
-    return tuple(acc.items())
+    return tuple(acc.items()), Fraction(1, n + 1)
 
 
 def _validate_tuple(indices: Sequence[int], k: int) -> None:
@@ -283,7 +265,6 @@ def D_op(omega: Form, indices: Sequence[int]) -> AlgebraElement:
     out: Dict[Monomial, Fraction] = {}
     for w, k, part in bigrade_split(omega):
         _validate_tuple(indices, k)
-        m = len(indices)
         for mono, c0 in part.body.terms.items():
             poly = AlgebraElement.from_monomial(
                 tuple((g, e) for g, e in mono if g[0] == X_KIND)
@@ -346,13 +327,10 @@ def hat_D_op(eta: Form, indices: Sequence[int]) -> AlgebraElement:
     a bare polynomial factor.
     """
     indices = tuple(indices)
-    out = AlgebraElement.zero()
-    for w, k, part in bigrade_split(eta):
+    for k in {monomial_bidegree(m)[1] for m in eta.body.terms}:
         _validate_tuple(indices, k)
-        profile = (indices[-1], tuple(sorted(i - 1 for i in indices[:-1])))
-        for coeff, us, dus in expand_multilinear(part):
-            out.iadd(_slot_sum(coeff, us, dus, profile), Fraction(1, math.factorial(len(us))))
-    return out
+    profile = (indices[-1], tuple(sorted(i - 1 for i in indices[:-1])))
+    return _term_sum(eta, partial(_cs_enumerate, profile=profile))
 
 
 def trace_diffop(omega: Form) -> AlgebraElement:
@@ -363,16 +341,12 @@ def trace_diffop(omega: Form) -> AlgebraElement:
             if w > 0:
                 out.iadd(part.body)
             continue
-        if p == 1:
+        if p <= 2:
             dpart = d(part)
             if not dpart.is_zero():
                 out.iadd(s_inv(dpart))
-            continue
-        if p == 2:
-            dpart = d(part)
-            if not dpart.is_zero():
-                out.iadd(s_inv(dpart))
-                out.iadd(D_op(dpart, (2, 2)), -1)
+                if p == 2:
+                    out.iadd(D_op(dpart, (2, 2)), -1)
             continue
         raise UnsupportedDegreeError(
             "trace_diffop handles form degree <= 2; use the cs or simple routes"

@@ -219,6 +219,23 @@ def test_criterion_06_cstree_k3_four_variables():
     _report("06 tree formula vs slot expansion, k = 3 on 4 variables", t0, budget=300)
 
 
+def test_criterion_06_cstree_k4_five_variables():
+    """k = 4 on five variables: every tuple of five linear monomials, the
+    class tree sum against the slot expansion."""
+    t0 = time.time()
+    md = build_merkulov(5, 5, 4)
+    samples = monomial_tuples(5, 5, 5)
+    assert len(samples) == 3125
+    failures = nonzero = 0
+    for args in samples:
+        lhs = class_tree_sum(md, list(args))
+        failures += lhs != cs_trace_raw(cstree_form(args, 5))
+        nonzero += not lhs.is_zero()
+    assert failures == 0
+    assert nonzero == 120
+    _report("06 tree formula vs slot expansion, k = 4 on 5 variables", t0, budget=300)
+
+
 def test_criterion_07_merkulov_consistency():
     """Side conditions; the signed tree expansion of the transfer
     components for k <= 3; internal agreement of the two trace sums."""

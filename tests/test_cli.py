@@ -364,8 +364,23 @@ class TestVerifyChecks:
         payload = json.loads(capsys.readouterr().out)
         assert payload["failures"] == 1
         assert payload["failure_details"] == [
-            {"args": ["x1", "x2"], "check": "trace sums agree"},
+            {"k": 1, "args": ["x1", "x2"], "check": "trace sums agree"},
         ]
+
+    def test_merkulov_checks_the_trace_sums_at_every_k(self, capsys):
+        assert main(["verify", "merkulov", "--k", "3", "--weight", "4", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # each tuple is one tree-expansion case and one trace-sum case
+        assert payload["cases"] == 2 * (356 + 544 + 256) and payload["failures"] == 0
+        assert payload["nonzero_by_k"] == {"1": 326, "2": 276, "3": 24}
+
+    def test_merkulov_on_three_variables_compares_zero_with_zero(self, capsys):
+        argv = ["verify", "merkulov", "--vars", "3", "--k", "3", "--weight", "4"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.err == ("error: suite merkulov: every case at k = 3 compares 0 with 0; "
+                           "use --vars >= 4\n")
+        assert out.out == ""
 
 
 class TestExitContract:
@@ -397,6 +412,8 @@ class TestExitContract:
         ["routes", "--weight", "-1"],
         ["cstree", "--k", "0"],
         ["cstree", "--k", "-2"],
+        ["merkulov", "--k", "0"],
+        ["merkulov", "--k", "1", "--weight", "1"],
         ["conj1", "--cap", "0"],
         ["cartan", "--n", "0"],
         ["derham", "--deg", "-1"],

@@ -29,11 +29,11 @@ from symtrace.trace import (
     TraceMethod,
     UnsupportedDegreeError,
     cs_coefficient,
+    _cs_enumerate,
     _label_orderings,
     cs_trace_raw,
     expand_multilinear,
     hat_D_op,
-    theta_omega_q,
     trace,
     trace_diffop,
     trace_simple,
@@ -94,7 +94,7 @@ def omega_eval(term_form):
 def theta_omega_q_unpruned(omega, q):
     """[theta . Omega^q] over all ordered set partitions into q+1 slots.
 
-    The reference for ``theta_omega_q``: each slot content is rebuilt as a
+    The reference for the cs slot expansion: each slot content is rebuilt as a
     form and fed through ``theta_eval`` or ``omega_eval``, so vanishing
     happens inside the evaluators rather than by a combinatorial shortcut.
     """
@@ -164,10 +164,26 @@ class TestChernSimonsRoute:
         for q in range(0, 4):
             value = theta_omega_q_unpruned(eta, q)
             if q == r:
-                assert value == theta_omega_q(eta, r)
-                assert not value.is_zero() or cs_trace_raw(omega).is_zero()
+                assert not value.is_zero()
+                assert cs_trace_raw(omega) == value.scale(Fraction(1, factorial(r + 1)))
             else:
                 assert value.is_zero()
+
+    def test_mixed_bidegrees_sum_their_parts(self):
+        # d is taken once on the whole form; the old per-part definition,
+        # sum over parts of [theta . Omega^(w-1)](d part) / w!, is the reference
+        omega = F(Fraction(2, 3) * X(1) * X(2) * DX(3) - Fraction(5, 2) * X(1) ** 2 * X(3) * DX(2)
+                  + Fraction(1, 7) * X(2) * DX(1) * DX(3) + Fraction(3, 4) * X(3) ** 3
+                  + Fraction(7, 5) * DX(1) - 4 * AlgebraElement.one())
+        parts = bigrade_split(omega)
+        assert len({w for w, _, _ in parts}) == 4 and len({p for _, p, _ in parts}) == 3
+        expected = AlgebraElement.zero()
+        for w, _, part in parts:
+            if w:
+                expected.iadd(theta_omega_q_unpruned(d(part), w - 1), Fraction(1, factorial(w)))
+        assert not expected.is_zero()
+        assert any(c.denominator > 1 for c in expected.terms.values())
+        assert cs_trace_raw(omega) == expected
 
     def test_quotient_well_defined(self):
         omega = F(X(1) * X(2) * DX(3))
@@ -330,9 +346,9 @@ class TestGroupedEnumeration:
     def test_pruned_equals_unpruned_on_repeated_factors(self, body):
         eta = d(F(body))
         r = max(len(us) for _, us, _ in expand_multilinear(eta))
-        value = theta_omega_q(eta, r)
+        value = theta_omega_q_unpruned(eta, r)
         assert not value.is_zero()
-        assert value == theta_omega_q_unpruned(eta, r)
+        assert cs_trace_raw(F(body)) == value.scale(Fraction(1, factorial(r + 1)))
 
     @pytest.mark.parametrize("body", REPEATED_FACTOR_FORMS)
     def test_slot_sum_matches_every_permutation(self, body):
@@ -340,7 +356,7 @@ class TestGroupedEnumeration:
         r = max(len(us) for _, us, _ in expand_multilinear(eta))
         expected = slot_sum_every_permutation(eta)
         assert not expected.is_zero()
-        assert theta_omega_q(eta, r) == factorial(r) * expected
+        assert cs_trace_raw(F(body)) == expected.scale(Fraction(1, r + 1))
 
     @pytest.mark.parametrize("body", REPEATED_FACTOR_FORMS)
     def test_hat_D_matches_every_permutation(self, body):
@@ -372,9 +388,8 @@ class TestGroupedEnumeration:
             return lam_product(arg_lists)
 
         monkeypatch.setattr(trace_module, "lam_product", counting)
-        eta = F(X(1) ** 2 * X(2) * DX(1) * DX(3))  # us = (1, 1, 2), two dx
-        theta_omega_q(eta, 3)
-        us, dus = (1, 1, 2), (1, 3)
+        us, dus = (1, 1, 2), (1, 3)  # the term x1^2 x2 dx1 dx3
+        _cs_enumerate(us, dus)
         r, p = len(us), len(dus)
         live = 0
         for labels in set(permutations(us)):
