@@ -158,39 +158,42 @@ def cyclic_canonical(ambient: str, key: ChainKey) -> Optional[Tuple[int, ChainKe
 
 
 def boundary(chain: CyclicChain) -> CyclicChain:
-    """Cyclic Hochschild boundary plus the slotwise internal differential.
-
-    The coefficients are brought to their common denominator, the terms are
-    summed as integers, and each output term is one fraction over it.
-    """
+    """Cyclic Hochschild boundary plus the slotwise internal differential,
+    summed as integers over the chain's common denominator."""
     ambient = chain.ambient
     ints, den = lift_terms(chain.terms)
     out: Dict[ChainKey, int] = {}
     for key, v in ints.items():
-        m = len(key) - 1
-        sus = [_slot_degree(ambient, s) + 1 for s in key]
-        if m >= 1:
-            prefix = 0
-            for i in range(m):
-                prefix += sus[i]
-                s2, merged = _slot_mul(ambient, key[i], key[i + 1])
-                k2 = key[:i] + (merged,) + key[i + 2 :]
-                out[k2] = out.get(k2, 0) + (-s2 * v if prefix % 2 else s2 * v)
-            # a_m moves to the front past the others, (-1)^(s (total - s)) as
-            # in cyclic_canonical with s = <a_m> and total - s = prefix, then
-            # the wrap term carries (-1)^s
-            s2, merged = _slot_mul(ambient, key[m], key[0])
-            k2 = (merged,) + key[1:m]
-            out[k2] = out.get(k2, 0) + (-s2 * v if sus[m] * (prefix + 1) % 2 else s2 * v)
-        if ambient == "R":
-            prefix = 0
-            for i in range(m + 1):
-                sv = -v if prefix % 2 else v
-                for word, cw in delta_word(key[i]):
-                    k2 = key[:i] + (word,) + key[i + 1 :]
-                    out[k2] = out.get(k2, 0) + sv * cw
-                prefix += sus[i]
+        _add_boundary(ambient, key, v, out)
     return CyclicChain(ambient, {k: Fraction(v, den) for k, v in out.items() if v})
+
+
+def _add_boundary(ambient: str, key: ChainKey, v: int, out: Dict[ChainKey, int]) -> None:
+    """In place: out += v * (boundary of the slot tuple ``key``), on integers,
+    keyed by raw (not canonical) slot tuples; a sum that cancels stays as 0."""
+    m = len(key) - 1
+    sus = [_slot_degree(ambient, s) + 1 for s in key]
+    if m >= 1:
+        prefix = 0
+        for i in range(m):
+            prefix += sus[i]
+            s2, merged = _slot_mul(ambient, key[i], key[i + 1])
+            k2 = key[:i] + (merged,) + key[i + 2 :]
+            out[k2] = out.get(k2, 0) + (-s2 * v if prefix % 2 else s2 * v)
+        # a_m moves to the front past the others, (-1)^(s (total - s)) as
+        # in cyclic_canonical with s = <a_m> and total - s = prefix, then
+        # the wrap term carries (-1)^s
+        s2, merged = _slot_mul(ambient, key[m], key[0])
+        k2 = (merged,) + key[1:m]
+        out[k2] = out.get(k2, 0) + (-s2 * v if sus[m] * (prefix + 1) % 2 else s2 * v)
+    if ambient == "R":
+        prefix = 0
+        for i in range(m + 1):
+            sv = -v if prefix % 2 else v
+            for word, cw in delta_word(key[i]):
+                k2 = key[:i] + (word,) + key[i + 1 :]
+                out[k2] = out.get(k2, 0) + sv * cw
+            prefix += sus[i]
 
 
 # -- materialized complexes ----------------------------------------------------
@@ -213,9 +216,8 @@ class ChainComplexQ:
 
     @property
     def matrices(self) -> Dict[Tuple[int, int], List[List[Fraction]]]:
-        """Dense view of ``columns``, built on each access.  Its only reader is the
-        benchmark tracer (``cyclic.matrix_cells``, ``cyclic.matrix_nnz``); the
-        benchmark change that moves those counters to the columns deletes it."""
+        """Dense view of ``columns``, built on each access; only the benchmark tracer
+        reads it (``cyclic.matrix_cells/nnz``), until those counters move to the columns."""
         return {
             (deg, w): [[col.get(i, Fraction(0)) for col in cols]
                        for i in range(self.dim(deg - 1, w))]
@@ -248,9 +250,11 @@ def build_connes_complex(
     """Materialize the reduced cyclic complex up to the caps.
 
     Basis elements are canonical rotations of slot tuples of total weight
-    1..weight_cap, each class enumerated once, at its least rotation; the
-    boundary is checked to square to zero.  The basis budget is the
-    SYMTRACE_MAX_BASIS environment variable, checked on every class added.
+    1..weight_cap, each class enumerated once, at its least rotation.  A
+    column is its key's integer boundary terms (``_add_boundary``), each
+    canonicalized into the basis index; the boundary is checked to square
+    to zero.  The basis budget is the SYMTRACE_MAX_BASIS environment
+    variable, checked on every class added.
     """
     if weight_cap < 0 or degree_cap < 0:
         raise InvalidInputError("caps must be nonnegative")
@@ -322,15 +326,20 @@ def build_connes_complex(
         index = {k: i for i, k in enumerate(basis.get((deg - 1, w), []))}
         cols: List[SparseVec] = []
         for key in keys:
-            img = boundary(CyclicChain(ambient, {key: Fraction(1)})).canonicalized()
+            raw: Dict[ChainKey, int] = {}
+            _add_boundary(ambient, key, 1, raw)
             col: SparseVec = {}
-            for k2, c in img.terms.items():
-                if chain_degree(ambient, k2) != deg - 1:
+            for k2, v in raw.items():
+                r = cyclic_canonical(ambient, k2) if v else None
+                if r is None:
+                    continue
+                if chain_degree(ambient, r[1]) != deg - 1:
                     raise IntegrityError("boundary is not homogeneous of degree -1")
-                if k2 not in index:
+                if r[1] not in index:
                     raise IntegrityError("boundary left the materialized basis")
-                col[index[k2]] = c
-            cols.append(col)
+                i = index[r[1]]
+                col[i] = col.get(i, 0) + r[0] * v
+            cols.append({i: c for i, c in col.items() if c})
         columns[(deg, w)] = cols
 
     cpx = ChainComplexQ(basis, columns, degree_cap, weight_cap)
@@ -358,19 +367,13 @@ def _check_square_zero(cpx: ChainComplexQ):
 
 
 def bareiss_rank(rows: Sequence[SparseVec]) -> int:
-    """Rank over Q of sparse {index: entry} rows, by the shared echelon in gcalg.
-
-    The rank of a boundary's columns equals the rank of its rows.
-    """
+    """Rank over Q of sparse {index: entry} rows (a boundary's columns), by ``echelon``."""
     return echelon(rows).rank
 
 
 def homology(cpx: ChainComplexQ) -> HomologySummary:
-    """dim H = dim ker - rank of the incoming boundary, per bidegree.
-
-    Each boundary matrix is ranked once, although it is both the outgoing
-    boundary of its degree and the incoming one of the degree below.
-    """
+    """dim H = dim ker - rank of the incoming boundary, per bidegree; each
+    boundary is ranked once, as the outgoing and as the incoming one."""
     ranks = {key: bareiss_rank(cols) for key, cols in cpx.columns.items()}
     dims: Dict[Tuple[int, int], int] = {}
     for deg, w in sorted(cpx.basis):
@@ -531,23 +534,30 @@ def eps_coalgebra(words: RElement, nvars: int) -> Form:
     rotation that puts that letter in front, and a word of singletons
     contributes every rotation.  The letters a contributing rotation moves
     past the front all have degree 0, so its graded-cyclic sign is +1.
-    Signs are summed as integers per monomial and scaled by the word's
-    coefficient once.
+    Each word's integer (monomial, sign) terms come from a bounded cache
+    (4,096 words), and all words' scaled terms are summed into one dict.
     """
-    total = AlgebraElement.zero()
+    out: Dict[Monomial, Fraction] = {}
     for word, c in words.terms.items():
-        big = [j for j, letter in enumerate(word) if len(letter) > 1]
-        if len(big) > 1:
-            continue
-        acc: Dict[Monomial, int] = {}
-        for j in big or range(len(word)):
-            factors = [(DX_KIND, i) for i in word[j]]
-            factors.extend((X_KIND, letter[0]) for i, letter in enumerate(word) if i != j)
-            mono = monomial_from_factors(factors)
-            if mono is not None:
-                acc[mono[1]] = acc.get(mono[1], 0) + mono[0]
-        total.iadd(AlgebraElement({mono: c * v for mono, v in acc.items()}))
-    return Form(total, nvars)
+        for mono, v in _eps_word_terms(word):
+            out[mono] = out.get(mono, 0) + c * v
+    return Form(AlgebraElement(out), nvars)
+
+
+@lru_cache(maxsize=4096)
+def _eps_word_terms(word: RWord) -> Tuple[Tuple[Monomial, int], ...]:
+    """The nonzero integer (monomial, sign) terms of one word, summed per monomial."""
+    big = [j for j, letter in enumerate(word) if len(letter) > 1]
+    if len(big) > 1:
+        return ()
+    acc: Dict[Monomial, int] = {}
+    for j in big or range(len(word)):
+        factors = [(DX_KIND, i) for i in word[j]]
+        factors.extend((X_KIND, letter[0]) for i, letter in enumerate(word) if i != j)
+        mono = monomial_from_factors(factors)
+        if mono is not None:
+            acc[mono[1]] = acc.get(mono[1], 0) + mono[0]
+    return tuple((mono, v) for mono, v in acc.items() if v)
 
 
 def form_from_labels(u_vars: Sequence[int], n: int, p: int, nvars: int) -> Form:

@@ -163,7 +163,7 @@ def form_basis(nvars: int, weight: int, form_degree: int) -> List[Monomial]:
     return out
 
 
-@functools.lru_cache
+@functools.lru_cache(maxsize=128)
 def exact_image(nvars: int, w: int, p: int) -> Tuple[List[Monomial], Dict[Monomial, int], Echelon]:
     """d on the (w+1, p-1) forms: (source basis, target index, echelon).
 

@@ -472,33 +472,87 @@ def echelon_split(ech: Echelon, vec: SparseVec) -> Tuple[SparseVec, SparseVec]:
 def echelon(rows: Iterable[SparseVec]) -> Echelon:
     """The one exact elimination routine: RREF over Q of the given rows.
 
-    Input row j is keyed j in the combinations.  A row dependent on the
-    earlier ones adds nothing, so every combination is supported on the
-    independent input rows.
+    Input row j is keyed j in the combinations; a row dependent on the
+    earlier ones adds nothing.  The rows split into the connected components
+    of a union-find over their columns, which never touch each other's
+    pivots; each is eliminated on integers in input order (``_eliminate``),
+    and the rows are merged by the input row that created each pivot.  A
+    non-integral row gets one ``Fraction`` per entry at the end.  Every dict
+    is built by the same additions as one sequential elimination on
+    ``Fraction``s, so the result is that one's, dict order included.
     """
-    ech = Echelon()
+    rows = list(rows)
+    parent: Dict[int, int] = {}
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    for row in rows:
+        for k in row:
+            parent.setdefault(k, k)
+            parent[find(k)] = find(next(iter(row)))
+    blocks: Dict[int, List[int]] = {}
     for j, row in enumerate(rows):
-        coeffs, vec = echelon_split(ech, row)
-        if not vec:
-            continue
-        combo: SparseVec = {j: Fraction(1)}
-        for i, c in coeffs.items():
-            add_into(combo, ech.combos[i], -c)
-        p = min(vec)
-        if vec[p] != 1:
-            inv = 1 / Fraction(vec[p])  # integer rows stay exact
-            vec = {k: v * inv for k, v in vec.items()}
-            combo = {k: v * inv for k, v in combo.items()}
-        # clear the new pivot column from the earlier rows
-        for er, ec in zip(ech.rows, ech.combos):
-            c = er.get(p)
-            if c:
-                add_into(er, vec, -c)
-                add_into(ec, combo, -c)
+        if row:
+            blocks.setdefault(find(next(iter(row))), []).append(j)
+    ech = Echelon()
+    for _, p, vec, combo in sorted(m for js in blocks.values() for m in _eliminate(rows, js)):
         ech.pivot_row[p] = len(ech.rows)
-        ech.rows.append(vec)
-        ech.combos.append(combo)
+        ech.rows.append(_over(vec, vec[p]))
+        ech.combos.append(_over(combo, vec[p]))
     return ech
+
+
+def _eliminate(rows: List[SparseVec], js: List[int]) -> List[tuple]:
+    """(j, pivot, entries, combination) per independent input row j of one
+    component, integers over one positive scale: the entry at the pivot.  A
+    row is first lifted by the lcm of its denominators."""
+    made: List[tuple] = []
+    at_pivot: Dict[int, tuple] = {}
+    for j in js:
+        scale = math.lcm(*(v.denominator for v in rows[j].values()))
+        vec, combo = lift(rows[j], scale), {j: scale}
+        for p in rows[j]:
+            if p in at_pivot:
+                _cancel(vec, combo, *at_pivot[p], p)
+        if vec:
+            p = min(vec)
+            g = math.gcd(*vec.values(), *combo.values())
+            _rescale(vec, combo, 1, -g if vec[p] < 0 else g)
+            for _, _, rvec, rcombo in made:  # clear the new pivot column from the earlier rows
+                if p in rvec:
+                    _cancel(rvec, rcombo, vec, combo, p)
+            at_pivot[p] = vec, combo
+            made.append((j, p, vec, combo))
+    return made
+
+
+def _cancel(vec: dict, combo: dict, row: dict, row_combo: dict, p: int) -> None:
+    """In place, on integers: cross-multiply (vec, combo) against (row,
+    row_combo), whose scale is ``row[p] > 0``, so that vec is 0 at p, and
+    divide out the gcd; the keys change as ``add_into`` changes them."""
+    g = math.gcd(vec[p], row[p])
+    a, b = row[p] // g, vec[p] // g
+    _rescale(vec, combo, a, 1)
+    add_into(vec, row, -b)
+    add_into(combo, row_combo, -b)
+    if a != 1:
+        _rescale(vec, combo, 1, math.gcd(*vec.values(), *combo.values()))
+
+
+def _rescale(vec: dict, combo: dict, a: int, g: int) -> None:
+    """In place: every entry of vec and combo times a, divided by g, which divides it."""
+    if a != g:
+        for t in (vec, combo):
+            for k in t:
+                t[k] = t[k] * a // g
+
+
+def _over(terms: dict, s: int) -> SparseVec:
+    """Integer terms over the positive scale s; integers stay at s == 1."""
+    return terms if s == 1 else {k: Fraction(v, s) for k, v in terms.items()}
 
 
 class AlgebraElement(LinComb):

@@ -188,15 +188,19 @@ def _delta_word_terms(word: RWord) -> Tuple[Tuple[RWord, int], ...]:
 
 
 def abelianize(e: RElement) -> AlgebraElement:
-    """Image in the graded-commutative algebra; commutators die."""
+    """Image in the graded-commutative algebra; commutators die.  Each word's
+    ``lam_product`` comes from a bounded per-word cache (4,096 entries)."""
     out: Dict = {}
     for word, c in e.terms.items():
-        prod = lam_product(word)
+        prod = _abelian_word(word)
         if prod is None:
             continue
         s, mono = prod
         out[mono] = out.get(mono, Fraction(0)) + s * c
     return AlgebraElement(out)
+
+
+_abelian_word = lru_cache(maxsize=4096)(lam_product)
 
 
 def s_inv(omega: Form) -> AlgebraElement:

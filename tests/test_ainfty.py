@@ -1,6 +1,7 @@
 """Trees, signs, labeled classes, homotopy transfer, and tree traces."""
 
 import copy
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -329,6 +330,13 @@ class TestMerkulov:
 
 class TestHomotopyTable:
     """h, a lookup in its values on the pivot words, against the solve."""
+
+    def test_table_and_denominator_are_pinned(self):
+        # the first 16 hex digits of sha256 over the denominator and the table
+        # in its dict order, as built by the sequential Fraction elimination
+        md = build_merkulov(3, 5, 3)
+        text = repr((md._h_den, list(md._h_pivot.items())))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "60c7ba23c1647e6d"
 
     @pytest.mark.parametrize("name", ["md2", "md3"])
     def test_every_basis_word_below_the_top_degree(self, name, request):

@@ -147,6 +147,27 @@ class TestConnesHomology:
                 assert {lower[i]: c for i, c in col.items()} == img.terms
                 assert len(col) == len(img.terms) and all(col.values())
 
+    @pytest.mark.parametrize("ambient, caps", [("A", (3, 4, 3)), ("R", (2, 4, 3))])
+    def test_columns_are_integer_canonical_boundaries(self, ambient, caps):
+        cpx = build_connes_complex(ambient, *caps)
+        entries = 0
+        for (deg, w), cols in cpx.columns.items():
+            lower = cpx.basis.get((deg - 1, w), [])
+            for key, col in zip(cpx.basis[(deg, w)], cols):
+                assert all(type(c) is int and c for c in col.values())
+                img = boundary(CyclicChain(ambient, {key: Fraction(1)})).canonicalized()
+                assert [(lower[i], c) for i, c in col.items()] == list(img.terms.items())
+                entries += len(col)
+        assert entries
+
+    def test_the_builder_forms_no_chain_per_key(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a CyclicChain was built")
+
+        monkeypatch.setattr(cyclic, "CyclicChain", refuse)
+        monkeypatch.setattr(cyclic, "boundary", refuse)
+        assert build_connes_complex("R", 2, 3, 3).columns
+
     # (rows, columns) per bidegree and the nonzero count, pinned: the benchmark
     # counters cyclic.matrix_cells and cyclic.matrix_nnz are read off this view
     DENSE_SHAPES = {

@@ -11,8 +11,10 @@ from symtrace import gcalg
 from symtrace.cartan import DiagonalTraceValue
 from symtrace.gcalg import (
     AlgebraElement,
+    Echelon,
     InvalidInputError,
     _label_orderings,
+    add_into,
     block_maps,
     block_sign,
     dx_gen,
@@ -478,3 +480,91 @@ class TestEchelon:
         ech = echelon([{0: 3, 1: 1}])
         assert ech.rows == [{0: 1, 1: Fraction(1, 3)}]
         assert all(isinstance(v, Fraction) for v in ech.rows[0].values())
+
+
+def reference_echelon(rows):
+    """The sequential elimination on Fractions, one row at a time over the
+    whole matrix: the reference the blocked integer ``echelon`` must equal,
+    dict order included."""
+    ech = Echelon()
+    for j, row in enumerate(rows):
+        coeffs, vec = echelon_split(ech, row)
+        if not vec:
+            continue
+        combo = {j: Fraction(1)}
+        for i, c in coeffs.items():
+            add_into(combo, ech.combos[i], -c)
+        p = min(vec)
+        if vec[p] != 1:
+            inv = 1 / Fraction(vec[p])
+            vec = {k: v * inv for k, v in vec.items()}
+            combo = {k: v * inv for k, v in combo.items()}
+        for er, ec in zip(ech.rows, ech.combos):
+            c = er.get(p)
+            if c:
+                add_into(er, vec, -c)
+                add_into(ec, combo, -c)
+        ech.pivot_row[p] = len(ech.rows)
+        ech.rows.append(vec)
+        ech.combos.append(combo)
+    return ech
+
+
+ENTRIES = st.sampled_from(
+    [Fraction(v) for v in (-3, -2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+)
+
+
+@st.composite
+def blocked_rows(draw):
+    """Sparse rows over columns owned by planted blocks, in interleaved order:
+    fresh rows, rows dependent on earlier rows of their block, and empty rows."""
+    ncols = draw(st.integers(1, 14))
+    nblocks = draw(st.integers(1, 4))
+    owner = draw(st.lists(st.integers(0, nblocks - 1), min_size=ncols, max_size=ncols))
+    rows, earlier = [], {}
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "dependent", "empty"]))
+        b = draw(st.integers(0, nblocks - 1))
+        mine = [c for c in range(ncols) if owner[c] == b]
+        if kind == "empty" or not mine:
+            rows.append({})
+            continue
+        if kind == "dependent" and earlier.get(b):
+            row = {}
+            for _ in range(2):
+                add_into(row, draw(st.sampled_from(earlier[b])), draw(ENTRIES))
+        else:
+            cols = draw(st.lists(st.sampled_from(mine), min_size=1, unique=True))
+            row = {c: draw(ENTRIES) for c in cols}
+        earlier.setdefault(b, []).append(row)
+        rows.append(row)
+    return rows
+
+
+def echelon_items(ech):
+    return ([list(r.items()) for r in ech.rows], [list(c.items()) for c in ech.combos],
+            list(ech.pivot_row.items()))
+
+
+class TestBlockedEchelon:
+    @settings(max_examples=300)
+    @given(blocked_rows())
+    def test_equals_the_sequential_fraction_elimination(self, rows):
+        got = echelon(rows)
+        assert echelon_items(got) == echelon_items(reference_echelon(rows))
+        assert all(type(v) in (int, Fraction) for t in got.rows + got.combos for v in t.values())
+
+    def test_one_block(self):
+        # every row shares a column with the next, so the rows form one component
+        rows = [{(3 * j + k) % 7: Fraction((j + 1) * (k - 2) or 1, k + 1) for k in range(3)}
+                for j in range(9)]
+        got = echelon(rows)
+        assert got.rank == 7
+        assert echelon_items(got) == echelon_items(reference_echelon(rows))
+
+    def test_rows_are_ordered_by_the_row_that_made_the_pivot(self):
+        rows = [{5: 2, 6: 1}, {0: 3}, {}, {6: 4, 5: 1}, {1: 1, 0: 1}]
+        got = echelon(rows)
+        assert list(got.pivot_row.items()) == [(5, 0), (0, 1), (6, 2), (1, 3)]
+        assert [sorted(c) for c in got.combos] == [[0, 3], [1], [0, 3], [1, 4]]

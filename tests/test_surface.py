@@ -106,3 +106,35 @@ def test_math_modules_import_neither_the_trace_routes_nor_the_cli():
         for name in MATH_MODULES
     }
     assert upward == {name: [] for name in MATH_MODULES}
+
+
+def lru_cache_bounds(tree):
+    """(line, maxsize) of every ``lru_cache`` named in tree, by line; maxsize is None
+    unless the name is called with an integer maxsize."""
+    called = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    out = []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name != "lru_cache":
+            continue
+        call = called.get(id(node))
+        size = None
+        if call is not None:
+            given = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+            if given and isinstance(given[0], ast.Constant) and type(given[0].value) is int:
+                size = given[0].value
+        out.append((node.lineno, size))
+    return sorted(out)
+
+
+def test_lru_cache_bounds_reads_every_form():
+    code = ("from functools import lru_cache\nimport functools\n@lru_cache\ndef a(): pass\n"
+            "@functools.lru_cache()\ndef b(): pass\nc = lru_cache(maxsize=None)(a)\n"
+            "@lru_cache(maxsize=8)\ndef d(): pass\n@functools.lru_cache(16)\ndef e(): pass\n")
+    assert lru_cache_bounds(ast.parse(code)) == [(3, None), (5, None), (7, None), (8, 8), (10, 16)]
+
+
+def test_every_cache_states_an_integer_bound():
+    bounds = {f"{p.name}:{line}": size for p in sorted(SRC.glob("*.py"))
+              for line, size in lru_cache_bounds(ast.parse(p.read_text()))}
+    assert bounds and all(type(size) is int for size in bounds.values()), bounds
