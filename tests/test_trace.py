@@ -2,7 +2,7 @@
 
 import importlib
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -446,9 +446,12 @@ class TestLiveBlockMaps:
 
 
 class TestTermMemo:
-    """cs and F keep their integer terms per (us, dus), each in its own table."""
+    """cs, F and simple keep their integer terms per orbit representative of
+    (us, dus), each in its own table."""
 
     FORM = F(X(1) ** 2 * X(2) * DX(1) * DX(3))
+    ROUTES = [(cs_trace_raw, FORM), (F_eval, d(FORM)), (trace_simple, FORM)]
+    TABLES = ["_cs_terms", "_F_terms", "_simple_terms"]
 
     def _count_lam_products(self, monkeypatch, route, form):
         trace_module = importlib.import_module("symtrace.trace")
@@ -462,9 +465,7 @@ class TestTermMemo:
         value = route(form)
         return value, len(calls)
 
-    @pytest.mark.parametrize(
-        "route,form", [(cs_trace_raw, FORM), (F_eval, d(FORM))], ids=["cs", "F"]
-    )
+    @pytest.mark.parametrize("route,form", ROUTES, ids=["cs", "F", "simple"])
     def test_a_second_evaluation_builds_no_letter(self, monkeypatch, route, form):
         first, cold = self._count_lam_products(monkeypatch, route, form)
         second, warm = self._count_lam_products(monkeypatch, route, form)
@@ -472,9 +473,7 @@ class TestTermMemo:
         assert warm == 0
         assert second == first
 
-    @pytest.mark.parametrize(
-        "route,form", [(cs_trace_raw, FORM), (F_eval, d(FORM))], ids=["cs", "F"]
-    )
+    @pytest.mark.parametrize("route,form", ROUTES, ids=["cs", "F", "simple"])
     def test_a_returned_element_does_not_alias_the_memo(self, route, form):
         first = route(form)
         expected = AlgebraElement(dict(first.terms))
@@ -483,23 +482,31 @@ class TestTermMemo:
         first.iadd(LAM(1, 2), 7)
         assert route(form) == expected
 
+    def test_every_table_starts_cold(self):
+        trace_module = importlib.import_module("symtrace.trace")
+        tables = {
+            name: value for name, value in vars(trace_module).items()
+            if hasattr(value, "cache_clear")
+        }
+        assert set(self.TABLES) <= set(tables)
+        assert all(table.cache_info().currsize == 0 for table in tables.values())
+
     def test_the_routes_keep_separate_tables(self):
         trace_module = importlib.import_module("symtrace.trace")
-        cs_table, f_table = trace_module._cs_terms, trace_module._F_terms
-        assert cs_table is not f_table
-        cs_trace_raw(self.FORM)
-        assert cs_table.cache_info().currsize > 0
-        assert f_table.cache_info().currsize == 0
-        cs_table.cache_clear()
-        F_eval(d(self.FORM))
-        assert cs_table.cache_info().currsize == 0
-        assert f_table.cache_info().currsize > 0
+        tables = [getattr(trace_module, name) for name in self.TABLES]
+        assert len({id(table) for table in tables}) == 3
+        for (route, form), own in zip(self.ROUTES, tables):
+            route(form)
+            for table in tables:
+                assert (table.cache_info().currsize > 0) == (table is own)
+            own.cache_clear()
 
     def test_hat_D_does_not_fill_the_cs_table(self):
         trace_module = importlib.import_module("symtrace.trace")
         eta = d(self.FORM)
         assert any(not hat_D_op(eta, indices).is_zero() for indices in valid_tuples(3))
-        assert trace_module._cs_terms.cache_info().currsize == 0
+        for name in self.TABLES:
+            assert getattr(trace_module, name).cache_info().currsize == 0
 
     def test_routes_agree_on_warm_tables(self):
         trace_module = importlib.import_module("symtrace.trace")
@@ -507,10 +514,69 @@ class TestTermMemo:
         cold = [cs_trace_raw(form) for form in forms]
         for form, value in zip(forms, cold):
             assert value == trace_simple(form) == F_eval(d(form))
-        assert trace_module._cs_terms.cache_info().hits > 0
-        assert trace_module._F_terms.cache_info().hits > 0
+        for name in self.TABLES:
+            assert getattr(trace_module, name).cache_info().hits > 0
         for form, value in zip(forms, cold):
             assert cs_trace_raw(form) == value == trace_simple(form) == F_eval(d(form))
+
+
+def term_form(us, dus, nvars=4):
+    """The form u dx_I with coefficient 1 (dus increasing, so no sign)."""
+    sign, mono = monomial_from_factors([x_gen(u) for u in us] + [dx_gen(v) for v in dus])
+    assert sign == 1
+    return Form(AlgebraElement.from_monomial(mono), nvars)
+
+
+def orbit_of(us, dus):
+    """The relabelling orbit of (us, dus): the multiplicities of each label."""
+    return tuple(sorted((us.count(v), dus.count(v)) for v in set(us + dus)))
+
+
+class TestOrbits:
+    """Each kernel runs once per relabelling orbit of (us, dus)."""
+
+    # every term on 4 variables with r <= 4 factors, p <= 4 dx and r + p <= 7
+    KEYS = [
+        (us, dus)
+        for r in range(5)
+        for us in combinations_with_replacement(range(1, 5), r)
+        for p in range(min(4, 7 - r) + 1)
+        for dus in combinations(range(1, 5), p)
+    ]
+
+    def test_orbit_path_equals_the_direct_kernel(self):
+        trace_module = importlib.import_module("symtrace.trace")
+        kernels = [trace_module._cs_terms, trace_module._F_terms, trace_module._simple_terms]
+        assert len(self.KEYS) == 1085
+        assert len({orbit_of(*key) for key in self.KEYS}) < len(self.KEYS) // 4
+        nonzero = 0
+        for us, dus in self.KEYS:
+            form = term_form(us, dus)
+            for kernel in kernels:
+                terms, scale = kernel.__wrapped__(us, dus)
+                direct = {mono: scale * n for mono, n in terms if n}
+                assert trace_module._term_sum(form, kernel).terms == direct, (us, dus)
+                nonzero += bool(direct)
+        assert nonzero > len(self.KEYS)
+
+    @pytest.mark.parametrize(
+        "name,route,on_d",
+        [
+            ("_cs_terms", cs_trace_raw, True),
+            ("_F_terms", lambda form: F_eval(d(form)), True),
+            ("_simple_terms", trace_simple, False),
+        ],
+        ids=["cs", "F", "simple"],
+    )
+    def test_a_cold_pass_enumerates_each_orbit_once(self, name, route, on_d):
+        table = getattr(importlib.import_module("symtrace.trace"), name)
+        keys = set()
+        for _, _, form in basis_forms(4, 4, 4):
+            route(form)
+            keys |= {(us, dus) for _, us, dus in expand_multilinear(d(form) if on_d else form)}
+        orbits = {orbit_of(us, dus) for us, dus in keys}
+        assert len(orbits) < len(keys) // 3
+        assert table.cache_info().misses == len(orbits)
 
 
 class TestDOperators:
