@@ -23,6 +23,10 @@ vertices and -h mu_2 at the root, and the matching sign of a tree is
 Summing trees against leaf labelings gives the trace; replacing each product
 by a graded commutator collapses the labeled sum onto equivalence classes of
 labeled trees.
+
+The transfer runs on integer terms.  Each ``MerkulovData`` keeps one memo of
+h mu on argument ranges and of h on labeled subtrees across calls, keyed on
+the contents of the arguments, and the class sum applies h once, at its root.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from .gcalg import (
     perm_sign,
 )
 from .resolution import (
-    Letter,
     RElement,
     RWord,
     Terms,
@@ -178,6 +181,10 @@ class MerkulovData:
         # delta of every basis word of positive degree, formed once in _build
         # and read again by the side check
         self._delta: Dict[RWord, Dict[RWord, int]] = {}
+        # h mu of argument ranges and h of subtrees, shared across calls and
+        # keyed on the numbers that _ids gives each argument's contents
+        self._memo: Dict[tuple, Dict[RWord, int]] = {}
+        self._ids: Dict[tuple, int] = {}
         self._build()
         self._check_side_conditions()
 
@@ -233,18 +240,6 @@ class MerkulovData:
         return {idx[word]: c for word, c in terms.items()}
 
     # -- the resolution maps --------------------------------------------------
-
-    def f1(self, a: AlgebraElement) -> RElement:
-        """Linear section of pi: a monomial becomes its sorted word."""
-        out: Terms = {}
-        for m, c in a.terms.items():
-            letters: List[Letter] = []
-            for g, e in m:
-                if g[0] != X_KIND:
-                    raise InvalidInputError("f1 takes polynomial elements only")
-                letters.extend([(g[1],)] * e)
-            out[tuple(letters)] = c  # distinct monomials give distinct words
-        return RElement(out)
 
     def h(self, e: RElement) -> RElement:
         """The homotopy: a lookup of each word in its values on the pivot words."""
@@ -322,94 +317,118 @@ class MerkulovData:
     # -- transfer ----------------------------------------------------------------
 
     # The maps below run on integer terms: each argument is lifted once to
-    # integers over its common denominator, every product, commutator and h is
+    # integers over its own denominator, every product, commutator and h is
     # formed on integers, and each output term is one fraction over the
     # product of the argument scales times den^(number of h applications).
+    # h mu of a range is memoized across calls on ("mu",) + its argument keys
+    # and h of a subtree on (subtree, use_comm, leaf keys), so f_taylor, the
+    # product trees and the commutator trees never read each other's entries.
+
+    def _lift_args(self, elements,
+                   word=None) -> Tuple[Tuple[int, ...], List[Dict[RWord, int]], int]:
+        """Each term dict lifted on its own, its keys mapped by ``word``: the content
+        keys (numbers of the sorted integer terms in ``_ids``), the integer terms
+        and the product of the scales.  A memo past _MEMO_ENTRIES starts over."""
+        if len(self._memo) > _MEMO_ENTRIES:
+            self._memo, self._ids = {}, {}
+        ids, keys, leaves, total = self._ids, [], [], 1
+        for terms in elements:
+            scale = math.lcm(*(c.denominator for c in terms.values()))
+            ints = {word(u) if word else u: c.numerator * (scale // c.denominator)
+                    for u, c in terms.items()}
+            keys.append(ids.setdefault(tuple(sorted(ints.items())), len(ids)))
+            leaves.append(ints)
+            total *= scale
+        return tuple(keys), leaves, total
 
     def mu(self, i: int, args: Sequence[RElement]) -> RElement:
         """Higher products: mu_2 is multiplication, then the h-recursion."""
         if i < 2 or len(args) != i:
             raise InvalidInputError(f"mu_{i} needs exactly {i} arguments")
-        lifted, scale = _lift_all(a.terms for a in args)
-        return _over(self._mu_range(lifted, 0, i, {}), scale * self._h_den ** (i - 2))
+        keys, leaves, scale = self._lift_args(a.terms for a in args)
+        return _over(self._mu_range(keys, leaves, 0, i), scale * self._h_den ** (i - 2))
 
-    def _mu_range(self, args: Sequence[Dict[RWord, int]], lo: int, hi: int,
-                  memo: Dict[Tuple[int, int], Dict[RWord, int]]) -> Dict[RWord, int]:
-        """den^(hi-lo-2) * mu on args[lo:hi].
+    def _mu_range(self, keys: Tuple[int, ...], leaves: Sequence[Dict[RWord, int]],
+                  lo: int, hi: int) -> Dict[RWord, int]:
+        """den^(hi-lo-2) * mu on leaves[lo:hi].
 
         Every branch of the recursion needs h mu on contiguous ranges of the
-        arguments; each range is evaluated once per call, kept in ``memo``
-        keyed on (lo, hi), so that a hit is the literal same term.
+        arguments; each range is evaluated once per ``MerkulovData`` and kept
+        in the memo, so that a hit is the literal same term.
         """
         if hi - lo == 2:
-            return word_product(args[lo], args[lo + 1])
+            return word_product(leaves[lo], leaves[lo + 1])
         out: Dict[RWord, int] = {}
         for s in range(lo + 1, hi):
             sign = 1 if (s - lo + 1) % 2 == 0 else -1
-            left = self._h_mu_range(args, lo, s, memo)
-            add_into(out, word_product(left, self._h_mu_range(args, s, hi, memo)), sign)
+            left = self._h_mu_range(keys, leaves, lo, s)
+            add_into(out, word_product(left, self._h_mu_range(keys, leaves, s, hi)), sign)
         return out
 
-    def _h_mu_range(self, args: Sequence[Dict[RWord, int]], lo: int, hi: int,
-                    memo: Dict[Tuple[int, int], Dict[RWord, int]]) -> Dict[RWord, int]:
-        """den^(hi-lo-1) * h mu on args[lo:hi], with h mu_1 = -id."""
-        value = memo.get((lo, hi))
+    def _h_mu_range(self, keys: Tuple[int, ...], leaves: Sequence[Dict[RWord, int]],
+                    lo: int, hi: int) -> Dict[RWord, int]:
+        """den^(hi-lo-1) * h mu on leaves[lo:hi], with h mu_1 = -id, memoized
+        on ("mu",) + keys[lo:hi]."""
+        key = ("mu",) + keys[lo:hi]
+        value = self._memo.get(key)
         if value is None:
             if hi - lo == 1:
-                value = {word: -c for word, c in args[lo].items()}
+                value = {word: -c for word, c in leaves[lo].items()}
             else:
-                value = self._h_int(self._mu_range(args, lo, hi, memo))
-            memo[(lo, hi)] = value
+                value = self._h_int(self._mu_range(keys, leaves, lo, hi))
+            self._memo[key] = value
         return value
 
     def f_taylor(self, args: Sequence[AlgebraElement]) -> RElement:
         """f_{k+1} = -h mu_{k+1} f1^(k+1) on k+1 polynomial arguments."""
         if len(args) < 2:
             raise InvalidInputError("f_taylor needs at least two arguments")
-        lifted, scale = _lift_all(self.f1(a).terms for a in args)
-        value = self._h_int(self._mu_range(lifted, 0, len(lifted), {}))
+        keys, leaves, scale = self._lift_args((a.terms for a in args), _f1_word)
+        value = self._h_int(self._mu_range(keys, leaves, 0, len(args)))
         return _over(value, -scale * self._h_den ** (len(args) - 1))
 
     def f_tree(self, t: PlanarTree, args: Sequence[AlgebraElement]) -> RElement:
         """Tree evaluation: f1 on leaves, h mu_2 inside, -h mu_2 at the root."""
         if leaf_count(t) != len(args):
             raise InvalidInputError("argument count must match leaf count")
-        lifted, scale = _lift_all(self.f1(a).terms for a in args)
-        value = self._h_int(self._eval_tree(t, tuple(range(len(args))), lifted, False, {}))
+        keys, leaves, scale = self._lift_args((a.terms for a in args), _f1_word)
+        value = self._h_int(self._eval_tree(t, keys, leaves, False))
         return _over(value, -scale * self._h_den ** (len(args) - 1))
 
-    def _eval_tree(self, t: PlanarTree, pos: Tuple[int, ...], lifted: Sequence[Dict[RWord, int]],
-                   use_comm: bool, memo: Dict) -> Dict[RWord, int]:
-        """The product at the root of t on integer terms, leaf i being lifted[pos[i]].
+    def _eval_tree(self, t: PlanarTree, keys: Tuple[int, ...],
+                   leaves: Sequence[Dict[RWord, int]], use_comm: bool) -> Dict[RWord, int]:
+        """The product at the root of t on integer terms, leaf i being leaves[i].
 
-        h(eval(subtree)) is kept in ``memo`` keyed on the subtree and its leaf
-        positions, so that a hit is the literal same term.
+        h(eval(subtree)) is evaluated once per ``MerkulovData`` and kept in
+        the memo on (subtree, use_comm, its leaf keys), so that a hit is the
+        literal same term.
         """
         if t is None:
             raise InvalidInputError("a bare leaf is not a tree evaluation")
         nl = leaf_count(t[0])
         sides = []
-        for sub, at in ((t[0], pos[:nl]), (t[1], pos[nl:])):
+        for sub, ks, ls in ((t[0], keys[:nl], leaves[:nl]), (t[1], keys[nl:], leaves[nl:])):
             if sub is None:
-                sides.append(lifted[at[0]])
+                sides.append(ls[0])
                 continue
-            value = memo.get((sub, at))
+            key = (sub, use_comm, ks)
+            value = self._memo.get(key)
             if value is None:
-                value = memo[(sub, at)] = self._h_int(
-                    self._eval_tree(sub, at, lifted, use_comm, memo)
-                )
+                value = self._memo[key] = self._h_int(self._eval_tree(sub, ks, ls, use_comm))
             sides.append(value)
         return word_commutator(*sides) if use_comm else word_product(*sides)
 
 
-def _lift_all(elements) -> Tuple[List[Dict[RWord, int]], int]:
-    """Each term dict lifted on its own, and the product of the scales."""
-    lifted, total = [], 1
-    for terms in elements:
-        ints, scale = lift_terms(terms)
-        lifted.append(ints)
-        total *= scale
-    return lifted, total
+# memo entries a MerkulovData keeps before it empties the memo
+_MEMO_ENTRIES = 1 << 16
+
+
+@lru_cache(maxsize=4096)
+def _f1_word(m: Monomial) -> RWord:
+    """f1 of one monomial: its sorted word."""
+    if any(g[0] != X_KIND for g, _ in m):
+        raise InvalidInputError("f1 takes polynomial elements only")
+    return tuple((g[1],) for g, e in m for _ in range(e))
 
 
 def _over(terms: Dict[RWord, int], divisor: int) -> RElement:
@@ -425,18 +444,22 @@ def class_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraE
     """The labeled-class commutator sum, one side of the tree-sum identity.
 
     Each argument is lifted once per call and every class permutes the
-    lifted terms; h of each labeled subtree is evaluated once per call.  The
-    classes are abelianized into one integer accumulator, divided once.
+    lifted terms; h of each labeled subtree is evaluated once per
+    ``MerkulovData``.  h and abelianization are linear, so the signed root
+    commutators of all classes are summed on integers first, and h and
+    ``lam_product`` run once on the sum, which is divided once.
     """
     k = len(args) - 1
-    lifted, scale = _lift_all(md.f1(a).terms for a in args)
-    memo: Dict = {}
-    acc: Dict[Monomial, int] = {}
+    keys, leaves, scale = md._lift_args((a.terms for a in args), _f1_word)
+    root: Dict[RWord, int] = {}
     for (sigma, t), sign in zip(enumerate_labeled_classes(k), _class_signs(k)):
-        for word, c in md._h_int(md._eval_tree(t, sigma, lifted, True, memo)).items():
-            prod = lam_product(word)
-            if prod is not None:
-                acc[prod[1]] = acc.get(prod[1], 0) + sign * prod[0] * c
+        ks, ls = tuple(keys[j] for j in sigma), [leaves[j] for j in sigma]
+        add_into(root, md._eval_tree(t, ks, ls, True), sign)
+    acc: Dict[Monomial, int] = {}
+    for word, c in md._h_int(root).items():
+        prod = lam_product(word)
+        if prod is not None:
+            acc[prod[1]] = acc.get(prod[1], 0) + prod[0] * c
     # the root's minus sign goes into the divisor
     divisor = -scale * md._h_den ** k
     return AlgebraElement({m: Fraction(v, divisor) for m, v in acc.items() if v})

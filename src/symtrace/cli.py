@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ainfty, cartan, cyclic
 from .derham import (
@@ -248,15 +248,17 @@ class VerificationReport:
     # per k with cases, how many compare a nonzero value (suites that can compare 0 with 0)
     nonzero: Dict[int, int] = field(default_factory=dict)
 
-    def record(self, ok: bool, **info):
+    def record(self, ok: bool, details: Optional[Callable[[], dict]] = None, **info):
+        """Count one case; a failure keeps ``info`` followed by ``details()``,
+        which is called only then, so a passing case renders nothing."""
         self.cases += 1
         if not ok:
-            self.failures.append(info)
+            self.failures.append({**info, **details()} if details else info)
 
-    def compare(self, k: int, lhs, rhs, **info):
+    def compare(self, k: int, lhs, rhs, details: Callable[[], dict]):
         """Record lhs == rhs at k; the case is nonzero when either side is."""
         self.nonzero[k] = self.nonzero.get(k, 0) + (not (lhs.is_zero() and rhs.is_zero()))
-        self.record(lhs == rhs, k=k, **info)
+        self.record(lhs == rhs, details, k=k)
 
     def to_json(self) -> dict:
         payload = {
@@ -302,10 +304,8 @@ def suite_routes(nvars: int, weight_cap: int, degree_cap: int) -> VerificationRe
         ok = a == b == F_eval(d(form))
         if ok and p <= 2:
             ok = a == trace_diffop(form)
-        report.record(
-            ok, weight=w, degree=p, form=render(form.body),
-            cs=render(a), simple=render(b),
-        )
+        report.record(ok, lambda: dict(form=render(form.body), cs=render(a), simple=render(b)),
+                      weight=w, degree=p)
     return report
 
 
@@ -318,7 +318,7 @@ def suite_derham(nvars: int, weight_cap: int, degree_cap: int) -> VerificationRe
         if not df.is_zero():
             eta = exactness_witness(df)
             ok = ok and eta is not None and d(eta) == df
-        report.record(ok, weight=w, degree=p, form=render(form.body))
+        report.record(ok, lambda: dict(form=render(form.body)), weight=w, degree=p)
     return report
 
 
@@ -363,8 +363,8 @@ def suite_cstree(nvars: int, k_max: int, weight_cap: int) -> VerificationReport:
         for args in ainfty.monomial_tuples(nvars, k + 1, weight_cap):
             lhs = ainfty.class_tree_sum(md, args)
             rhs = cs_trace_raw(cstree_form(args, nvars))
-            report.compare(k, lhs, rhs, args=[render(a) for a in args],
-                           tree=render(lhs), cs=render(rhs))
+            report.compare(k, lhs, rhs, lambda: dict(
+                args=[render(a) for a in args], tree=render(lhs), cs=render(rhs)))
     return report
 
 
@@ -409,7 +409,8 @@ def suite_cartan(nvars: int, weight_cap: int, n_max: int, q_max: int) -> Verific
                     ok = value.is_symmetric()
                 except IntegrityError:
                     ok = False
-                report.record(ok, weight=w, degree=p, n=n, q=q, form=render(form.body))
+                report.record(ok, lambda: dict(form=render(form.body)),
+                              weight=w, degree=p, n=n, q=q)
     for n in range(1, n_max + 1):
         sample = AlgebraElement.from_gen(x_gen(1)) * AlgebraElement.from_gen(
             lam_gen((1, 2)) if nvars >= 2 else x_gen(1)
@@ -435,16 +436,16 @@ def suite_merkulov(nvars: int, weight_cap: int, k_max: int) -> VerificationRepor
     for k in range(1, k_max + 1):
         trees = ainfty.enumerate_pbt(k)
         for args in ainfty.monomial_tuples(nvars, k + 1, weight_cap):
-            named = [render(a) for a in args]
             lhs = md.f_taylor(list(args))
             rhs = RElement.zero()
             for t in trees:
                 rhs.iadd(md.f_tree(t, list(args)), ainfty.tree_sign(t))
-            report.record((lhs - rhs).is_zero(), k=k, args=named, check="tree expansion")
+            report.record((lhs - rhs).is_zero(), lambda: dict(
+                args=[render(a) for a in args], check="tree expansion"), k=k)
             # the sum over all of S_{k+1} with the transfer components against
             # the sum over labeled-tree classes with the commutator tree maps
             report.compare(k, perm_tree_sum(md, args), ainfty.class_tree_sum(md, args),
-                           args=named, check="trace sums agree")
+                           lambda: dict(args=[render(a) for a in args], check="trace sums agree"))
     return report
 
 

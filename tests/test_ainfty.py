@@ -30,6 +30,8 @@ from symtrace.gcalg import (
     IntegrityError,
     InvalidInputError,
     ResourceLimitError,
+    X_KIND,
+    dx_gen,
     echelon,
     echelon_split,
     lam_gen,
@@ -55,6 +57,13 @@ def X(i):
 
 def LAM(*idx):
     return AlgebraElement.from_gen(lam_gen(idx))
+
+
+def f1(a):
+    """The section of pi on polynomial elements: a monomial becomes its sorted word."""
+    assert all(g[0] == X_KIND for m in a.terms for g, _ in m)
+    return RElement({tuple((g[1],) for g, e in m for _ in range(e)): c
+                     for m, c in a.terms.items()})
 
 
 RIGHT_COMB3 = (LEAF, (LEAF, LEAF))
@@ -211,7 +220,7 @@ class TestMerkulov:
         assert got == RElement.from_word(((1, 2),), -1)
 
     def test_h0_kills_section(self, md2):
-        assert md2.h(md2.f1(X(1) ** 2)).is_zero()
+        assert md2.h(f1(X(1) ** 2)).is_zero()
 
     def test_h_squared_zero(self, md2):
         from symtrace.resolution import r_word_basis
@@ -232,7 +241,7 @@ class TestMerkulov:
     def test_one_variable_transfer_trivial(self):
         md1 = build_merkulov(1, 4, 2)
         assert md1.f_taylor([X(1), X(1)]).is_zero()
-        assert md1.h(md1.f1(X(1) * X(1))).is_zero()
+        assert md1.h(f1(X(1) * X(1))).is_zero()
 
     def test_section_after_projection_sorts_degree_zero_words(self, md3, ref3):
         # the projection R -> A is the abelianization on degree-0 words, so
@@ -241,7 +250,7 @@ class TestMerkulov:
         assert len(words) == 121
         for word in words:
             e = RElement.from_word(word, 3)
-            assert md3.h(md3.f1(abelianize(e))).is_zero(), word
+            assert md3.h(f1(abelianize(e))).is_zero(), word
             assert md3.h(e) == ref3(e), word
 
     @pytest.mark.parametrize("key", [(0, 2), (0, 4), (1, 3), (1, 4)])
@@ -314,17 +323,25 @@ class TestMerkulov:
         with pytest.raises(InvalidInputError):
             build_merkulov(2, *caps)
 
+    @pytest.mark.parametrize("other", [LAM(1, 2), AlgebraElement.from_gen(dx_gen(1))])
+    def test_the_section_takes_polynomial_arguments_only(self, md2, other):
+        args = [X(1), X(2) + other]
+        for call in (md2.f_taylor, lambda a: md2.f_tree(RIGHT_COMB3[1], a),
+                     lambda a: class_tree_sum(md2, a)):
+            with pytest.raises(InvalidInputError, match="f1 takes polynomial elements only"):
+                call(args)
+
     def test_mu2_is_concatenation(self, md2):
-        a = md2.f1(X(1))
-        b = md2.f1(X(2))
+        a = f1(X(1))
+        b = f1(X(2))
         assert md2.mu(2, [a, b]) == RElement.from_word(((1,), (2,)))
 
     def test_unit_normalization(self, md2):
         # the section sends the unit to the empty word, so mu_2 against a
         # lifted unit is invisible
-        one = md2.f1(AlgebraElement.one())
+        one = f1(AlgebraElement.one())
         assert one == RElement.from_word(())
-        lifted = md2.f1(X(1) * X(2))
+        lifted = f1(X(1) * X(2))
         assert md2.mu(2, [one, lifted]) == lifted
 
 
@@ -403,7 +420,7 @@ class TestTreeExpansion:
     def test_tree_shapes_match_recursion_displays(self, md2):
         # right comb: -h1(a0~ . h0(a1~ a2~)); left comb: -h1(h0(a0~ a1~) . a2~)
         args = [X(1), X(1), X(2)]
-        lifted = [md2.f1(a) for a in args]
+        lifted = [f1(a) for a in args]
         rc = -md2.h(lifted[0] * md2.h(lifted[1] * lifted[2]))
         lc = -md2.h(md2.h(lifted[0] * lifted[1]) * lifted[2])
         assert md2.f_tree(RIGHT_COMB3, args) == rc
@@ -469,22 +486,41 @@ class TestClassTreeSum:
                 expected = expected + perm_sign(sigma) * tree_sign(t) * abelianize(value)
             assert class_tree_sum(md2, list(args)) == expected
 
-    def test_lifts_each_argument_once(self, md3, monkeypatch):
-        # every class evaluates the same lifted objects; the list keeps them alive
+    def test_lifts_each_argument_once(self, monkeypatch):
+        # every class evaluates the same lifted objects; the list keeps them
+        # alive.  A fresh instance, so that no subtree is a memo hit
+        md = build_merkulov(3, 4, 3)
         seen = []
-        original = md3._eval_tree
+        original = md._eval_tree
 
-        def recording(t, pos, lifted, use_comm, memo):
-            seen.extend(lifted[j] for j in pos)
-            return original(t, pos, lifted, use_comm, memo)
+        def recording(t, keys, leaves, use_comm):
+            seen.extend(leaves)
+            return original(t, keys, leaves, use_comm)
 
-        monkeypatch.setattr(md3, "_eval_tree", recording)
+        monkeypatch.setattr(md, "_eval_tree", recording)
         args = [X(1), X(2), X(3)]
-        assert not class_tree_sum(md3, args).is_zero()
+        assert not class_tree_sum(md, args).is_zero()
         distinct = list({id(e): e for e in seen}.values())
         assert len(distinct) == len(args)
-        expected = [lift_terms(md3.f1(a).terms)[0] for a in args]
+        expected = [lift_terms(f1(a).terms)[0] for a in args]
         assert sorted(distinct, key=repr) == sorted(expected, key=repr)
+
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_root_sum_equals_the_per_class_sum(self, md443, scale):
+        # h and abelianization are linear, so class_tree_sum applies them once
+        # to the signed sum of the class roots; here each class is divided and
+        # abelianized on its own, on the same integer path
+        md = md443 if scale == 1 else thirds(md443)
+        ref = FractionTransfer(md)
+        nonzero = 0
+        for args in mixed_tuples(md, 3, 8, seed=3):
+            per_class = AlgebraElement.zero()
+            for (sigma, t), sign in zip(enumerate_labeled_classes(3), ainfty._class_signs(3)):
+                value = f_tree_commutator(md, t, [args[j] for j in sigma])
+                per_class.iadd(abelianize(value), sign)
+            assert class_tree_sum(md, args) == per_class == ref.class_tree_sum(args)
+            nonzero += not per_class.is_zero()
+        assert nonzero
 
 
 def labeled_subtrees(t, pos):
@@ -541,10 +577,10 @@ class FractionTransfer:
         return out
 
     def f_taylor(self, args):
-        return -self.h(self.mu(len(args), [self.md.f1(a) for a in args]))
+        return -self.h(self.mu(len(args), [f1(a) for a in args]))
 
     def f_tree(self, t, args, use_comm=False):
-        return -self.h(self._eval_tree(t, [self.md.f1(a) for a in args], use_comm))
+        return -self.h(self._eval_tree(t, [f1(a) for a in args], use_comm))
 
     def _eval_tree(self, t, lifted, use_comm):
         nl = leaf_count(t[0])
@@ -614,8 +650,8 @@ def mixed_tuples(md, k, count, seed):
 def f_tree_commutator(md, t, args):
     """The commutator tree map on the integer path that ``class_tree_sum`` runs:
     f1 on leaves, h of graded commutators inside, -h at the root."""
-    lifted, scale = ainfty._lift_all(md.f1(a).terms for a in args)
-    value = md._h_int(md._eval_tree(t, tuple(range(len(args))), lifted, True, {}))
+    keys, leaves, scale = md._lift_args((a.terms for a in args), ainfty._f1_word)
+    value = md._h_int(md._eval_tree(t, keys, leaves, True))
     divisor = -scale * md._h_den ** (len(args) - 1)
     return RElement({word: Fraction(c, divisor) for word, c in value.items()})
 
@@ -741,9 +777,12 @@ class TestIntegerTransfer:
         assert nonzero == 3
 
 
-    def test_each_labeled_subtree_is_evaluated_once_per_call(self, md354, monkeypatch):
-        # one commutator per evaluated subtree; the memo keys on the subtree
-        # and its leaf positions, so the count is the number of distinct pairs
+    def test_each_labeled_subtree_is_evaluated_once_per_call(self, monkeypatch):
+        # one commutator per class root and per evaluated subtree; the memo
+        # keys on the subtree and the contents of its leaves, so on distinct
+        # arguments the count is the number of distinct (subtree, positions)
+        # pairs, and repeated arguments share subtrees.  Each call runs on a
+        # fresh instance, whose memo is empty
         classes = enumerate_labeled_classes(4)
         every = [pair for sigma, t in classes for pair in labeled_subtrees(t, sigma)]
         distinct = set(every)
@@ -756,9 +795,16 @@ class TestIntegerTransfer:
             return original(a, b)
 
         monkeypatch.setattr(ainfty, "word_commutator", counting)
-        args = [X(1), X(2), X(3), X(1), X(2)]
-        assert class_tree_sum(md354, args) == FractionTransfer(md354).class_tree_sum(args)
-        assert len(calls) == len(distinct)
+        roots = {(t, sigma) for sigma, t in classes}
+        for args in ([X(1), X(2), X(3), X(1) + X(2), X(2) - X(3)],
+                     [X(1), X(2), X(3), X(1), X(2)]):
+            md = build_merkulov(3, 5, 4)
+            labels = [render(a) for a in args]
+            proper = {(sub, tuple(labels[j] for j in pos)) for sub, pos in distinct - roots}
+            calls.clear()
+            assert class_tree_sum(md, args) == FractionTransfer(md).class_tree_sum(args)
+            assert len(calls) == len(classes) + len(proper)
+            assert len(proper) == (115 if len(set(labels)) == 5 else 94)
 
     def test_each_mu_range_is_evaluated_once_per_call(self, monkeypatch):
         # at k = 4 the recursion meets 10 contiguous ranges of length >= 2:
@@ -778,9 +824,9 @@ class TestIntegerTransfer:
         calls = []
         original = MerkulovData._mu_range
 
-        def counting(self, args, lo, hi, memo):
+        def counting(self, keys, leaves, lo, hi):
             calls.append((lo, hi))
-            return original(self, args, lo, hi, memo)
+            return original(self, keys, leaves, lo, hi)
 
         monkeypatch.setattr(MerkulovData, "_mu_range", counting)
         args = [X(1), X(2), X(1), X(3) ** 2, X(2)]
@@ -789,6 +835,47 @@ class TestIntegerTransfer:
         assert value == ref.f_taylor(args)
         assert len(calls) == len(set(calls)) == 10
         assert len(ref_calls) == 27
+
+    def test_a_second_call_evaluates_only_its_new_ranges(self, monkeypatch):
+        # the memo keys a range on the contents of its arguments, so after
+        # (a, b, c, d) the rotation (b, c, d, a) meets only d a, c d a and
+        # b c d a anew; the instance is fresh, so its memo starts empty
+        md = build_merkulov(4, 5, 3)
+        ref = FractionTransfer(md)
+        calls = []
+        original = MerkulovData._mu_range
+
+        def counting(self, keys, leaves, lo, hi):
+            calls.append((lo, hi))
+            return original(self, keys, leaves, lo, hi)
+
+        monkeypatch.setattr(MerkulovData, "_mu_range", counting)
+        # f_4 first appears at weight 5 on four variables
+        first = [X(1), X(2), X(3) * X(4), X(3)]
+        for args, new in ((first, 6), (first[1:] + first[:1], 3)):
+            calls.clear()
+            value = md.f_taylor(args)
+            assert not value.is_zero()
+            assert value == ref.f_taylor(args)
+            assert len(calls) == new
+        assert sorted(calls) == [(0, 4), (1, 4), (2, 4)]
+
+    def test_a_memo_that_starts_over_keeps_every_value(self, monkeypatch):
+        # past _MEMO_ENTRIES the next call empties the memo and its content
+        # keys; every value stays equal to the reference across such restarts
+        monkeypatch.setattr(ainfty, "_MEMO_ENTRIES", 8)
+        md = build_merkulov(4, 4, 3)
+        ref = FractionTransfer(md)
+        sizes = []
+        for k in (2, 3):
+            trees = enumerate_pbt(k)
+            for args in mixed_tuples(md, k, 4, seed=k) + [
+                list(a) for a in monomial_tuples(4, k + 1, 4)[::40]
+            ]:
+                assert_transfer_matches(md, ref, args, trees)
+                sizes.append(len(md._memo))
+        assert max(sizes) > 8
+        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
 
 
 class TestCsTree:

@@ -367,6 +367,43 @@ class TestVerifyChecks:
             {"k": 1, "args": ["x1", "x2"], "check": "trace sums agree"},
         ]
 
+    def test_merkulov_renders_only_the_failing_tree_expansion(self, monkeypatch, capsys):
+        # a passing case renders nothing; the one failing case renders its
+        # arguments into the same details as before, in JSON and in text
+        from symtrace import cli
+        from symtrace.resolution import RElement
+
+        rendered = []
+
+        def counting_render(a):
+            rendered.append(a)
+            return render(a)
+
+        monkeypatch.setattr(cli, "render", counting_render)
+        argv = ["verify", "merkulov", "--vars", "2", "--weight", "2", "--k", "1"]
+        assert main(argv) == 0
+        assert "0 failures" in capsys.readouterr().out
+        assert rendered == []
+        original = cli.ainfty.MerkulovData.f_tree
+
+        def off_at_x2_x1(md, t, args):
+            value = original(md, t, args)
+            return RElement.zero() if [render(a) for a in args] == ["x2", "x1"] else value
+
+        monkeypatch.setattr(cli.ainfty.MerkulovData, "f_tree", off_at_x2_x1)
+        assert main(argv + ["--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cases"] == 8 and payload["failures"] == 1
+        assert payload["failure_details"] == [
+            {"k": 1, "args": ["x2", "x1"], "check": "tree expansion"},
+        ]
+        assert len(rendered) == 2
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("suite merkulov: 8 cases, 1 failures, ")
+        assert lines[0].endswith("s [FAILED]")
+        assert lines[2:] == ["  fail: {'k': 1, 'args': ['x2', 'x1'], 'check': 'tree expansion'}"]
+
     def test_merkulov_checks_the_trace_sums_at_every_k(self, capsys):
         assert main(["verify", "merkulov", "--k", "3", "--weight", "4", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
