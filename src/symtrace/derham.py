@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .gcalg import (
     DX_KIND,
@@ -29,9 +29,8 @@ from .gcalg import (
     dx_gen,
     echelon,
     echelon_split,
-    gen_parity,
+    int_sum,
     max_basis_budget,
-    monomial_mul,
     x_gen,
 )
 
@@ -91,39 +90,53 @@ def monomial_bidegree(m: Monomial) -> Tuple[int, int]:
 
 
 def d(omega: Form) -> Form:
-    """De Rham differential: x_i goes to dx_i, Leibniz with Koszul signs."""
-    out: dict = {}
-    for m, c in omega.body.terms.items():
-        for pos, (g, e) in enumerate(m):
-            if g[0] != X_KIND:
-                continue
-            if e == 1:
-                rest = m[:pos] + m[pos + 1 :]
-            else:
-                rest = m[:pos] + ((g, e - 1),) + m[pos + 1 :]
-            r = monomial_mul(((dx_gen(g[1]), 1),), rest)
-            if r is None:
-                continue
-            s, mm = r
-            out[mm] = out.get(mm, Fraction(0)) + s * c * e
-    return Form(AlgebraElement(out), omega.nvars)
+    """De Rham differential: x_i goes to dx_i, Leibniz with Koszul signs.
+
+    Summed on integers over the lcm of the coefficient denominators, with
+    one Fraction per output monomial at the end.
+    """
+    parts = ((c, _d_terms(m)) for m, c in omega.body.terms.items())
+    return Form(AlgebraElement(int_sum(parts)), omega.nvars)
+
+
+def _d_terms(m: Monomial) -> Iterator[Tuple[Monomial, int]]:
+    """Integer terms of d on one form monomial, by position of x_i.
+
+    dx_i enters the dx block at its sorted place, past the dx_j with j < i,
+    with sign (-1)^#{j in I : j < i}; an x_i whose dx_i is already there
+    gives 0.
+    """
+    nx = next((pos for pos, (g, _) in enumerate(m) if g[0] != X_KIND), len(m))
+    block = m[nx:]
+    labels = [g[1] for g, _ in block]
+    for pos in range(nx):
+        g, e = m[pos]
+        at = bisect_left(labels, g[1])
+        if at < len(labels) and labels[at] == g[1]:
+            continue
+        xs = m[:pos] + (((g, e - 1),) if e > 1 else ()) + m[pos + 1:nx]
+        yield xs + block[:at] + (((DX_KIND, g[1]), 1),) + block[at:], -e if at % 2 else e
 
 
 def euler_contract(omega: Form) -> Form:
     """Contraction with the Euler field: odd derivation dx_i -> x_i, x_i -> 0."""
-    out: dict = {}
-    for m, c in omega.body.terms.items():
-        odd_before = 0
-        for pos, (g, e) in enumerate(m):
-            if g[0] == DX_KIND:
-                rest = m[:pos] + m[pos + 1 :]
-                r = monomial_mul(((x_gen(g[1]), 1),), rest)
-                if r is not None:
-                    s, mm = r
-                    sign = -1 if odd_before % 2 else 1
-                    out[mm] = out.get(mm, Fraction(0)) + sign * s * c
-            odd_before += (gen_parity(g) * e) % 2
-    return Form(AlgebraElement(out), omega.nvars)
+    parts = ((c, _euler_terms(m)) for m, c in omega.body.terms.items())
+    return Form(AlgebraElement(int_sum(parts)), omega.nvars)
+
+
+def _euler_terms(m: Monomial) -> Iterator[Tuple[Monomial, int]]:
+    """Integer terms of the Euler contraction on one form monomial: dx_i at
+    place j of the dx block goes to x_i with sign (-1)^j."""
+    nx = next((pos for pos, (g, _) in enumerate(m) if g[0] != X_KIND), len(m))
+    xs = m[:nx]
+    for j in range(len(m) - nx):
+        i = m[nx + j][0][1]
+        at = bisect_left(xs, ((X_KIND, i), 0))
+        if at < nx and xs[at][0][1] == i:
+            grown = xs[:at] + (((X_KIND, i), xs[at][1] + 1),) + xs[at + 1:]
+        else:
+            grown = xs[:at] + (((X_KIND, i), 1),) + xs[at:]
+        yield grown + m[nx:nx + j] + m[nx + j + 1:], -1 if j % 2 else 1
 
 
 def bigrade_split(omega: Form) -> List[Tuple[int, int, Form]]:
@@ -186,8 +199,7 @@ def exact_image(nvars: int, w: int, p: int) -> Tuple[List[Monomial], Dict[Monomi
     index = {m: i for i, m in enumerate(target)}
     rows = []
     for m in source:
-        img = d(Form(AlgebraElement.from_monomial(m), nvars))
-        rows.append({index[m2]: c for m2, c in img.body.terms.items()})
+        rows.append({index[m2]: n for m2, n in _d_terms(m)})
     return source, index, echelon(rows)
 
 

@@ -359,6 +359,23 @@ def lift_terms(terms: dict) -> Tuple[dict, int]:
     return lift(terms, scale), scale
 
 
+def int_sum(parts: Iterable[Tuple[Fraction, Iterable[Tuple[Hashable, int]]]]) -> dict:
+    """sum of c * n over the integer terms (key, n) of each part (c, terms).
+
+    The sum runs on integers over the lcm of the parts' denominators, with
+    one Fraction per nonzero output key at the end.  Each ``terms`` is read
+    once, after every c is known, so it may be a generator.
+    """
+    parts = list(parts)
+    den = math.lcm(*(c.denominator for c, _ in parts))
+    acc: dict = {}
+    for c, terms in parts:
+        c = c.numerator * (den // c.denominator)
+        for key, n in terms:
+            acc[key] = acc.get(key, 0) + c * n
+    return {key: Fraction(v, den) for key, v in acc.items() if v}
+
+
 class LinComb:
     """Exact-rational linear combination of hashable keys; immutable by contract.
 
@@ -600,21 +617,6 @@ class AlgebraElement(LinComb):
         for _ in range(k):
             result = result * self
         return result
-
-    def differentiate(self, i: int) -> "AlgebraElement":
-        """Constant-coefficient derivative d/dxi (even variables only)."""
-        g = x_gen(i)
-        out: dict = {}
-        for m, c in self.terms.items():
-            for pos, (gen, e) in enumerate(m):
-                if gen == g:
-                    if e == 1:
-                        mm = m[:pos] + m[pos + 1 :]
-                    else:
-                        mm = m[:pos] + ((gen, e - 1),) + m[pos + 1 :]
-                    out[mm] = out.get(mm, Fraction(0)) + c * e
-                    break
-        return AlgebraElement(out)
 
     def __repr__(self):
         return f"AlgebraElement({render(self)!r})"

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .derham import Form, bigrade_split
+from .derham import Form, monomial_bidegree
 from .gcalg import (
     DX_KIND,
     LAM_KIND,
@@ -32,7 +32,9 @@ from .gcalg import (
     AlgebraElement,
     InvalidInputError,
     LinComb,
+    Monomial,
     add_into,
+    int_sum,
     lam_letter,
     lam_product,
     shuffles,
@@ -208,17 +210,17 @@ def s_inv(omega: Form) -> AlgebraElement:
 
     Every term must have form degree >= 1.
     """
-    out = AlgebraElement.zero()
-    for w, p, part in bigrade_split(omega):
-        if p == 0:
-            raise InvalidInputError("s_inv needs form degree >= 1 in every term")
-        for m, c in part.body.terms.items():
-            xs = [[g[1]] for g, e in m if g[0] == X_KIND for _ in range(e)]
-            dxs = [g[1] for g, e in m if g[0] == DX_KIND]
-            prod = lam_product(xs + [dxs])
-            if prod is not None:
-                out.add_term(prod[1], prod[0] * c)
-    return out
+    if any(monomial_bidegree(m)[1] == 0 for m in omega.body.terms):
+        raise InvalidInputError("s_inv needs form degree >= 1 in every term")
+    return AlgebraElement(int_sum((c, _s_inv_terms(m)) for m, c in omega.body.terms.items()))
+
+
+def _s_inv_terms(m: Monomial) -> Tuple[Tuple[Monomial, int], ...]:
+    """The integer term (monomial, sign) of s_inv on one form monomial, if nonzero."""
+    xs = [[g[1]] for g, e in m if g[0] == X_KIND for _ in range(e)]
+    dxs = [g[1] for g, e in m if g[0] == DX_KIND]
+    prod = lam_product(xs + [dxs])
+    return () if prod is None else ((prod[1], prod[0]),)
 
 
 def r_word_basis(nvars: int, weight: int, degree: int) -> List[RWord]:

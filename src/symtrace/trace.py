@@ -34,18 +34,26 @@ factorials), drops such an ordering per block map before building letters.
 Every slot route is one loop, ``_term_sum(form, kernel)``: it walks
 ``expand_multilinear(form)`` once, asks a kernel for the integer terms and
 the common scale of each term u dx_I by its labels (us, dus), and adds
-coeff * scale * n into one accumulator.  The kernels are ``_cs_terms``
-(scale weight / (r+1)!, on d omega), ``_simple_terms`` (scale 1),
-``_F_terms`` (scale 1/(n+1)) and, for ``hat_D_op``, ``_cs_enumerate`` kept
-to one block profile (scale weight / r!).  Every route is natural in the
-variables: renaming the labels by a permutation renames its terms, up to
-the sign of re-sorting the odd dx symbols.  So the loop hands each kernel
-only the representative of the relabelling orbit of (us, dus) and renames
-its terms back.  The cs, simple and F kernels are memoized per
-representative, each in its own bounded cache of 1,024 entries: the 1,284
-forms of the seed-1 benchmark routes pass on 4 variables hold 603 distinct
-cs/F terms in 88 orbits and 1,184 simple terms in 160.  The profile kernel
-stays uncached so that it never fills the cs table.
+coeff * scale * n into one integer accumulator over the lcm of the
+denominators of coeff * scale, so each output monomial gets one Fraction.
+The kernels are ``_cs_terms`` (scale weight / (r+1)!, on d omega),
+``_simple_terms`` (scale 1), ``_F_terms`` (scale 1/(n+1)) and, for
+``hat_D_op``, ``_cs_enumerate`` kept to one block profile (scale
+weight / r!).  Every route is natural in the variables: renaming the
+labels by a permutation renames its terms, up to the sign of re-sorting
+the odd dx symbols.  So the loop hands each kernel only the representative
+of the relabelling orbit of (us, dus) and renames its terms back, letter
+by letter.  The cs, simple and F kernels are
+memoized per representative, each in its own bounded cache of 1,024
+entries: the 1,284 forms of the seed-1 benchmark routes pass on 4
+variables hold 603 distinct cs/F terms in 88 orbits and 1,184 simple terms
+in 160.  The profile kernel stays uncached so that it never fills the cs
+table.  The renaming of one letter under one term's labels, with its sign
+and parity, comes from a fourth bounded cache of 1,024 entries
+(``_renamed_letter``; that pass meets 542); no renamed copy of a kernel's
+terms is kept.  ``D_op`` keeps its own splitting recursion on integer
+states.  The term loop, ``D_op`` and the de Rham operators all sum through
+``gcalg.int_sum``.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ from .gcalg import (
     LAM_KIND,
     X_KIND,
     AlgebraElement,
+    Generator,
     InvalidInputError,
     Monomial,
     _label_orderings,
@@ -70,6 +79,7 @@ from .gcalg import (
     gen_parity,
     lam_letter,
     lam_product,
+    int_sum,
     monomial_from_factors,
     monomial_mul,
     perm_sign,
@@ -124,38 +134,49 @@ def _term_sum(form: Form, kernel: Kernel) -> AlgebraElement:
     runs on the orbit representative of (us, dus): the labels ranked by
     (multiplicity in us descending, absent from dus, label) and renamed
     1..m.  Its terms come back through the inverse renaming, with the sign of
-    re-sorting the odd dx symbols.
+    re-sorting the odd dx symbols.  The sum runs on integers over the lcm of
+    the terms' coeff * scale denominators, with one Fraction per output
+    monomial at the end.
     """
-    acc: Dict[Monomial, Fraction] = {}
+    parts = []
     for coeff, us, dus in expand_multilinear(form):
-        labels = sorted(set(us + dus), key=lambda v: (-us.count(v), v not in dus, v))
+        labels = tuple(sorted(set(us + dus), key=lambda v: (-us.count(v), v not in dus, v)))
         rank = {v: i for i, v in enumerate(labels, 1)}
         moved = [rank[v] for v in dus]
         terms, scale = kernel(tuple(sorted(rank[u] for u in us)), tuple(sorted(moved)))
-        c, sign = coeff * scale, perm_sign(moved)
         # a term whose labels stay put keeps its terms, and its sign is 1
-        renamed = any(v != i for i, v in enumerate(labels, 1))
-        for mono, n in terms:
-            if renamed:
-                mono, n = _relabel(mono, sign * n, labels)
-            old = acc.get(mono)
-            acc[mono] = c * n if old is None else old + c * n
-    return AlgebraElement(acc)  # drops the entries that cancel
+        if any(v != i for i, v in enumerate(labels, 1)):
+            terms = _relabel(terms, perm_sign(moved), labels)
+        parts.append((coeff * scale, terms))
+    return AlgebraElement(int_sum(parts))
 
 
-def _relabel(mono: Monomial, n: int, labels: List[int]) -> Tuple[Monomial, int]:
-    """(mono, n) with label i renamed labels[i - 1]; letters and factors re-sorted.
+def _relabel(terms: IntTerms, sign: int, labels: Tuple[int, ...]) -> Iterator[Tuple[Monomial, int]]:
+    """Each (mono, sign * n) with label i renamed labels[i - 1]; letters and
+    factors re-sorted.
 
     Renaming is a bijection on letters, so every exponent stays and the only
     Koszul sign is the parity of the odd letters' new order.
     """
-    factors = []
-    for g, e in mono:
-        args = g[1] if g[0] == LAM_KIND else (g[1],)
-        s, letter = lam_letter([labels[i - 1] for i in args])
-        n *= s**e
-        factors.append((letter, e))
-    return tuple(sorted(factors)), n * perm_sign([g for g, _ in factors if gen_parity(g)])
+    for mono, n in terms:
+        n *= sign
+        factors, odd = [], []
+        for g, e in mono:
+            s, letter, parity = _renamed_letter(g, labels)
+            n *= s**e
+            factors.append((letter, e))
+            if parity:
+                odd.append(letter)
+        factors.sort()
+        yield tuple(factors), n * perm_sign(odd)
+
+
+@lru_cache(maxsize=1024)
+def _renamed_letter(g: Generator, labels: Tuple[int, ...]) -> Tuple[int, Generator, int]:
+    """(sign, letter, parity) of the letter g with label i renamed labels[i - 1]."""
+    args = g[1] if g[0] == LAM_KIND else (g[1],)
+    s, letter = lam_letter([labels[i - 1] for i in args])
+    return s, letter, gen_parity(letter)
 
 
 @lru_cache(maxsize=1024)
@@ -296,63 +317,68 @@ def D_op(omega: Form, indices: Sequence[int]) -> AlgebraElement:
     the chosen positions ahead of the rest and prefactor 1/p!,
     and the remaining factors become a lam letter.  The derivative variables
     act on the polynomial coefficient as constant-coefficient derivations.
+    Each state carries an integer: a monomial's terms are scaled by its
+    coefficient over the prefactors, and summed on integers over one
+    denominator.
     """
     indices = tuple(indices)
-    out: Dict[Monomial, Fraction] = {}
+    parts = []
     for w, k, part in bigrade_split(omega):
         _validate_tuple(indices, k)
-        for mono, c0 in part.body.terms.items():
-            poly = AlgebraElement.from_monomial(
-                tuple((g, e) for g, e in mono if g[0] == X_KIND)
-            )
-            wedge = [g[1] for g, e in mono if g[0] == DX_KIND]
-            # states: (coefficient poly, current wedge order, peeled letters, scalar)
-            states = [(poly.scale(c0), list(wedge), [], Fraction(1))]
-            for i_cur in reversed(indices[1:]):
-                k_cur = len(states[0][1]) if states else 0
-                p_cur = k_cur + 1 - i_cur
-                if p_cur < 1:
-                    states = []
-                    break
-                new_states = []
-                for coeff_poly, vs, letters, scal in states:
-                    for var in range(1, omega.nvars + 1):
-                        dpoly = coeff_poly.differentiate(var)
-                        if dpoly.is_zero():
-                            continue
-                        for chosen, rest, sign in shuffles(len(vs), p_cur - 1):
-                            left = [var] + [vs[a] for a in chosen]
-                            right = [vs[a] for a in rest]
-                            r = lam_letter(right)
-                            if r is None:
-                                continue
-                            s, g = r
-                            new_states.append(
-                                (
-                                    dpoly,
-                                    left,
-                                    [g] + letters,
-                                    scal * sign * s / math.factorial(p_cur),
-                                )
-                            )
-                states = new_states
-            for coeff_poly, vs, letters, scal in states:
-                r = lam_letter(vs)
-                if r is None:
-                    continue
-                s, g = r
-                prod = monomial_from_factors([g] + letters)
-                if prod is None:
-                    continue
-                s2, lam_mono = prod
-                for pm, pc in coeff_poly.terms.items():
-                    rr = monomial_mul(pm, lam_mono)
-                    if rr is None:
+        # each splitting leaves a wedge of p factors, the next one's k; a valid
+        # tuple keeps p >= 2 there
+        levels, prefactor, k_cur = [], 1, k
+        for i_cur in reversed(indices[1:]):
+            p_cur = k_cur + 1 - i_cur
+            levels.append(list(shuffles(k_cur, p_cur - 1)))
+            prefactor *= math.factorial(p_cur)
+            k_cur = p_cur
+        parts.extend((Fraction(c, prefactor), _D_terms(mono, levels))
+                     for mono, c in part.body.terms.items())
+    return AlgebraElement(int_sum(parts))
+
+
+def _D_terms(mono: Monomial, levels: list) -> Iterator[Tuple[Monomial, int]]:
+    """Integer terms of D's splittings of one form monomial, before the 1/p!.
+
+    A state is (coefficient monomial, integer, current wedge order, peeled
+    letters); ``levels`` holds the shuffles of each splitting.
+    """
+    states = [(
+        tuple((g, e) for g, e in mono if g[0] == X_KIND),
+        1,
+        [g[1] for g, e in mono if g[0] == DX_KIND],
+        [],
+    )]
+    for splits in levels:
+        new_states = []
+        for poly, n, vs, letters in states:
+            # d/dx_i of a monomial: one monomial times its exponent
+            for pos, (g, e) in enumerate(poly):
+                dpoly = poly[:pos] + (((g, e - 1),) if e > 1 else ()) + poly[pos + 1:]
+                for chosen, rest, sign in splits:
+                    r = lam_letter([vs[a] for a in rest])
+                    if r is None:
                         continue
-                    s3, full = rr
-                    val = pc * scal * s * s2 * s3
-                    out[full] = out.get(full, Fraction(0)) + val
-    return AlgebraElement(out)
+                    s, letter = r
+                    new_states.append((
+                        dpoly,
+                        n * e * sign * s,
+                        [g[1]] + [vs[a] for a in chosen],
+                        [letter] + letters,
+                    ))
+        states = new_states
+    for poly, n, vs, letters in states:
+        r = lam_letter(vs)
+        if r is None:
+            continue
+        s, g = r
+        prod = monomial_from_factors([g] + letters)
+        if prod is None:
+            continue
+        s2, lam_mono = prod
+        s3, full = monomial_mul(poly, lam_mono)  # poly is even: never zero
+        yield full, n * s * s2 * s3
 
 
 def hat_D_op(eta: Form, indices: Sequence[int]) -> AlgebraElement:

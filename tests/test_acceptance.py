@@ -58,6 +58,17 @@ def LAM(*idx):
     return AlgebraElement.from_gen(lam_gen(idx))
 
 
+def differentiate(a, i):
+    """The constant-coefficient derivative d/dxi of a, term by term."""
+    g = x_gen(i)
+    out = AlgebraElement.zero()
+    for m, c in a.terms.items():
+        e = dict(m).get(g, 0)
+        if e:
+            out.add_term(tuple((h, k - (h == g)) for h, k in m if h != g or k > 1), c * e)
+    return out
+
+
 def _report(name, t0, budget=None):
     elapsed = time.time() - t0
     print(f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s)")
@@ -77,7 +88,7 @@ def test_criterion_01_two_variable_law():
         coeff = AlgebraElement.from_monomial(m)
         for P, Q in ((coeff, AlgebraElement.zero()), (AlgebraElement.zero(), coeff)):
             omega = Form(P * DX(1) + Q * DX(2), 2)
-            expected = (Q.differentiate(1) - P.differentiate(2)) * lam12
+            expected = (differentiate(Q, 1) - differentiate(P, 2)) * lam12
             for method in ALL_METHODS:
                 assert method(omega) == expected
     _report("01 two-variable law", t0, budget=10)
@@ -86,20 +97,20 @@ def test_criterion_01_two_variable_law():
 def _one_form_law_3vars(P, Q, R):
     lam12, lam13, lam23 = LAM(1, 2), LAM(1, 3), LAM(2, 3)
     return (
-        (Q.differentiate(1) - P.differentiate(2)) * lam12
-        + (R.differentiate(2) - Q.differentiate(3)) * lam23
-        + (R.differentiate(1) - P.differentiate(3)) * lam13
+        (differentiate(Q, 1) - differentiate(P, 2)) * lam12
+        + (differentiate(R, 2) - differentiate(Q, 3)) * lam23
+        + (differentiate(R, 1) - differentiate(P, 3)) * lam13
     )
 
 
 def _two_form_law_3vars(P, Q, R):
     # coefficients on dx1dx2, dx2dx3, dx3dx1
-    S = P.differentiate(3) + Q.differentiate(1) + R.differentiate(2)
+    S = differentiate(P, 3) + differentiate(Q, 1) + differentiate(R, 2)
     return (
         S * LAM(1, 2, 3)
-        + S.differentiate(1) * (LAM(1, 2) * LAM(1, 3))
-        + S.differentiate(2) * (LAM(1, 2) * LAM(2, 3))
-        + S.differentiate(3) * (LAM(1, 3) * LAM(2, 3))
+        + differentiate(S, 1) * (LAM(1, 2) * LAM(1, 3))
+        + differentiate(S, 2) * (LAM(1, 2) * LAM(2, 3))
+        + differentiate(S, 3) * (LAM(1, 3) * LAM(2, 3))
     )
 
 

@@ -1,5 +1,7 @@
 """De Rham operations: differential, Euler contraction, exactness."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,10 +18,15 @@ from symtrace.derham import (
     monomial_basis,
 )
 from symtrace.gcalg import (
+    DX_KIND,
+    X_KIND,
     AlgebraElement,
     InvalidInputError,
     ResourceLimitError,
     dx_gen,
+    echelon,
+    monomial_mul,
+    render,
     x_gen,
 )
 
@@ -77,6 +84,84 @@ class TestEulerContraction:
         for w, p, form in all_basis_forms(3, 4, 3):
             lhs = d(euler_contract(form)) + euler_contract(d(form))
             assert lhs == (w + p) * form
+
+
+def reference_d(omega):
+    """d on Fractions, each term through ``monomial_mul``: the reference the
+    integer ``d`` must equal."""
+    out = {}
+    for m, c in omega.body.terms.items():
+        for pos, (g, e) in enumerate(m):
+            if g[0] != X_KIND:
+                continue
+            rest = m[:pos] + (((g, e - 1),) if e > 1 else ()) + m[pos + 1:]
+            r = monomial_mul(((dx_gen(g[1]), 1),), rest)
+            if r is None:
+                continue
+            s, mm = r
+            out[mm] = out.get(mm, Fraction(0)) + s * c * e
+    return Form(AlgebraElement(out), omega.nvars)
+
+
+def reference_euler_contract(omega):
+    """The Euler contraction on Fractions, each term through ``monomial_mul``."""
+    out = {}
+    for m, c in omega.body.terms.items():
+        odd_before = 0
+        for pos, (g, e) in enumerate(m):
+            if g[0] == DX_KIND:
+                s, mm = monomial_mul(((x_gen(g[1]), 1),), m[:pos] + m[pos + 1:])
+                sign = -1 if odd_before % 2 else 1
+                out[mm] = out.get(mm, Fraction(0)) + sign * s * c
+                odd_before += 1
+    return Form(AlgebraElement(out), omega.nvars)
+
+
+def assert_same(got, ref):
+    assert got == ref
+    assert render(got.body) == render(ref.body)
+    # every coefficient is exact: a Fraction, never a float
+    assert all(type(c) is Fraction for c in got.body.terms.values())
+
+
+@st.composite
+def rational_forms(draw):
+    """Sums of basis forms on 3 variables of mixed bidegrees, weight <= 4 and
+    degree <= 3, with coefficients of denominator 1 to 6."""
+    body = AlgebraElement.zero()
+    for _ in range(draw(st.integers(1, 6))):
+        m = draw(st.sampled_from(form_basis(3, draw(st.integers(0, 4)), draw(st.integers(0, 3)))))
+        num = draw(st.integers(-6, 6).filter(bool))
+        body.add_term(m, Fraction(num, draw(st.integers(1, 6))))
+    return Form(body, 3)
+
+
+class TestIntegerSums:
+    """d and the Euler contraction sum integer terms per monomial over one
+    denominator; they equal the term-by-term Fraction versions."""
+
+    def test_every_basis_form(self):
+        for _, _, form in all_basis_forms(3, 4, 3):
+            assert_same(d(form), reference_d(form))
+            assert_same(euler_contract(form), reference_euler_contract(form))
+
+    @given(rational_forms())
+    def test_rational_sums(self, form):
+        assert_same(d(form), reference_d(form))
+        assert_same(euler_contract(form), reference_euler_contract(form))
+
+    def test_exact_image_rows_are_d(self):
+        for nvars in (1, 2, 3):
+            for w in range(4):
+                for p in range(1, nvars + 1):
+                    source, index, ech = exact_image(nvars, w, p)
+                    rows = [
+                        {index[m2]: c for m2, c in
+                         reference_d(Form(AlgebraElement.from_monomial(m), nvars)).body.terms.items()}
+                        for m in source
+                    ]
+                    ref = echelon(rows)
+                    assert (ech.rows, ech.combos, ech.pivot_row) == (ref.rows, ref.combos, ref.pivot_row)
 
 
 class TestBigradeSplit:

@@ -1,7 +1,9 @@
 """Trace evaluators: the four routes, operators, and coefficients."""
 
 import importlib
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
 
@@ -10,17 +12,23 @@ from hypothesis import given, settings, strategies as st
 
 from symtrace.derham import Form, bigrade_split, d, form_basis
 from symtrace.gcalg import (
+    DX_KIND,
+    LAM_KIND,
+    X_KIND,
     AlgebraElement,
     InvalidInputError,
     block_maps,
     block_sign,
     dx_gen,
+    gen_parity,
     lam_gen,
     lam_letter,
     lam_product,
     monomial_from_factors,
+    monomial_mul,
     perm_sign,
     render,
+    shuffles,
     x_gen,
 )
 from symtrace.trace import (
@@ -447,7 +455,8 @@ class TestLiveBlockMaps:
 
 class TestTermMemo:
     """cs, F and simple keep their integer terms per orbit representative of
-    (us, dus), each in its own table."""
+    (us, dus), each in its own table; the renaming of each letter back from
+    the representative has a fourth."""
 
     FORM = F(X(1) ** 2 * X(2) * DX(1) * DX(3))
     ROUTES = [(cs_trace_raw, FORM), (F_eval, d(FORM)), (trace_simple, FORM)]
@@ -488,8 +497,27 @@ class TestTermMemo:
             name: value for name, value in vars(trace_module).items()
             if hasattr(value, "cache_clear")
         }
-        assert set(self.TABLES) <= set(tables)
+        assert set(self.TABLES + ["_renamed_letter"]) <= set(tables)
         assert all(table.cache_info().currsize == 0 for table in tables.values())
+
+    def test_a_warm_pass_builds_and_renames_no_letter(self, monkeypatch):
+        # the kernels' terms come from their tables, and each letter's renaming
+        # from the rename table
+        trace_module = importlib.import_module("symtrace.trace")
+        calls = Counter()
+        for name, real in (("lam_product", lam_product), ("lam_letter", lam_letter)):
+            def counting(arg, name=name, real=real):
+                calls[name] += 1
+                return real(arg)
+
+            monkeypatch.setattr(trace_module, name, counting)
+        forms = [form for _, _, form in basis_forms(4, 4, 4)]
+        routes = [cs_trace_raw, trace_simple, lambda form: F_eval(d(form))]
+        cold = [[route(form) for route in routes] for form in forms]
+        assert calls["lam_product"] > 0 and calls["lam_letter"] > 0
+        calls.clear()
+        assert [[route(form) for route in routes] for form in forms] == cold
+        assert calls == Counter()
 
     def test_the_routes_keep_separate_tables(self):
         trace_module = importlib.import_module("symtrace.trace")
@@ -577,6 +605,149 @@ class TestOrbits:
         orbits = {orbit_of(us, dus) for us, dus in keys}
         assert len(orbits) < len(keys) // 3
         assert table.cache_info().misses == len(orbits)
+
+
+def reference_term_sum(form, kernel):
+    """The term loop on Fractions: each kernel term renamed back letter by
+    letter through ``lam_letter`` and added as coeff * scale * n, one term at
+    a time.  The reference the integer ``_term_sum`` must equal."""
+    acc = {}
+    for coeff, us, dus in expand_multilinear(form):
+        labels = sorted(set(us + dus), key=lambda v: (-us.count(v), v not in dus, v))
+        rank = {v: i for i, v in enumerate(labels, 1)}
+        moved = [rank[v] for v in dus]
+        terms, scale = kernel(tuple(sorted(rank[u] for u in us)), tuple(sorted(moved)))
+        for mono, n in terms:
+            n *= perm_sign(moved)
+            factors = []
+            for g, e in mono:
+                args = g[1] if g[0] == LAM_KIND else (g[1],)
+                s, letter = lam_letter([labels[i - 1] for i in args])
+                n *= s**e
+                factors.append((letter, e))
+            n *= perm_sign([g for g, _ in factors if gen_parity(g)])
+            mono = tuple(sorted(factors))
+            acc[mono] = acc.get(mono, Fraction(0)) + coeff * scale * n
+    return AlgebraElement(acc)
+
+
+def reference_D_op(omega, indices):
+    """D^(indices) with Fraction states: the coefficient polynomial
+    differentiated, and 1/p! applied, at every splitting."""
+
+    def differentiate(poly, i):
+        out = AlgebraElement.zero()
+        for m, c in poly.terms.items():
+            e = dict(m).get(x_gen(i), 0)
+            if e:
+                out.add_term(tuple((h, k - (h == x_gen(i))) for h, k in m
+                                   if h != x_gen(i) or k > 1), c * e)
+        return out
+
+    out = {}
+    for _, _, part in bigrade_split(omega):
+        for mono, c0 in part.body.terms.items():
+            poly = AlgebraElement.from_monomial(tuple((g, e) for g, e in mono if g[0] == X_KIND))
+            wedge = [g[1] for g, e in mono if g[0] == DX_KIND]
+            states = [(poly.scale(c0), wedge, [], Fraction(1))]
+            for i_cur in reversed(indices[1:]):
+                p_cur = len(states[0][1]) + 1 - i_cur if states else 0
+                new_states = []
+                for coeff_poly, vs, letters, scal in states:
+                    for var in range(1, omega.nvars + 1):
+                        dpoly = differentiate(coeff_poly, var)
+                        if dpoly.is_zero():
+                            continue
+                        for chosen, rest, sign in shuffles(len(vs), p_cur - 1):
+                            r = lam_letter([vs[a] for a in rest])
+                            if r is None:
+                                continue
+                            s, g = r
+                            new_states.append((dpoly, [var] + [vs[a] for a in chosen], [g] + letters,
+                                               scal * sign * s / factorial(p_cur)))
+                states = new_states
+            for coeff_poly, vs, letters, scal in states:
+                r = lam_letter(vs)
+                prod = r and monomial_from_factors([r[1]] + letters)
+                if prod is None:
+                    continue
+                for pm, pc in coeff_poly.terms.items():
+                    s3, full = monomial_mul(pm, prod[1])
+                    out[full] = out.get(full, Fraction(0)) + pc * scal * r[0] * prod[0] * s3
+    return AlgebraElement(out)
+
+
+def assert_same(got, ref):
+    assert got == ref
+    assert render(got) == render(ref)
+    # every coefficient is exact: a Fraction, never a float
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@st.composite
+def rational_forms(draw, degree=None):
+    """Sums of basis forms on 3 variables of mixed weights <= 4 and degrees
+    <= 3 (or the one given), with coefficients of denominator 1 to 6."""
+    body = AlgebraElement.zero()
+    for _ in range(draw(st.integers(1, 6))):
+        p = draw(st.integers(0, 3)) if degree is None else degree
+        m = draw(st.sampled_from(form_basis(3, draw(st.integers(0, 4)), p)))
+        body.add_term(m, Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 6))))
+    return Form(body, 3)
+
+
+class TestIntegerSums:
+    """The term loop and D sum integers over one denominator; they equal the
+    Fraction versions term for term."""
+
+    def kernels(self, form):
+        trace_module = importlib.import_module("symtrace.trace")
+        yield from (trace_module._cs_terms, trace_module._F_terms, trace_module._simple_terms)
+        for k in {p for _, p, _ in bigrade_split(form)}:
+            for indices in valid_tuples(k):
+                yield partial(_cs_enumerate, profile=(indices[-1], tuple(sorted(i - 1 for i in indices[:-1]))))
+
+    def check_term_sum(self, form):
+        trace_module = importlib.import_module("symtrace.trace")
+        for eta in (form, d(form)):
+            for kernel in self.kernels(eta):
+                assert_same(trace_module._term_sum(eta, kernel), reference_term_sum(eta, kernel))
+
+    def check_D_op(self, form):
+        """Compare D on every valid tuple of length <= 3; return the nonzero tuples."""
+        ks = {p for _, p, _ in bigrade_split(form)}
+        nonzero = set()
+        if len(ks) == 1:
+            for indices in valid_tuples(ks.pop()):
+                if len(indices) <= 3:
+                    got = D_op(form, indices)
+                    assert_same(got, reference_D_op(form, indices))
+                    nonzero |= {indices} if got.terms else set()
+        return nonzero
+
+    def test_term_sum_on_every_basis_form(self):
+        for _, _, form in basis_forms(3, 4, 3):
+            self.check_term_sum(form)
+
+    @settings(deadline=None)
+    @given(rational_forms())
+    def test_term_sum_on_rational_sums(self, form):
+        self.check_term_sum(form)
+
+    def test_D_op_on_every_valid_tuple(self):
+        nonzero = set()
+        for _, _, form in basis_forms(3, 4, 3):
+            for eta in (form, d(form)):
+                nonzero |= self.check_D_op(eta)
+        # every tuple of length <= 3 on 1- to 3-forms gives something nonzero,
+        # the trailing-1 tuples too
+        assert nonzero == {t for k in (1, 2, 3) for t in valid_tuples(k) if len(t) <= 3}
+
+    @settings(deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: rational_forms(degree=k)))
+    def test_D_op_on_rational_sums(self, form):
+        self.check_D_op(form)
+        self.check_D_op(d(form))
 
 
 class TestDOperators:
