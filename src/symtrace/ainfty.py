@@ -182,9 +182,11 @@ class MerkulovData:
         # and read again by the side check
         self._delta: Dict[RWord, Dict[RWord, int]] = {}
         # h mu of argument ranges and h of subtrees, shared across calls and
-        # keyed on the numbers that _ids gives each argument's contents
+        # keyed on the numbers that _ids gives each argument's contents, and
+        # each argument's lift, keyed on its word map and its terms
         self._memo: Dict[tuple, Dict[RWord, int]] = {}
         self._ids: Dict[tuple, int] = {}
+        self._lifts: Dict[tuple, Tuple[int, Dict[RWord, int], int]] = {}
         self._build()
         self._check_side_conditions()
 
@@ -316,9 +318,9 @@ class MerkulovData:
 
     # -- transfer ----------------------------------------------------------------
 
-    # The maps below run on integer terms: each argument is lifted once to
-    # integers over its own denominator, every product, commutator and h is
-    # formed on integers, and each output term is one fraction over the
+    # The maps below run on integer terms: each distinct argument is lifted
+    # once to integers over its own denominator, every product, commutator
+    # and h is formed on integers, and each output term is one fraction over the
     # product of the argument scales times den^(number of h applications).
     # h mu of a range is memoized across calls on ("mu",) + its argument keys
     # and h of a subtree on (subtree, use_comm, leaf keys), so f_taylor, the
@@ -328,17 +330,24 @@ class MerkulovData:
                    word=None) -> Tuple[Tuple[int, ...], List[Dict[RWord, int]], int]:
         """Each term dict lifted on its own, its keys mapped by ``word``: the content
         keys (numbers of the sorted integer terms in ``_ids``), the integer terms
-        and the product of the scales.  A memo past _MEMO_ENTRIES starts over."""
-        if len(self._memo) > _MEMO_ENTRIES:
-            self._memo, self._ids = {}, {}
-        ids, keys, leaves, total = self._ids, [], [], 1
+        and the product of the scales.  Each distinct (word, terms) is lifted once
+        and kept in ``_lifts``.  The memo, the keys and the lifts start over
+        together once the memo or the lifts pass _MEMO_ENTRIES."""
+        if len(self._memo) > _MEMO_ENTRIES or len(self._lifts) > _MEMO_ENTRIES:
+            self._memo, self._ids, self._lifts = {}, {}, {}
+        ids, lifts, keys, leaves, total = self._ids, self._lifts, [], [], 1
         for terms in elements:
-            scale = math.lcm(*(c.denominator for c in terms.values()))
-            ints = {word(u) if word else u: c.numerator * (scale // c.denominator)
-                    for u, c in terms.items()}
-            keys.append(ids.setdefault(tuple(sorted(ints.items())), len(ids)))
-            leaves.append(ints)
-            total *= scale
+            arg = (word, tuple(terms.items()))
+            lifted = lifts.get(arg)
+            if lifted is None:
+                scale = math.lcm(*(c.denominator for c in terms.values()))
+                ints = {word(u) if word else u: c.numerator * (scale // c.denominator)
+                        for u, c in terms.items()}
+                key = ids.setdefault(tuple(sorted(ints.items())), len(ids))
+                lifted = lifts[arg] = key, ints, scale
+            keys.append(lifted[0])
+            leaves.append(lifted[1])
+            total *= lifted[2]
         return tuple(keys), leaves, total
 
     def mu(self, i: int, args: Sequence[RElement]) -> RElement:
@@ -433,7 +442,7 @@ def _f1_word(m: Monomial) -> RWord:
 
 def _over(terms: Dict[RWord, int], divisor: int) -> RElement:
     """The element with integer terms divided by ``divisor``, one fraction each."""
-    return RElement({word: Fraction(c, divisor) for word, c in terms.items()})
+    return RElement.from_clean({word: Fraction(c, divisor) for word, c in terms.items()})
 
 
 def build_merkulov(nvars: int, weight_cap: int, degree_cap: int) -> MerkulovData:
@@ -462,7 +471,7 @@ def class_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraE
             acc[prod[1]] = acc.get(prod[1], 0) + prod[0] * c
     # the root's minus sign goes into the divisor
     divisor = -scale * md._h_den ** k
-    return AlgebraElement({m: Fraction(v, divisor) for m, v in acc.items() if v})
+    return AlgebraElement.from_clean({m: Fraction(v, divisor) for m, v in acc.items() if v})
 
 
 def monomial_tuples(nvars: int, slots: int, weight_cap: int) -> List[Tuple[AlgebraElement, ...]]:

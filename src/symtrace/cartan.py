@@ -95,7 +95,7 @@ def vartheta_power_sum(t: AlgebraElement, n: int, q: int) -> DiagonalTraceValue:
 
 def _power_sum_part(t: AlgebraElement, q: int) -> AlgebraElement:
     """The monomials of t made of exactly q+1 generator letters."""
-    return AlgebraElement({m: c for m, c in t.terms.items() if monomial_units(m) == q + 1})
+    return AlgebraElement.from_clean({m: c for m, c in t.terms.items() if monomial_units(m) == q + 1})
 
 
 def vartheta_symmetrize(t: AlgebraElement, n: int) -> DiagonalTraceValue:

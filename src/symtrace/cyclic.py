@@ -60,6 +60,7 @@ from .gcalg import (
     block_sign,
     dx_gen,
     echelon,
+    int_sum,
     lift_terms,
     max_basis_budget,
     monomial_from_factors,
@@ -165,7 +166,7 @@ def boundary(chain: CyclicChain) -> CyclicChain:
     out: Dict[ChainKey, int] = {}
     for key, v in ints.items():
         _add_boundary(ambient, key, v, out)
-    return CyclicChain(ambient, {k: Fraction(v, den) for k, v in out.items() if v})
+    return CyclicChain.from_clean({k: Fraction(v, den) for k, v in out.items() if v}, ambient)
 
 
 def _add_boundary(ambient: str, key: ChainKey, v: int, out: Dict[ChainKey, int]) -> None:
@@ -474,7 +475,7 @@ def beta_cocycle(u_vars: Sequence[int], n: int, p: int) -> CyclicChain:
         return CyclicChain("R")
     terms, scale = _beta_terms(tuple(sorted(u_vars[:n])), tuple(sorted(dx)))
     c = scale * perm_sign(dx)
-    return CyclicChain("R", {key: c * v for key, v in terms})
+    return CyclicChain.from_clean({key: c * v for key, v in terms}, "R")
 
 
 @lru_cache(maxsize=1024)
@@ -516,12 +517,9 @@ def _beta_terms(
 
 
 def beta_one_slot_words(beta: CyclicChain) -> RElement:
-    """The single-slot component of the chain, as an element of R."""
-    out: Dict[RWord, Fraction] = {}
-    for key, c in beta.terms.items():
-        if len(key) == 1:
-            out[key[0]] = out.get(key[0], Fraction(0)) + c
-    return RElement(out)
+    """The single-slot component of the chain, as an element of R: each
+    one-slot key is its own word, so nothing is summed."""
+    return RElement.from_clean({key[0]: c for key, c in beta.terms.items() if len(key) == 1})
 
 
 def eps_coalgebra(words: RElement, nvars: int) -> Form:
@@ -535,13 +533,10 @@ def eps_coalgebra(words: RElement, nvars: int) -> Form:
     contributes every rotation.  The letters a contributing rotation moves
     past the front all have degree 0, so its graded-cyclic sign is +1.
     Each word's integer (monomial, sign) terms come from a bounded cache
-    (4,096 words), and all words' scaled terms are summed into one dict.
+    (4,096 words), and all words' terms are summed on integers.
     """
-    out: Dict[Monomial, Fraction] = {}
-    for word, c in words.terms.items():
-        for mono, v in _eps_word_terms(word):
-            out[mono] = out.get(mono, 0) + c * v
-    return Form(AlgebraElement(out), nvars)
+    parts = ((c, _eps_word_terms(word)) for word, c in words.terms.items())
+    return Form(AlgebraElement.from_clean(int_sum(parts)), nvars)
 
 
 @lru_cache(maxsize=4096)

@@ -96,7 +96,7 @@ def d(omega: Form) -> Form:
     one Fraction per output monomial at the end.
     """
     parts = ((c, _d_terms(m)) for m, c in omega.body.terms.items())
-    return Form(AlgebraElement(int_sum(parts)), omega.nvars)
+    return Form(AlgebraElement.from_clean(int_sum(parts)), omega.nvars)
 
 
 def _d_terms(m: Monomial) -> Iterator[Tuple[Monomial, int]]:
@@ -121,7 +121,7 @@ def _d_terms(m: Monomial) -> Iterator[Tuple[Monomial, int]]:
 def euler_contract(omega: Form) -> Form:
     """Contraction with the Euler field: odd derivation dx_i -> x_i, x_i -> 0."""
     parts = ((c, _euler_terms(m)) for m, c in omega.body.terms.items())
-    return Form(AlgebraElement(int_sum(parts)), omega.nvars)
+    return Form(AlgebraElement.from_clean(int_sum(parts)), omega.nvars)
 
 
 def _euler_terms(m: Monomial) -> Iterator[Tuple[Monomial, int]]:
@@ -145,7 +145,7 @@ def bigrade_split(omega: Form) -> List[Tuple[int, int, Form]]:
     for m, c in omega.body.terms.items():
         buckets.setdefault(monomial_bidegree(m), {})[m] = c
     return [
-        (w, p, Form(AlgebraElement(terms), omega.nvars))
+        (w, p, Form(AlgebraElement.from_clean(terms), omega.nvars))
         for (w, p), terms in sorted(buckets.items())
     ]
 

@@ -392,6 +392,14 @@ class LinComb:
     def __init__(self, terms: Optional[dict] = None):
         self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
 
+    @classmethod
+    def from_clean(cls, terms: dict, *ambient) -> "LinComb":
+        """The element on ``terms`` itself, neither copied nor filtered: only
+        for a fresh dict with no zero coefficient, such as ``int_sum`` returns."""
+        out = cls(*ambient)
+        out.terms = terms
+        return out
+
     def _new(self, terms: dict) -> "LinComb":
         return type(self)(terms)
 

@@ -157,12 +157,8 @@ def _delta_letter_terms(letter: Letter) -> Tuple[Tuple[RWord, int], ...]:
 
 def delta_R(e: RElement) -> RElement:
     """Degree -1 derivation extending the shuffle differential on letters:
-    the linear extension of ``delta_word``."""
-    out: Dict[RWord, Fraction] = {}
-    for word, c in e.terms.items():
-        for w, cw in delta_word(word):
-            out[w] = out.get(w, 0) + c * cw
-    return RElement(out)
+    the linear extension of ``delta_word``, summed on integers."""
+    return RElement.from_clean(int_sum((c, delta_word(word)) for word, c in e.terms.items()))
 
 
 def delta_word(word: RWord) -> Tuple[Tuple[RWord, int], ...]:
@@ -191,15 +187,15 @@ def _delta_word_terms(word: RWord) -> Tuple[Tuple[RWord, int], ...]:
 
 def abelianize(e: RElement) -> AlgebraElement:
     """Image in the graded-commutative algebra; commutators die.  Each word's
-    ``lam_product`` comes from a bounded per-word cache (4,096 entries)."""
-    out: Dict = {}
-    for word, c in e.terms.items():
-        prod = _abelian_word(word)
-        if prod is None:
-            continue
-        s, mono = prod
-        out[mono] = out.get(mono, Fraction(0)) + s * c
-    return AlgebraElement(out)
+    ``lam_product`` comes from a bounded per-word cache (4,096 entries), and
+    the signed monomials are summed on integers."""
+    parts = ((c, _lam_terms(_abelian_word(word))) for word, c in e.terms.items())
+    return AlgebraElement.from_clean(int_sum(parts))
+
+
+def _lam_terms(prod: Optional[Tuple[int, Monomial]]) -> Tuple[Tuple[Monomial, int], ...]:
+    """A ``lam_product`` as integer terms: its (monomial, sign), if nonzero."""
+    return () if prod is None else ((prod[1], prod[0]),)
 
 
 _abelian_word = lru_cache(maxsize=4096)(lam_product)
@@ -212,15 +208,15 @@ def s_inv(omega: Form) -> AlgebraElement:
     """
     if any(monomial_bidegree(m)[1] == 0 for m in omega.body.terms):
         raise InvalidInputError("s_inv needs form degree >= 1 in every term")
-    return AlgebraElement(int_sum((c, _s_inv_terms(m)) for m, c in omega.body.terms.items()))
+    parts = ((c, _s_inv_terms(m)) for m, c in omega.body.terms.items())
+    return AlgebraElement.from_clean(int_sum(parts))
 
 
 def _s_inv_terms(m: Monomial) -> Tuple[Tuple[Monomial, int], ...]:
     """The integer term (monomial, sign) of s_inv on one form monomial, if nonzero."""
     xs = [[g[1]] for g, e in m if g[0] == X_KIND for _ in range(e)]
     dxs = [g[1] for g, e in m if g[0] == DX_KIND]
-    prod = lam_product(xs + [dxs])
-    return () if prod is None else ((prod[1], prod[0]),)
+    return _lam_terms(lam_product(xs + [dxs]))
 
 
 def r_word_basis(nvars: int, weight: int, degree: int) -> List[RWord]:

@@ -148,7 +148,7 @@ def _term_sum(form: Form, kernel: Kernel) -> AlgebraElement:
         if any(v != i for i, v in enumerate(labels, 1)):
             terms = _relabel(terms, perm_sign(moved), labels)
         parts.append((coeff * scale, terms))
-    return AlgebraElement(int_sum(parts))
+    return AlgebraElement.from_clean(int_sum(parts))
 
 
 def _relabel(terms: IntTerms, sign: int, labels: Tuple[int, ...]) -> Iterator[Tuple[Monomial, int]]:
@@ -335,7 +335,7 @@ def D_op(omega: Form, indices: Sequence[int]) -> AlgebraElement:
             k_cur = p_cur
         parts.extend((Fraction(c, prefactor), _D_terms(mono, levels))
                      for mono, c in part.body.terms.items())
-    return AlgebraElement(int_sum(parts))
+    return AlgebraElement.from_clean(int_sum(parts))
 
 
 def _D_terms(mono: Monomial, levels: list) -> Iterator[Tuple[Monomial, int]]:

@@ -878,6 +878,69 @@ class TestIntegerTransfer:
         assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
 
 
+class TestLiftMemo:
+    """Each argument is lifted once per MerkulovData, memoized on its word map
+    and its terms; the content key is shared by equal contents."""
+
+    def test_equal_contents_share_one_key(self):
+        md = build_merkulov(3, 4, 3)
+        a = Fraction(3, 2) * X(1) - Fraction(1, 3) * X(2) * X(3)
+        same = AlgebraElement(dict(a.terms))
+        reordered = AlgebraElement(dict(reversed(list(a.terms.items()))))
+        assert same is not a and list(reordered.terms) != list(a.terms)
+        lifted = [md._lift_args([e.terms], ainfty._f1_word) for e in (a, same, reordered)]
+        assert lifted[0][0] == lifted[1][0] == lifted[2][0]
+        assert lifted[0][1] == lifted[2][1] == [{((1,),): 9, ((2,), (3,)): -2}]
+        assert {scale for _, _, scale in lifted} == {6}
+        # the equal-order copy reads the first lift; the other order is lifted
+        # once more, to the same content key
+        assert lifted[1][1][0] is lifted[0][1][0]
+        assert len(md._lifts) == 2 and len(md._ids) == 1
+
+    def test_word_maps_never_share_an_entry(self):
+        md = build_merkulov(3, 4, 3)
+        ref = FractionTransfer(md)
+        terms = (X(1) + Fraction(1, 2) * X(2)).terms
+        plain = md._lift_args([terms])
+        mapped = md._lift_args([terms], ainfty._f1_word)
+        assert plain[0] != mapped[0] and plain[1] != mapped[1]
+        assert mapped[1] == [{((1,),): 2, ((2,),): 1}]
+        assert len(md._lifts) == 2
+        # mu on the f1 images and f_taylor on the polynomials, in both orders
+        args = [X(2) + Fraction(1, 2) * X(3), Fraction(-2, 3) * X(1)]
+        words = [f1(a) for a in args] + [f1(X(1))]
+        for _ in range(2):
+            assert md.mu(3, words) == ref.mu(3, words)
+            assert md.f_taylor(args) == ref.f_taylor(args)
+            assert md.mu(3, words) == ref.mu(3, words)
+        assert not md.f_taylor(args).is_zero() and not md.mu(3, words).is_zero()
+
+    def test_a_reset_memo_gives_the_same_results(self, monkeypatch):
+        monkeypatch.setattr(ainfty, "_MEMO_ENTRIES", 4)
+        md = build_merkulov(3, 4, 3)
+        ref = FractionTransfer(md)
+        tuples = mixed_tuples(md, 2, 6, seed=5)
+        sizes = []
+        for args in tuples + tuples:
+            words = [f1(a) for a in args]
+            assert md.f_taylor(args) == ref.f_taylor(args)
+            sizes.append(len(md._lifts))
+            assert md.mu(2, words[:2]) == ref.mu(2, words[:2])
+            sizes.append(len(md._lifts))
+        assert max(sizes) <= 4 + 3
+        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+    def test_lifts_alone_start_the_memos_over(self, monkeypatch):
+        # mu_2 adds no memo entry, so only the lift memo can trip the reset
+        monkeypatch.setattr(ainfty, "_MEMO_ENTRIES", 4)
+        md = build_merkulov(3, 4, 3)
+        for c in range(1, 13):
+            pair = [f1(X(1)), f1(Fraction(c, 7) * X(2))]
+            assert md.mu(2, pair) == RElement.from_word(((1,), (2,)), Fraction(c, 7))
+            assert not md._memo
+            assert len(md._lifts) <= 4 + 2 and len(md._ids) <= 4 + 2
+
+
 class TestCsTree:
     def test_k2_exhaustive_two_vars(self, md2):
         samples = monomial_tuples(2, 3, 4)

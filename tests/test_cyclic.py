@@ -29,8 +29,8 @@ from symtrace.cyclic import (
 )
 from symtrace.derham import Form, d, equal_mod_exact, monomial_basis
 from symtrace.gcalg import (
-    AlgebraElement, IntegrityError, ResourceLimitError, block_maps, block_sign, dx_gen,
-    monomial_weight, perm_sign, x_gen,
+    AlgebraElement, IntegrityError, ResourceLimitError, block_maps, block_sign, dx_gen, lam_gen,
+    lam_product, monomial_weight, perm_sign, x_gen,
 )
 from symtrace.resolution import (
     RElement, _lam_word, abelianize, delta_R, delta_word, r_word_basis, word_weight,
@@ -772,3 +772,144 @@ class TestBridgeAlternation:
         for u, n, p in _label_tuples(4, 4):
             beta_cocycle(u, n, p)
         assert letters and all(r is not None for r in letters)
+
+
+# The bridge projections as they summed before they ran on integers: one
+# Fraction product and sum per term.  They are the references below.
+
+def _fraction_one_slot(beta):
+    out = {}
+    for key, c in beta.terms.items():
+        if len(key) == 1:
+            out[key[0]] = out.get(key[0], Fraction(0)) + c
+    return RElement(out)
+
+
+def _fraction_abelianize(e):
+    out = {}
+    for wd, c in e.terms.items():
+        prod = lam_product(wd)
+        if prod is None:
+            continue
+        s, m = prod
+        out[m] = out.get(m, Fraction(0)) + s * c
+    return AlgebraElement(out)
+
+
+def _fraction_eps(words, nvars):
+    out = {}
+    for wd, c in words.terms.items():
+        for m, v in cyclic._eps_word_terms(wd):
+            out[m] = out.get(m, 0) + c * v
+    return Form(AlgebraElement(out), nvars)
+
+
+def _fraction_delta_R(e):
+    out = {}
+    for wd, c in e.terms.items():
+        for w, cw in delta_word(wd):
+            out[w] = out.get(w, 0) + c * cw
+    return RElement(out)
+
+
+def _assert_clean_and_equal(got, ref):
+    """The same term dict, every coefficient a nonzero Fraction."""
+    assert got.terms == ref.terms
+    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+
+
+PROJECTION_WORDS = [w for wt in range(1, 5) for deg in range(4) for w in r_word_basis(3, wt, deg)]
+
+
+def _rotated(wd):
+    return wd[1:] + wd[:1]
+
+
+class TestIntegerProjections:
+    """The bridge projections summed on integers against their Fraction loops,
+    on rational coefficients and on sums that cancel."""
+
+    def _mixed_elements(self, count, seed):
+        rng = random.Random(seed)
+        return [RElement({rng.choice(PROJECTION_WORDS): rng.choice(MIXED)
+                          for _ in range(rng.randint(1, 6))}) for _ in range(count)]
+
+    def test_abelianize_equals_the_fraction_sum(self):
+        nonzero = 0
+        for e in self._mixed_elements(300, seed=11):
+            got = abelianize(e)
+            _assert_clean_and_equal(got, _fraction_abelianize(e))
+            nonzero += not got.is_zero()
+        assert nonzero > 100
+
+    def test_abelianize_of_cancelling_sums(self):
+        # a commutator of degree-0 words, and delta of anything, abelianize to 0;
+        # the letter lam[1,2] is left
+        c = Fraction(-5, 6)
+        e = RElement({((1,), (2,)): c, ((2,), (1,)): -c, ((1, 2),): Fraction(1, 3)})
+        _assert_clean_and_equal(abelianize(e), _fraction_abelianize(e))
+        assert abelianize(e).terms == {((lam_gen((1, 2)), 1),): Fraction(1, 3)}
+        for x in self._mixed_elements(60, seed=12):
+            bound = delta_R(x).scale(Fraction(-3, 4))
+            assert _fraction_abelianize(bound).terms == {}
+            assert abelianize(bound).terms == {}
+
+    def test_eps_coalgebra_equals_the_fraction_sum(self):
+        nonzero = 0
+        for e in self._mixed_elements(300, seed=13):
+            got = eps_coalgebra(e, 3)
+            _assert_clean_and_equal(got.body, _fraction_eps(e, 3).body)
+            nonzero += not got.is_zero()
+        assert nonzero > 100
+
+    def test_eps_coalgebra_of_cancelling_sums(self):
+        # every word and its rotation have the same image, so w - rot(w) is 0
+        rng = random.Random(14)
+        for _ in range(60):
+            e = RElement.zero()
+            for wd in rng.sample(PROJECTION_WORDS, 3):
+                c = rng.choice(MIXED)
+                e.add_term(wd, c)
+                e.add_term(_rotated(wd), -c)
+            assert _fraction_eps(e, 3).body.terms == {}
+            assert eps_coalgebra(e, 3).body.terms == {}
+
+    def test_delta_R_equals_the_fraction_sum(self):
+        nonzero = 0
+        for e in self._mixed_elements(300, seed=15):
+            got = delta_R(e)
+            _assert_clean_and_equal(got, _fraction_delta_R(e))
+            nonzero += not got.is_zero()
+        assert nonzero > 100
+
+    def test_delta_R_of_cancelling_sums(self):
+        # delta squares to 0: delta of a boundary cancels term by term
+        for x in self._mixed_elements(60, seed=16):
+            e = delta_R(x).scale(Fraction(2, 3))
+            _assert_clean_and_equal(delta_R(e), _fraction_delta_R(e))
+            assert delta_R(e).terms == {}
+
+    def test_one_slot_words_equal_the_fraction_sum(self):
+        rng = random.Random(17)
+        cases = [(u, n, p) for u, n, p in _label_tuples(3, 4) if len(set(u[n:])) == p]
+        nonzero = 0
+        for _ in range(80):
+            chain = CyclicChain("R")
+            for u, n, p in rng.sample(cases, 3):
+                chain.iadd(beta_cocycle(u, n, p), rng.choice(MIXED))
+            got = beta_one_slot_words(chain)
+            _assert_clean_and_equal(got, _fraction_one_slot(chain))
+            nonzero += not got.is_zero()
+        assert nonzero > 40
+
+    def test_one_slot_words_of_cancelling_sums(self):
+        # swapping two du labels negates the chain, so the sum is 0
+        c = Fraction(3, 4)
+        chain = CyclicChain("R")
+        chain.iadd(beta_cocycle((1, 2, 3), 1, 2), c)
+        chain.iadd(beta_cocycle((1, 3, 2), 1, 2), c)
+        assert chain.is_zero()
+        assert beta_one_slot_words(chain).terms == _fraction_one_slot(chain).terms == {}
+        # a chain of two-slot keys only has no one-slot part
+        chain = CyclicChain("R", {(((1,),), ((2, 3),)): Fraction(1, 2)})
+        assert beta_one_slot_words(chain).terms == _fraction_one_slot(chain).terms == {}

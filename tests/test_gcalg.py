@@ -287,6 +287,28 @@ class TestLinComb:
         acc.iadd(X(1), -2)
         assert acc.terms == {} and acc == AlgebraElement.zero()
 
+    def test_public_constructors_drop_zeros(self):
+        m = ((x_gen(1), 1),)
+        assert AlgebraElement({m: Fraction(0)}).terms == {}
+        assert AlgebraElement({m: Fraction(0), (): Fraction(1, 2)}).terms == {(): Fraction(1, 2)}
+        assert RElement({((1,),): Fraction(0)}).terms == {}
+        assert RElement({((1,),): 0, ((2,),): Fraction(-1, 3)}).terms == {((2,),): Fraction(-1, 3)}
+
+    def test_from_clean_adopts_its_dict(self):
+        terms = {((x_gen(1), 1),): Fraction(2, 3)}
+        e = AlgebraElement.from_clean(terms)
+        assert type(e) is AlgebraElement and e.terms is terms
+        assert e == AlgebraElement(dict(terms))
+        words = {((1, 2),): Fraction(1, 2)}
+        r = RElement.from_clean(words)
+        assert type(r) is RElement and r.terms is words
+        # an ambient argument goes to the subclass's constructor
+        slots = {((), ()): Fraction(1, 2)}
+        diag = DiagonalTraceValue.from_clean(slots, 2)
+        assert diag.n == 2 and diag.terms is slots
+        with pytest.raises(InvalidInputError):
+            diag + DiagonalTraceValue.zero(1)
+
     def test_diagonal_sum_across_slot_counts_raises(self):
         one, two = DiagonalTraceValue.zero(1), DiagonalTraceValue.zero(2)
         with pytest.raises(InvalidInputError):
