@@ -50,17 +50,17 @@ from .gcalg import (
     add_into,
     echelon,
     echelon_split,
-    lam_product,
     lift,
-    lift_terms,
     max_basis_budget,
+    over,
     perm_sign,
 )
 from .resolution import (
     RElement,
     RWord,
     Terms,
-    _word_count,
+    abelianize,
+    check_word_bases,
     delta_word,
     r_word_basis,
     word_commutator,
@@ -196,14 +196,8 @@ class MerkulovData:
                 yield deg, w
 
     def _build(self):
-        budget = max_basis_budget()
         # every bidegree is counted before any is built
-        for deg, w in self._bidegrees():
-            size = _word_count(self.nvars, w, deg)
-            if size > budget:
-                raise ResourceLimitError(
-                    f"basis at degree {deg}, weight {w} has {size} words (budget {budget})"
-                )
+        check_word_bases(self.nvars, self._bidegrees())
         for deg, w in self._bidegrees():
             words = self.basis[(deg, w)] = r_word_basis(self.nvars, w, deg)
             self.index[(deg, w)] = {word: i for i, word in enumerate(words)}
@@ -234,8 +228,8 @@ class MerkulovData:
                 part = RElement.from_word(word) - RElement.from_word(tuple(sorted(word)))
                 if echelon_split(ech, self._to_vec(part.terms, deg, w))[1]:
                     raise IntegrityError("kernel of pi is not exhausted by boundaries")
-        self._h_den = math.lcm(*(c.denominator for v in values.values() for c in v.values()))
-        self._h_pivot = {p: lift(v, self._h_den) for p, v in values.items()}
+        self._h_den = math.lcm(*(lift(v)[1] for v in values.values()))
+        self._h_pivot = {p: lift(v, self._h_den)[0] for p, v in values.items()}
 
     def _to_vec(self, terms: Terms, deg: int, w: int) -> SparseVec:
         idx = self.index[(deg, w)]
@@ -245,7 +239,7 @@ class MerkulovData:
 
     def h(self, e: RElement) -> RElement:
         """The homotopy: a lookup of each word in its values on the pivot words."""
-        terms, scale = lift_terms(e.terms)
+        terms, scale = lift(e.terms)
         return _over(self._h_int(terms), scale * self._h_den)
 
     def _h_int(self, terms: Dict[RWord, int]) -> Dict[RWord, int]:
@@ -340,9 +334,7 @@ class MerkulovData:
             arg = (word, tuple(terms.items()))
             lifted = lifts.get(arg)
             if lifted is None:
-                scale = math.lcm(*(c.denominator for c in terms.values()))
-                ints = {word(u) if word else u: c.numerator * (scale // c.denominator)
-                        for u, c in terms.items()}
+                ints, scale = lift({word(u): c for u, c in terms.items()} if word else terms)
                 key = ids.setdefault(tuple(sorted(ints.items())), len(ids))
                 lifted = lifts[arg] = key, ints, scale
             keys.append(lifted[0])
@@ -442,7 +434,7 @@ def _f1_word(m: Monomial) -> RWord:
 
 def _over(terms: Dict[RWord, int], divisor: int) -> RElement:
     """The element with integer terms divided by ``divisor``, one fraction each."""
-    return RElement.from_clean({word: Fraction(c, divisor) for word, c in terms.items()})
+    return RElement.from_clean(over(terms, divisor))
 
 
 def build_merkulov(nvars: int, weight_cap: int, degree_cap: int) -> MerkulovData:
@@ -455,8 +447,8 @@ def class_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraE
     Each argument is lifted once per call and every class permutes the
     lifted terms; h of each labeled subtree is evaluated once per
     ``MerkulovData``.  h and abelianization are linear, so the signed root
-    commutators of all classes are summed on integers first, and h and
-    ``lam_product`` run once on the sum, which is divided once.
+    commutators of all classes are summed on integers first, and h runs
+    once on the sum, which is divided once and then abelianized.
     """
     k = len(args) - 1
     keys, leaves, scale = md._lift_args((a.terms for a in args), _f1_word)
@@ -464,14 +456,8 @@ def class_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraE
     for (sigma, t), sign in zip(enumerate_labeled_classes(k), _class_signs(k)):
         ks, ls = tuple(keys[j] for j in sigma), [leaves[j] for j in sigma]
         add_into(root, md._eval_tree(t, ks, ls, True), sign)
-    acc: Dict[Monomial, int] = {}
-    for word, c in md._h_int(root).items():
-        prod = lam_product(word)
-        if prod is not None:
-            acc[prod[1]] = acc.get(prod[1], 0) + prod[0] * c
     # the root's minus sign goes into the divisor
-    divisor = -scale * md._h_den ** k
-    return AlgebraElement.from_clean({m: Fraction(v, divisor) for m, v in acc.items() if v})
+    return abelianize(_over(md._h_int(root), -scale * md._h_den ** k))
 
 
 def monomial_tuples(nvars: int, slots: int, weight_cap: int) -> List[Tuple[AlgebraElement, ...]]:

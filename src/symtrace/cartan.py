@@ -24,7 +24,10 @@ from .gcalg import (
     InvalidInputError,
     LinComb,
     Monomial,
+    ResourceLimitError,
+    int_sum,
     koszul_sign,
+    max_basis_budget,
     monomial_parity,
     monomial_units,
 )
@@ -59,15 +62,14 @@ class DiagonalTraceValue(LinComb):
 
     def permute_slots(self, sigma: Sequence[int]) -> "DiagonalTraceValue":
         """Apply a slot permutation with Koszul signs (slot parities)."""
-        out: Dict[SlotKey, Fraction] = {}
+        parts = []
         for key, c in self.terms.items():
             sign = koszul_sign(sigma, [monomial_parity(m) if m else 0 for m in key])
             new = [ONE] * self.n
             for j, m in enumerate(key):
                 new[sigma[j]] = m
-            k2 = tuple(new)
-            out[k2] = out.get(k2, Fraction(0)) + sign * c
-        return DiagonalTraceValue(self.n, out)
+            parts.append((c, ((tuple(new), sign),)))
+        return DiagonalTraceValue.from_clean(int_sum(parts), self.n)
 
     def is_symmetric(self) -> bool:
         """S_n-invariance, checked on the transposition (0 1) and the n-cycle.
@@ -101,14 +103,15 @@ def _power_sum_part(t: AlgebraElement, q: int) -> AlgebraElement:
 def vartheta_symmetrize(t: AlgebraElement, n: int) -> DiagonalTraceValue:
     """The direct sum over all q: the symmetrization map.
 
-    sum_i (1, .., t, .., 1), with t whole in slot i.
+    sum_i (1, .., t, .., 1), with t whole in slot i.  The n keys of n slots
+    of each monomial are charged to the basis budget before any is built.
     """
-    out: Dict[SlotKey, Fraction] = {}
-    for m, c in t.terms.items():
-        for i in range(n):
-            key = tuple(m if j == i else ONE for j in range(n))
-            out[key] = out.get(key, Fraction(0)) + c
-    return DiagonalTraceValue(n, out)
+    cells, budget = n * n * len(t.terms), max_basis_budget()
+    if cells > budget:
+        raise ResourceLimitError(f"n={n} needs {cells} slot cells (budget {budget})")
+    parts = ((c, [(tuple(m if j == i else ONE for j in range(n)), 1) for i in range(n)])
+             for m, c in t.terms.items())
+    return DiagonalTraceValue.from_clean(int_sum(parts), n)
 
 
 def trace_cartan(omega: Form, n: int, q: int) -> DiagonalTraceValue:

@@ -52,7 +52,7 @@ from .gcalg import (
     render_monomial,
     x_gen,
 )
-from .resolution import abelianize, delta_R, lam_element, r_word_basis, RElement
+from .resolution import RElement, abelianize, check_word_bases, delta_R, lam_element, r_word_basis
 from .trace import (
     TraceMethod,
     cs_trace_raw,
@@ -323,7 +323,10 @@ def suite_derham(nvars: int, weight_cap: int, degree_cap: int) -> VerificationRe
 
 
 def suite_resolution(nvars: int, weight_cap: int) -> VerificationReport:
-    """delta^2 = 0 on letters, and the abelianized differential vanishes."""
+    """delta^2 = 0 on letters, and the abelianized differential vanishes.
+    Every word basis and the letters, one-letter words, are counted first."""
+    words = [(deg, w) for w in range(1, weight_cap + 1) for deg in range(w)]
+    check_word_bases(nvars, [(k - 1, k) for k in range(1, min(nvars, 4) + 1)] + words)
     report = VerificationReport("resolution")
     for k in range(1, min(nvars, 4) + 1):
         for idx in combinations(range(1, nvars + 1), k):

@@ -61,11 +61,13 @@ from .gcalg import (
     dx_gen,
     echelon,
     int_sum,
-    lift_terms,
+    lift,
     max_basis_budget,
     monomial_from_factors,
     monomial_mul,
+    over,
     perm_sign,
+    signed_terms,
     x_gen,
 )
 from .resolution import (
@@ -114,14 +116,9 @@ class CyclicChain(LinComb):
         return CyclicChain(self.ambient, terms)
 
     def canonicalized(self) -> "CyclicChain":
-        out: Dict[ChainKey, Fraction] = {}
-        for key, c in self.terms.items():
-            r = cyclic_canonical(self.ambient, key)
-            if r is None:
-                continue
-            sign, canon = r
-            out[canon] = out.get(canon, Fraction(0)) + sign * c
-        return CyclicChain(self.ambient, out)
+        parts = ((c, signed_terms(cyclic_canonical(self.ambient, key)))
+                 for key, c in self.terms.items())
+        return CyclicChain.from_clean(int_sum(parts), self.ambient)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclicChain):
@@ -162,11 +159,11 @@ def boundary(chain: CyclicChain) -> CyclicChain:
     """Cyclic Hochschild boundary plus the slotwise internal differential,
     summed as integers over the chain's common denominator."""
     ambient = chain.ambient
-    ints, den = lift_terms(chain.terms)
+    ints, den = lift(chain.terms)
     out: Dict[ChainKey, int] = {}
     for key, v in ints.items():
         _add_boundary(ambient, key, v, out)
-    return CyclicChain.from_clean({k: Fraction(v, den) for k, v in out.items() if v}, ambient)
+    return CyclicChain.from_clean(over(out, den), ambient)
 
 
 def _add_boundary(ambient: str, key: ChainKey, v: int, out: Dict[ChainKey, int]) -> None:
@@ -418,20 +415,13 @@ def derham_quotient_dims(nvars: int, weight_cap: int, degree_cap: int) -> Dict[T
 
 def hkr_eps(omega: Form) -> CyclicChain:
     """Antisymmetrization of a form into a cyclic chain over A."""
-    out: Dict[ChainKey, Fraction] = {}
+    parts = []
     for m, c in omega.body.terms.items():
         poly: Monomial = tuple((g, e) for g, e in m if g[0] == X_KIND)
-        dxs = [g[1] for g, e in m if g[0] == DX_KIND]
-        i = len(dxs)
-        if i == 0:
-            key = (poly,)
-            out[key] = out.get(key, Fraction(0)) + c
-            continue
-        for sigma in permutations(range(i)):
-            sign = perm_sign(sigma)
-            key = (poly,) + tuple(((x_gen(dxs[j]), 1),) for j in sigma)
-            out[key] = out.get(key, Fraction(0)) + sign * c
-    return CyclicChain("A", out)
+        dxs = [((x_gen(g[1]), 1),) for g, e in m if g[0] == DX_KIND]
+        parts.append((c, [((poly,) + tuple(dxs[j] for j in sigma), perm_sign(sigma))
+                          for sigma in permutations(range(len(dxs)))]))
+    return CyclicChain.from_clean(int_sum(parts), "A")
 
 
 def hkr_I(chain: CyclicChain, nvars: int) -> Form:
@@ -561,7 +551,4 @@ def form_from_labels(u_vars: Sequence[int], n: int, p: int, nvars: int) -> Form:
         dx_gen(u_vars[n + j]) for j in range(p)
     ]
     mono = monomial_from_factors(factors)
-    if mono is None:
-        return Form.zero(nvars)
-    s, m = mono
-    return Form(AlgebraElement.from_monomial(m, s), nvars)
+    return Form(AlgebraElement.from_clean(over(dict(signed_terms(mono)), 1)), nvars)

@@ -348,15 +348,21 @@ def add_into(acc: dict, terms: dict, c=1) -> None:
                 del acc[key]
 
 
-def lift(terms: dict, scale: int) -> dict:
-    """scale * terms as integers; scale must clear every denominator."""
-    return {key: c.numerator * (scale // c.denominator) for key, c in terms.items()}
+def lift(terms: dict, scale: int = 0) -> Tuple[dict, int]:
+    """(scale * terms as integers, scale); scale must clear every denominator
+    and defaults to their lcm."""
+    scale = scale or math.lcm(*(c.denominator for c in terms.values()))
+    return {key: c.numerator * (scale // c.denominator) for key, c in terms.items()}, scale
 
 
-def lift_terms(terms: dict) -> Tuple[dict, int]:
-    """Integer terms over the common denominator of ``terms``, and that denominator."""
-    scale = math.lcm(*(c.denominator for c in terms.values()))
-    return lift(terms, scale), scale
+def over(ints: dict, den: int) -> dict:
+    """Integer terms divided by den, one Fraction per nonzero term."""
+    return {key: Fraction(v, den) for key, v in ints.items() if v}
+
+
+def signed_terms(r: Optional[Tuple[int, Hashable]]) -> Tuple[Tuple[Hashable, int], ...]:
+    """A (sign, key) result, or None for zero, as integer terms for ``int_sum``."""
+    return () if r is None else ((r[1], r[0]),)
 
 
 def int_sum(parts: Iterable[Tuple[Fraction, Iterable[Tuple[Hashable, int]]]]) -> dict:
@@ -373,7 +379,7 @@ def int_sum(parts: Iterable[Tuple[Fraction, Iterable[Tuple[Hashable, int]]]]) ->
         c = c.numerator * (den // c.denominator)
         for key, n in terms:
             acc[key] = acc.get(key, 0) + c * n
-    return {key: Fraction(v, den) for key, v in acc.items() if v}
+    return over(acc, den)
 
 
 class LinComb:
@@ -537,8 +543,8 @@ def _eliminate(rows: List[SparseVec], js: List[int]) -> List[tuple]:
     made: List[tuple] = []
     at_pivot: Dict[int, tuple] = {}
     for j in js:
-        scale = math.lcm(*(v.denominator for v in rows[j].values()))
-        vec, combo = lift(rows[j], scale), {j: scale}
+        vec, scale = lift(rows[j])
+        combo = {j: scale}
         for p in rows[j]:
             if p in at_pivot:
                 _cancel(vec, combo, *at_pivot[p], p)
@@ -608,15 +614,9 @@ class AlgebraElement(LinComb):
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                r = monomial_mul(m1, m2)
-                if r is None:
-                    continue
-                s, m = r
-                out[m] = out.get(m, Fraction(0)) + s * c1 * c2
-        return AlgebraElement(out)
+        return AlgebraElement.from_clean(int_sum(
+            (c1 * c2, signed_terms(monomial_mul(m1, m2)))
+            for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()))
 
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:

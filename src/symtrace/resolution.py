@@ -33,11 +33,15 @@ from .gcalg import (
     InvalidInputError,
     LinComb,
     Monomial,
+    ResourceLimitError,
     add_into,
     int_sum,
     lam_letter,
     lam_product,
+    max_basis_budget,
+    over,
     shuffles,
+    signed_terms,
 )
 
 Letter = Tuple[int, ...]  # strictly increasing variable indices, len >= 1
@@ -127,10 +131,7 @@ def _lam_word(arg_lists: Iterable[Sequence[int]]) -> Optional[Tuple[int, RWord]]
 
 def lam_element(indices: Sequence[int]) -> RElement:
     """The letter lam(indices) as an element of R (zero on repeats)."""
-    r = _lam_word([indices])
-    if r is None:
-        return RElement.zero()
-    return RElement({r[1]: Fraction(r[0])})
+    return RElement.from_clean(over(dict(signed_terms(_lam_word([indices]))), 1))
 
 
 def delta_letter(letter: Letter) -> RElement:
@@ -189,13 +190,8 @@ def abelianize(e: RElement) -> AlgebraElement:
     """Image in the graded-commutative algebra; commutators die.  Each word's
     ``lam_product`` comes from a bounded per-word cache (4,096 entries), and
     the signed monomials are summed on integers."""
-    parts = ((c, _lam_terms(_abelian_word(word))) for word, c in e.terms.items())
+    parts = ((c, signed_terms(_abelian_word(word))) for word, c in e.terms.items())
     return AlgebraElement.from_clean(int_sum(parts))
-
-
-def _lam_terms(prod: Optional[Tuple[int, Monomial]]) -> Tuple[Tuple[Monomial, int], ...]:
-    """A ``lam_product`` as integer terms: its (monomial, sign), if nonzero."""
-    return () if prod is None else ((prod[1], prod[0]),)
 
 
 _abelian_word = lru_cache(maxsize=4096)(lam_product)
@@ -216,7 +212,7 @@ def _s_inv_terms(m: Monomial) -> Tuple[Tuple[Monomial, int], ...]:
     """The integer term (monomial, sign) of s_inv on one form monomial, if nonzero."""
     xs = [[g[1]] for g, e in m if g[0] == X_KIND for _ in range(e)]
     dxs = [g[1] for g, e in m if g[0] == DX_KIND]
-    return _lam_terms(lam_product(xs + [dxs]))
+    return signed_terms(lam_product(xs + [dxs]))
 
 
 def r_word_basis(nvars: int, weight: int, degree: int) -> List[RWord]:
@@ -246,3 +242,13 @@ def _word_count(nvars: int, weight: int, degree: int) -> int:
         return 0
     return sum((-1) ** (n - j) * math.comb(n, j) * math.comb(j * nvars, weight)
                for j in range(n + 1))
+
+
+def check_word_bases(nvars: int, bidegrees: Iterable[Tuple[int, int]]) -> None:
+    """Count the word basis of each (degree, weight) against the basis budget, unbuilt."""
+    budget = max_basis_budget()
+    for deg, w in bidegrees:
+        size = _word_count(nvars, w, deg)
+        if size > budget:
+            raise ResourceLimitError(
+                f"basis at degree {deg}, weight {w} has {size} words (budget {budget})")

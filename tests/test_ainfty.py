@@ -35,7 +35,7 @@ from symtrace.gcalg import (
     echelon,
     echelon_split,
     lam_gen,
-    lift_terms,
+    lift,
     perm_sign,
     render,
     x_gen,
@@ -502,7 +502,7 @@ class TestClassTreeSum:
         assert not class_tree_sum(md, args).is_zero()
         distinct = list({id(e): e for e in seen}.values())
         assert len(distinct) == len(args)
-        expected = [lift_terms(f1(a).terms)[0] for a in args]
+        expected = [lift(f1(a).terms)[0] for a in args]
         assert sorted(distinct, key=repr) == sorted(expected, key=repr)
 
     @pytest.mark.parametrize("scale", [1, 3])

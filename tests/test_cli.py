@@ -535,6 +535,38 @@ class TestExitContract:
         assert out.out == ""
         assert out.err == message
 
+    @pytest.mark.parametrize("budget, argv, message", [
+        ("10", ["trace", "--cartan", "n=3000", "q=0", "--vars", "1", "x1"],
+         "error: n=3000 needs 9000000 slot cells (budget 10)\n"),
+        (None, ["trace", "--cartan", "n=40000", "q=0", "--vars", "1", "x1"],
+         "error: n=40000 needs 1600000000 slot cells (budget 200000)\n"),
+        ("10", ["verify", "resolution", "--vars", "3", "--weight", "4"],
+         "error: basis at degree 0, weight 3 has 27 words (budget 10)\n"),
+        # the letters on three of 200 variables come before the words of weight 3
+        (None, ["verify", "resolution", "--vars", "200", "--weight", "4"],
+         "error: basis at degree 2, weight 3 has 1313400 words (budget 200000)\n"),
+    ])
+    def test_slot_cells_and_resolution_words_are_counted_before_they_are_built(
+            self, budget, argv, message, monkeypatch, capsys):
+        # each slot cell and word was built before it was counted: n = 4000 took 138 MiB
+        import time
+
+        if budget is None:
+            monkeypatch.delenv("SYMTRACE_MAX_BASIS", raising=False)
+        else:
+            monkeypatch.setenv("SYMTRACE_MAX_BASIS", budget)
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == message
+
+    def test_cartan_and_resolution_suites_pass_at_their_defaults(self, monkeypatch, capsys):
+        monkeypatch.delenv("SYMTRACE_MAX_BASIS", raising=False)
+        assert main(["verify", "cartan"]) == 0
+        assert main(["verify", "resolution"]) == 0
+
     @pytest.mark.parametrize("argv, expected", [
         (["trace", "--method", "cs", "--vars", "1", "x1^1200"], "x1^1200\n"),
         (["homology", "--ambient", "A", "--vars", "1200", "--weight", "1", "--deg", "0"],

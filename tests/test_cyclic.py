@@ -8,7 +8,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symtrace import cli, cyclic, resolution
+from symtrace import ainfty, cli, cyclic, resolution
+from symtrace.cartan import DiagonalTraceValue, vartheta_symmetrize
 from symtrace.cyclic import (
     ChainComplexQ,
     CyclicChain,
@@ -27,10 +28,11 @@ from symtrace.cyclic import (
     hkr_eps,
     homology,
 )
-from symtrace.derham import Form, d, equal_mod_exact, monomial_basis
+from symtrace.derham import Form, d, equal_mod_exact, form_basis, monomial_basis
 from symtrace.gcalg import (
-    AlgebraElement, IntegrityError, ResourceLimitError, block_maps, block_sign, dx_gen, lam_gen,
-    lam_product, monomial_weight, perm_sign, x_gen,
+    DX_KIND, X_KIND, AlgebraElement, IntegrityError, ResourceLimitError, add_into, block_maps,
+    block_sign, dx_gen, koszul_sign, lam_gen, lam_product, monomial_from_factors, monomial_mul,
+    monomial_parity, monomial_weight, perm_sign, x_gen,
 )
 from symtrace.resolution import (
     RElement, _lam_word, abelianize, delta_R, delta_word, r_word_basis, word_weight,
@@ -812,13 +814,98 @@ def _fraction_delta_R(e):
     return RElement(out)
 
 
+# The sums that ran on Fractions before they went through gcalg.int_sum, as
+# they were written then: the references for the integer path below.
+
+def _fraction_mul(a, b):
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            r = monomial_mul(m1, m2)
+            if r is None:
+                continue
+            s, m = r
+            out[m] = out.get(m, Fraction(0)) + s * c1 * c2
+    return AlgebraElement(out)
+
+
+def _fraction_canonicalized(chain):
+    out = {}
+    for key, c in chain.terms.items():
+        r = cyclic_canonical(chain.ambient, key)
+        if r is None:
+            continue
+        sign, canon = r
+        out[canon] = out.get(canon, Fraction(0)) + sign * c
+    return CyclicChain(chain.ambient, out)
+
+
+def _fraction_hkr_eps(omega):
+    out = {}
+    for m, c in omega.body.terms.items():
+        poly = tuple((g, e) for g, e in m if g[0] == X_KIND)
+        dxs = [g[1] for g, e in m if g[0] == DX_KIND]
+        i = len(dxs)
+        if i == 0:
+            key = (poly,)
+            out[key] = out.get(key, Fraction(0)) + c
+            continue
+        for sigma in permutations(range(i)):
+            sign = perm_sign(sigma)
+            key = (poly,) + tuple(((x_gen(dxs[j]), 1),) for j in sigma)
+            out[key] = out.get(key, Fraction(0)) + sign * c
+    return CyclicChain("A", out)
+
+
+def _fraction_class_tree_sum(md, args):
+    k = len(args) - 1
+    keys, leaves, scale = md._lift_args((a.terms for a in args), ainfty._f1_word)
+    root = {}
+    for (sigma, t), sign in zip(ainfty.enumerate_labeled_classes(k), ainfty._class_signs(k)):
+        ks, ls = tuple(keys[j] for j in sigma), [leaves[j] for j in sigma]
+        add_into(root, md._eval_tree(t, ks, ls, True), sign)
+    acc = {}
+    for wd, c in md._h_int(root).items():
+        prod = lam_product(wd)
+        if prod is not None:
+            acc[prod[1]] = acc.get(prod[1], 0) + prod[0] * c
+    divisor = -scale * md._h_den ** k
+    return AlgebraElement.from_clean({m: Fraction(v, divisor) for m, v in acc.items() if v})
+
+
+def _fraction_permute_slots(value, sigma):
+    out = {}
+    for key, c in value.terms.items():
+        sign = koszul_sign(sigma, [monomial_parity(m) if m else 0 for m in key])
+        new = [()] * value.n
+        for j, m in enumerate(key):
+            new[sigma[j]] = m
+        k2 = tuple(new)
+        out[k2] = out.get(k2, Fraction(0)) + sign * c
+    return DiagonalTraceValue(value.n, out)
+
+
+def _fraction_vartheta_symmetrize(t, n):
+    out = {}
+    for m, c in t.terms.items():
+        for i in range(n):
+            key = tuple(m if j == i else () for j in range(n))
+            out[key] = out.get(key, Fraction(0)) + c
+    return DiagonalTraceValue(n, out)
+
+
 def _assert_clean_and_equal(got, ref):
-    """The same term dict, every coefficient a nonzero Fraction."""
+    """The same term dict in the same order, every coefficient a nonzero Fraction."""
     assert got.terms == ref.terms
+    assert list(got.terms) == list(ref.terms)
     assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
 
 
 PROJECTION_WORDS = [w for wt in range(1, 5) for deg in range(4) for w in r_word_basis(3, wt, deg)]
+# even and odd monomials: x, dx and lam factors, so that some products vanish
+SUM_MONOMIALS = [monomial_from_factors(fs)[1] for fs in (
+    [], [x_gen(1)], [x_gen(2), x_gen(2)], [dx_gen(1)], [dx_gen(2)], [x_gen(1), dx_gen(3)],
+    [lam_gen((1, 2))], [lam_gen((1, 2, 3))], [x_gen(3), lam_gen((2, 3))], [dx_gen(1), dx_gen(2)])]
 
 
 def _rotated(wd):
@@ -913,3 +1000,109 @@ class TestIntegerProjections:
         # a chain of two-slot keys only has no one-slot part
         chain = CyclicChain("R", {(((1,),), ((2, 3),)): Fraction(1, 2)})
         assert beta_one_slot_words(chain).terms == _fraction_one_slot(chain).terms == {}
+
+    def _mixed_algebra(self, rng, pool=SUM_MONOMIALS):
+        return AlgebraElement({rng.choice(pool): rng.choice(MIXED) for _ in range(rng.randint(1, 4))})
+
+    def test_products_equal_the_fraction_sum(self):
+        rng = random.Random(18)
+        nonzero = 0
+        for _ in range(300):
+            a, b = self._mixed_algebra(rng), self._mixed_algebra(rng)
+            _assert_clean_and_equal(a * b, _fraction_mul(a, b))
+            nonzero += not (a * b).is_zero()
+        assert nonzero > 100
+
+    def test_products_that_cancel(self):
+        # an odd element squares to 0: u v + v u = 0 for odd u, v
+        odd = [m for m in SUM_MONOMIALS if monomial_parity(m)]
+        assert len(odd) >= 4
+        rng = random.Random(19)
+        for _ in range(60):
+            a = self._mixed_algebra(rng, odd)
+            assert _fraction_mul(a, a).terms == (a * a).terms == {}
+
+    def _mixed_chain(self, rng, ambient):
+        slots = A_SLOTS if ambient == "A" else R_SLOTS
+        return CyclicChain(ambient, {tuple(rng.choice(slots) for _ in range(rng.randint(1, 3))):
+                                     rng.choice(MIXED) for _ in range(rng.randint(1, 6))})
+
+    @pytest.mark.parametrize("ambient", ["A", "R"])
+    def test_canonicalized_equals_the_fraction_sum(self, ambient):
+        rng = random.Random(20)
+        nonzero = 0
+        for _ in range(300):
+            chain = self._mixed_chain(rng, ambient)
+            got = chain.canonicalized()
+            _assert_clean_and_equal(got, _fraction_canonicalized(chain))
+            nonzero += not got.is_zero()
+        assert nonzero > 100
+
+    @pytest.mark.parametrize("ambient", ["A", "R"])
+    def test_canonicalized_rotations_that_cancel(self, ambient):
+        # c * key minus c * (the rotation's sign) * its rotation is 0 modulo rotation
+        rng = random.Random(21)
+        cancelled = 0
+        for _ in range(100):
+            key = next(iter(self._mixed_chain(rng, ambient).terms))
+            rot, c = key[1:] + key[:1], rng.choice(MIXED)
+            r1, r2 = cyclic_canonical(ambient, key), cyclic_canonical(ambient, rot)
+            if r1 is None or len(key) < 2 or rot == key:
+                continue
+            chain = CyclicChain(ambient, {key: c, rot: -c * r1[0] * r2[0]})
+            _assert_clean_and_equal(chain.canonicalized(), _fraction_canonicalized(chain))
+            assert chain.canonicalized().terms == {}
+            cancelled += 1
+        assert cancelled > 20
+
+    def test_hkr_eps_equals_the_fraction_sum(self):
+        rng = random.Random(22)
+        pool = [m for w in range(3) for p in range(4) for m in form_basis(3, w, p)]
+        assert any(not any(g[0] == DX_KIND for g, _ in m) for m in pool)  # the degree-0 branch
+        for _ in range(200):
+            omega = Form(self._mixed_algebra(rng, pool), 3)
+            _assert_clean_and_equal(hkr_eps(omega), _fraction_hkr_eps(omega))
+        omega = Form(AlgebraElement({(): Fraction(-3, 4), mono(1, 2): Fraction(1, 6)}), 3)
+        _assert_clean_and_equal(hkr_eps(omega), _fraction_hkr_eps(omega))
+        assert hkr_eps(omega).terms == {((),): Fraction(-3, 4), (mono(1, 2),): Fraction(1, 6)}
+
+    def test_class_tree_sum_equals_the_fraction_sum(self):
+        md = ainfty.build_merkulov(3, 4, 3)
+        polys = [AlgebraElement.from_monomial(m) for w in (1, 2) for m in monomial_basis(3, w)]
+        rng = random.Random(23)
+        nonzero = zero = 0
+        for _ in range(60):
+            k = rng.choice((1, 2))
+            args = []
+            for j in range(k + 1):
+                a = AlgebraElement.zero()
+                for _ in range(rng.randint(1, 2)):
+                    a.iadd(rng.choice(polys[:3] if k == 2 else polys), rng.choice(MIXED))
+                args.append(a)
+            got = ainfty.class_tree_sum(md, args)
+            _assert_clean_and_equal(got, _fraction_class_tree_sum(md, args))
+            nonzero += not got.is_zero()
+            zero += got.is_zero()
+        assert nonzero > 20 and zero > 0
+
+    def _mixed_value(self, rng, n):
+        return DiagonalTraceValue(n, {tuple(rng.choice(SUM_MONOMIALS) for _ in range(n)):
+                                      rng.choice(MIXED) for _ in range(rng.randint(1, 5))})
+
+    def test_permute_slots_equals_the_fraction_sum(self):
+        rng = random.Random(24)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            value, sigma = self._mixed_value(rng, n), rng.sample(range(n), n)
+            _assert_clean_and_equal(value.permute_slots(sigma), _fraction_permute_slots(value, sigma))
+
+    def test_vartheta_symmetrize_equals_the_fraction_sum(self):
+        rng = random.Random(25)
+        for _ in range(200):
+            t, n = self._mixed_algebra(rng), rng.randint(1, 4)
+            _assert_clean_and_equal(vartheta_symmetrize(t, n), _fraction_vartheta_symmetrize(t, n))
+        # the constant lands in the same key in every slot; a sum that cancels is 0
+        t = AlgebraElement({(): Fraction(2, 3), SUM_MONOMIALS[1]: Fraction(-1, 2)})
+        assert vartheta_symmetrize(t, 3).terms[((), (), ())] == 2
+        zero = t - t
+        assert vartheta_symmetrize(zero, 3).terms == _fraction_vartheta_symmetrize(zero, 3).terms == {}

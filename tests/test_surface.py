@@ -138,3 +138,34 @@ def test_every_cache_states_an_integer_bound():
     bounds = {f"{p.name}:{line}": size for p in sorted(SRC.glob("*.py"))
               for line, size in lru_cache_bounds(ast.parse(p.read_text()))}
     assert bounds and all(type(size) is int for size in bounds.values()), bounds
+
+
+def denominator_reads(tree):
+    """The name of the innermost function around each ``.denominator`` read in
+    tree, in source order; None at module or class level."""
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "denominator":
+                out.append(fn)
+            is_fn = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if is_fn else fn)
+
+    visit(tree, None)
+    return out
+
+
+def test_denominator_reads_reads_every_form():
+    code = ("x.denominator\ndef f(c):\n    return c.denominator\nclass A:\n    y = z.denominator\n"
+            "    def g(self):\n        def h():\n            return self.c.denominator.bit_length()\n"
+            "        return self.denominator\nk = lambda c: c.denominator\n")
+    assert denominator_reads(ast.parse(code)) == [None, "f", None, "h", "g", "<lambda>"]
+
+
+def test_only_gcalg_crosses_between_fractions_and_integers():
+    # gcalg's lift, over and int_sum own every crossing; the parser's input
+    # bound reads a coefficient's size, not its value
+    reads = {p.stem: denominator_reads(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))}
+    assert reads.pop("gcalg")
+    assert {f"{module}.{fn}" for module, fns in reads.items() for fn in fns} == {"cli._coefficient_bits"}
