@@ -5,7 +5,6 @@ from .derham import Form, bigrade_split, d, euler_contract, exactness_witness
 from .resolution import RElement, abelianize, delta_R, s_inv
 from .trace import (
     TraceMethod,
-    UnsupportedDegreeError,
     cs_coefficient,
     cs_trace_raw,
     D_op,
@@ -22,7 +21,6 @@ __all__ = [
     "InvalidInputError",
     "RElement",
     "TraceMethod",
-    "UnsupportedDegreeError",
     "abelianize",
     "bigrade_split",
     "cs_coefficient",

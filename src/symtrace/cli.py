@@ -46,6 +46,7 @@ from .gcalg import (
     ResourceLimitError,
     dx_gen,
     lam_gen,
+    max_basis_budget,
     monomial_sort_key,
     perm_sign,
     render,
@@ -289,21 +290,36 @@ class VerificationReport:
 
 
 def _basis_forms(nvars: int, weight_cap: int, degree_cap: int):
-    for w in range(0, weight_cap + 1):
-        for p in range(0, min(degree_cap, nvars) + 1):
-            for m in form_basis(nvars, w, p):
-                yield w, p, Form(AlgebraElement.from_monomial(m), nvars)
+    """Every basis form of weight <= weight_cap and form degree <= degree_cap,
+    counted against the budget first: comb(nvars + weight_cap, weight_cap)
+    monomials times sum_p comb(nvars, p) dx blocks, each grown only until it
+    passes the budget."""
+    degrees = range(min(degree_cap, nvars) + 1)
+    budget = max_basis_budget()
+    blocks = 0
+    for p in degrees:
+        blocks += math.comb(nvars, p)
+        if blocks > budget:
+            break
+    monomials, k = int(weight_cap >= 0), min(nvars, weight_cap)
+    for i in range(1, k + 1):  # comb(nvars + weight_cap - k + i, i), increasing in i
+        monomials = monomials * (nvars + weight_cap - k + i) // i
+        if monomials > budget:
+            break
+    if blocks * monomials > budget:
+        raise ResourceLimitError(f"at least {blocks * monomials} basis forms of weight <= "
+                                 f"{weight_cap} and form degree <= {degree_cap} (budget {budget})")
+    return ((w, p, Form(AlgebraElement.from_monomial(m), nvars))
+            for w in range(weight_cap + 1) for p in degrees for m in form_basis(nvars, w, p))
 
 
 def suite_routes(nvars: int, weight_cap: int, degree_cap: int) -> VerificationReport:
     """Route agreement: slot expansion == combinatorial formula == F(d .)
-    == low-degree operators where defined."""
+    == the differential operator."""
     report = VerificationReport("routes")
     for w, p, form in _basis_forms(nvars, weight_cap, degree_cap):
         a, b = cs_trace_raw(form), trace_simple(form)
-        ok = a == b == F_eval(d(form))
-        if ok and p <= 2:
-            ok = a == trace_diffop(form)
+        ok = a == b == F_eval(d(form)) == trace_diffop(form)
         report.record(ok, lambda: dict(form=render(form.body), cs=render(a), simple=render(b)),
                       weight=w, degree=p)
     return report

@@ -15,8 +15,8 @@ Four routes compute the same map on form classes modulo exact forms:
   dx labels to the polynomial labels.
 * ``F_eval`` composed with d -- the same slot count with an extra target 0
   collecting a bare lam letter and an overall 1/(n+1).
-* ``trace_diffop`` -- closed differential-operator forms in form degree <= 2,
-  built from s^-1 d and the splitting operator D^(2,2).
+* ``trace_diffop`` -- the closed differential operator, in every form degree:
+  1/(r+1) sum_I c_I(r) D^(I')(d omega) over the block profiles I.
 
 Sign convention everywhere: dx symbols are odd, polynomial factors even; the
 sign of a term is the parity of the permutation rearranging the dx symbols
@@ -31,29 +31,30 @@ places repeated polynomial labels once per distinct ordering
 (``gcalg._label_orderings``, weighted by the product of the multiplicities'
 factorials), drops such an ordering per block map before building letters.
 
-Every slot route is one loop, ``_term_sum(form, kernel)``: it walks
+All four routes run through one loop, ``_term_sum(form, kernel)``: it walks
 ``expand_multilinear(form)`` once, asks a kernel for the integer terms and
 the common scale of each term u dx_I by its labels (us, dus), and adds
 coeff * scale * n into one integer accumulator over the lcm of the
 denominators of coeff * scale, so each output monomial gets one Fraction.
 The kernels are ``_cs_terms`` (scale weight / (r+1)!, on d omega),
-``_simple_terms`` (scale 1), ``_F_terms`` (scale 1/(n+1)) and, for
+``_simple_terms`` (scale 1), ``_F_terms`` (scale 1/(n+1)), ``_diffop_terms``
+(the splittings of ``D_op`` on d omega, scale 1/lcm) and, for
 ``hat_D_op``, ``_cs_enumerate`` kept to one block profile (scale
 weight / r!).  Every route is natural in the variables: renaming the
 labels by a permutation renames its terms, up to the sign of re-sorting
 the odd dx symbols.  So the loop hands each kernel only the representative
 of the relabelling orbit of (us, dus) and renames its terms back, letter
-by letter.  The cs, simple and F kernels are
+by letter.  The cs, simple, F and diffop kernels are
 memoized per representative, each in its own bounded cache of 1,024
 entries: the 1,284 forms of the seed-1 benchmark routes pass on 4
 variables hold 603 distinct cs/F terms in 88 orbits and 1,184 simple terms
 in 160.  The profile kernel stays uncached so that it never fills the cs
 table.  The renaming of one letter under one term's labels, with its sign
-and parity, comes from a fourth bounded cache of 1,024 entries
+and parity, comes from a fifth bounded cache of 1,024 entries
 (``_renamed_letter``; that pass meets 542); no renamed copy of a kernel's
-terms is kept.  ``D_op`` keeps its own splitting recursion on integer
-states.  The term loop, ``D_op`` and the de Rham operators all sum through
-``gcalg.int_sum``.
+terms is kept.  ``D_op`` and the diffop kernel share one splitting
+recursion on integer states.  The term loop, ``D_op`` and the de Rham
+operators all sum through ``gcalg.int_sum``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import combinations_with_replacement
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .derham import Form, bigrade_split, d, monomial_bidegree
@@ -80,23 +82,19 @@ from .gcalg import (
     lam_letter,
     lam_product,
     int_sum,
+    lift,
     monomial_from_factors,
     monomial_mul,
     perm_sign,
     shuffles,
 )
-from .resolution import s_inv
-
-
-class UnsupportedDegreeError(InvalidInputError):
-    """Raised when trace_diffop is asked for form degree >= 3."""
 
 
 class TraceMethod(enum.Enum):
     CHERN_SIMONS_RAW = "cs"
     CHERN_SIMONS_COLLAPSED = "cs-collapsed"
     SIMPLE_FORMULA = "simple"
-    DIFFOP_LOW_DEGREE = "diffop"
+    DIFFOP = "diffop"
 
 
 MultilinearTerm = Tuple[Fraction, Tuple[int, ...], Tuple[int, ...]]
@@ -325,17 +323,22 @@ def D_op(omega: Form, indices: Sequence[int]) -> AlgebraElement:
     parts = []
     for w, k, part in bigrade_split(omega):
         _validate_tuple(indices, k)
-        # each splitting leaves a wedge of p factors, the next one's k; a valid
-        # tuple keeps p >= 2 there
-        levels, prefactor, k_cur = [], 1, k
-        for i_cur in reversed(indices[1:]):
-            p_cur = k_cur + 1 - i_cur
-            levels.append(list(shuffles(k_cur, p_cur - 1)))
-            prefactor *= math.factorial(p_cur)
-            k_cur = p_cur
+        levels, prefactor = _splitting(indices, k)
         parts.extend((Fraction(c, prefactor), _D_terms(mono, levels))
                      for mono, c in part.body.terms.items())
     return AlgebraElement.from_clean(int_sum(parts))
+
+
+def _splitting(indices: Tuple[int, ...], k: int) -> Tuple[list, int]:
+    """The shuffles of each splitting of D^(indices) on k-forms, rightmost first,
+    and the product of the p! of the wedges they leave, each the next one's k."""
+    levels, prefactor = [], 1
+    for i in reversed(indices[1:]):
+        p = k + 1 - i  # a valid tuple keeps p >= 2
+        levels.append(list(shuffles(k, p - 1)))
+        prefactor *= math.factorial(p)
+        k = p
+    return levels, prefactor
 
 
 def _D_terms(mono: Monomial, levels: list) -> Iterator[Tuple[Monomial, int]]:
@@ -395,25 +398,50 @@ def hat_D_op(eta: Form, indices: Sequence[int]) -> AlgebraElement:
     return _term_sum(eta, partial(_cs_enumerate, profile=profile))
 
 
+def diffop_coefficient(indices: Sequence[int], r: int) -> Fraction:
+    """c_I(r) with hat D^(I) == c_I(r) D^(I') on terms with r polynomial
+    factors, I' being I without a trailing 1: for J = (j_1..j_m),
+    c_J = prod_{l>=2} (-1)^(P_l - 1) P_l! / prod_v mult_v(j_1..j_{m-1})!
+    with P_l = 1 + sum_{t<l} (j_t - 1), and c_(J,1)(r) = (r - m + 1) / mult_{j_m}(J) * c_J.
+    """
+    if len(indices) > 1 and indices[-1] == 1:
+        J = indices[:-1]
+        return Fraction(r - len(J) + 1, J.count(J[-1])) * diffop_coefficient(J, r)
+    lead, c, P = indices[:-1], Fraction(1), 1
+    for j in lead:
+        P += j - 1
+        c *= (-1) ** (P - 1) * math.factorial(P)
+    return c / math.prod(math.factorial(lead.count(v)) for v in set(lead))
+
+
+@lru_cache(maxsize=1024)
+def _diffop_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, Fraction]:
+    """Integer terms of 1/(r+1) sum_I c_I(r) D^(I') on one term us * dus, and their scale.
+
+    I is one tuple per block profile of k = |dus| with at most r curvature blocks:
+    the sorted curvature sizes plus one, then the theta size t.  A trailing 1
+    folds into the D call of I' = lead, whose last entry is its largest."""
+    r, k = len(us), len(dus)
+    coefficients: Dict[Tuple[int, ...], Fraction] = {}
+    for n in range(min(k - 1, r) + 1):
+        for lead in combinations_with_replacement(range(2, k + 1), n):
+            t = k + n - sum(lead)
+            if t >= 1:
+                key = lead if n and t == 1 else lead + (t,)
+                coefficients[key] = coefficients.get(key, 0) + diffop_coefficient(lead + (t,), r)
+    _, mono = monomial_from_factors([(X_KIND, u) for u in us] + [(DX_KIND, v) for v in dus])
+    parts = []
+    for J, c in coefficients.items():
+        if c:
+            levels, prefactor = _splitting(J, k)
+            parts.append((c / ((r + 1) * prefactor), _D_terms(mono, levels)))
+    ints, scale = lift(int_sum(parts))
+    return tuple(ints.items()), Fraction(1, scale)
+
+
 def trace_diffop(omega: Form) -> AlgebraElement:
-    """Closed low-degree forms: identity, s^-1 d, and s^-1 d - D^(2,2) d."""
-    out = AlgebraElement.zero()
-    for w, p, part in bigrade_split(omega):
-        if p == 0:
-            if w > 0:
-                out.iadd(part.body)
-            continue
-        if p <= 2:
-            dpart = d(part)
-            if not dpart.is_zero():
-                out.iadd(s_inv(dpart))
-                if p == 2:
-                    out.iadd(D_op(dpart, (2, 2)), -1)
-            continue
-        raise UnsupportedDegreeError(
-            "trace_diffop handles form degree <= 2; use the cs or simple routes"
-        )
-    return out
+    """1/(r+1) sum_I c_I(r) D^(I')(d omega): the closed operator in every degree."""
+    return _term_sum(d(omega), _diffop_terms)
 
 
 def cs_coefficient(r: int, i: int) -> Fraction:
@@ -433,6 +461,6 @@ def trace(omega: Form, method: TraceMethod = TraceMethod.SIMPLE_FORMULA) -> Alge
         return F_eval(d(omega))
     if method is TraceMethod.SIMPLE_FORMULA:
         return trace_simple(omega)
-    if method is TraceMethod.DIFFOP_LOW_DEGREE:
+    if method is TraceMethod.DIFFOP:
         return trace_diffop(omega)
     raise InvalidInputError(f"unknown trace method {method!r}")

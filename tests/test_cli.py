@@ -155,8 +155,16 @@ class TestCommands:
         }
 
     def test_trace_diffop_degree_error(self, capsys):
-        rc = main(["trace", "--method", "diffop", "--vars", "3", "x1*dx1*dx2*dx3"])
-        assert rc == 2
+        # form degree 3 gives a value, equal to cs's
+        assert main(["trace", "--method", "diffop", "--vars", "4", "x1*dx2*dx3*dx4"]) == 0
+        assert capsys.readouterr().out == "lam[1,2,3,4]\n"
+        expr = "x1^2*x2*dx3*dx4*dx1"
+        assert main(["trace", "--method", "cs", "--vars", "4", expr]) == 0
+        cs = capsys.readouterr().out
+        assert main(["trace", "--method", "diffop", "--vars", "4", expr]) == 0
+        assert capsys.readouterr().out == cs != "0\n"
+        assert main(["trace", "--method", "diffop", "--vars", "3", "x1*dx1*dx2*dx3"]) == 0
+        assert capsys.readouterr().out == "0\n"
 
     def test_trace_parse_error(self, capsys):
         assert main(["trace", "--vars", "2", "x9"]) == 2
@@ -476,15 +484,52 @@ class TestExitContract:
     def test_exact_image_honours_the_basis_budget(self, monkeypatch, capsys):
         from symtrace.derham import exact_image
 
-        monkeypatch.setenv("SYMTRACE_MAX_BASIS", "10")
+        # the suite's 496 forms fit the budget; the 900 one-forms of weight 1
+        # that d of x_i x_j lands in do not
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", "500")
         exact_image.cache_clear()  # a cached bidegree is not rebuilt
         try:
-            assert main(["verify", "derham", "--vars", "3", "--weight", "5", "--deg", "3"]) == 2
+            assert main(["verify", "derham", "--vars", "30", "--weight", "2", "--deg", "0"]) == 2
         finally:
             exact_image.cache_clear()
         err = capsys.readouterr().err
         assert err.startswith("error: d into weight ")
-        assert err.rstrip().endswith("(budget 10)")
+        assert err.rstrip().endswith("(budget 500)")
+
+    @pytest.mark.parametrize("budget, argv, message", [
+        (None, ["routes", "--vars", "2", "--weight", "100000", "--deg", "1"],
+         "at least 15000450003 basis forms of weight <= 100000 and form degree <= 1"),
+        (None, ["derham", "--vars", "2", "--weight", "100000", "--deg", "1"],
+         "at least 15000450003 basis forms of weight <= 100000 and form degree <= 1"),
+        (None, ["cartan", "--vars", "2", "--weight", "100000"],
+         "at least 20000600004 basis forms of weight <= 100000 and form degree <= 2"),
+        # each factor stops growing once over the budget: the exact count has 90,000 digits
+        (None, ["routes", "--vars", "100000", "--weight", "100000", "--deg", "100000"],
+         "at least 25001000017500200001 basis forms of weight <= 100000 and form degree "
+         "<= 100000"),
+        ("447", ["derham", "--vars", "3", "--weight", "5", "--deg", "3"],
+         "at least 448 basis forms of weight <= 5 and form degree <= 3"),
+    ])
+    def test_basis_forms_are_counted_before_they_are_built(self, budget, argv, message,
+                                                            monkeypatch, capsys):
+        # the count comes before any form is built, so weight 100000 is refused at once
+        import time
+
+        if budget is None:
+            monkeypatch.delenv("SYMTRACE_MAX_BASIS", raising=False)
+        else:
+            monkeypatch.setenv("SYMTRACE_MAX_BASIS", budget)
+        start = time.perf_counter()
+        assert main(["verify", *argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message} (budget {budget or 200000})\n"
+
+    def test_basis_forms_at_the_budget_run(self, monkeypatch, capsys):
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", "448")
+        assert main(["verify", "derham", "--vars", "3", "--weight", "5", "--deg", "3"]) == 0
+        assert "448 cases, 0 failures" in capsys.readouterr().out
 
     def test_oversized_slot_pool_is_refused_early(self, monkeypatch, capsys):
         # the weight <= 10 monomials in 16 variables alone are 5.3 M one-slot classes

@@ -35,11 +35,11 @@ from symtrace.trace import (
     D_op,
     F_eval,
     TraceMethod,
-    UnsupportedDegreeError,
     cs_coefficient,
     _cs_enumerate,
     _label_orderings,
     cs_trace_raw,
+    diffop_coefficient,
     expand_multilinear,
     hat_D_op,
     trace,
@@ -233,13 +233,11 @@ class TestFEvaluator:
 
 class TestRouteAgreement:
     def test_exhaustive_small(self):
-        for _, p, form in basis_forms(2, 3, 2):
+        for _, _, form in basis_forms(2, 3, 2):
             a = cs_trace_raw(form)
             b = trace_simple(form)
             c = F_eval(d(form))
-            assert a == b == c
-            if p <= 2:
-                assert a == trace_diffop(form)
+            assert a == b == c == trace_diffop(form)
 
     def test_every_route_keeps_fraction_coefficients(self):
         # the routes sum integer signs; a coefficient of 1 must not let them through
@@ -304,10 +302,7 @@ class TestRouteAgreement:
             c = data.draw(st.fractions(-3, 3, max_denominator=3).filter(bool))
             body.add_term(m, c)
         form = Form(body, nvars)
-        a = cs_trace_raw(form)
-        assert a == trace_simple(form) == F_eval(d(form))
-        if all(p <= 2 for _, p, _ in bigrade_split(form)):
-            assert a == trace_diffop(form)
+        assert cs_trace_raw(form) == trace_simple(form) == F_eval(d(form)) == trace_diffop(form)
 
 
 def slot_sum_every_permutation(eta, keep=lambda blocks: True):
@@ -512,7 +507,7 @@ class TestTermMemo:
 
             monkeypatch.setattr(trace_module, name, counting)
         forms = [form for _, _, form in basis_forms(4, 4, 4)]
-        routes = [cs_trace_raw, trace_simple, lambda form: F_eval(d(form))]
+        routes = [cs_trace_raw, trace_simple, lambda form: F_eval(d(form)), trace_diffop]
         cold = [[route(form) for route in routes] for form in forms]
         assert calls["lam_product"] > 0 and calls["lam_letter"] > 0
         calls.clear()
@@ -574,7 +569,8 @@ class TestOrbits:
 
     def test_orbit_path_equals_the_direct_kernel(self):
         trace_module = importlib.import_module("symtrace.trace")
-        kernels = [trace_module._cs_terms, trace_module._F_terms, trace_module._simple_terms]
+        kernels = [trace_module._cs_terms, trace_module._F_terms, trace_module._simple_terms,
+                   trace_module._diffop_terms]
         assert len(self.KEYS) == 1085
         assert len({orbit_of(*key) for key in self.KEYS}) < len(self.KEYS) // 4
         nonzero = 0
@@ -593,8 +589,9 @@ class TestOrbits:
             ("_cs_terms", cs_trace_raw, True),
             ("_F_terms", lambda form: F_eval(d(form)), True),
             ("_simple_terms", trace_simple, False),
+            ("_diffop_terms", trace_diffop, True),
         ],
-        ids=["cs", "F", "simple"],
+        ids=["cs", "F", "simple", "diffop"],
     )
     def test_a_cold_pass_enumerates_each_orbit_once(self, name, route, on_d):
         table = getattr(importlib.import_module("symtrace.trace"), name)
@@ -702,7 +699,8 @@ class TestIntegerSums:
 
     def kernels(self, form):
         trace_module = importlib.import_module("symtrace.trace")
-        yield from (trace_module._cs_terms, trace_module._F_terms, trace_module._simple_terms)
+        yield from (trace_module._cs_terms, trace_module._F_terms, trace_module._simple_terms,
+                    trace_module._diffop_terms)
         for k in {p for _, p, _ in bigrade_split(form)}:
             for indices in valid_tuples(k):
                 yield partial(_cs_enumerate, profile=(indices[-1], tuple(sorted(i - 1 for i in indices[:-1]))))
@@ -834,6 +832,27 @@ class TestDOperators:
                 assert hat_D_op(eta, (2, 2, 1)) == -(r - 1) * D_op(eta, (2, 2))
 
 
+def low_degree_trace_diffop(omega):
+    """The closed forms in form degree <= 2, the reference for the operator:
+    the identity on functions, s^-1 d on 1-forms and s^-1 d - D^(2,2) d on
+    2-forms."""
+    from symtrace.resolution import s_inv
+
+    out = AlgebraElement.zero()
+    for w, p, part in bigrade_split(omega):
+        assert p in (0, 1, 2)
+        if p == 0:
+            if w > 0:
+                out.iadd(part.body)
+            continue
+        dpart = d(part)
+        if not dpart.is_zero():
+            out.iadd(s_inv(dpart))
+            if p == 2:
+                out.iadd(D_op(dpart, (2, 2)), -1)
+    return out
+
+
 class TestDiffOpRoute:
     def test_zero_and_one_forms(self):
         assert trace_diffop(F(X(1) ** 2 * X(2))) == X(1) ** 2 * X(2)
@@ -843,14 +862,63 @@ class TestDiffOpRoute:
         assert trace_diffop(omega) == s_inv(d(omega))
 
     def test_degree_cap(self):
-        with pytest.raises(UnsupportedDegreeError):
-            trace_diffop(F(X(1) * DX(1) * DX(2) * DX(3)))
+        # form degree 3 and 4 give values: 0 on the closed 3-form on 3
+        # variables, and cs's value on 4 and 5 variables
+        assert trace_diffop(F(X(1) * DX(1) * DX(2) * DX(3))).is_zero()
+        assert trace_diffop(F(X(1) * DX(2) * DX(3) * DX(4), 4)) == LAM(1, 2, 3, 4)
+        omega = F(X(1) ** 2 * X(2) * DX(1) * DX(3) * DX(4), 4)
+        assert not trace_diffop(omega).is_zero()
+        assert trace_diffop(omega) == cs_trace_raw(omega)
+        eta = F(X(1) ** 2 * X(3) * DX(1) * DX(2) * DX(4) * DX(5), 5)
+        assert not trace_diffop(eta).is_zero()
+        assert trace_diffop(eta) == cs_trace_raw(eta)
 
     def test_two_form_agrees_with_simple(self):
         for w in range(1, 4):
             for m in form_basis(3, w, 2):
                 omega = Form(AlgebraElement.from_monomial(m), 3)
                 assert trace_diffop(omega) == trace_simple(omega)
+
+    def test_low_degree_reference(self):
+        # the closed operator equals the old degree <= 2 forms on every basis form
+        count = 0
+        for nvars in range(1, 5):
+            for _, _, form in basis_forms(nvars, 4, 2):
+                value = trace_diffop(form)
+                assert value == low_degree_trace_diffop(form)
+                assert render(value) == render(low_degree_trace_diffop(form))
+                count += not value.is_zero()
+        assert count > 300
+
+    @pytest.mark.parametrize("nvars,weight", [(3, 5), (4, 5), (5, 5)])
+    def test_equals_cs_in_every_degree(self, nvars, weight):
+        counts = Counter()
+        for _, p, form in basis_forms(nvars, weight, nvars):
+            value = trace_diffop(form)
+            assert value == cs_trace_raw(form)
+            counts[p] += not value.is_zero()
+        assert sum(counts.values()) > 0
+        # on N variables the N-forms are closed; every other degree >= 1 gives values
+        assert all(counts[p] > 0 for p in range(nvars))
+
+    def test_per_tuple_identity(self):
+        # hat D^(I) d omega == c_I(r) D^(I') d omega for every ordering of every
+        # valid tuple, I' being I without a trailing 1
+        checks = nonzero = 0
+        for k in range(2, 6):
+            tuples = list(valid_tuples(k))
+            for w in range(1, 4):
+                for m in form_basis(k, w, k - 1):
+                    eta = d(Form(AlgebraElement.from_monomial(m), k))
+                    if eta.is_zero():
+                        continue
+                    for indices in tuples:
+                        short = indices[:-1] if indices[-1] == 1 else indices
+                        got = hat_D_op(eta, indices)
+                        assert got == diffop_coefficient(indices, w - 1) * D_op(eta, short)
+                        checks += 1
+                        nonzero += not got.is_zero()
+        assert (checks, nonzero) == (2304, 1427)
 
 
 class TestCsCoefficient:
