@@ -48,6 +48,7 @@ from .gcalg import (
     SparseVec,
     X_KIND,
     add_into,
+    charge,
     echelon,
     echelon_split,
     lift,
@@ -138,14 +139,14 @@ def enumerate_labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree
 
 @lru_cache(maxsize=8)
 def _labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree], ...]:
-    # every labeling of every tree is canonicalized: (k+1)! * Catalan(k) strings
-    labeled = math.factorial(k + 1) * math.comb(2 * k, k) // (k + 1) if k >= 1 else 0
-    budget = max_basis_budget()
-    if labeled > budget:
-        raise ResourceLimitError(
-            f"{labeled} labeled trees with {k + 1} leaves exceed the budget {budget} "
-            f"(SYMTRACE_MAX_BASIS)"
-        )
+    # every labeling of every tree is canonicalized: (k+1)! * Catalan(k) =
+    # (k+1)(k+2)..(2k) strings, multiplied only until they pass the budget
+    labeled, budget = 1, max_basis_budget()
+    for i in range(k + 1, 2 * k + 1):
+        labeled *= i
+        if labeled > budget:
+            break
+    charge(labeled, f"labeled trees with {k + 1} leaves", at_least=True)
     seen: Dict[str, Tuple[Tuple[int, ...], PlanarTree]] = {}
     trees = enumerate_pbt(k)
     for sigma in permutations(range(k + 1)):

@@ -24,10 +24,9 @@ from .gcalg import (
     InvalidInputError,
     LinComb,
     Monomial,
-    ResourceLimitError,
+    charge,
     int_sum,
     koszul_sign,
-    max_basis_budget,
     monomial_parity,
     monomial_units,
 )
@@ -106,9 +105,7 @@ def vartheta_symmetrize(t: AlgebraElement, n: int) -> DiagonalTraceValue:
     sum_i (1, .., t, .., 1), with t whole in slot i.  The n keys of n slots
     of each monomial are charged to the basis budget before any is built.
     """
-    cells, budget = n * n * len(t.terms), max_basis_budget()
-    if cells > budget:
-        raise ResourceLimitError(f"n={n} needs {cells} slot cells (budget {budget})")
+    charge(n * n * len(t.terms), f"slot cells for n={n}")
     parts = ((c, [(tuple(m if j == i else ONE for j in range(n)), 1) for i in range(n)])
              for m, c in t.terms.items())
     return DiagonalTraceValue.from_clean(int_sum(parts), n)

@@ -11,11 +11,14 @@ Grammar for form expressions (whitespace insignificant)::
 Exit codes: 0 success, 1 verification failures (including a failed internal
 integrity check, reported as ``error: integrity check failed: ...``), 2 usage,
 parse or resource errors.  The environment variable SYMTRACE_MAX_BASIS bounds
-materialized bases.  The parser turns every malformed, oversized or too
-deeply nested text into a ``ParseError``, before doing the work: a single
-``*`` or ``^`` may cost at most ``MAX_EXPANSION`` monomial products, no
-coefficient may need more than ``MAX_COEFFICIENT_BITS`` bits in numerator or
-denominator, and parentheses nest at most ``MAX_NESTING`` deep.
+both materialized bases and the cases a verify suite enumerates; each is
+counted before it is built and refused by the one gate ``gcalg.charge`` as
+``error: <count> <what> (budget N)``.  The parser turns every malformed,
+oversized or too deeply nested text into a ``ParseError``, before doing the
+work: a single ``*`` or ``^`` may cost at most ``MAX_EXPANSION`` monomial
+products, no coefficient may need more than ``MAX_COEFFICIENT_BITS`` bits in
+numerator or denominator, and parentheses nest at most ``MAX_NESTING`` deep;
+the ``--cartan`` integers are bounded in digits the same way.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from .gcalg import (
     IntegrityError,
     InvalidInputError,
     ResourceLimitError,
+    charge,
+    comb_past,
     dx_gen,
     lam_gen,
     max_basis_budget,
@@ -289,11 +294,11 @@ class VerificationReport:
 # -- verification suites ---------------------------------------------------------
 
 
-def _basis_forms(nvars: int, weight_cap: int, degree_cap: int):
+def _basis_forms(nvars: int, weight_cap: int, degree_cap: int, per_form: int = 1):
     """Every basis form of weight <= weight_cap and form degree <= degree_cap,
-    counted against the budget first: comb(nvars + weight_cap, weight_cap)
-    monomials times sum_p comb(nvars, p) dx blocks, each grown only until it
-    passes the budget."""
+    with per_form cases on each charged first: comb(nvars + weight_cap,
+    weight_cap) monomials times sum_p comb(nvars, p) dx blocks, each factor
+    grown only until it passes the budget, times per_form."""
     degrees = range(min(degree_cap, nvars) + 1)
     budget = max_basis_budget()
     blocks = 0
@@ -301,14 +306,9 @@ def _basis_forms(nvars: int, weight_cap: int, degree_cap: int):
         blocks += math.comb(nvars, p)
         if blocks > budget:
             break
-    monomials, k = int(weight_cap >= 0), min(nvars, weight_cap)
-    for i in range(1, k + 1):  # comb(nvars + weight_cap - k + i, i), increasing in i
-        monomials = monomials * (nvars + weight_cap - k + i) // i
-        if monomials > budget:
-            break
-    if blocks * monomials > budget:
-        raise ResourceLimitError(f"at least {blocks * monomials} basis forms of weight <= "
-                                 f"{weight_cap} and form degree <= {degree_cap} (budget {budget})")
+    charge(blocks * comb_past(nvars + weight_cap, weight_cap, budget) * per_form,
+           f"cases on the basis forms of weight <= {weight_cap} and form degree <= {degree_cap}",
+           at_least=True)
     return ((w, p, Form(AlgebraElement.from_monomial(m), nvars))
             for w in range(weight_cap + 1) for p in degrees for m in form_basis(nvars, w, p))
 
@@ -377,6 +377,7 @@ def suite_cstree(nvars: int, k_max: int, weight_cap: int) -> VerificationReport:
     """Labeled-class tree sums of a0 da1 .. dak against the slot-expansion
     trace, counting per k the cases where either side is nonzero."""
     report = VerificationReport("cstree")
+    ainfty.enumerate_labeled_classes(max(1, k_max))  # budget-checked before the build
     md = ainfty.build_merkulov(nvars, weight_cap, max(3, k_max))
     for k in range(1, k_max + 1):
         for args in ainfty.monomial_tuples(nvars, k + 1, weight_cap):
@@ -404,7 +405,14 @@ def _bridge_fault(u: Tuple[int, ...], n: int, p: int, nvars: int) -> Optional[st
 def suite_conj1(nvars: int, cap: int) -> VerificationReport:
     """On every label tuple with n + p <= cap: the bridge chain is closed, its
     one-slot part abelianizes to the combinatorial trace of the form, and its
-    coalgebra image is d of the form."""
+    coalgebra image is d of the form.  The (t + 1) nvars^t cases of each
+    total t are charged first, summed only until they pass the budget."""
+    cases, budget = 0, max_basis_budget()
+    for total in range(1, cap + 1):
+        cases += (total + 1) * nvars ** total
+        if cases > budget:
+            break
+    charge(cases, f"label cases with n + p <= {cap} and labels 1..{nvars}", at_least=True)
     report = VerificationReport("conj1")
     for total in range(1, cap + 1):
         for n in range(0, total + 1):
@@ -420,7 +428,7 @@ def suite_cartan(nvars: int, weight_cap: int, n_max: int, q_max: int) -> Verific
     if q_max < 0:
         raise InvalidInputError(f"q must be >= 0, got {q_max}")
     report = VerificationReport("cartan")
-    for w, p, form in _basis_forms(nvars, weight_cap, min(nvars, 2)):
+    for w, p, form in _basis_forms(nvars, weight_cap, min(nvars, 2), n_max * (q_max + 1)):
         for n in range(1, n_max + 1):
             for q in range(0, q_max + 1):
                 try:
@@ -447,6 +455,7 @@ def suite_merkulov(nvars: int, weight_cap: int, k_max: int) -> VerificationRepor
     the agreement of the two trace sums on the same tuples, counting per k
     the cases where either sum is nonzero."""
     report = VerificationReport("merkulov")
+    ainfty.enumerate_labeled_classes(max(1, k_max))  # budget-checked before the build
     try:
         md = ainfty.build_merkulov(nvars, weight_cap, max(3, k_max))
     except IntegrityError as exc:
@@ -519,6 +528,8 @@ def _parse_cartan(tokens: Sequence[str]) -> Dict[str, int]:
         k, _, v = tok.partition("=")
         if k not in ("n", "q") or not v.isdecimal():
             raise InvalidInputError(f"--cartan expects n=INT q=INT, got {tok!r}")
+        if 3 * len(v) > MAX_COEFFICIENT_BITS:  # a decimal digit is > 3 bits
+            raise InvalidInputError(f"--cartan {k}= has too many digits")
         params[k] = int(v)
     if "n" not in params or "q" not in params:
         raise InvalidInputError("--cartan needs both n= and q=")

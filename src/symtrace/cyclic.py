@@ -53,11 +53,12 @@ from .gcalg import (
     InvalidInputError,
     LinComb,
     Monomial,
-    ResourceLimitError,
     SparseVec,
     _label_orderings,
     block_maps,
     block_sign,
+    charge,
+    comb_past,
     dx_gen,
     echelon,
     int_sum,
@@ -266,25 +267,24 @@ def build_connes_complex(
         size += 1
         if size > max_basis:
             worst = max(basis, key=lambda k: len(basis[k]))
-            raise ResourceLimitError(
-                f"cyclic basis exceeded budget {max_basis}; largest bidegree "
-                f"(degree, weight) = {worst} holds {len(basis[worst])} classes so far"
-            )
+            charge(size, f"cyclic classes, {len(basis[worst])} of them at (degree, weight) "
+                         f"= {worst}", at_least=True)
 
     # every slot of weight >= 1 is a one-slot class, so the pool is counted
-    # before any slot is built: over A every monomial of weight 1..weight_cap,
-    # sum_w comb(nvars + w - 1, w) of them, over R every word of degree <= degree_cap
+    # before any slot is built, only until it passes the budget: over A every
+    # monomial of weight 1..weight_cap, comb(nvars + weight_cap, weight_cap) - 1
+    # of them, over R every word of degree <= degree_cap (and < its weight)
     if ambient == "A":
-        pool, what = math.comb(nvars + weight_cap, weight_cap) - 1, "monomials"
+        what = "monomials of weight"
+        pool = comb_past(nvars + weight_cap, weight_cap, max_basis + 1) - 1
     else:
-        pool = sum(_word_count(nvars, w, degc) for w in range(1, weight_cap + 1)
-                   for degc in range(degree_cap + 1))
-        what = f"words of degree <= {degree_cap}"
-    if pool > max_basis:
-        raise ResourceLimitError(
-            f"cyclic basis exceeded budget {max_basis}; the {pool} {what} of "
-            f"weight 1..{weight_cap} are each a one-slot class"
-        )
+        pool, what = 0, f"words of degree <= {degree_cap} and weight"
+        for words in (_word_count(nvars, w, degc) for w in range(1, weight_cap + 1)
+                      for degc in range(min(degree_cap, w - 1) + 1)):
+            pool += words
+            if pool > max_basis:
+                break
+    charge(pool, f"{what} 1..{weight_cap}, each a one-slot class", at_least=True)
     slot_pool: Dict[int, List[Slot]] = {0: [()]}  # the unit slot, shared by both ambients
     for w in range(1, weight_cap + 1):
         slot_pool[w] = _slot_basis(ambient, nvars, w, degree_cap)

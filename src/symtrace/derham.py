@@ -25,12 +25,11 @@ from .gcalg import (
     InvalidInputError,
     Echelon,
     Monomial,
-    ResourceLimitError,
+    charge,
     dx_gen,
     echelon,
     echelon_split,
     int_sum,
-    max_basis_budget,
     x_gen,
 )
 
@@ -182,19 +181,14 @@ def exact_image(nvars: int, w: int, p: int) -> Tuple[List[Monomial], Dict[Monomi
 
     Row j of the echelon is d of ``source[j]`` written in the index of the
     (w, p) form basis.  Needs p >= 1.  The result is cached per bidegree and
-    shared between callers, so it must not be mutated.  Either basis over
-    ``max_basis_budget()`` raises ResourceLimitError.
+    shared between callers, so it must not be mutated.  Both bases are
+    charged to the budget first.
     """
     # (v, k) forms: comb(nvars, k) dx blocks times comb(nvars + v - 1, v)
     # monomials; with no variables there is no form of weight or degree >= 1
-    sizes = [math.comb(nvars, k) * math.comb(nvars + v - 1, v) if nvars else 0
-             for v, k in ((w + 1, p - 1), (w, p))]
-    budget = max_basis_budget()
-    if max(sizes) > budget:
-        raise ResourceLimitError(
-            f"d into weight {w}, form degree {p} maps {sizes[0]} onto "
-            f"{sizes[1]} basis forms (budget {budget})"
-        )
+    for v, k in ((w + 1, p - 1), (w, p)):
+        charge(math.comb(nvars, k) * math.comb(nvars + v - 1, v) if nvars else 0,
+               f"basis forms of weight {v} and form degree {k}")
     source, target = form_basis(nvars, w + 1, p - 1), form_basis(nvars, w, p)
     index = {m: i for i, m in enumerate(target)}
     rows = []

@@ -65,6 +65,33 @@ def max_basis_budget() -> int:
     return budget
 
 
+def charge(count: int, what: str, at_least: bool = False) -> None:
+    """The budget gate: refuse ``count`` items over SYMTRACE_MAX_BASIS with
+    ``<count> <what> (budget N)``.  ``at_least`` marks a count grown only
+    until it passed the budget; a count too long for str() reads as a power
+    of ten below it."""
+    budget = max_basis_budget()
+    if count <= budget:
+        return
+    try:
+        text = ("at least " if at_least else "") + str(count)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        text = f"more than 10^{int((count.bit_length() - 1) * math.log10(2))}"
+    raise ResourceLimitError(f"{text} {what} (budget {budget})")
+
+
+def comb_past(n: int, k: int, bound: int) -> int:
+    """comb(n, k) if it is at most bound, else the first partial product over
+    bound of its factors comb(n - k + i, i), i = 1..min(k, n - k), which only grow."""
+    k = min(k, n - k)
+    out = int(k >= 0)
+    for i in range(1, k + 1):
+        out = out * (n - k + i) // i
+        if out > bound:
+            break
+    return out
+
+
 def x_gen(i: int) -> Generator:
     if i < 1:
         raise InvalidInputError(f"variable index must be >= 1, got {i}")

@@ -33,12 +33,11 @@ from .gcalg import (
     InvalidInputError,
     LinComb,
     Monomial,
-    ResourceLimitError,
     add_into,
+    charge,
     int_sum,
     lam_letter,
     lam_product,
-    max_basis_budget,
     over,
     shuffles,
     signed_terms,
@@ -236,19 +235,16 @@ def r_word_basis(nvars: int, weight: int, degree: int) -> List[RWord]:
 
 def _word_count(nvars: int, weight: int, degree: int) -> int:
     """len(r_word_basis(nvars, weight, degree)) unbuilt: the x^weight coefficient
-    of ((1 + x)^nvars - 1)^L, L = weight - degree, by inclusion-exclusion."""
+    of ((1 + x)^nvars - 1)^L, L = weight - degree, by inclusion-exclusion; the
+    terms with j * nvars < weight are zero and skipped."""
     n = weight - degree
     if not 0 <= n <= weight:
         return 0
     return sum((-1) ** (n - j) * math.comb(n, j) * math.comb(j * nvars, weight)
-               for j in range(n + 1))
+               for j in range(-(-weight // nvars) if nvars else 0, n + 1))
 
 
 def check_word_bases(nvars: int, bidegrees: Iterable[Tuple[int, int]]) -> None:
     """Count the word basis of each (degree, weight) against the basis budget, unbuilt."""
-    budget = max_basis_budget()
     for deg, w in bidegrees:
-        size = _word_count(nvars, w, deg)
-        if size > budget:
-            raise ResourceLimitError(
-                f"basis at degree {deg}, weight {w} has {size} words (budget {budget})")
+        charge(_word_count(nvars, w, deg), f"words of degree {deg} and weight {w}")

@@ -314,7 +314,7 @@ class TestMerkulov:
                             lambda n, w, deg: built.append((deg, w)) or [])
         monkeypatch.setenv("SYMTRACE_MAX_BASIS", "15")
         with pytest.raises(ResourceLimitError,
-                           match=r"^basis at degree 0, weight 4 has 16 words \(budget 15\)$"):
+                           match=r"^16 words of degree 0 and weight 4 \(budget 15\)$"):
             build_merkulov(2, 4, 3)
         assert built == []
 

@@ -202,7 +202,8 @@ class TestCommands:
         assert out.count("h1[") >= 3
 
     def test_trees_beyond_the_budget_are_refused_at_once(self, monkeypatch, capsys):
-        # (k+1)! * Catalan(k) labeled trees: 17,297,280 at k = 7
+        # (k+1)! * Catalan(k) = 8 * 9 * .. * 14 labeled trees at k = 7, multiplied
+        # only until they pass the budget
         import time
 
         monkeypatch.delenv("SYMTRACE_MAX_BASIS", raising=False)
@@ -212,8 +213,7 @@ class TestCommands:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == (
-            "error: 17297280 labeled trees with 8 leaves exceed the budget 200000 "
-            "(SYMTRACE_MAX_BASIS)\n"
+            "error: at least 1235520 labeled trees with 8 leaves (budget 200000)\n"
         )
 
     @pytest.mark.parametrize("argv, digest", [
@@ -493,22 +493,24 @@ class TestExitContract:
         finally:
             exact_image.cache_clear()
         err = capsys.readouterr().err
-        assert err.startswith("error: d into weight ")
-        assert err.rstrip().endswith("(budget 500)")
+        assert err == "error: 900 basis forms of weight 1 and form degree 1 (budget 500)\n"
 
     @pytest.mark.parametrize("budget, argv, message", [
         (None, ["routes", "--vars", "2", "--weight", "100000", "--deg", "1"],
-         "at least 15000450003 basis forms of weight <= 100000 and form degree <= 1"),
+         "at least 15000450003 cases on the basis forms of weight <= 100000 and form "
+         "degree <= 1"),
         (None, ["derham", "--vars", "2", "--weight", "100000", "--deg", "1"],
-         "at least 15000450003 basis forms of weight <= 100000 and form degree <= 1"),
+         "at least 15000450003 cases on the basis forms of weight <= 100000 and form "
+         "degree <= 1"),
         (None, ["cartan", "--vars", "2", "--weight", "100000"],
-         "at least 20000600004 basis forms of weight <= 100000 and form degree <= 2"),
+         "at least 180005400036 cases on the basis forms of weight <= 100000 and form "
+         "degree <= 2"),
         # each factor stops growing once over the budget: the exact count has 90,000 digits
         (None, ["routes", "--vars", "100000", "--weight", "100000", "--deg", "100000"],
-         "at least 25001000017500200001 basis forms of weight <= 100000 and form degree "
-         "<= 100000"),
+         "at least 25001000017500200001 cases on the basis forms of weight <= 100000 and form "
+         "degree <= 100000"),
         ("447", ["derham", "--vars", "3", "--weight", "5", "--deg", "3"],
-         "at least 448 basis forms of weight <= 5 and form degree <= 3"),
+         "at least 448 cases on the basis forms of weight <= 5 and form degree <= 3"),
     ])
     def test_basis_forms_are_counted_before_they_are_built(self, budget, argv, message,
                                                             monkeypatch, capsys):
@@ -542,7 +544,7 @@ class TestExitContract:
         assert time.perf_counter() - start < 2.0
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith("error: cyclic basis exceeded budget 200000;")
+        assert out.err.startswith("error: at least 245156 monomials of weight 1..10")
 
     def test_oversized_slot_pool_is_refused_before_it_is_built(self, monkeypatch, capsys):
         # over A the pool size comb(16 + 10, 10) - 1 is known before any monomial
@@ -557,16 +559,16 @@ class TestExitContract:
         assert out.out == ""
         assert "Traceback" not in out.err
         assert out.err == (
-            "error: cyclic basis exceeded budget 200000; the 5311734 monomials of "
-            "weight 1..10 are each a one-slot class\n"
+            "error: at least 245156 monomials of weight 1..10, each a one-slot class "
+            "(budget 200000)\n"
         )
 
     @pytest.mark.parametrize("argv, message", [
         (["verify", "merkulov", "--vars", "7", "--weight", "7", "--k", "1"],
-         "error: basis at degree 0, weight 7 has 823543 words (budget 200000)\n"),
+         "error: 823543 words of degree 0 and weight 7 (budget 200000)\n"),
         (["homology", "--ambient", "R", "--vars", "7", "--weight", "7", "--deg", "0"],
-         "error: cyclic basis exceeded budget 200000; the 3362800 words of degree <= 1 "
-         "of weight 1..7 are each a one-slot class\n"),
+         "error: at least 421575 words of degree <= 1 and weight 1..7, each a one-slot class "
+         "(budget 200000)\n"),
     ])
     def test_oversized_word_bases_are_refused_before_they_are_built(self, argv, message,
                                                                    monkeypatch, capsys):
@@ -582,14 +584,14 @@ class TestExitContract:
 
     @pytest.mark.parametrize("budget, argv, message", [
         ("10", ["trace", "--cartan", "n=3000", "q=0", "--vars", "1", "x1"],
-         "error: n=3000 needs 9000000 slot cells (budget 10)\n"),
+         "error: 9000000 slot cells for n=3000 (budget 10)\n"),
         (None, ["trace", "--cartan", "n=40000", "q=0", "--vars", "1", "x1"],
-         "error: n=40000 needs 1600000000 slot cells (budget 200000)\n"),
+         "error: 1600000000 slot cells for n=40000 (budget 200000)\n"),
         ("10", ["verify", "resolution", "--vars", "3", "--weight", "4"],
-         "error: basis at degree 0, weight 3 has 27 words (budget 10)\n"),
+         "error: 27 words of degree 0 and weight 3 (budget 10)\n"),
         # the letters on three of 200 variables come before the words of weight 3
         (None, ["verify", "resolution", "--vars", "200", "--weight", "4"],
-         "error: basis at degree 2, weight 3 has 1313400 words (budget 200000)\n"),
+         "error: 1313400 words of degree 2 and weight 3 (budget 200000)\n"),
     ])
     def test_slot_cells_and_resolution_words_are_counted_before_they_are_built(
             self, budget, argv, message, monkeypatch, capsys):
@@ -606,6 +608,55 @@ class TestExitContract:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == message
+
+    @pytest.mark.parametrize("argv, message", [
+        # sum_{t <= cap} (t + 1) 10^t label cases, summed only until they pass the budget
+        (["verify", "conj1", "--vars", "10", "--cap", "9"],
+         "at least 654320 label cases with n + p <= 9 and labels 1..10 (budget 200000)"),
+        # 24 forms times n (q + 1) = 400 * 401 cases
+        (["verify", "cartan", "--vars", "2", "--weight", "2", "--n", "400", "--q", "400"],
+         "at least 3849600 cases on the basis forms of weight <= 2 and form degree <= 2 "
+         "(budget 200000)"),
+        # the labeled trees of k = 6 are counted before the Merkulov build
+        (["verify", "merkulov", "--vars", "3", "--weight", "7", "--k", "6"],
+         "at least 665280 labeled trees with 7 leaves (budget 200000)"),
+        (["verify", "cstree", "--vars", "3", "--weight", "7", "--k", "6"],
+         "at least 665280 labeled trees with 7 leaves (budget 200000)"),
+        (["trees", "--k", "10000000"],
+         "at least 10000001 labeled trees with 10000001 leaves (budget 200000)"),
+        # (k+1)! Catalan(k) has 18,000 digits at k = 3000
+        (["trees", "--k", "3000"],
+         "at least 9009002 labeled trees with 3001 leaves (budget 200000)"),
+        # the word count stops at weight 2
+        (["homology", "--ambient", "R", "--vars", "20000", "--weight", "20000", "--deg", "0"],
+         "at least 400020000 words of degree <= 1 and weight 1..20000, each a one-slot class "
+         "(budget 200000)"),
+        # one word per weight on one variable: each count skips its zero terms
+        (["homology", "--ambient", "R", "--vars", "1", "--weight", "300000", "--deg", "0"],
+         "at least 200001 words of degree <= 1 and weight 1..300000, each a one-slot class "
+         "(budget 200000)"),
+        # the monomial count stops at its second factor; comb(40000, 20000) has 12,000 digits
+        (["homology", "--ambient", "A", "--vars", "20000", "--weight", "20000", "--deg", "0"],
+         "at least 200030000 monomials of weight 1..20000, each a one-slot class "
+         "(budget 200000)"),
+        (["trace", "--cartan", "n=" + "9" * 5000, "q=1", "x1*dx2"],
+         "--cartan n= has too many digits"),
+        # blocks and monomials each stop at about 10^4000: a count of 8,000 digits
+        (["verify", "routes", "--vars", "9" * 4000, "--weight", "1", "--deg", "2"],
+         "more than 10^7999 cases on the basis forms of weight <= 1 and form degree <= 2 "
+         "(budget 200000)"),
+    ])
+    def test_oversized_commands_exit_two_at_once(self, argv, message, monkeypatch, capsys):
+        # each ran past a timeout or ended in a ValueError traceback on a long int
+        import time
+
+        monkeypatch.delenv("SYMTRACE_MAX_BASIS", raising=False)
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
 
     def test_cartan_and_resolution_suites_pass_at_their_defaults(self, monkeypatch, capsys):
         monkeypatch.delenv("SYMTRACE_MAX_BASIS", raising=False)
@@ -644,11 +695,12 @@ class TestExitContract:
         assert "Traceback" not in err
 
     def test_one_error_hierarchy(self):
-        from symtrace import ainfty, cartan, cyclic, gcalg
+        from symtrace import ainfty, cartan, cli, cyclic, gcalg
 
         assert cyclic.IntegrityError is ainfty.IntegrityError is cartan.IntegrityError
         assert cartan.IntegrityError is gcalg.IntegrityError
-        assert cyclic.ResourceLimitError is ainfty.ResourceLimitError is gcalg.ResourceLimitError
+        # the class the CLI catches is the one the budget gate raises
+        assert cli.ResourceLimitError is ainfty.ResourceLimitError is gcalg.ResourceLimitError
 
 
 class TestJsonRendering:

@@ -315,8 +315,8 @@ class TestExactImageBudget:
             built = []
             monkeypatch.setattr(derham, "form_basis", lambda *a: built.append(a) or [])
             monkeypatch.setenv("SYMTRACE_MAX_BASIS", "29")
-            with pytest.raises(ResourceLimitError,
-                               match=r"maps 30 onto 18 basis forms \(budget 29\)"):
+            with pytest.raises(ResourceLimitError, match=(
+                    r"^30 basis forms of weight 3 and form degree 1 \(budget 29\)$")):
                 exact_image(3, 2, 2)
             assert built == []
         finally:

@@ -169,3 +169,37 @@ def test_only_gcalg_crosses_between_fractions_and_integers():
     reads = {p.stem: denominator_reads(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))}
     assert reads.pop("gcalg")
     assert {f"{module}.{fn}" for module, fns in reads.items() for fn in fns} == {"cli._coefficient_bits"}
+
+
+def call_sites(tree, name):
+    """The name of the innermost function around each call of ``name`` in tree,
+    in source order; None at module or class level."""
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            called = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and name in (getattr(called, "id", None),
+                                                        getattr(called, "attr", None)):
+                out.append(fn)
+            is_fn = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if is_fn else fn)
+
+    visit(tree, None)
+    return out
+
+
+def test_call_sites_reads_every_form():
+    code = ("E()\ndef f():\n    raise E('x')\nclass A:\n    y = E\n"
+            "    def g(self):\n        def h():\n            return E(1)\n"
+            "        return m.E(2)\nk = lambda: E()\n")
+    assert call_sites(ast.parse(code), "E") == [None, "f", "h", "g", "<lambda>"]
+
+
+def test_only_gcalg_refuses_over_the_budget():
+    # gcalg.charge owns every budget refusal and its message; the one other
+    # ResourceLimitError is the homotopy's refusal of a word outside the caps
+    made = {p.stem: call_sites(ast.parse(p.read_text()), "ResourceLimitError")
+            for p in sorted(SRC.glob("*.py"))}
+    assert made.pop("gcalg") == ["charge"]
+    assert {f"{module}.{fn}" for module, fns in made.items() for fn in fns} == {"ainfty._extend"}
