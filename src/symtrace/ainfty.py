@@ -32,9 +32,10 @@ the contents of the arguments, and the class sum applies h once, at its root.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .derham import monomial_basis
@@ -51,8 +52,8 @@ from .gcalg import (
     charge,
     echelon,
     echelon_split,
+    grown,
     lift,
-    max_basis_budget,
     over,
     perm_sign,
 )
@@ -141,11 +142,7 @@ def enumerate_labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree
 def _labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree], ...]:
     # every labeling of every tree is canonicalized: (k+1)! * Catalan(k) =
     # (k+1)(k+2)..(2k) strings, multiplied only until they pass the budget
-    labeled, budget = 1, max_basis_budget()
-    for i in range(k + 1, 2 * k + 1):
-        labeled *= i
-        if labeled > budget:
-            break
+    labeled = grown(accumulate(range(k + 1, 2 * k + 1), operator.mul, initial=1))
     charge(labeled, f"labeled trees with {k + 1} leaves", at_least=True)
     seen: Dict[str, Tuple[Tuple[int, ...], PlanarTree]] = {}
     trees = enumerate_pbt(k)
@@ -458,6 +455,21 @@ def class_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraE
         ks, ls = tuple(keys[j] for j in sigma), [leaves[j] for j in sigma]
         add_into(root, md._eval_tree(t, ks, ls, True), sign)
     # the root's minus sign goes into the divisor
+    return abelianize(_over(md._h_int(root), -scale * md._h_den ** k))
+
+
+def perm_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraElement:
+    """Sum over S_{k+1} of the abelianized transfer components on permuted
+    arguments, in the shape of ``class_tree_sum``: one lift, the signed mu of
+    every permutation summed on integers, then h, division and abelianization."""
+    if len(args) < 2:
+        raise InvalidInputError("f_taylor needs at least two arguments")
+    k = len(args) - 1
+    keys, leaves, scale = md._lift_args((a.terms for a in args), _f1_word)
+    root: Dict[RWord, int] = {}
+    for sigma in permutations(range(k + 1)):
+        ks, ls = tuple(keys[j] for j in sigma), [leaves[j] for j in sigma]
+        add_into(root, md._mu_range(ks, ls, 0, k + 1), perm_sign(sigma))
     return abelianize(_over(md._h_int(root), -scale * md._h_den ** k))
 
 

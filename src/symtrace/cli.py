@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 verification failures (including a failed internal
 integrity check, reported as ``error: integrity check failed: ...``), 2 usage,
 parse or resource errors.  The environment variable SYMTRACE_MAX_BASIS bounds
 both materialized bases and the cases a verify suite enumerates; each is
-counted before it is built and refused by the one gate ``gcalg.charge`` as
+counted before it is built, a growing count only until ``gcalg.grown`` sees it
+pass the budget, and refused by the one gate ``gcalg.charge`` as
 ``error: <count> <what> (budget N)``.  The parser turns every malformed,
 oversized or too deeply nested text into a ``ParseError``, before doing the
 work: a single ``*`` or ``^`` may cost at most ``MAX_EXPANSION`` monomial
@@ -31,10 +32,11 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ainfty, cartan, cyclic
+from .ainfty import perm_tree_sum
 from .derham import (
     Form,
     d,
@@ -48,12 +50,11 @@ from .gcalg import (
     InvalidInputError,
     ResourceLimitError,
     charge,
-    comb_past,
+    comb_totals,
     dx_gen,
+    grown,
     lam_gen,
-    max_basis_budget,
     monomial_sort_key,
-    perm_sign,
     render,
     render_monomial,
     x_gen,
@@ -300,13 +301,8 @@ def _basis_forms(nvars: int, weight_cap: int, degree_cap: int, per_form: int = 1
     weight_cap) monomials times sum_p comb(nvars, p) dx blocks, each factor
     grown only until it passes the budget, times per_form."""
     degrees = range(min(degree_cap, nvars) + 1)
-    budget = max_basis_budget()
-    blocks = 0
-    for p in degrees:
-        blocks += math.comb(nvars, p)
-        if blocks > budget:
-            break
-    charge(blocks * comb_past(nvars + weight_cap, weight_cap, budget) * per_form,
+    blocks = grown(accumulate(math.comb(nvars, p) for p in degrees))
+    charge(blocks * grown(comb_totals(nvars + weight_cap, weight_cap)) * per_form,
            f"cases on the basis forms of weight <= {weight_cap} and form degree <= {degree_cap}",
            at_least=True)
     return ((w, p, Form(AlgebraElement.from_monomial(m), nvars))
@@ -365,14 +361,6 @@ def cstree_form(args: Sequence[AlgebraElement], nvars: int) -> Form:
     return Form(math.prod((d(Form(a, nvars)).body for a in args[1:]), start=args[0]), nvars)
 
 
-def perm_tree_sum(md: ainfty.MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraElement:
-    """Sum over S_{k+1} of the abelianized transfer components on permuted arguments."""
-    total = AlgebraElement.zero()
-    for sigma in permutations(range(len(args))):
-        total.iadd(abelianize(md.f_taylor([args[j] for j in sigma])), perm_sign(sigma))
-    return total
-
-
 def suite_cstree(nvars: int, k_max: int, weight_cap: int) -> VerificationReport:
     """Labeled-class tree sums of a0 da1 .. dak against the slot-expansion
     trace, counting per k the cases where either side is nonzero."""
@@ -407,11 +395,7 @@ def suite_conj1(nvars: int, cap: int) -> VerificationReport:
     one-slot part abelianizes to the combinatorial trace of the form, and its
     coalgebra image is d of the form.  The (t + 1) nvars^t cases of each
     total t are charged first, summed only until they pass the budget."""
-    cases, budget = 0, max_basis_budget()
-    for total in range(1, cap + 1):
-        cases += (total + 1) * nvars ** total
-        if cases > budget:
-            break
+    cases = grown(accumulate((total + 1) * nvars ** total for total in range(1, cap + 1)))
     charge(cases, f"label cases with n + p <= {cap} and labels 1..{nvars}", at_least=True)
     report = VerificationReport("conj1")
     for total in range(1, cap + 1):

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .derham import Form, d, exact_image, form_basis, monomial_basis
@@ -58,9 +58,10 @@ from .gcalg import (
     block_maps,
     block_sign,
     charge,
-    comb_past,
+    comb_totals,
     dx_gen,
     echelon,
+    grown,
     int_sum,
     lift,
     max_basis_budget,
@@ -276,14 +277,11 @@ def build_connes_complex(
     # of them, over R every word of degree <= degree_cap (and < its weight)
     if ambient == "A":
         what = "monomials of weight"
-        pool = comb_past(nvars + weight_cap, weight_cap, max_basis + 1) - 1
+        pool = grown(c - 1 for c in comb_totals(nvars + weight_cap, weight_cap))
     else:
-        pool, what = 0, f"words of degree <= {degree_cap} and weight"
-        for words in (_word_count(nvars, w, degc) for w in range(1, weight_cap + 1)
-                      for degc in range(min(degree_cap, w - 1) + 1)):
-            pool += words
-            if pool > max_basis:
-                break
+        what = f"words of degree <= {degree_cap} and weight"
+        pool = grown(accumulate(_word_count(nvars, w, degc) for w in range(1, weight_cap + 1)
+                                for degc in range(min(degree_cap, w - 1) + 1)))
     charge(pool, f"{what} 1..{weight_cap}, each a one-slot class", at_least=True)
     slot_pool: Dict[int, List[Slot]] = {0: [()]}  # the unit slot, shared by both ambients
     for w in range(1, weight_cap + 1):

@@ -80,16 +80,25 @@ def charge(count: int, what: str, at_least: bool = False) -> None:
     raise ResourceLimitError(f"{text} {what} (budget {budget})")
 
 
-def comb_past(n: int, k: int, bound: int) -> int:
-    """comb(n, k) if it is at most bound, else the first partial product over
-    bound of its factors comb(n - k + i, i), i = 1..min(k, n - k), which only grow."""
+def grown(totals: Iterable[int]) -> int:
+    """The first running total of a growing count over SYMTRACE_MAX_BASIS,
+    else the last one (0 for none); no later total is formed."""
+    budget, total = max_basis_budget(), 0
+    for total in totals:
+        if total > budget:
+            break
+    return total
+
+
+def comb_totals(n: int, k: int) -> Iterator[int]:
+    """comb(n, k) as its partial products comb(n - k + i, i), i = 0..min(k, n - k),
+    which only grow (0 alone when k > n)."""
     k = min(k, n - k)
     out = int(k >= 0)
+    yield out
     for i in range(1, k + 1):
         out = out * (n - k + i) // i
-        if out > bound:
-            break
-    return out
+        yield out
 
 
 def x_gen(i: int) -> Generator:

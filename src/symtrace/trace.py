@@ -52,8 +52,9 @@ in 160.  The profile kernel stays uncached so that it never fills the cs
 table.  The renaming of one letter under one term's labels, with its sign
 and parity, comes from a fifth bounded cache of 1,024 entries
 (``_renamed_letter``; that pass meets 542); no renamed copy of a kernel's
-terms is kept.  ``D_op`` and the diffop kernel share one splitting
-recursion on integer states.  The term loop, ``D_op`` and the de Rham
+terms is kept.  ``D_op`` runs through the same loop, with the uncached
+kernel ``_D_kernel`` (scale 1/prod p!), and shares its splitting recursion
+on integer states with the diffop kernel.  The term loop and the de Rham
 operators all sum through ``gcalg.int_sum``.
 """
 
@@ -66,9 +67,8 @@ from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .derham import Form, bigrade_split, d, monomial_bidegree
+from .derham import Form, d, monomial_bidegree
 from .gcalg import (
-    DX_KIND,
     LAM_KIND,
     X_KIND,
     AlgebraElement,
@@ -315,18 +315,18 @@ def D_op(omega: Form, indices: Sequence[int]) -> AlgebraElement:
     the chosen positions ahead of the rest and prefactor 1/p!,
     and the remaining factors become a lam letter.  The derivative variables
     act on the polynomial coefficient as constant-coefficient derivations.
-    Each state carries an integer: a monomial's terms are scaled by its
-    coefficient over the prefactors, and summed on integers over one
-    denominator.
+    Each state carries an integer, and the term loop applies the scale
+    1/prod p! of the prefactors.
     """
-    indices = tuple(indices)
-    parts = []
-    for w, k, part in bigrade_split(omega):
-        _validate_tuple(indices, k)
-        levels, prefactor = _splitting(indices, k)
-        parts.extend((Fraction(c, prefactor), _D_terms(mono, levels))
-                     for mono, c in part.body.terms.items())
-    return AlgebraElement.from_clean(int_sum(parts))
+    return _term_sum(omega, partial(_D_kernel, tuple(indices)))
+
+
+def _D_kernel(indices: Tuple[int, ...], us: Tuple[int, ...],
+              dus: Tuple[int, ...]) -> Tuple[IntTerms, Fraction]:
+    """Integer terms of D^(indices) on one term us * dus, and their scale 1/prod p!."""
+    _validate_tuple(indices, len(dus))
+    levels, prefactor = _splitting(indices, len(dus))
+    return tuple(_D_terms(us, dus, levels)), Fraction(1, prefactor)
 
 
 def _splitting(indices: Tuple[int, ...], k: int) -> Tuple[list, int]:
@@ -341,18 +341,14 @@ def _splitting(indices: Tuple[int, ...], k: int) -> Tuple[list, int]:
     return levels, prefactor
 
 
-def _D_terms(mono: Monomial, levels: list) -> Iterator[Tuple[Monomial, int]]:
-    """Integer terms of D's splittings of one form monomial, before the 1/p!.
+def _D_terms(us: Tuple[int, ...], dus: Tuple[int, ...],
+             levels: list) -> Iterator[Tuple[Monomial, int]]:
+    """Integer terms of D's splittings of one term us * dus, before the 1/p!.
 
     A state is (coefficient monomial, integer, current wedge order, peeled
     letters); ``levels`` holds the shuffles of each splitting.
     """
-    states = [(
-        tuple((g, e) for g, e in mono if g[0] == X_KIND),
-        1,
-        [g[1] for g, e in mono if g[0] == DX_KIND],
-        [],
-    )]
+    states = [(tuple(((X_KIND, u), us.count(u)) for u in sorted(set(us))), 1, list(dus), [])]
     for splits in levels:
         new_states = []
         for poly, n, vs, letters in states:
@@ -429,12 +425,11 @@ def _diffop_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, 
             if t >= 1:
                 key = lead if n and t == 1 else lead + (t,)
                 coefficients[key] = coefficients.get(key, 0) + diffop_coefficient(lead + (t,), r)
-    _, mono = monomial_from_factors([(X_KIND, u) for u in us] + [(DX_KIND, v) for v in dus])
     parts = []
     for J, c in coefficients.items():
         if c:
             levels, prefactor = _splitting(J, k)
-            parts.append((c / ((r + 1) * prefactor), _D_terms(mono, levels)))
+            parts.append((c / ((r + 1) * prefactor), _D_terms(us, dus, levels)))
     ints, scale = lift(int_sum(parts))
     return tuple(ints.items()), Fraction(1, scale)
 

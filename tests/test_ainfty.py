@@ -427,6 +427,14 @@ class TestTreeExpansion:
         assert md2.f_tree(LEFT_COMB3, args) == lc
 
 
+def reference_perm_tree_sum(md, args):
+    """The permutation sum as one abelianized transfer component per permutation."""
+    total = AlgebraElement.zero()
+    for sigma in permutations(range(len(args))):
+        total.iadd(abelianize(md.f_taylor([args[j] for j in sigma])), perm_sign(sigma))
+    return total
+
+
 class TestTreeTrace:
     def test_one_form(self, md2):
         # x1 dx2
@@ -444,6 +452,21 @@ class TestTreeTrace:
             omega = Form(body, 2)
             assert perm_tree_sum(md2, list(args)) == trace_simple(omega)
             assert class_tree_sum(md2, list(args)) == trace_simple(omega)
+
+    def test_perm_sum_equals_the_per_permutation_reference(self, md3):
+        # every k = 3 sum on three variables is 0, so k = 3 also runs on four
+        md4 = build_merkulov(4, 4, 3)
+        for md, k in [(md3, 1), (md3, 2), (md3, 3), (md4, 3)]:
+            nonzero = 0
+            for args in monomial_tuples(md.nvars, k + 1, 4):
+                got = perm_tree_sum(md, list(args))
+                assert got == reference_perm_tree_sum(md, list(args))
+                nonzero += not got.is_zero()
+            assert nonzero or md is md3 and k == 3
+
+    def test_perm_sum_needs_two_arguments(self, md3):
+        with pytest.raises(InvalidInputError, match="at least two arguments"):
+            perm_tree_sum(md3, [X(1)])
 
     def test_internal_sums_agree_k3(self, md3):
         for args in [(X(1), X(2), X(3), X(1)), (X(2), X(1), X(3), X(3))]:

@@ -563,6 +563,17 @@ class TestExitContract:
             "(budget 200000)\n"
         )
 
+    def test_slot_pool_over_a_is_cut_one_past_the_budget(self, monkeypatch, capsys):
+        # the pool is comb(7, 5) - 1: its running binomial 6 is budget + 1, so a
+        # cut on the binomial instead of the pool would let 5 monomials through
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", "5")
+        assert main(["homology", "--ambient", "A", "--vars", "2", "--weight", "5",
+                     "--deg", "0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: at least 20 monomials of weight 1..5, each a one-slot class "
+                           "(budget 5)\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["verify", "merkulov", "--vars", "7", "--weight", "7", "--k", "1"],
          "error: 823543 words of degree 0 and weight 7 (budget 200000)\n"),

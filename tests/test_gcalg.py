@@ -17,9 +17,11 @@ from symtrace.gcalg import (
     add_into,
     block_maps,
     block_sign,
+    comb_totals,
     dx_gen,
     echelon,
     echelon_split,
+    grown,
     koszul_sign,
     lam_gen,
     lam_letter,
@@ -601,3 +603,26 @@ class TestBlockedEchelon:
         got = echelon(rows)
         assert list(got.pivot_row.items()) == [(5, 0), (0, 1), (6, 2), (1, 3)]
         assert [sorted(c) for c in got.combos] == [[0, 3], [1], [0, 3], [1, 4]]
+
+
+class TestGrown:
+    def test_stops_at_the_first_total_over_the_budget(self, monkeypatch):
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", "10")
+
+        def totals():
+            yield from (3, 10, 11)
+            raise AssertionError("a total after the first one over the budget was formed")
+
+        assert grown(totals()) == 11
+
+    def test_a_count_within_the_budget_is_its_last_total(self, monkeypatch):
+        monkeypatch.setenv("SYMTRACE_MAX_BASIS", "10")
+        assert grown(iter([1, 4, 10])) == 10
+        assert grown(iter([])) == 0
+
+    def test_comb_totals_grow_to_comb(self):
+        for n in range(10):
+            for k in range(n + 3):
+                totals = list(comb_totals(n, k))
+                assert totals[-1] == comb(n, k)
+                assert totals == sorted(totals)

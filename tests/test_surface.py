@@ -203,3 +203,12 @@ def test_only_gcalg_refuses_over_the_budget():
             for p in sorted(SRC.glob("*.py"))}
     assert made.pop("gcalg") == ["charge"]
     assert {f"{module}.{fn}" for module, fns in made.items() for fn in fns} == {"ainfty._extend"}
+
+
+def test_only_gcalg_and_the_class_meter_read_the_budget():
+    # gcalg.grown forms every growing count only until it passes the budget;
+    # the builder's per-class meter is the one other reader
+    read = {p.stem: call_sites(ast.parse(p.read_text()), "max_basis_budget")
+            for p in sorted(SRC.glob("*.py"))}
+    assert {f"{module}.{fn}" for module, fns in read.items() for fn in fns} == {
+        "gcalg.charge", "gcalg.grown", "cyclic.build_connes_complex"}
