@@ -12,7 +12,8 @@ suspended slots, and the boundary is
 
 with <a> = deg(a) + 1, plus the internal differential of R applied slotwise.
 These conventions square to zero, anticommute, and are fixed once by the
-executable checks in the test suite.
+executable checks in the test suite.  A materialized complex takes each nonzero
+class once, as a necklace of the sorted slots.
 
 The bridge element attached to u_1 .. u_n du_{n+1} .. du_{n+p} is
 
@@ -39,10 +40,11 @@ entries); a caller always gets a fresh chain.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .derham import Form, d, exact_image, form_basis, monomial_basis
 from .gcalg import (
@@ -88,8 +90,8 @@ Slot = Tuple
 ChainKey = Tuple[Slot, ...]
 
 
-def _slot_degree(ambient: str, slot: Slot) -> int:
-    return word_degree(slot) if ambient == "R" else 0
+def _suspended(ambient: str, key: ChainKey) -> List[int]:  # a polynomial slot has degree 0
+    return [word_degree(s) + 1 for s in key] if ambient == "R" else [1] * len(key)
 
 
 def _slot_mul(ambient: str, a: Slot, b: Slot) -> Tuple[int, Slot]:
@@ -100,7 +102,7 @@ def _slot_mul(ambient: str, a: Slot, b: Slot) -> Tuple[int, Slot]:
 
 
 def chain_degree(ambient: str, key: ChainKey) -> int:
-    return len(key) - 1 + sum(_slot_degree(ambient, s) for s in key)
+    return sum(_suspended(ambient, key)) - 1
 
 
 class CyclicChain(LinComb):
@@ -133,7 +135,7 @@ class CyclicChain(LinComb):
 
 def cyclic_canonical(ambient: str, key: ChainKey) -> Optional[Tuple[int, ChainKey]]:
     """Least rotation with tracked sign; None when the class is zero."""
-    sus = [_slot_degree(ambient, s) + 1 for s in key]
+    sus = _suspended(ambient, key)
     total = sum(sus)
     best = key
     best_sign = 1
@@ -172,7 +174,7 @@ def _add_boundary(ambient: str, key: ChainKey, v: int, out: Dict[ChainKey, int])
     """In place: out += v * (boundary of the slot tuple ``key``), on integers,
     keyed by raw (not canonical) slot tuples; a sum that cancels stays as 0."""
     m = len(key) - 1
-    sus = [_slot_degree(ambient, s) + 1 for s in key]
+    sus = _suspended(ambient, key)
     if m >= 1:
         prefix = 0
         for i in range(m):
@@ -237,11 +239,45 @@ class HomologySummary:
 
 
 def _slot_basis(ambient: str, nvars: int, weight: int, degree_cap: int) -> List[Slot]:
-    """The slots of one weight; over R only words of degree <= degree_cap,
-    since a chain within the cap holds no other word."""
+    """The slots of one weight; over R the words of degree <= min(degree_cap, weight - 1),
+    since a chain within the cap holds no other word and no word has degree >= its weight."""
     if ambient == "A":
         return monomial_basis(nvars, weight)
-    return [word for degc in range(degree_cap + 1) for word in r_word_basis(nvars, weight, degc)]
+    return [word for degc in range(min(degree_cap, weight - 1) + 1)
+            for word in r_word_basis(nvars, weight, degc)]
+
+
+def _necklaces(n: int, weights: Sequence[int], degrees: Sequence[int], weight_cap: int,
+               degree_room: int) -> Iterator[Tuple[List[int], int, int]]:
+    """Each nonzero class of n letters (slot indices) at its least rotation, as (letters, weight,
+    internal degree), of weight 1..weight_cap and internal degree <= degree_room, by iterative
+    Fredricksen-Kessler-Maiorana; a periodic one with stabilizer sign -1 is zero and dropped."""
+    fitting: Dict[Tuple[int, int], List[int]] = {}  # only the (weight, degree) left met
+
+    def fits(w: int, g: int) -> List[int]:
+        if (w, g) not in fitting:
+            fitting[w, g] = [i for i, wi in enumerate(weights) if wi <= w and degrees[i] <= g]
+        return fitting[w, g]
+
+    a, per, nxt, options = [0] * (n + 1), [1] * (n + 1), [0] * (n + 1), [[]] * (n + 1)
+    w_left, g_left = [weight_cap] * (n + 1), [degree_room] * (n + 1)
+    options[1], t = fits(weight_cap, degree_room), 1
+    while t:
+        i = nxt[t]
+        if i == len(options[t]):
+            t -= 1
+            continue
+        nxt[t] = i + 1
+        s = a[t] = options[t][i]
+        p = per[t] if s == a[t - per[t]] else t
+        w, g = w_left[t] - weights[s], g_left[t] - degrees[s]
+        if t < n:
+            t += 1
+            per[t], w_left[t], g_left[t], options[t] = p, w, g, fits(w, g)
+            nxt[t] = bisect_left(options[t], a[t - p])
+        elif n % p == 0 and w < weight_cap and (
+                p == n or (p + degree_room - g_left[p + 1]) * (n // p - 1) % 2 == 0):
+            yield a[1:], weight_cap - w, degree_room - g
 
 
 def build_connes_complex(
@@ -250,11 +286,12 @@ def build_connes_complex(
     """Materialize the reduced cyclic complex up to the caps.
 
     Basis elements are canonical rotations of slot tuples of total weight
-    1..weight_cap, each class enumerated once, at its least rotation.  A
-    column is its key's integer boundary terms (``_add_boundary``), each
-    canonicalized into the basis index; the boundary is checked to square
-    to zero.  The basis budget is the SYMTRACE_MAX_BASIS environment
-    variable, checked on every class added.
+    1..weight_cap, each nonzero class generated once, as a necklace at its
+    least rotation (``_necklaces``).  A column is its key's integer boundary
+    terms (``_add_boundary``), each distinct face canonicalized into the basis
+    index once per bidegree; the boundary is checked to square to zero.  The
+    basis budget is the SYMTRACE_MAX_BASIS environment variable, checked on
+    every class added.
     """
     if weight_cap < 0 or degree_cap < 0:
         raise InvalidInputError("caps must be nonnegative")
@@ -287,30 +324,14 @@ def build_connes_complex(
     for w in range(1, weight_cap + 1):
         slot_pool[w] = _slot_basis(ambient, nvars, w, degree_cap)
         for s in slot_pool[w]:
-            add((s,), _slot_degree(ambient, s), w)
+            add((s,), chain_degree(ambient, (s,)), w)
 
-    def tuples(slots_left: int, weight_left: int, acc: List[Slot]):
-        if slots_left == 0:
-            key = tuple(acc)
-            degree = chain_degree(ambient, key)
-            w = weight_cap - weight_left
-            # a nonzero class is kept at its least rotation, with sign +1
-            if degree <= degree_cap and w >= 1 and cyclic_canonical(ambient, key) == (1, key):
-                add(key, degree, w)
-            return
-        for w in range(0, weight_left + 1):
-            for s in slot_pool.get(w, []):
-                # the least rotation starts with its least slot
-                if acc and s < acc[0]:
-                    continue
-                if ambient == "R" and _slot_degree(ambient, s) + len(acc) > degree_cap + 1:
-                    continue
-                acc.append(s)
-                tuples(slots_left - 1, weight_left - w, acc)
-                acc.pop()
-
-    for nslots in range(2, degree_cap + 2):
-        tuples(nslots, weight_cap, [])
+    # the sorted alphabet: the unit slot and every slot of weight 1..weight_cap
+    letters, weights = zip(*sorted((s, w) for w, slots in slot_pool.items() for s in slots))
+    degrees = [chain_degree(ambient, (s,)) for s in letters]
+    for n in range(2, degree_cap + 2):
+        for a, w, g in _necklaces(n, weights, degrees, weight_cap, degree_cap + 1 - n):
+            add(tuple(map(letters.__getitem__, a)), n - 1 + g, w)
 
     for key in basis:
         basis[key].sort()
@@ -320,21 +341,25 @@ def build_connes_complex(
         if deg == 0:
             continue
         index = {k: i for i, k in enumerate(basis.get((deg - 1, w), []))}
+        # raw face -> (sign, row) or None: a face shared by columns is canonicalized once
+        rows: Dict[ChainKey, Optional[Tuple[int, int]]] = {}
         cols: List[SparseVec] = []
         for key in keys:
             raw: Dict[ChainKey, int] = {}
             _add_boundary(ambient, key, 1, raw)
             col: SparseVec = {}
-            for k2, v in raw.items():
-                r = cyclic_canonical(ambient, k2) if v else None
-                if r is None:
-                    continue
-                if chain_degree(ambient, r[1]) != deg - 1:
-                    raise IntegrityError("boundary is not homogeneous of degree -1")
-                if r[1] not in index:
-                    raise IntegrityError("boundary left the materialized basis")
-                i = index[r[1]]
-                col[i] = col.get(i, 0) + r[0] * v
+            for face, v in raw.items():
+                hit = rows.get(face, False) if v else None
+                if hit is False:
+                    hit = rows[face] = cyclic_canonical(ambient, face)
+                    if hit is not None:
+                        if chain_degree(ambient, hit[1]) != deg - 1:
+                            raise IntegrityError("boundary is not homogeneous of degree -1")
+                        if hit[1] not in index:
+                            raise IntegrityError("boundary left the materialized basis")
+                        hit = rows[face] = hit[0], index[hit[1]]
+                if hit is not None:
+                    col[hit[1]] = col.get(hit[1], 0) + hit[0] * v
             cols.append({i: c for i, c in col.items() if c})
         columns[(deg, w)] = cols
 

@@ -1,6 +1,7 @@
 """Cyclic complexes, homology fixtures, HKR maps, and the bridge cocycle."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -35,7 +36,8 @@ from symtrace.gcalg import (
     monomial_parity, monomial_weight, perm_sign, x_gen,
 )
 from symtrace.resolution import (
-    RElement, _lam_word, abelianize, delta_R, delta_word, r_word_basis, word_weight,
+    RElement, _lam_word, abelianize, delta_R, delta_word, r_word_basis, word_degree,
+    word_weight,
 )
 from symtrace.trace import trace_simple
 
@@ -203,6 +205,11 @@ def _all_slots(ambient, nvars, w):
     return [word for degc in range(w) for word in r_word_basis(nvars, w, degc)]
 
 
+def _slot_degree(ambient, slot):
+    """The internal degree of a slot: a word's degree over R, 0 for a monomial over A."""
+    return word_degree(slot) if ambient == "R" else 0
+
+
 def chain_weight(ambient, key):
     weight = word_weight if ambient == "R" else monomial_weight
     return sum(weight(s) for s in key)
@@ -211,8 +218,8 @@ def chain_weight(ambient, key):
 def _tau(ambient, key):
     """Rotate the last slot to the front, with the suspended Koszul sign."""
     last = key[-1]
-    sd = cyclic._slot_degree(ambient, last) + 1
-    rest = sum(cyclic._slot_degree(ambient, s) + 1 for s in key[:-1])
+    sd = _slot_degree(ambient, last) + 1
+    rest = sum(_slot_degree(ambient, s) + 1 for s in key[:-1])
     sign = -1 if (sd * rest) % 2 else 1
     return sign, (last,) + key[:-1]
 
@@ -239,9 +246,55 @@ def _reference_basis(ambient, nvars, weight_cap, degree_cap):
     return {bideg: sorted(keys) for bideg, keys in basis.items()}
 
 
+def _periodic_necklaces(ambient, nvars, weight_cap, degree_cap):
+    """{key: sign} over every periodic slot tuple within the caps that is its own
+    least rotation; the sign is that of its stabilizer rotation by the period."""
+    found = {}
+    for key in _every_tuple(ambient, nvars, weight_cap, degree_cap):
+        n = len(key)
+        if chain_degree(ambient, key) > degree_cap or chain_weight(ambient, key) < 1:
+            continue
+        if key != min(key[i:] + key[:i] for i in range(n)):
+            continue
+        period = next(p for p in range(1, n + 1) if key[-p:] + key[:-p] == key)
+        if period < n:
+            sign, rotated = 1, key
+            for _ in range(period):
+                s, rotated = _tau(ambient, rotated)
+                sign *= s
+            found[key] = sign
+    return found
+
+
+def _reference_columns(cpx, ambient):
+    """The columns by the loop that canonicalizes every raw boundary term of every key."""
+    columns = {}
+    for (deg, w), keys in sorted(cpx.basis.items()):
+        if deg == 0:
+            continue
+        index = {k: i for i, k in enumerate(cpx.basis.get((deg - 1, w), []))}
+        cols = []
+        for key in keys:
+            raw = {}
+            cyclic._add_boundary(ambient, key, 1, raw)
+            col = {}
+            for k2, v in raw.items():
+                r = cyclic_canonical(ambient, k2) if v else None
+                if r is None:
+                    continue
+                assert chain_degree(ambient, r[1]) == deg - 1
+                i = index[r[1]]
+                col[i] = col.get(i, 0) + r[0] * v
+            cols.append({i: c for i, c in col.items() if c})
+        columns[(deg, w)] = cols
+    return columns
+
+
 class TestLeastRotationBasis:
-    CAPS = [("A", 2, 4, 3), ("A", 3, 3, 3), ("A", 2, 3, 4), ("A", 1, 5, 4),
-            ("R", 2, 3, 3), ("R", 2, 4, 2)]
+    # A(1, 6, 5) and R(2, 4, 3) hold periodic necklaces whose stabilizer rotation
+    # has sign -1 (dropped) and +1 (kept), the latter over R also with odd-degree words
+    CAPS = [("A", 2, 4, 3), ("A", 3, 3, 3), ("A", 2, 3, 4), ("A", 1, 5, 4), ("A", 1, 6, 5),
+            ("R", 2, 3, 3), ("R", 2, 4, 2), ("R", 2, 4, 3)]
 
     @pytest.mark.parametrize("ambient,nvars,weight_cap,degree_cap", CAPS)
     def test_basis_equals_the_canonicalized_enumeration(self, ambient, nvars, weight_cap, degree_cap):
@@ -317,6 +370,65 @@ class TestLeastRotationBasis:
         key = (mono(1), mono(1), mono(2))
         assert key in build_connes_complex("A", 2, 4, 3).basis[(2, 3)]
 
+    @pytest.mark.parametrize("ambient,nvars,weight_cap,degree_cap", [("A", 1, 6, 5), ("R", 2, 4, 3)])
+    def test_periodic_necklaces_are_kept_by_their_stabilizer_sign(self, ambient, nvars,
+                                                                 weight_cap, degree_cap):
+        cpx = build_connes_complex(ambient, nvars, weight_cap, degree_cap)
+        kept = {key for keys in cpx.basis.values() for key in keys}
+        found = _periodic_necklaces(ambient, nvars, weight_cap, degree_cap)
+        for key, sign in found.items():
+            assert (key in kept) == (sign == 1), key
+        assert set(found.values()) == {1, -1}
+        if ambient == "R":
+            # a block with an odd-degree word moves past itself with sign +1
+            assert any(sign == 1 and len(key) % 2 == 0 and key[: len(key) // 2] * 2 == key
+                       and any(_slot_degree("R", s) % 2 for s in key)
+                       for key, sign in found.items())
+
+    @pytest.mark.parametrize("ambient,nvars,weight_cap,degree_cap", CAPS)
+    def test_columns_equal_the_loop_over_every_raw_term(self, ambient, nvars, weight_cap,
+                                                        degree_cap):
+        cpx = build_connes_complex(ambient, nvars, weight_cap, degree_cap)
+        expected = _reference_columns(cpx, ambient)
+        assert list(cpx.columns) == list(expected)
+        for bideg, cols in expected.items():
+            assert [list(col.items()) for col in cpx.columns[bideg]] == \
+                [list(col.items()) for col in cols], bideg
+
+    @pytest.mark.parametrize("face, message", [
+        (lambda key: key, "not homogeneous of degree -1"),
+        (lambda key: tuple(((x_gen(1), 100 + j),) for j in range(len(key) - 1)),
+         "left the materialized basis"),
+    ], ids=["wrong-degree", "outside-the-basis"])
+    def test_an_injected_face_is_refused(self, face, message, monkeypatch):
+        # each distinct face is checked once per bidegree, the first time it is met
+        add_boundary = cyclic._add_boundary
+
+        def injecting(ambient, key, v, out):
+            add_boundary(ambient, key, v, out)
+            out[face(key)] = v
+
+        monkeypatch.setattr(cyclic, "_add_boundary", injecting)
+        with pytest.raises(IntegrityError, match=message):
+            build_connes_complex("A", 2, 3, 3)
+
+    def test_the_generator_runs_past_the_recursion_limit(self):
+        # one variable, weight cap 1: letter 0 is the unit slot and letter 1 is x1,
+        # so the one class of n slots is n - 1 unit slots followed by x1
+        n = sys.getrecursionlimit() + 1
+        classes = list(cyclic._necklaces(n, [0, 1], [0, 0], 1, 0))
+        assert classes == [([0] * (n - 1) + [1], 1, 0)]
+
+    def test_the_r_slot_basis_stops_below_the_weight(self, monkeypatch):
+        # no word of weight 5 has degree 5 or more, whatever the degree cap
+        walked = []
+        word_basis = cyclic.r_word_basis
+        monkeypatch.setattr(cyclic, "r_word_basis",
+                            lambda nvars, w, degc: walked.append(degc) or word_basis(nvars, w, degc))
+        slots = cyclic._slot_basis("R", 2, 5, 10**8)
+        assert walked == [0, 1, 2, 3, 4]
+        assert slots == cyclic._slot_basis("R", 2, 5, 4) and slots
+
     def test_homology_matches_derham_at_three_vars(self):
         hs = homology(build_connes_complex("A", 3, 4, 3))
         dr = derham_quotient_dims(3, 4, 2)
@@ -368,7 +480,7 @@ class TestCyclicCanonical:
     def test_equals_the_tau_loop_on_random_r_tuples(self):
         rng = random.Random(3)
         pool = [w for wt in range(1, 4) for deg in range(3) for w in r_word_basis(3, wt, deg)]
-        odd = [w for w in pool if cyclic._slot_degree("R", w) % 2]
+        odd = [w for w in pool if _slot_degree("R", w) % 2]
         zeros = odd_slots = 0
         for _ in range(600):
             block = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
@@ -378,7 +490,7 @@ class TestCyclicCanonical:
             expected = _reference_canonical("R", key)
             assert cyclic_canonical("R", key) == expected, key
             zeros += expected is None
-            odd_slots += any(cyclic._slot_degree("R", s) % 2 for s in key)
+            odd_slots += any(_slot_degree("R", s) % 2 for s in key)
         assert zeros > 50 and odd_slots > 300
 
 
@@ -533,7 +645,7 @@ def _reference_boundary(chain):
     out = {}
     for key, c in chain.terms.items():
         m = len(key) - 1
-        sus = [cyclic._slot_degree(ambient, s) + 1 for s in key]
+        sus = [_slot_degree(ambient, s) + 1 for s in key]
         if m >= 1:
             prefix = 0
             for i in range(m):
