@@ -194,8 +194,8 @@ class MerkulovData:
                 yield deg, w
 
     def _build(self):
-        # every bidegree is counted before any is built
-        check_word_bases(self.nvars, self._bidegrees())
+        # every bidegree that holds words (degree < weight) is counted before any is built
+        check_word_bases(self.nvars, ((deg, w) for deg, w in self._bidegrees() if deg < w))
         for deg, w in self._bidegrees():
             words = self.basis[(deg, w)] = r_word_basis(self.nvars, w, deg)
             self.index[(deg, w)] = {word: i for i, word in enumerate(words)}

@@ -13,7 +13,8 @@ suspended slots, and the boundary is
 with <a> = deg(a) + 1, plus the internal differential of R applied slotwise.
 These conventions square to zero, anticommute, and are fixed once by the
 executable checks in the test suite.  A materialized complex takes each nonzero
-class once, as a necklace of the sorted slots.
+class once, as a necklace of the sorted slots.  Homology ranks one block per S_N orbit of
+multidegrees, counted orbit-size times: permuting the variables is a chain isomorphism.
 
 The bridge element attached to u_1 .. u_n du_{n+1} .. du_{n+p} is
 
@@ -43,7 +44,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate, chain, permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .derham import Form, d, exact_image, form_basis, monomial_basis
@@ -94,11 +95,16 @@ def _suspended(ambient: str, key: ChainKey) -> List[int]:  # a polynomial slot h
     return [word_degree(s) + 1 for s in key] if ambient == "R" else [1] * len(key)
 
 
-def _slot_mul(ambient: str, a: Slot, b: Slot) -> Tuple[int, Slot]:
+def _slot_mul(ambient: str, a: Slot, b: Slot, products: Optional[dict] = None) -> Tuple[int, Slot]:
     if ambient == "R":
         return 1, a + b
     # polynomial slots are even; the product never vanishes
-    return monomial_mul(a, b)
+    if products is None:
+        return monomial_mul(a, b)
+    hit = products.get((a, b))
+    if hit is None:
+        hit = products[a, b] = monomial_mul(a, b)
+    return hit
 
 
 def chain_degree(ambient: str, key: ChainKey) -> int:
@@ -170,7 +176,8 @@ def boundary(chain: CyclicChain) -> CyclicChain:
     return CyclicChain.from_clean(over(out, den), ambient)
 
 
-def _add_boundary(ambient: str, key: ChainKey, v: int, out: Dict[ChainKey, int]) -> None:
+def _add_boundary(ambient: str, key: ChainKey, v: int, out: Dict[ChainKey, int],
+                  products: Optional[dict] = None) -> None:
     """In place: out += v * (boundary of the slot tuple ``key``), on integers,
     keyed by raw (not canonical) slot tuples; a sum that cancels stays as 0."""
     m = len(key) - 1
@@ -179,13 +186,13 @@ def _add_boundary(ambient: str, key: ChainKey, v: int, out: Dict[ChainKey, int])
         prefix = 0
         for i in range(m):
             prefix += sus[i]
-            s2, merged = _slot_mul(ambient, key[i], key[i + 1])
+            s2, merged = _slot_mul(ambient, key[i], key[i + 1], products)
             k2 = key[:i] + (merged,) + key[i + 2 :]
             out[k2] = out.get(k2, 0) + (-s2 * v if prefix % 2 else s2 * v)
         # a_m moves to the front past the others, (-1)^(s (total - s)) as
         # in cyclic_canonical with s = <a_m> and total - s = prefix, then
         # the wrap term carries (-1)^s
-        s2, merged = _slot_mul(ambient, key[m], key[0])
+        s2, merged = _slot_mul(ambient, key[m], key[0], products)
         k2 = (merged,) + key[1:m]
         out[k2] = out.get(k2, 0) + (-s2 * v if sus[m] * (prefix + 1) % 2 else s2 * v)
     if ambient == "R":
@@ -205,7 +212,8 @@ class ChainComplexQ:
     """Bigraded complex with labeled bases and exact sparse boundaries.
 
     ``columns[(deg, w)][j]`` is the boundary of ``basis[(deg, w)][j]`` as a
-    sparse column {row: entry}, rows indexing ``basis[(deg - 1, w)]``.
+    sparse column {row: entry}, rows indexing ``basis[(deg - 1, w)]``.  The
+    orbit blocks of ``homology_dims`` are keyed (deg, w, multidegree) alike.
     """
 
     def __init__(self, basis: Dict[Tuple[int, int], List[ChainKey]],
@@ -222,17 +230,21 @@ class ChainComplexQ:
         reads it (``cyclic.matrix_cells/nnz``), until those counters move to the columns."""
         return {
             (deg, w): [[col.get(i, Fraction(0)) for col in cols]
-                       for i in range(self.dim(deg - 1, w))]
+                       for i in range(len(self.basis.get((deg - 1, w), [])))]
             for (deg, w), cols in self.columns.items()
         }
 
-    def dim(self, deg: int, w: int) -> int:
-        return len(self.basis.get((deg, w), []))
-
 
 class HomologySummary:
-    def __init__(self, dims: Dict[Tuple[int, int], int]):
-        self.dims = dims
+    """dim H = n - rank out - rank in per (degree, weight) below the degree cap."""
+
+    def __init__(self, sizes: Dict[Tuple[int, int], int], ranks: Dict[Tuple[int, int], int],
+                 degree_cap: int):
+        self.dims: Dict[Tuple[int, int], int] = {}
+        for (deg, w), n in sorted(sizes.items()):
+            h = n - ranks.get((deg, w), 0) - ranks.get((deg + 1, w), 0)
+            if h and deg < degree_cap:
+                self.dims[deg, w] = h
 
     def dim(self, deg: int, w: int) -> int:
         return self.dims.get((deg, w), 0)
@@ -280,34 +292,14 @@ def _necklaces(n: int, weights: Sequence[int], degrees: Sequence[int], weight_ca
             yield a[1:], weight_cap - w, degree_room - g
 
 
-def build_connes_complex(
-    ambient: str, nvars: int, weight_cap: int, degree_cap: int
-) -> ChainComplexQ:
-    """Materialize the reduced cyclic complex up to the caps.
-
-    Basis elements are canonical rotations of slot tuples of total weight
-    1..weight_cap, each nonzero class generated once, as a necklace at its
-    least rotation (``_necklaces``).  A column is its key's integer boundary
-    terms (``_add_boundary``), each distinct face canonicalized into the basis
-    index once per bidegree; the boundary is checked to square to zero.  The
-    basis budget is the SYMTRACE_MAX_BASIS environment variable, checked on
-    every class added.
-    """
+def _classes(ambient: str, nvars: int, weight_cap: int, degree_cap: int):
+    """The sorted slot alphabet (the unit slot and every slot of weight 1..weight_cap), the
+    class count per (degree, weight) so far, and every nonzero class as (letter indices,
+    degree, weight): the one-slot ones, then the necklaces (``_necklaces``), each metered
+    against the basis budget SYMTRACE_MAX_BASIS, the one-slot pool before it is built."""
     if weight_cap < 0 or degree_cap < 0:
         raise InvalidInputError("caps must be nonnegative")
     max_basis = max_basis_budget()
-    basis: Dict[Tuple[int, int], List[ChainKey]] = {}
-    size = 0
-
-    def add(key: ChainKey, degree: int, w: int):
-        nonlocal size
-        basis.setdefault((degree, w), []).append(key)
-        size += 1
-        if size > max_basis:
-            worst = max(basis, key=lambda k: len(basis[k]))
-            charge(size, f"cyclic classes, {len(basis[worst])} of them at (degree, weight) "
-                         f"= {worst}", at_least=True)
-
     # every slot of weight >= 1 is a one-slot class, so the pool is counted
     # before any slot is built, only until it passes the budget: over A every
     # monomial of weight 1..weight_cap, comb(nvars + weight_cap, weight_cap) - 1
@@ -320,33 +312,46 @@ def build_connes_complex(
         pool = grown(accumulate(_word_count(nvars, w, degc) for w in range(1, weight_cap + 1)
                                 for degc in range(min(degree_cap, w - 1) + 1)))
     charge(pool, f"{what} 1..{weight_cap}, each a one-slot class", at_least=True)
-    slot_pool: Dict[int, List[Slot]] = {0: [()]}  # the unit slot, shared by both ambients
-    for w in range(1, weight_cap + 1):
-        slot_pool[w] = _slot_basis(ambient, nvars, w, degree_cap)
-        for s in slot_pool[w]:
-            add((s,), chain_degree(ambient, (s,)), w)
-
-    # the sorted alphabet: the unit slot and every slot of weight 1..weight_cap
-    letters, weights = zip(*sorted((s, w) for w, slots in slot_pool.items() for s in slots))
+    slots = [(s, w) for w in range(1, weight_cap + 1)
+             for s in _slot_basis(ambient, nvars, w, degree_cap)]
+    letters, weights = zip(*sorted(slots + [((), 0)]))  # the unit slot is letter 0
     degrees = [chain_degree(ambient, (s,)) for s in letters]
-    for n in range(2, degree_cap + 2):
-        for a, w, g in _necklaces(n, weights, degrees, weight_cap, degree_cap + 1 - n):
-            add(tuple(map(letters.__getitem__, a)), n - 1 + g, w)
+    at = {s: i for i, s in enumerate(letters)}
+    sizes: Dict[Tuple[int, int], int] = {}
 
-    for key in basis:
-        basis[key].sort()
+    def metered():
+        one_slot = (([at[s]], degrees[at[s]], w) for s, w in slots)
+        longer = ((a, n - 1 + g, w) for n in range(2, degree_cap + 2)
+                  for a, w, g in _necklaces(n, weights, degrees, weight_cap, degree_cap + 1 - n))
+        for size, (a, deg, w) in enumerate(chain(one_slot, longer), 1):
+            sizes[deg, w] = sizes.get((deg, w), 0) + 1
+            if size > max_basis:
+                worst = max(sizes, key=sizes.__getitem__)
+                charge(size, f"cyclic classes, {sizes[worst]} of them at (degree, weight) "
+                             f"= {worst}", at_least=True)
+            yield a, deg, w
 
-    columns: Dict[Tuple[int, int], List[SparseVec]] = {}
-    for (deg, w), keys in sorted(basis.items()):
+    return letters, sizes, metered()
+
+
+def _complex(ambient: str, basis: dict, degree_cap: int, weight_cap: int) -> ChainComplexQ:
+    """The complex on blocks of keys, keyed (degree, weight, ..), each sorted in place.  A
+    column is its key's integer boundary terms (``_add_boundary``), each distinct face
+    canonicalized into the block one degree down once per block; d o d is checked."""
+    columns: Dict[tuple, List[SparseVec]] = {}
+    products: dict = {}  # the slot products over A, kept for this build only
+    for block, keys in sorted(basis.items()):
+        keys.sort()  # the lower block is sorted before its index is taken
+        deg = block[0]
         if deg == 0:
             continue
-        index = {k: i for i, k in enumerate(basis.get((deg - 1, w), []))}
+        index = {k: i for i, k in enumerate(basis.get((deg - 1,) + block[1:], []))}
         # raw face -> (sign, row) or None: a face shared by columns is canonicalized once
         rows: Dict[ChainKey, Optional[Tuple[int, int]]] = {}
         cols: List[SparseVec] = []
         for key in keys:
             raw: Dict[ChainKey, int] = {}
-            _add_boundary(ambient, key, 1, raw)
+            _add_boundary(ambient, key, 1, raw, products)
             col: SparseVec = {}
             for face, v in raw.items():
                 hit = rows.get(face, False) if v else None
@@ -361,11 +366,58 @@ def build_connes_complex(
                 if hit is not None:
                     col[hit[1]] = col.get(hit[1], 0) + hit[0] * v
             cols.append({i: c for i, c in col.items() if c})
-        columns[(deg, w)] = cols
-
+        columns[block] = cols
     cpx = ChainComplexQ(basis, columns, degree_cap, weight_cap)
     _check_square_zero(cpx)
     return cpx
+
+
+def build_connes_complex(
+    ambient: str, nvars: int, weight_cap: int, degree_cap: int
+) -> ChainComplexQ:
+    """Materialize the reduced cyclic complex up to the caps, every block: the least
+    rotations of the slot tuples of total weight 1..weight_cap (``_classes``)."""
+    letters, _, classes = _classes(ambient, nvars, weight_cap, degree_cap)
+    basis: Dict[Tuple[int, int], List[ChainKey]] = {}
+    for a, deg, w in classes:
+        basis.setdefault((deg, w), []).append(tuple(map(letters.__getitem__, a)))
+    return _complex(ambient, basis, degree_cap, weight_cap)
+
+
+def homology_dims(ambient: str, nvars: int, weight_cap: int, degree_cap: int) -> HomologySummary:
+    """``homology(build_connes_complex(..))`` from one block per S_N orbit of multidegrees
+    (sums of the slots' exponent vectors): permuting the variables is a chain isomorphism
+    between the blocks of an orbit, so each block of non-increasing multidegree is built,
+    checked and ranked once and counted N!/prod(mult!) times; n counts every class."""
+    letters, sizes, classes = _classes(ambient, nvars, weight_cap, degree_cap)
+    # a non-increasing multidegree lives on the first m variables, packed in base-``base``
+    # digits without carries; a slot on any later variable packs past them all
+    m, base = min(nvars, weight_cap), weight_cap + 1
+    exponents = ([(i, 1) for letter in s for i in letter] if ambient == "R" else
+                 [(g[1], e) for g, e in s] for s in letters)
+    packed = [base ** m if any(i > m for i, _ in ie) else sum(e * base ** (m - i) for i, e in ie)
+              for ie in exponents]
+    orbit: Dict[int, int] = {}  # packed multidegree -> orbit size, 0 off the representatives
+    blocks: Dict[Tuple[int, int, int], List[ChainKey]] = {}
+    for a, deg, w in classes:
+        md = sum(map(packed.__getitem__, a))
+        if md not in orbit:
+            orbit[md] = _orbit_size(md, nvars, m, base)
+        if orbit[md]:
+            blocks.setdefault((deg, w, md), []).append(tuple(map(letters.__getitem__, a)))
+    ranks: Dict[Tuple[int, int], int] = {}
+    for (deg, w, md), cols in _complex(ambient, blocks, degree_cap, weight_cap).columns.items():
+        ranks[deg, w] = ranks.get((deg, w), 0) + orbit[md] * bareiss_rank(cols)
+    return HomologySummary(sizes, ranks, degree_cap)
+
+
+def _orbit_size(md: int, nvars: int, m: int, base: int) -> int:
+    """N!/prod(mult!) for a non-increasing packed multidegree, else 0."""
+    digits = [md // base ** (m - i) % base for i in range(1, m + 1)]
+    if md >= base ** m or digits != sorted(digits, reverse=True):
+        return 0
+    mult = [digits.count(e) for e in set(digits) if e]  # the other N - sum(mult) entries are 0
+    return math.perm(nvars, sum(mult)) // math.prod(map(math.factorial, mult))
 
 
 def _check_square_zero(cpx: ChainComplexQ):
@@ -374,8 +426,8 @@ def _check_square_zero(cpx: ChainComplexQ):
     The composite of a column is the combination of the lower columns
     weighted by its entries; every product is formed, none is sampled.
     """
-    for (deg, w), cols in cpx.columns.items():
-        lower = cpx.columns.get((deg - 1, w))
+    for block, cols in cpx.columns.items():
+        lower = cpx.columns.get((block[0] - 1,) + block[1:])
         if not lower:
             continue
         for col in cols:
@@ -384,7 +436,7 @@ def _check_square_zero(cpx: ChainComplexQ):
                 for r, c in lower[k].items():
                     product[r] = product.get(r, 0) + c * v
             if any(product.values()):
-                raise IntegrityError(f"boundary squared nonzero at ({deg}, {w})")
+                raise IntegrityError(f"boundary squared nonzero at {block[:2]}")
 
 
 def bareiss_rank(rows: Sequence[SparseVec]) -> int:
@@ -396,17 +448,8 @@ def homology(cpx: ChainComplexQ) -> HomologySummary:
     """dim H = dim ker - rank of the incoming boundary, per bidegree; each
     boundary is ranked once, as the outgoing and as the incoming one."""
     ranks = {key: bareiss_rank(cols) for key, cols in cpx.columns.items()}
-    dims: Dict[Tuple[int, int], int] = {}
-    for deg, w in sorted(cpx.basis):
-        if deg >= cpx.degree_cap:
-            continue  # the incoming boundary is outside the materialized caps
-        n = cpx.dim(deg, w)
-        if n == 0:
-            continue
-        h = n - ranks.get((deg, w), 0) - ranks.get((deg + 1, w), 0)
-        if h:
-            dims[(deg, w)] = h
-    return HomologySummary(dims)
+    return HomologySummary({key: len(keys) for key, keys in cpx.basis.items()}, ranks,
+                           cpx.degree_cap)
 
 
 def derham_quotient_dims(nvars: int, weight_cap: int, degree_cap: int) -> Dict[Tuple[int, int], int]:

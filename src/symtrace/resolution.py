@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .derham import Form, monomial_bidegree
 from .gcalg import (
@@ -35,6 +35,7 @@ from .gcalg import (
     Monomial,
     add_into,
     charge,
+    grown,
     int_sum,
     lam_letter,
     lam_product,
@@ -245,6 +246,16 @@ def _word_count(nvars: int, weight: int, degree: int) -> int:
 
 
 def check_word_bases(nvars: int, bidegrees: Iterable[Tuple[int, int]]) -> None:
-    """Count the word basis of each (degree, weight) against the basis budget, unbuilt."""
-    for deg, w in bidegrees:
-        charge(_word_count(nvars, w, deg), f"words of degree {deg} and weight {w}")
+    """Count the word basis of each (degree, weight) against the basis budget, unbuilt, and
+    the bidegrees walked, grown until they pass it: on one variable no basis holds two words."""
+
+    def walk() -> Iterator[int]:
+        most = 0  # a count at most one already charged passes too
+        for walked, (deg, w) in enumerate(bidegrees, 1):
+            count = _word_count(nvars, w, deg)
+            if count > most:
+                most = count
+                charge(count, f"words of degree {deg} and weight {w}")
+            yield walked
+
+    charge(grown(walk()), "(degree, weight) word bases", at_least=True)

@@ -603,6 +603,15 @@ class TestExitContract:
         # the letters on three of 200 variables come before the words of weight 3
         (None, ["verify", "resolution", "--vars", "200", "--weight", "4"],
          "error: 1313400 words of degree 2 and weight 3 (budget 200000)\n"),
+        # on one variable no bidegree holds two words, so the bidegrees walked are counted
+        (None, ["verify", "resolution", "--vars", "1", "--weight", "3000"],
+         "error: at least 200001 (degree, weight) word bases (budget 200000)\n"),
+        (None, ["verify", "resolution", "--vars", "1", "--weight", "20000"],
+         "error: at least 200001 (degree, weight) word bases (budget 200000)\n"),
+        (None, ["verify", "merkulov", "--vars", "1", "--weight", "1000000", "--k", "1"],
+         "error: at least 200001 (degree, weight) word bases (budget 200000)\n"),
+        (None, ["verify", "cstree", "--vars", "1", "--weight", "1000000", "--k", "1"],
+         "error: at least 200001 (degree, weight) word bases (budget 200000)\n"),
     ])
     def test_slot_cells_and_resolution_words_are_counted_before_they_are_built(
             self, budget, argv, message, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Cyclic complexes, homology fixtures, HKR maps, and the bridge cocycle."""
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -404,8 +405,8 @@ class TestLeastRotationBasis:
         # each distinct face is checked once per bidegree, the first time it is met
         add_boundary = cyclic._add_boundary
 
-        def injecting(ambient, key, v, out):
-            add_boundary(ambient, key, v, out)
+        def injecting(ambient, key, v, out, *products):
+            add_boundary(ambient, key, v, out, *products)
             out[face(key)] = v
 
         monkeypatch.setattr(cyclic, "_add_boundary", injecting)
@@ -435,6 +436,101 @@ class TestLeastRotationBasis:
         for degc in range(0, 3):
             for w in range(1, 5):
                 assert hs.dim(degc, w) == dr.get((degc, w), 0)
+
+
+def _multidegree(ambient, key, nvars):
+    """The summed exponent vector of a class: monomial exponents over A, the
+    variable counts of the letters over R."""
+    out = [0] * nvars
+    for slot in key:
+        pairs = ((i, 1) for letter in slot for i in letter) if ambient == "R" else (
+            (g[1], e) for g, e in slot)
+        for i, e in pairs:
+            out[i - 1] += e
+    return tuple(out)
+
+
+class TestOrbitBlocks:
+    # nvars 1..4 over both ambients; the orbits at three variables have sizes 1, 3
+    # and 6, two variables add size 2 and four variables sizes 4, 12 and 24
+    GRID = [("A", 1, 5, 4), ("A", 2, 4, 3), ("A", 3, 3, 3), ("A", 3, 4, 2), ("A", 4, 3, 3),
+            ("R", 1, 4, 3), ("R", 2, 3, 4), ("R", 3, 3, 3), ("R", 4, 3, 2)]
+
+    @pytest.mark.parametrize("ambient,nvars,weight_cap,degree_cap", GRID)
+    def test_orbit_ranks_equal_every_block(self, ambient, nvars, weight_cap, degree_cap,
+                                           monkeypatch, capsys):
+        full = build_connes_complex(ambient, nvars, weight_cap, degree_cap)
+        expected = homology(full).dims
+        built, orbits = [], []
+        complex_, orbit_size = cyclic._complex, cyclic._orbit_size
+        monkeypatch.setattr(cyclic, "_complex", lambda *a: built.append(complex_(*a)) or built[-1])
+        monkeypatch.setattr(cyclic, "_orbit_size",
+                            lambda *a: orbits.append(orbit_size(*a)) or orbits[-1])
+        assert cyclic.homology_dims(ambient, nvars, weight_cap, degree_cap).dims == expected
+        assert expected
+        assert len(built) == 1
+        orbit_columns = sum(map(len, built[0].columns.values()))
+        full_columns = sum(map(len, full.columns.values()))
+        assert orbit_columns < full_columns if nvars >= 2 else orbit_columns == full_columns
+        if (nvars, weight_cap) == (3, 3):
+            assert {1, 3, 6} <= set(orbits)
+        if nvars == 2:
+            assert 2 in orbits
+        # the CLI prints the same table as the every-block reference
+        assert cli.main(["homology", "--ambient", ambient, "--vars", str(nvars), "--weight",
+                         str(weight_cap), "--deg", str(degree_cap - 1), "--json"]) == 0
+        dims = [{"degree": deg, "weight": w, "dim": v} for (deg, w), v in sorted(expected.items())
+                if deg < degree_cap]
+        assert capsys.readouterr().out == json.dumps(
+            {"ambient": ambient, "vars": nvars, "dims": dims}) + "\n"
+
+    @pytest.mark.parametrize("ambient", ["A", "R"])
+    def test_blocks_of_one_orbit_have_equal_size_and_rank(self, ambient):
+        # the full complex splits by multidegree, and permuting the variables maps
+        # each block of an orbit onto the others
+        cpx = build_connes_complex(ambient, 3, 3, 3)
+        sizes, ranks = {}, {}
+        for (deg, w), keys in cpx.basis.items():
+            mds = [_multidegree(ambient, key, 3) for key in keys]
+            for md in mds:
+                sizes[deg, w, md] = sizes.get((deg, w, md), 0) + 1
+            if deg == 0:
+                continue
+            lower = [_multidegree(ambient, key, 3) for key in cpx.basis.get((deg - 1, w), [])]
+            blocks = {}
+            for md, col in zip(mds, cpx.columns[deg, w]):
+                assert all(lower[i] == md for i in col)
+                blocks.setdefault(md, []).append(col)
+            for md, cols in blocks.items():
+                ranks[deg, w, md] = bareiss_rank(cols)
+        orbits = {}
+        for (deg, w, md), n in sizes.items():
+            orbit = orbits.setdefault((deg, w, tuple(sorted(md, reverse=True))), set())
+            orbit.add((n, ranks.get((deg, w, md), 0)))
+        assert all(len(pairs) == 1 for pairs in orbits.values())
+        assert any(rank for pairs in orbits.values() for _, rank in pairs)
+        # orbits of sizes 1, 3 and 6 are all present, so the check compares blocks
+        assert {len(set(md)) for _, _, md in orbits} == {1, 2, 3}
+
+    def test_a_face_moved_to_another_multidegree_is_refused(self, monkeypatch):
+        # renaming x1 -> x2 -> x3 -> x1 commutes with the boundary, so the full
+        # complex still squares to zero; the orbit blocks index only their own rows
+        add_boundary = cyclic._add_boundary
+
+        def renamed(slot):
+            return tuple(sorted((x_gen(i % 3 + 1), e) for (_, i), e in slot))
+
+        def moving(ambient, key, v, out, *products):
+            raw = {}
+            add_boundary(ambient, key, v, raw, *products)
+            for face, c in raw.items():
+                moved = tuple(map(renamed, face))
+                out[moved] = out.get(moved, 0) + c
+
+        monkeypatch.setattr(cyclic, "_add_boundary", moving)
+        assert homology(build_connes_complex("A", 3, 3, 3)).dims
+        with pytest.raises(IntegrityError, match="left the materialized basis"):
+            cyclic.homology_dims("A", 3, 3, 3)
 
 
 def _reference_canonical(ambient, key):

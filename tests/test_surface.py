@@ -19,6 +19,8 @@ SRC = Path(symtrace.__file__).resolve().parent
 # name -> why it is kept although nothing in the package reads it
 ALLOWED = {
     "matrices": "the benchmark tracer reads ChainComplexQ.matrices",
+    "build_connes_complex": "the every-block complex the tests compare homology_dims with",
+    "homology": "ranks every block of build_connes_complex, the reference for homology_dims",
     "delta_letter": "the benchmark's per-layer metric resolution.delta_letter.calls names it",
     "mu": "the benchmark tracer patches MerkulovData.mu",
     "derham_quotient_dims": "the benchmark's homology oracle calls it",
@@ -207,8 +209,8 @@ def test_only_gcalg_refuses_over_the_budget():
 
 def test_only_gcalg_and_the_class_meter_read_the_budget():
     # gcalg.grown forms every growing count only until it passes the budget;
-    # the builder's per-class meter is the one other reader
+    # the class generator's per-class meter is the one other reader
     read = {p.stem: call_sites(ast.parse(p.read_text()), "max_basis_budget")
             for p in sorted(SRC.glob("*.py"))}
     assert {f"{module}.{fn}" for module, fns in read.items() for fn in fns} == {
-        "gcalg.charge", "gcalg.grown", "cyclic.build_connes_complex"}
+        "gcalg.charge", "gcalg.grown", "cyclic._classes"}
