@@ -77,7 +77,7 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<dvar>dx\d+)|(?P<var>x\d+)|(?P<num>\d+)|(?P<op>[-+*^()/]))", re.ASCII
+    r"(?P<dvar>dx\d+)|(?P<var>x\d+)|(?P<num>\d+)|(?P<op>[-+*^()/])|(?P<bad>\S)", re.ASCII
 )
 
 MAX_EXPANSION = 200_000
@@ -93,100 +93,80 @@ def _coefficient_bits(a: AlgebraElement) -> int:
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:pos + 1]!r}", pos)
-        for kind in ("dvar", "var", "num", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val, m.start(kind)))
-                break
-        pos = m.end()
-    return tokens
+    """(kind, text, position) of every token, then an ("end", "", len(text)) sentinel;
+    trailing whitespace, ASCII or not, is dropped."""
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text.rstrip())]
+    for kind, val, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {val!r}", pos)
+    return tokens + [("end", "", len(text))]
 
 
 class _Parser:
     def __init__(self, text: str, nvars: int):
-        self.text = text
         self.nvars = nvars
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> Optional[Tuple[str, str, int]]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
     def next(self) -> Tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
+        tok = self.tokens[self.i]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of input", tok[2])
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
-        tok = self.next()
-        if tok[0] != "op" or tok[1] != op:
-            raise ParseError(f"expected {op!r}", tok[2])
+    def accept(self, ops: str) -> Optional[Tuple[str, str, int]]:
+        """Consume and return the next token if it is one of the operators in ``ops``."""
+        tok = self.tokens[self.i]
+        if tok[0] == "op" and tok[1] in ops:
+            self.i += 1
+            return tok
+        return None
 
     def parse(self) -> Form:
         value = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r}", pos)
         return Form(value, self.nvars)
 
     def expr(self) -> AlgebraElement:
         value = AlgebraElement.zero()
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "-":
-            self.next()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         while True:
             value.iadd(self.term(), sign)
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
+            tok = self.accept("+-")
+            if tok is None:
                 return value
-            self.next()
             sign = 1 if tok[1] == "+" else -1
 
     def term(self) -> AlgebraElement:
         value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] != "*":
-                return value
-            self.next()
+        while tok := self.accept("*"):
             rhs = self.factor()
             t = min(len(value.terms), len(rhs.terms))
             bits = _coefficient_bits(value) + _coefficient_bits(rhs) + t.bit_length()
             if len(value.terms) * len(rhs.terms) > MAX_EXPANSION or bits > MAX_COEFFICIENT_BITS:
                 raise ParseError("product expands too far", tok[2])
             value = value * rhs
+        return value
 
     def factor(self) -> AlgebraElement:
         value = self.primary()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] != "^":
-                return value
-            self.next()
-            tok = self.next()
-            if tok[0] != "num":
-                raise ParseError("expected a positive integer exponent", tok[2])
-            k, t = self._int(tok[1], tok[2]), len(value.terms)
+        while self.accept("^"):
+            kind, digits, pos = self.next()
+            if kind != "num":
+                raise ParseError("expected a positive integer exponent", pos)
+            k, t = self._int(digits, pos), len(value.terms)
             # t terms to the k have at most comb(t+k-1, k) terms, each of
             # the k multiplications costing t products per term, and
             # coefficients of at most k * (bits + log2 t) bits
             bits = k * (_coefficient_bits(value) + t.bit_length())
             if bits > MAX_COEFFICIENT_BITS or (t and k * t * math.comb(t + k - 1, k) > MAX_EXPANSION):
-                raise ParseError("power expands too far", tok[2])
+                raise ParseError("power expands too far", pos)
             value = value ** k
+        return value
 
     @staticmethod
     def _int(digits: str, pos: int) -> int:
@@ -195,42 +175,33 @@ class _Parser:
         return int(digits)
 
     def primary(self) -> AlgebraElement:
-        tok = self.next()
-        kind, text, pos = tok
+        kind, text, pos = self.next()
         if kind == "num":
             num = self._int(text, pos)
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
-                self.next()
-                den_tok = self.next()
-                if den_tok[0] != "num":
-                    raise ParseError("expected a denominator", den_tok[2])
-                den = self._int(den_tok[1], den_tok[2])
-                if den == 0:
-                    raise ParseError("zero denominator", den_tok[2])
-                return AlgebraElement.constant(Fraction(num, den))
-            return AlgebraElement.constant(num)
-        if kind == "var":
-            idx = self._int(text[1:], pos)
-            self._check_index(idx, pos)
-            return AlgebraElement.from_gen(x_gen(idx))
-        if kind == "dvar":
-            idx = self._int(text[2:], pos)
-            self._check_index(idx, pos)
-            return AlgebraElement.from_gen(dx_gen(idx))
+            if not self.accept("/"):
+                return AlgebraElement.constant(num)
+            kind, text, pos = self.next()
+            if kind != "num":
+                raise ParseError("expected a denominator", pos)
+            den = self._int(text, pos)
+            if den == 0:
+                raise ParseError("zero denominator", pos)
+            return AlgebraElement.constant(Fraction(num, den))
+        if kind in ("var", "dvar"):
+            idx = self._int(text.lstrip("dx"), pos)
+            if idx < 1 or idx > self.nvars:
+                raise ParseError(f"variable index {idx} out of range 1..{self.nvars}", pos)
+            return AlgebraElement.from_gen((dx_gen if kind == "dvar" else x_gen)(idx))
         if kind == "op" and text == "(":
             if self.depth >= MAX_NESTING:
                 raise ParseError("parentheses nested too deeply", pos)
             self.depth += 1
             value = self.expr()
-            self.expect_op(")")
+            if not self.accept(")"):
+                raise ParseError("expected ')'", self.next()[2])
             self.depth -= 1
             return value
         raise ParseError(f"unexpected token {text!r}", pos)
-
-    def _check_index(self, idx: int, pos: int):
-        if idx < 1 or idx > self.nvars:
-            raise ParseError(f"variable index {idx} out of range 1..{self.nvars}", pos)
 
 
 def parse_form(text: str, nvars: int) -> Form:
@@ -543,28 +514,15 @@ def cmd_verify(args) -> int:
 
 def cmd_homology(args) -> int:
     summary = cyclic.homology_dims(args.ambient, args.vars, args.weight, args.deg + 1)
-    rows = {
-        (deg, w): summary.dim(deg, w)
-        for deg in range(args.deg + 1)
-        for w in range(1, args.weight + 1)
-    }
-    if args.json:
-        payload = {
-            "ambient": args.ambient,
-            "vars": args.vars,
-            "dims": [
-                {"degree": deg, "weight": w, "dim": v}
-                for (deg, w), v in sorted(rows.items())
-                if v
-            ],
-        }
-        print(json.dumps(payload))
+    if args.json:  # dims holds exactly the nonzero entries of degree <= --deg
+        dims = [{"degree": deg, "weight": w, "dim": v} for (deg, w), v in sorted(summary.dims.items())]
+        print(json.dumps({"ambient": args.ambient, "vars": args.vars, "dims": dims}))
     else:
+        weights = range(1, args.weight + 1)
         print(f"homology dims, ambient {args.ambient}, {args.vars} variable(s)")
-        print("degree\\weight " + " ".join(f"{w:>3}" for w in range(1, args.weight + 1)))
+        print("degree\\weight " + " ".join(f"{w:>3}" for w in weights))
         for deg in range(args.deg + 1):
-            row = " ".join(f"{rows[(deg, w)]:>3}" for w in range(1, args.weight + 1))
-            print(f"{deg:>13} {row}")
+            print(f"{deg:>13} " + " ".join(f"{summary.dim(deg, w):>3}" for w in weights))
     return 0
 
 

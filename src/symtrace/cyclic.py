@@ -44,7 +44,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, permutations
+from itertools import accumulate, permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .derham import Form, d, exact_image, form_basis, monomial_basis
@@ -263,7 +263,9 @@ def _necklaces(n: int, weights: Sequence[int], degrees: Sequence[int], weight_ca
                degree_room: int) -> Iterator[Tuple[List[int], int, int]]:
     """Each nonzero class of n letters (slot indices) at its least rotation, as (letters, weight,
     internal degree), of weight 1..weight_cap and internal degree <= degree_room, by iterative
-    Fredricksen-Kessler-Maiorana; a periodic one with stabilizer sign -1 is zero and dropped."""
+    Fredricksen-Kessler-Maiorana; a periodic one with stabilizer sign -1 is zero and dropped.
+    Letter 0, the unit slot, is the one letter of weight 0 and degree 0, so a prefix after which
+    it alone fits has no completion that is a least rotation and is not descended from."""
     fitting: Dict[Tuple[int, int], List[int]] = {}  # only the (weight, degree) left met
 
     def fits(w: int, g: int) -> List[int]:
@@ -284,9 +286,10 @@ def _necklaces(n: int, weights: Sequence[int], degrees: Sequence[int], weight_ca
         p = per[t] if s == a[t - per[t]] else t
         w, g = w_left[t] - weights[s], g_left[t] - degrees[s]
         if t < n:
-            t += 1
-            per[t], w_left[t], g_left[t], options[t] = p, w, g, fits(w, g)
-            nxt[t] = bisect_left(options[t], a[t - p])
+            if len(opts := fits(w, g)) > 1:  # else only the unit slot is left to fill
+                t += 1
+                per[t], w_left[t], g_left[t], options[t] = p, w, g, opts
+                nxt[t] = bisect_left(options[t], a[t - p])
         elif n % p == 0 and w < weight_cap and (
                 p == n or (p + degree_room - g_left[p + 1]) * (n // p - 1) % 2 == 0):
             yield a[1:], weight_cap - w, degree_room - g
@@ -295,7 +298,7 @@ def _necklaces(n: int, weights: Sequence[int], degrees: Sequence[int], weight_ca
 def _classes(ambient: str, nvars: int, weight_cap: int, degree_cap: int):
     """The sorted slot alphabet (the unit slot and every slot of weight 1..weight_cap), the
     class count per (degree, weight) so far, and every nonzero class as (letter indices,
-    degree, weight): the one-slot ones, then the necklaces (``_necklaces``), each metered
+    degree, weight): the necklaces of 1..degree_cap + 1 slots (``_necklaces``), each metered
     against the basis budget SYMTRACE_MAX_BASIS, the one-slot pool before it is built."""
     if weight_cap < 0 or degree_cap < 0:
         raise InvalidInputError("caps must be nonnegative")
@@ -316,14 +319,12 @@ def _classes(ambient: str, nvars: int, weight_cap: int, degree_cap: int):
              for s in _slot_basis(ambient, nvars, w, degree_cap)]
     letters, weights = zip(*sorted(slots + [((), 0)]))  # the unit slot is letter 0
     degrees = [chain_degree(ambient, (s,)) for s in letters]
-    at = {s: i for i, s in enumerate(letters)}
     sizes: Dict[Tuple[int, int], int] = {}
 
     def metered():
-        one_slot = (([at[s]], degrees[at[s]], w) for s, w in slots)
-        longer = ((a, n - 1 + g, w) for n in range(2, degree_cap + 2)
-                  for a, w, g in _necklaces(n, weights, degrees, weight_cap, degree_cap + 1 - n))
-        for size, (a, deg, w) in enumerate(chain(one_slot, longer), 1):
+        classes = ((a, n - 1 + g, w) for n in range(1, degree_cap + 2)
+                   for a, w, g in _necklaces(n, weights, degrees, weight_cap, degree_cap + 1 - n))
+        for size, (a, deg, w) in enumerate(classes, 1):
             sizes[deg, w] = sizes.get((deg, w), 0) + 1
             if size > max_basis:
                 worst = max(sizes, key=sizes.__getitem__)

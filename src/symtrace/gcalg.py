@@ -657,6 +657,8 @@ class AlgebraElement(LinComb):
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:
             raise InvalidInputError("negative powers are not defined")
+        if k and not self.terms:  # 0^k = 0 at once, however large k is; 0^0 = 1
+            return AlgebraElement.zero()
         result = AlgebraElement.one()
         for _ in range(k):
             result = result * self

@@ -218,18 +218,24 @@ def _s_inv_terms(m: Monomial) -> Tuple[Tuple[Monomial, int], ...]:
 def r_word_basis(nvars: int, weight: int, degree: int) -> List[RWord]:
     """All words of the given weight and homological degree, in word order.
 
-    A word has weight - degree letters; for each way of cutting the weight
-    into that many letter sizes of at most nvars, the words are the products
-    of the subsets of those sizes.
+    A word has weight - degree letters; for each composition of the weight
+    into that many letter sizes in 1..nvars, walked on an explicit stack that
+    only extends prefixes the remaining letters can still complete, the words
+    are the products of the subsets of those sizes.
     """
     nletters = weight - degree
     if not 0 < nletters <= weight:
         return [()] if weight == degree == 0 else []
     out: List[RWord] = []
-    for cuts in combinations(range(1, weight), nletters - 1):
-        sizes = [b - a for a, b in zip((0,) + cuts, cuts + (weight,))]
-        if max(sizes) <= nvars:
+    stack: List[Tuple[Tuple[int, ...], int]] = [((), weight)]
+    while stack:
+        sizes, left = stack.pop()
+        rest = nletters - len(sizes) - 1  # letters after the next one, each of size 1..nvars
+        if rest < 0:
             out.extend(product(*(combinations(range(1, nvars + 1), k) for k in sizes)))
+            continue
+        stack.extend((sizes + (k,), left - k)
+                     for k in range(max(1, left - rest * nvars), min(nvars, left - rest) + 1))
     out.sort()
     return out
 

@@ -2,6 +2,8 @@
 
 import io
 import json
+import string
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -38,6 +40,18 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_form("x1 + * x2", 2)
         assert "position" in str(err.value)
+
+    def test_a_bad_character_after_whitespace_is_named(self):
+        # the error names the offending character, not the space before it
+        with pytest.raises(ParseError, match=r"unexpected character 'd' \(at position 5\)") as err:
+            parse_form("x1 + d", 2)
+        assert err.value.position == 5
+
+    def test_only_ascii_whitespace_separates_tokens(self):
+        # other whitespace is an unexpected character, except at the end of the text
+        assert parse_form("x1 + x2\u00a0\u3000\x1c", 2) == Form(X(1) + X(2), 2)
+        with pytest.raises(ParseError, match=r"unexpected character '\\xa0' \(at position 3\)"):
+            parse_form("x1 \u00a0+ x2", 2)
 
     def test_unary_minus(self):
         assert parse_form("-x1 + x2", 2) == Form(X(2) - X(1), 2)
@@ -115,6 +129,15 @@ class TestParserFuzz:
         assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
         assert out.getvalue() == ""
 
+    @settings(deadline=None)
+    @given(FORM_TEXT)
+    def test_error_positions_are_a_character_or_the_end(self, text):
+        # whitespace is skipped, so an error never points at it
+        try:
+            parse_form(text, 3)
+        except ParseError as err:
+            assert err.position == len(text) or text[err.position] not in string.whitespace
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -135,6 +158,13 @@ class TestParserFuzz:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("text", ["0^96813637", "(x1-x1)^99999999"])
+    def test_a_zero_base_to_a_huge_power_is_zero_at_once(self, text, capsys):
+        t0 = time.perf_counter()
+        assert main(["trace", "--vars", "3", text]) == 0
+        assert time.perf_counter() - t0 < 1
+        assert capsys.readouterr().out == "0\n"
+
     def test_trace_simple(self, capsys):
         assert main(["trace", "--method", "simple", "--vars", "2", "x1*dx2"]) == 0
         assert capsys.readouterr().out.strip() == "lam[1,2]"

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -419,6 +420,22 @@ class TestLeastRotationBasis:
         n = sys.getrecursionlimit() + 1
         classes = list(cyclic._necklaces(n, [0, 1], [0, 0], 1, 0))
         assert classes == [([0] * (n - 1) + [1], 1, 0)]
+
+    def test_prefixes_only_the_unit_slot_can_complete_are_not_descended(self):
+        # weight cap 2 over one variable: letter 0 the unit slot, 1 is x1, 2 is x1^2; the
+        # classes of 1,001 slots are 0^1000 1, 0^1000 2 and the 500 words 0^i 1 0^(999 - i) 1
+        # with i >= 500, and the walk no longer extends every unit run slot by slot
+        t0 = time.perf_counter()
+        classes = list(cyclic._necklaces(1001, [0, 1, 2], [0, 0, 0], 2, 0))
+        assert time.perf_counter() - t0 < 2
+        assert len(classes) == 502
+        assert ([0] * 1000 + [2], 2, 0) in classes and ([0] * 1000 + [1], 1, 0) in classes
+        assert ([0] * 500 + [1] + [0] * 499 + [1], 2, 0) in classes
+
+    def test_one_slot_classes_are_the_letters_of_weight_at_least_one(self):
+        weights, degrees = [0, 1, 1, 2, 3], [0, 0, 1, 0, 2]
+        assert list(cyclic._necklaces(1, weights, degrees, 3, 1)) == [
+            ([1], 1, 0), ([2], 1, 1), ([3], 2, 0)]
 
     def test_the_r_slot_basis_stops_below_the_weight(self, monkeypatch):
         # no word of weight 5 has degree 5 or more, whatever the degree cap

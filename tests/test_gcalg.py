@@ -113,6 +113,12 @@ class TestMultiplication:
     def test_even_power(self):
         assert render(X(1) * X(1)) == "x1^2"
 
+    def test_zero_to_any_positive_power_is_zero_at_once(self):
+        zero = AlgebraElement.zero()
+        assert (zero ** 10**30).is_zero()  # a loop of 10**30 products would never end
+        assert (DX(1) ** 2) ** 10**30 == zero
+        assert zero ** 0 == AlgebraElement.one()
+
     def test_even_lam_is_commutative_factor(self):
         # lam with 3 indices has even parity
         a = LAM(1, 2, 3)

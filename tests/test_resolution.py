@@ -1,7 +1,9 @@
 """Minimal resolution: shuffle differential, abelianization, s^-1 embedding."""
 
+import time
 from fractions import Fraction
-from itertools import combinations
+from math import comb
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,10 +215,43 @@ class TestWordBasis:
         assert resolution._word_count(7, 7, 0) == 7 ** 7
         assert resolution._word_count(3, 2, 3) == resolution._word_count(3, 2, -1) == 0
 
+    def test_equals_the_cut_and_filter_reference(self):
+        for nvars in range(5):
+            for weight in range(10):
+                for degree in range(weight + 1):
+                    expected = _cut_and_filter_word_basis(nvars, weight, degree)
+                    assert r_word_basis(nvars, weight, degree) == expected, (nvars, weight, degree)
+
+    def test_one_variable_bases_of_weight_100_build_at_once(self):
+        # cutting the weight every way would walk 2^99 compositions per degree
+        t0 = time.perf_counter()
+        bases = [r_word_basis(1, 100, degree) for degree in range(100)]
+        assert time.perf_counter() - t0 < 1
+        assert bases == [[((1,),) * 100]] + [[]] * 99
+
+    def test_only_the_letter_sizes_a_word_can_hold_are_enumerated(self):
+        # 60 variables: the subsets of size 30 alone would number about 10^17
+        assert len(r_word_basis(60, 2, 1)) == comb(60, 2)
+
     def test_long_words_need_no_recursion(self):
         # 1,100 one-variable letters: a recursion one letter deep per call overflows
         assert r_word_basis(1, 1100, 0) == [((1,),) * 1100]
         assert r_word_basis(1, 1100, 1) == []
+
+
+def _cut_and_filter_word_basis(nvars, weight, degree):
+    """The enumeration the composition walk replaced: every way of cutting the
+    weight into weight - degree letter sizes, kept when no size exceeds nvars."""
+    nletters = weight - degree
+    if not 0 < nletters <= weight:
+        return [()] if weight == degree == 0 else []
+    out = []
+    for cuts in combinations(range(1, weight), nletters - 1):
+        sizes = [b - a for a, b in zip((0,) + cuts, cuts + (weight,))]
+        if max(sizes) <= nvars:
+            out.extend(product(*(combinations(range(1, nvars + 1), k) for k in sizes)))
+    out.sort()
+    return out
 
 
 def _reference_word_basis(nvars, weight, degree):
