@@ -26,7 +26,8 @@ labeled trees.
 
 The transfer runs on integer terms.  Each ``MerkulovData`` keeps one memo of
 h mu on argument ranges and of h on labeled subtrees across calls, keyed on
-the contents of the arguments, and the class sum applies h once, at its root.
+the numbers it gives the arguments in the order it first lifts them, and the
+class sum applies h once, at its root.
 """
 
 from __future__ import annotations
@@ -179,11 +180,10 @@ class MerkulovData:
         # delta of every basis word of positive degree, formed once in _build
         # and read again by the side check
         self._delta: Dict[RWord, Dict[RWord, int]] = {}
-        # h mu of argument ranges and h of subtrees, shared across calls and
-        # keyed on the numbers that _ids gives each argument's contents, and
-        # each argument's lift, keyed on its word map and its terms
+        # each argument's lift, keyed on its word map and its terms and
+        # numbered in order, and h mu of argument ranges and h of subtrees,
+        # shared across calls and keyed on those numbers
         self._memo: Dict[tuple, Dict[RWord, int]] = {}
-        self._ids: Dict[tuple, int] = {}
         self._lifts: Dict[tuple, Tuple[int, Dict[RWord, int], int]] = {}
         self._build()
         self._check_side_conditions()
@@ -241,17 +241,11 @@ class MerkulovData:
         return _over(self._h_int(terms), scale * self._h_den)
 
     def _h_int(self, terms: Dict[RWord, int]) -> Dict[RWord, int]:
-        """den * h on integer terms, den being the table's denominator."""
-        return self._extend(self._h_pivot, terms)
-
-    def _extend(self, table: Dict[RWord, Dict[RWord, int]],
-                terms: Dict[RWord, int]) -> Dict[RWord, int]:
-        """The linear map that is ``table`` on the pivot words of B, on integer terms.
-
-        A degree-0 word w goes to the image of w - sorted(w), so a sorted word
-        goes to 0; every other basis word below the top degree goes to 0.
-        """
-        out: Dict[RWord, int] = {}
+        """den * h on integer terms, den being the table's denominator: a pivot
+        word of B goes to its value, a degree-0 word w to the image of
+        w - sorted(w), so a sorted word to 0, and every other basis word below
+        the top degree to 0."""
+        table, out = self._h_pivot, {}
         for word, c in terms.items():
             deg = word_degree(word)
             if deg == 0:
@@ -279,25 +273,22 @@ class MerkulovData:
         """h h = 0 and delta h + h delta = 1 - f1 pi on every basis word.
 
         Both sides are formed on integer terms, times the denominator of the
-        table that h reads.  delta h is the same extension of delta of each
-        pivot value, formed once from the images of the basis words that
-        ``_build`` kept; h delta reads those images too.
+        table that h reads.  delta h(e) is delta of the h(e) that the h h
+        check forms too, and h delta(e) is h of delta(e); both read the
+        images of the basis words that ``_build`` kept.
         """
         den = self._h_den
-        delta_table = {}
-        for pivot, value in self._h_pivot.items():
-            image: Dict[RWord, int] = {}
-            for word, c in value.items():
-                add_into(image, self._delta[word], c)
-            delta_table[pivot] = image
         for deg in range(self.degree_cap):
             for w in range(self.weight_cap + 1):
                 for word in self.basis[(deg, w)]:
                     e = {word: 1}
-                    if deg + 2 <= self.degree_cap and self._h_int(self._h_int(e)):
+                    he = self._h_int(e)
+                    if deg + 2 <= self.degree_cap and self._h_int(he):
                         raise IntegrityError("h h != 0")
                     # delta h(e) + h delta(e) - e + f1 pi(e), times den
-                    diff = self._extend(delta_table, e)
+                    diff: Dict[RWord, int] = {}
+                    for u, c in he.items():
+                        add_into(diff, self._delta[u], c)
                     add_into(diff, e, -den)
                     if deg == 0:
                         add_into(diff, {tuple(sorted(word)): 1}, den)
@@ -320,21 +311,20 @@ class MerkulovData:
 
     def _lift_args(self, elements,
                    word=None) -> Tuple[Tuple[int, ...], List[Dict[RWord, int]], int]:
-        """Each term dict lifted on its own, its keys mapped by ``word``: the content
-        keys (numbers of the sorted integer terms in ``_ids``), the integer terms
-        and the product of the scales.  Each distinct (word, terms) is lifted once
-        and kept in ``_lifts``.  The memo, the keys and the lifts start over
-        together once the memo or the lifts pass _MEMO_ENTRIES."""
+        """Each term dict lifted on its own, its keys mapped by ``word``: the keys
+        (positions of the lifts in ``_lifts``), the integer terms and the product
+        of the scales.  Each distinct (word, terms) is lifted once and kept in
+        ``_lifts``.  The memo and the lifts start over together once either
+        passes _MEMO_ENTRIES."""
         if len(self._memo) > _MEMO_ENTRIES or len(self._lifts) > _MEMO_ENTRIES:
-            self._memo, self._ids, self._lifts = {}, {}, {}
-        ids, lifts, keys, leaves, total = self._ids, self._lifts, [], [], 1
+            self._memo, self._lifts = {}, {}
+        lifts, keys, leaves, total = self._lifts, [], [], 1
         for terms in elements:
             arg = (word, tuple(terms.items()))
             lifted = lifts.get(arg)
             if lifted is None:
                 ints, scale = lift({word(u): c for u, c in terms.items()} if word else terms)
-                key = ids.setdefault(tuple(sorted(ints.items())), len(ids))
-                lifted = lifts[arg] = key, ints, scale
+                lifted = lifts[arg] = len(lifts), ints, scale
             keys.append(lifted[0])
             leaves.append(lifted[1])
             total *= lifted[2]
@@ -422,7 +412,6 @@ class MerkulovData:
 _MEMO_ENTRIES = 1 << 16
 
 
-@lru_cache(maxsize=4096)
 def _f1_word(m: Monomial) -> RWord:
     """f1 of one monomial: its sorted word."""
     if any(g[0] != X_KIND for g, _ in m):
@@ -463,7 +452,7 @@ def perm_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraEl
     arguments, in the shape of ``class_tree_sum``: one lift, the signed mu of
     every permutation summed on integers, then h, division and abelianization."""
     if len(args) < 2:
-        raise InvalidInputError("f_taylor needs at least two arguments")
+        raise InvalidInputError("perm_tree_sum needs at least two arguments")
     k = len(args) - 1
     keys, leaves, scale = md._lift_args((a.terms for a in args), _f1_word)
     root: Dict[RWord, int] = {}

@@ -308,6 +308,8 @@ def suite_derham(nvars: int, weight_cap: int, degree_cap: int) -> VerificationRe
 def suite_resolution(nvars: int, weight_cap: int) -> VerificationReport:
     """delta^2 = 0 on letters, and the abelianized differential vanishes.
     Every word basis and the letters, one-letter words, are counted first."""
+    if weight_cap < 0:
+        raise InvalidInputError(f"weight must be >= 0, got {weight_cap}")
     check_word_bases(nvars, [(k - 1, k) for k in range(1, min(nvars, 4) + 1)])
     check_word_bases(nvars, ((deg, w) for w in range(1, weight_cap + 1) for deg in range(w)))
     report = VerificationReport("resolution")
@@ -382,6 +384,8 @@ def suite_cartan(nvars: int, weight_cap: int, n_max: int, q_max: int) -> Verific
     symmetrizes."""
     if q_max < 0:
         raise InvalidInputError(f"q must be >= 0, got {q_max}")
+    if weight_cap < 0:
+        raise InvalidInputError(f"weight must be >= 0, got {weight_cap}")
     report = VerificationReport("cartan")
     for w, p, form in _basis_forms(nvars, weight_cap, min(nvars, 2), n_max * (q_max + 1)):
         for n in range(1, n_max + 1):

@@ -219,25 +219,29 @@ def r_word_basis(nvars: int, weight: int, degree: int) -> List[RWord]:
     """All words of the given weight and homological degree, in word order.
 
     A word has weight - degree letters; for each composition of the weight
-    into that many letter sizes in 1..nvars, walked on an explicit stack that
-    only extends prefixes the remaining letters can still complete, the words
-    are the products of the subsets of those sizes.
+    into that many letter sizes in 1..nvars, the words are the products of
+    the subsets of those sizes.  The compositions are walked in order on one
+    list of sizes, growing the last size that can still grow; every prefix
+    can be completed, so a word of W letters costs O(W).
     """
     nletters = weight - degree
-    if not 0 < nletters <= weight:
+    if not 0 < nletters <= weight or weight > nletters * nvars:
         return [()] if weight == degree == 0 else []
     out: List[RWord] = []
-    stack: List[Tuple[Tuple[int, ...], int]] = [((), weight)]
-    while stack:
-        sizes, left = stack.pop()
-        rest = nletters - len(sizes) - 1  # letters after the next one, each of size 1..nvars
-        if rest < 0:
-            out.extend(product(*(combinations(range(1, nvars + 1), k) for k in sizes)))
-            continue
-        stack.extend((sizes + (k,), left - k)
-                     for k in range(max(1, left - rest * nvars), min(nvars, left - rest) + 1))
-    out.sort()
-    return out
+    sizes, left = [], weight
+    while True:
+        while len(sizes) < nletters:  # fill with the least sizes that still fit
+            sizes.append(max(1, left - (nletters - len(sizes) - 1) * nvars))
+            left -= sizes[-1]
+        out.extend(product(*(combinations(range(1, nvars + 1), k) for k in sizes)))
+        # drop the last sizes that cannot grow: at nvars, or with only 1s after them
+        while sizes and (sizes[-1] == nvars or left == nletters - len(sizes)):
+            left += sizes.pop()
+        if not sizes:
+            out.sort()
+            return out
+        sizes[-1] += 1
+        left -= 1
 
 
 def _word_count(nvars: int, weight: int, degree: int) -> int:

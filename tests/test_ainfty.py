@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -262,7 +263,7 @@ class TestMerkulov:
         assert pivots
         md._check_side_conditions()
         md._h_pivot[pivots[-1]] = {u: 2 * c for u, c in md._h_pivot[pivots[-1]].items()}
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match=re.escape(f"homotopy relation fails at {key}")):
             md._check_side_conditions()
 
     def test_side_conditions_catch_a_homotopy_that_does_not_square_to_zero(self):
@@ -465,7 +466,7 @@ class TestTreeTrace:
             assert nonzero or md is md3 and k == 3
 
     def test_perm_sum_needs_two_arguments(self, md3):
-        with pytest.raises(InvalidInputError, match="at least two arguments"):
+        with pytest.raises(InvalidInputError, match="^perm_tree_sum needs at least two arguments"):
             perm_tree_sum(md3, [X(1)])
 
     def test_internal_sums_agree_k3(self, md3):
@@ -903,7 +904,7 @@ class TestIntegerTransfer:
 
 class TestLiftMemo:
     """Each argument is lifted once per MerkulovData, memoized on its word map
-    and its terms; the content key is shared by equal contents."""
+    and its terms and keyed by the lift's number."""
 
     def test_equal_contents_share_one_key(self):
         md = build_merkulov(3, 4, 3)
@@ -912,13 +913,13 @@ class TestLiftMemo:
         reordered = AlgebraElement(dict(reversed(list(a.terms.items()))))
         assert same is not a and list(reordered.terms) != list(a.terms)
         lifted = [md._lift_args([e.terms], ainfty._f1_word) for e in (a, same, reordered)]
-        assert lifted[0][0] == lifted[1][0] == lifted[2][0]
+        assert lifted[0][0] == lifted[1][0] == (0,) and lifted[2][0] == (1,)
         assert lifted[0][1] == lifted[2][1] == [{((1,),): 9, ((2,), (3,)): -2}]
         assert {scale for _, _, scale in lifted} == {6}
         # the equal-order copy reads the first lift; the other order is lifted
-        # once more, to the same content key
+        # once more, under its own key, to equal values
         assert lifted[1][1][0] is lifted[0][1][0]
-        assert len(md._lifts) == 2 and len(md._ids) == 1
+        assert len(md._lifts) == 2
 
     def test_word_maps_never_share_an_entry(self):
         md = build_merkulov(3, 4, 3)
@@ -961,7 +962,7 @@ class TestLiftMemo:
             pair = [f1(X(1)), f1(Fraction(c, 7) * X(2))]
             assert md.mu(2, pair) == RElement.from_word(((1,), (2,)), Fraction(c, 7))
             assert not md._memo
-            assert len(md._lifts) <= 4 + 2 and len(md._ids) <= 4 + 2
+            assert len(md._lifts) <= 4 + 2
 
 
 class TestCsTree:

@@ -503,6 +503,8 @@ class TestExitContract:
         ["merkulov", "--weight", "0"],
         ["merkulov", "--weight", "-1"],
         ["cartan", "--q", "-1"],
+        ["cartan", "--weight", "-1"],
+        ["resolution", "--weight", "-3"],
     ])
     def test_caps_that_check_nothing_are_usage_errors(self, argv, capsys):
         assert main(["verify", *argv]) == 2
@@ -642,6 +644,11 @@ class TestExitContract:
          "error: at least 200001 (degree, weight) word bases (budget 200000)\n"),
         (None, ["verify", "cstree", "--vars", "1", "--weight", "1000000", "--k", "1"],
          "error: at least 200001 (degree, weight) word bases (budget 200000)\n"),
+        # the slot pool stops below the weight, whatever the degree cap
+        ("5000", ["homology", "--ambient", "R", "--vars", "2", "--weight", "5",
+                  "--deg", "100000000"],
+         "error: at least 5001 cyclic classes, 1108 of them at (degree, weight) = (4, 5) "
+         "(budget 5000)\n"),
     ])
     def test_slot_cells_and_resolution_words_are_counted_before_they_are_built(
             self, budget, argv, message, monkeypatch, capsys):

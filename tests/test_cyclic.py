@@ -447,6 +447,15 @@ class TestLeastRotationBasis:
         assert walked == [0, 1, 2, 3, 4]
         assert slots == cyclic._slot_basis("R", 2, 5, 4) and slots
 
+    def test_the_one_variable_r_slot_pool_is_linear_in_each_word(self):
+        # each weight holds one word, of w letters, so the pool of weights <= 1100
+        # is O(W^2) when a word costs O(W); a walk that copied its sizes at every
+        # letter made it O(W^3), about 2 s
+        t0 = time.perf_counter()
+        pool = [cyclic._slot_basis("R", 1, w, 1) for w in range(1, 1101)]
+        assert time.perf_counter() - t0 < 2
+        assert pool == [[((1,),) * w] for w in range(1, 1101)]
+
     def test_homology_matches_derham_at_three_vars(self):
         hs = homology(build_connes_complex("A", 3, 4, 3))
         dr = derham_quotient_dims(3, 4, 2)

@@ -204,7 +204,7 @@ def test_only_gcalg_refuses_over_the_budget():
     made = {p.stem: call_sites(ast.parse(p.read_text()), "ResourceLimitError")
             for p in sorted(SRC.glob("*.py"))}
     assert made.pop("gcalg") == ["charge"]
-    assert {f"{module}.{fn}" for module, fns in made.items() for fn in fns} == {"ainfty._extend"}
+    assert {f"{module}.{fn}" for module, fns in made.items() for fn in fns} == {"ainfty._h_int"}
 
 
 def test_only_gcalg_and_the_class_meter_read_the_budget():
