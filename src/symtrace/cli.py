@@ -451,6 +451,8 @@ SUITES = {
 
 
 def cmd_trace(args) -> int:
+    if args.cartan and args.method:
+        raise InvalidInputError("--method does not apply to --cartan")
     form = parse_form(args.expr, args.vars)
     if args.cartan:
         params = _parse_cartan(args.cartan)
@@ -473,7 +475,7 @@ def cmd_trace(args) -> int:
                 slots = " (x) ".join(render_monomial(m) for m in key)
                 print(f"{c} * [{slots}]")
         return 0
-    value = trace(form, TraceMethod(args.method))
+    value = trace(form, TraceMethod(args.method or "simple"))
     if args.json:
         print(json.dumps(element_to_json(value)))
     else:
@@ -603,8 +605,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_trace = sub.add_parser("trace", help="evaluate a trace of a form expression")
-    p_trace.add_argument("--method", default="simple",
-                         choices=[m.value for m in TraceMethod])
+    p_trace.add_argument("--method", choices=[m.value for m in TraceMethod],
+                         help="default simple; not with --cartan")
     p_trace.add_argument("--vars", type=_int_at_least(1), default=3)
     p_trace.add_argument("--cartan", nargs=2, metavar=("n=N", "q=Q"), default=None)
     p_trace.add_argument("--json", action="store_true")

@@ -47,7 +47,7 @@ from functools import lru_cache
 from itertools import accumulate, permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .derham import Form, d, exact_image, form_basis, monomial_basis
+from .derham import Form, d, monomial_basis
 from .gcalg import (
     DX_KIND,
     X_KIND,
@@ -456,25 +456,18 @@ def homology(cpx: ChainComplexQ) -> HomologySummary:
 def derham_quotient_dims(nvars: int, weight_cap: int, degree_cap: int) -> Dict[Tuple[int, int], int]:
     """Per (degree, total weight) dimensions of forms modulo exact forms.
 
-    Degree n holds the n-forms; the total weight of a (w, p) component is
-    w + p.  The quotient divides out d of the (n-1)-forms of the same total
-    weight; degree 0 excludes constants.
+    Degree n holds the n-forms; a (w, p) component has total weight w + p,
+    and degree 0 excludes constants.  The Euler homotopy d iota + iota d = t
+    makes each total weight t >= 1 exact, so the quotient in degree n is the
+    rank r_n = dim(n-forms) - r_(n-1) of d out of it: no basis, no echelon.
     """
-    dims: Dict[Tuple[int, int], int] = {}
-    for n in range(degree_cap + 1):
-        for total_w in range(1, weight_cap + 1):
-            poly_w = total_w - n
-            if poly_w < 0:
-                continue
-            target = form_basis(nvars, poly_w, n)
-            if not target:
-                continue
-            # degree 0 divides out nothing: constants are excluded by weight >= 1
-            rank_d = exact_image(nvars, poly_w, n)[2].rank if n >= 1 else 0
-            hdim = len(target) - rank_d
-            if hdim:
-                dims[(n, total_w)] = hdim
-    return dims
+    ranks: Dict[Tuple[int, int], int] = {}
+    for t in range(1, weight_cap + 1):
+        r = 0
+        for n in range(min(degree_cap, nvars, t) + 1):
+            r = math.comb(nvars, n) * math.comb(nvars + t - n - 1, t - n) - r
+            ranks[n, t] = r
+    return {key: r for key, r in sorted(ranks.items()) if r}
 
 
 # -- HKR maps -------------------------------------------------------------------

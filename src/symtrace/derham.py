@@ -10,12 +10,11 @@ sum_i xi d/dxi goes the other way, and together they satisfy
 
 from __future__ import annotations
 
-import functools
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .gcalg import (
     DX_KIND,
@@ -23,12 +22,8 @@ from .gcalg import (
     X_KIND,
     AlgebraElement,
     InvalidInputError,
-    Echelon,
     Monomial,
-    charge,
     dx_gen,
-    echelon,
-    echelon_split,
     int_sum,
     x_gen,
 )
@@ -175,34 +170,13 @@ def form_basis(nvars: int, weight: int, form_degree: int) -> List[Monomial]:
     return out
 
 
-@functools.lru_cache(maxsize=128)
-def exact_image(nvars: int, w: int, p: int) -> Tuple[List[Monomial], Dict[Monomial, int], Echelon]:
-    """d on the (w+1, p-1) forms: (source basis, target index, echelon).
-
-    Row j of the echelon is d of ``source[j]`` written in the index of the
-    (w, p) form basis.  Needs p >= 1.  The result is cached per bidegree and
-    shared between callers, so it must not be mutated.  Both bases are
-    charged to the budget first.
-    """
-    # (v, k) forms: comb(nvars, k) dx blocks times comb(nvars + v - 1, v)
-    # monomials; with no variables there is no form of weight or degree >= 1
-    for v, k in ((w + 1, p - 1), (w, p)):
-        charge(math.comb(nvars, k) * math.comb(nvars + v - 1, v) if nvars else 0,
-               f"basis forms of weight {v} and form degree {k}")
-    source, target = form_basis(nvars, w + 1, p - 1), form_basis(nvars, w, p)
-    index = {m: i for i, m in enumerate(target)}
-    rows = []
-    for m in source:
-        rows.append({index[m2]: n for m2, n in _d_terms(m)})
-    return source, index, echelon(rows)
-
-
 def exactness_witness(omega: Form) -> Optional[Form]:
-    """Solve d(eta) = omega on the finite (w+1, p-1) basis; None if not exact.
+    """An eta with d(eta) = omega, or None if omega is not exact.
 
-    The input must be homogeneous in (weight, form-degree).  Any valid witness
-    is acceptable; this one is the particular solution supported on the first
-    independent images d(m_j) of the source basis.
+    The input must be homogeneous in (weight, form-degree).  A nonzero
+    0-form is never exact.  A (w, p) form with p >= 1 is exact exactly when
+    it is closed, and then the Euler homotopy d iota + iota d = (w + p)
+    gives eta = iota(omega) / (w + p), with no linear system.
     """
     if omega.is_zero():
         return Form.zero(omega.nvars)
@@ -210,18 +184,10 @@ def exactness_witness(omega: Form) -> Optional[Form]:
     if len(parts) != 1:
         raise InvalidInputError("exactness_witness needs a homogeneous form")
     w, p, _ = parts[0]
-    if p == 0:
+    if p == 0 or not d(omega).is_zero():
         return None
-    source, index, ech = exact_image(omega.nvars, w, p)
-    vec = {index[m]: c for m, c in omega.body.terms.items()}
-    coeffs, residual = echelon_split(ech, vec)
-    if residual:
-        return None
-    eta = AlgebraElement.zero()
-    for i, c in coeffs.items():
-        for j, v in ech.combos[i].items():
-            eta.add_term(source[j], c * v)
-    return Form(eta, omega.nvars)
+    parts = ((Fraction(c, w + p), _euler_terms(m)) for m, c in omega.body.terms.items())
+    return Form(AlgebraElement.from_clean(int_sum(parts)), omega.nvars)
 
 
 def equal_mod_exact(a: Form, b: Form) -> bool:

@@ -27,7 +27,8 @@ import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
+from operator import mul
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # generator kinds, in canonical order: even variable < odd dx < lam letter
@@ -291,7 +292,11 @@ def block_maps(
     listed in increasing order: a slot route passes every block except the
     ones whose letter would repeat that position's label, a literal zero.
     The surviving maps come in the same relative order as without it.
+    The product of the per-position choices is charged before the first map.
     """
+    choices = [k] * p if allowed is None else [len(a) for a in allowed]
+    charge(grown(accumulate(choices, mul)), f"block maps of {p} dx symbols to {k} slots",
+           at_least=True)
     need = tuple(onto)
     targets = product(range(k), repeat=p) if allowed is None else product(*allowed)
     for f in targets:
@@ -355,9 +360,6 @@ def koszul_sign(permutation: Sequence[int], degrees: Sequence[int]) -> int:
     if sorted(permutation) != list(range(n)):
         raise InvalidInputError(f"not a permutation of 0..{n - 1}: {permutation}")
     return perm_sign([permutation[i] for i in range(n) if degrees[i] % 2])
-
-
-_ZERO = Fraction(0)
 
 
 def add_into(acc: dict, terms: dict, c=1) -> None:
@@ -462,13 +464,7 @@ class LinComb:
 
     def add_term(self, key: Hashable, c) -> "LinComb":
         """In place: add c to the coefficient of key."""
-        terms = self.terms
-        total = terms.get(key, _ZERO) + c
-        if total:
-            terms[key] = total
-        else:
-            terms.pop(key, None)
-        return self
+        return self.iadd(LinComb({key: Fraction(c)}))
 
     def iadd(self, other: "LinComb", c=1) -> "LinComb":
         """In place: self += c * other."""

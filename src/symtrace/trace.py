@@ -230,7 +230,7 @@ def _cs_enumerate(
                 continue
             s, mono = prod
             acc[mono] = acc.get(mono, 0) + sign * s
-    return tuple(acc.items()), Fraction(weight, math.factorial(len(us)))
+    return tuple((mono, v) for mono, v in acc.items() if v), Fraction(weight, math.factorial(len(us)))
 
 
 def cs_trace_raw(omega: Form) -> AlgebraElement:
@@ -259,7 +259,7 @@ def _simple_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, 
             continue
         s, mono = prod
         acc[mono] = acc.get(mono, 0) + block_sign(blocks) * s
-    return tuple(acc.items()), 1
+    return tuple((mono, v) for mono, v in acc.items() if v), 1
 
 
 def trace_simple(omega: Form) -> AlgebraElement:
@@ -291,7 +291,7 @@ def _F_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, Fract
             continue
         s, mono = prod
         acc[mono] = acc.get(mono, 0) + block_sign(blocks) * s
-    return tuple(acc.items()), Fraction(1, n + 1)
+    return tuple((mono, v) for mono, v in acc.items() if v), Fraction(1, n + 1)
 
 
 def _validate_tuple(indices: Sequence[int], k: int) -> None:

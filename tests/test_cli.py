@@ -514,18 +514,21 @@ class TestExitContract:
         assert "[ok]" not in out.out
 
     def test_exact_image_honours_the_basis_budget(self, monkeypatch, capsys):
-        from symtrace.derham import exact_image
-
-        # the suite's 496 forms fit the budget; the 900 one-forms of weight 1
-        # that d of x_i x_j lands in do not
+        # the suite's 496 forms fit the budget; the witnesses of their images
+        # come from the Euler homotopy and build no basis
         monkeypatch.setenv("SYMTRACE_MAX_BASIS", "500")
-        exact_image.cache_clear()  # a cached bidegree is not rebuilt
-        try:
-            assert main(["verify", "derham", "--vars", "30", "--weight", "2", "--deg", "0"]) == 2
-        finally:
-            exact_image.cache_clear()
-        err = capsys.readouterr().err
-        assert err == "error: 900 basis forms of weight 1 and form degree 1 (budget 500)\n"
+        assert main(["verify", "derham", "--vars", "30", "--weight", "2", "--deg", "0"]) == 0
+        out = capsys.readouterr()
+        assert "496 cases, 0 failures" in out.out
+        assert out.err == ""
+
+    @pytest.mark.parametrize("method", ["diffop", "simple"])
+    def test_method_with_cartan_is_a_usage_error(self, method, capsys):
+        # the Cartan slots have one route: an explicit --method was ignored
+        assert main(["trace", "--method", method, "--cartan", "n=2", "q=1", "x1*dx2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --method does not apply to --cartan\n"
 
     @pytest.mark.parametrize("budget, argv, message", [
         (None, ["routes", "--vars", "2", "--weight", "100000", "--deg", "1"],
@@ -698,6 +701,12 @@ class TestExitContract:
          "(budget 200000)"),
         (["trace", "--cartan", "n=" + "9" * 5000, "q=1", "x1*dx2"],
          "--cartan n= has too many digits"),
+        # 6^9 block maps: the running product stops at 6^7
+        (["trace", "--method", "simple", "--vars", "10",
+          "x1^6*dx2*dx3*dx4*dx5*dx6*dx7*dx8*dx9*dx10"],
+         "at least 279936 block maps of 9 dx symbols to 6 slots (budget 200000)"),
+        (["trace", "--method", "cs", "--vars", "10", "x1^6*dx2*dx3*dx4*dx5*dx6*dx7*dx8*dx9*dx10"],
+         "at least 279936 block maps of 10 dx symbols to 6 slots (budget 200000)"),
         # blocks and monomials each stop at about 10^4000: a count of 8,000 digits
         (["verify", "routes", "--vars", "9" * 4000, "--weight", "1", "--deg", "2"],
          "more than 10^7999 cases on the basis forms of weight <= 1 and form degree <= 2 "

@@ -3,15 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from symtrace import derham
+from symtrace.cyclic import derham_quotient_dims
 from symtrace.derham import (
     Form,
     bigrade_split,
     d,
     euler_contract,
-    exact_image,
     exactness_witness,
     equal_mod_exact,
     form_basis,
@@ -22,7 +21,6 @@ from symtrace.gcalg import (
     X_KIND,
     AlgebraElement,
     InvalidInputError,
-    ResourceLimitError,
     dx_gen,
     echelon,
     monomial_mul,
@@ -150,19 +148,6 @@ class TestIntegerSums:
         assert_same(d(form), reference_d(form))
         assert_same(euler_contract(form), reference_euler_contract(form))
 
-    def test_exact_image_rows_are_d(self):
-        for nvars in (1, 2, 3):
-            for w in range(4):
-                for p in range(1, nvars + 1):
-                    source, index, ech = exact_image(nvars, w, p)
-                    rows = [
-                        {index[m2]: c for m2, c in
-                         reference_d(Form(AlgebraElement.from_monomial(m), nvars)).body.terms.items()}
-                        for m in source
-                    ]
-                    ref = echelon(rows)
-                    assert (ech.rows, ech.combos, ech.pivot_row) == (ref.rows, ref.combos, ref.pivot_row)
-
 
 class TestBigradeSplit:
     def test_mixed(self):
@@ -219,12 +204,14 @@ class TestExactnessWitness:
         assert not equal_mod_exact(omega, F(X(2) * DX(1)))
 
     @pytest.mark.parametrize("omega, nvars, eta", [
-        (DX(1) * DX(2), 2, -X(2) * DX(1)),
-        (X(1) ** 2 * DX(1) * DX(2), 2, -(X(1) ** 2) * X(2) * DX(1)),
-        (DX(1) * DX(2) * DX(3), 3, X(3) * DX(1) * DX(2)),
+        (DX(1) * DX(2), 2, (X(1) * DX(2) - X(2) * DX(1)).scale(Fraction(1, 2))),
+        (X(1) ** 2 * DX(1) * DX(2), 2,
+         (X(1) ** 3 * DX(2) - X(1) ** 2 * X(2) * DX(1)).scale(Fraction(1, 4))),
+        (DX(1) * DX(2) * DX(3), 3,
+         (X(1) * DX(2) * DX(3) - X(2) * DX(1) * DX(3) + X(3) * DX(1) * DX(2)).scale(Fraction(1, 3))),
     ])
     def test_pinned_witnesses(self, omega, nvars, eta):
-        # the particular solution supported on the first independent images
+        # the Euler homotopy: iota(omega) / (w + p)
         assert exactness_witness(F(omega, nvars)) == F(eta, nvars)
 
     @given(st.data())
@@ -242,6 +229,72 @@ class TestExactnessWitness:
         assert equal_mod_exact(omega + d(eta), omega)
         witness = exactness_witness(d(eta))
         assert witness is not None and d(witness) == d(eta)
+
+
+@st.composite
+def homogeneous_forms(draw):
+    """(w, p, omega): a nonzero form of one bidegree on 1 to 4 variables, half
+    of the draws d of a random form, so that closed forms are common."""
+    nvars = draw(st.integers(1, 4))
+    exact = draw(st.booleans())
+    w = draw(st.integers(0, 3))
+    p = draw(st.integers(1 if exact else 0, nvars))
+    basis = form_basis(nvars, w + exact, p - exact)
+    picked = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=4, unique=True))
+    coeffs = st.fractions(-4, 4, max_denominator=4).filter(bool)
+    omega = F(AlgebraElement({m: draw(coeffs) for m in picked}), nvars)
+    if exact:
+        omega = d(omega)
+    assume(not omega.is_zero())
+    return w, p, omega
+
+
+class TestEulerWitness:
+    @given(homogeneous_forms())
+    def test_witness_exactly_on_closed_forms_of_positive_degree(self, drawn):
+        w, p, omega = drawn
+        eta = exactness_witness(omega)
+        if p == 0 or not d(omega).is_zero():
+            assert eta is None
+        else:
+            assert eta is not None and d(eta) == omega
+            assert [(a, b) for a, b, _ in bigrade_split(eta)] == [(w + 1, p - 1)]
+
+
+def reference_quotient_dims(nvars, weight_cap, degree_cap, rank_cache):
+    """The solver ``derham_quotient_dims`` replaced: the n-forms of each total
+    weight t minus the echelon rank of d's rows into them, each rank computed
+    once per (nvars, n, t) in ``rank_cache``."""
+    dims = {}
+    for n in range(degree_cap + 1):
+        for t in range(1, weight_cap + 1):
+            if t < n:
+                continue
+            target = form_basis(nvars, t - n, n)
+            if not target:
+                continue
+            if (nvars, n, t) not in rank_cache:
+                index = {m: i for i, m in enumerate(target)}
+                source = form_basis(nvars, t - n + 1, n - 1) if n else []
+                images = (d(F(AlgebraElement.from_monomial(m), nvars)) for m in source)
+                rows = [{index[m2]: c for m2, c in img.body.terms.items()} for img in images]
+                rank_cache[nvars, n, t] = echelon(rows).rank
+            dim = len(target) - rank_cache[nvars, n, t]
+            if dim:
+                dims[n, t] = dim
+    return dims
+
+
+class TestQuotientDims:
+    def test_equal_the_echelon_reference_in_order(self):
+        ranks = {}
+        for nvars in range(6):
+            for weight_cap in range(8):
+                for degree_cap in range(7):
+                    got = derham_quotient_dims(nvars, weight_cap, degree_cap)
+                    ref = reference_quotient_dims(nvars, weight_cap, degree_cap, ranks)
+                    assert list(got.items()) == list(ref.items())
+        assert len(ranks) > 100
 
 
 def _reference_monomial_basis(nvars, weight):
@@ -280,44 +333,3 @@ class TestMonomialBasis:
         # exponent vectors come in increasing order, so x1500 comes first
         basis = monomial_basis(1500, 1)
         assert basis == [((x_gen(i), 1),) for i in range(1500, 0, -1)]
-
-
-class TestExactImageBudget:
-    def test_the_budget_admits_exactly_the_larger_basis(self, monkeypatch):
-        # the counted sizes equal the built ones: a budget of the larger size
-        # passes and one less is refused
-        try:
-            for nvars in range(1, 5):
-                for w in range(4):
-                    for p in range(1, nvars + 1):
-                        size = max(len(form_basis(nvars, w + 1, p - 1)),
-                                   len(form_basis(nvars, w, p)))
-                        if size < 2:
-                            continue  # the least budget is 1
-                        exact_image.cache_clear()
-                        monkeypatch.setenv("SYMTRACE_MAX_BASIS", str(size))
-                        exact_image(nvars, w, p)
-                        exact_image.cache_clear()
-                        monkeypatch.setenv("SYMTRACE_MAX_BASIS", str(size - 1))
-                        with pytest.raises(ResourceLimitError):
-                            exact_image(nvars, w, p)
-        finally:
-            exact_image.cache_clear()
-
-    def test_sizes_are_counted_before_either_basis_is_built(self, monkeypatch):
-        # d into (2, 2) on three variables maps the 10 * 3 = 30 forms of
-        # bidegree (3, 1) onto the 6 * 3 = 18 forms of bidegree (2, 2)
-        exact_image.cache_clear()
-        try:
-            source, index, _ = exact_image(3, 2, 2)
-            assert (len(source), len(index)) == (30, 18)
-            exact_image.cache_clear()
-            built = []
-            monkeypatch.setattr(derham, "form_basis", lambda *a: built.append(a) or [])
-            monkeypatch.setenv("SYMTRACE_MAX_BASIS", "29")
-            with pytest.raises(ResourceLimitError, match=(
-                    r"^30 basis forms of weight 3 and form degree 1 \(budget 29\)$")):
-                exact_image(3, 2, 2)
-            assert built == []
-        finally:
-            exact_image.cache_clear()

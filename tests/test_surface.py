@@ -25,6 +25,7 @@ ALLOWED = {
     "mu": "the benchmark tracer patches MerkulovData.mu",
     "derham_quotient_dims": "the benchmark's homology oracle calls it",
     "equal_mod_exact": "the README documents equality modulo exact forms",
+    "add_term": "the README documents it, and the tests build elements with it",
     "hkr_eps": "the README documents the HKR pair",
     "hkr_I": "the README documents the HKR pair",
 }
@@ -214,3 +215,13 @@ def test_only_gcalg_and_the_class_meter_read_the_budget():
             for p in sorted(SRC.glob("*.py"))}
     assert {f"{module}.{fn}" for module, fns in read.items() for fn in fns} == {
         "gcalg.charge", "gcalg.grown", "cyclic._classes"}
+
+
+def test_derham_needs_no_linear_algebra_and_no_budget():
+    # exactness witnesses come from the Euler homotopy: no system is solved
+    # and no basis is built, so nothing is charged
+    tree = ast.parse((SRC / "derham.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    names = imported | set(references(tree))
+    assert names & {"echelon", "echelon_split", "Echelon", "charge", "max_basis_budget"} == set()
