@@ -701,16 +701,16 @@ class TestExitContract:
          "(budget 200000)"),
         (["trace", "--cartan", "n=" + "9" * 5000, "q=1", "x1*dx2"],
          "--cartan n= has too many digits"),
+        # blocks and monomials each stop at about 10^4000: a count of 8,000 digits
+        (["verify", "routes", "--vars", "9" * 4000, "--weight", "1", "--deg", "2"],
+         "more than 10^7999 cases on the basis forms of weight <= 1 and form degree <= 2 "
+         "(budget 200000)"),
         # 6^9 block maps: the running product stops at 6^7
         (["trace", "--method", "simple", "--vars", "10",
           "x1^6*dx2*dx3*dx4*dx5*dx6*dx7*dx8*dx9*dx10"],
          "at least 279936 block maps of 9 dx symbols to 6 slots (budget 200000)"),
         (["trace", "--method", "cs", "--vars", "10", "x1^6*dx2*dx3*dx4*dx5*dx6*dx7*dx8*dx9*dx10"],
          "at least 279936 block maps of 10 dx symbols to 6 slots (budget 200000)"),
-        # blocks and monomials each stop at about 10^4000: a count of 8,000 digits
-        (["verify", "routes", "--vars", "9" * 4000, "--weight", "1", "--deg", "2"],
-         "more than 10^7999 cases on the basis forms of weight <= 1 and form degree <= 2 "
-         "(budget 200000)"),
     ])
     def test_oversized_commands_exit_two_at_once(self, argv, message, monkeypatch, capsys):
         # each ran past a timeout or ended in a ValueError traceback on a long int
