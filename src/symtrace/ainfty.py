@@ -53,7 +53,6 @@ from .gcalg import (
     charge,
     echelon,
     echelon_split,
-    grown,
     lift,
     over,
     perm_sign,
@@ -143,8 +142,8 @@ def enumerate_labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree
 def _labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree], ...]:
     # every labeling of every tree is canonicalized: (k+1)! * Catalan(k) =
     # (k+1)(k+2)..(2k) strings, multiplied only until they pass the budget
-    labeled = grown(accumulate(range(k + 1, 2 * k + 1), operator.mul, initial=1))
-    charge(labeled, f"labeled trees with {k + 1} leaves", at_least=True)
+    charge(accumulate(range(k + 1, 2 * k + 1), operator.mul, initial=1),
+           f"labeled trees with {k + 1} leaves")
     seen: Dict[str, Tuple[Tuple[int, ...], PlanarTree]] = {}
     trees = enumerate_pbt(k)
     for sigma in permutations(range(k + 1)):

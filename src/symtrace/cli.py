@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 verification failures (including a failed internal
 integrity check, reported as ``error: integrity check failed: ...``), 2 usage,
 parse or resource errors.  The environment variable SYMTRACE_MAX_BASIS bounds
 both materialized bases and the cases a verify suite enumerates; each is
-counted before it is built, a growing count only until ``gcalg.grown`` sees it
-pass the budget, and refused by the one gate ``gcalg.charge`` as
+counted before it is built, a growing count only until it passes the budget
+(``gcalg.grown``), and refused by the one gate ``gcalg.charge`` as
 ``error: <count> <what> (budget N)``.  The parser turns every malformed,
 oversized or too deeply nested text into a ``ParseError``, before doing the
 work: a single ``*`` or ``^`` may cost at most ``MAX_EXPANSION`` monomial
@@ -368,8 +368,8 @@ def suite_conj1(nvars: int, cap: int) -> VerificationReport:
     one-slot part abelianizes to the combinatorial trace of the form, and its
     coalgebra image is d of the form.  The (t + 1) nvars^t cases of each
     total t are charged first, summed only until they pass the budget."""
-    cases = grown(accumulate((total + 1) * nvars ** total for total in range(1, cap + 1)))
-    charge(cases, f"label cases with n + p <= {cap} and labels 1..{nvars}", at_least=True)
+    charge(accumulate((total + 1) * nvars ** total for total in range(1, cap + 1)),
+           f"label cases with n + p <= {cap} and labels 1..{nvars}")
     report = VerificationReport("conj1")
     for total in range(1, cap + 1):
         for n in range(0, total + 1):

@@ -32,10 +32,11 @@ The du are odd, so the element is alternating in the du labels: it is 0
 when a du label repeats (a map that puts two equal labels in one block
 builds a zero letter, and the other maps cancel in pairs), and reordering
 the du labels multiplies it by the sign of the reordering.  ``beta_cocycle`` returns the zero chain on a
-repeated du label before enumerating anything, and otherwise scales the
-integer terms of the sorted labels by that sign.  Those terms are memoized
-per (sorted u, sorted du) in a bounded cache (``_beta_terms``, 1,024
-entries); a caller always gets a fresh chain.
+repeated du label before enumerating anything, and otherwise copies, or negates, the chain
+of the sorted labels, memoized with its terms scaled by weight / n! per (sorted u, sorted du)
+in a bounded cache (``_beta_terms``, 1,024 entries); a caller always gets a fresh chain.
+``boundary`` memoizes a chain's nonzero integer faces per (ambient, integer terms), up to
+sign, in a second one (``_boundary_ints``), so a bridge pass walks each chain's keys once.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .gcalg import (
     comb_totals,
     dx_gen,
     echelon,
-    grown,
     int_sum,
     lift,
     max_basis_budget,
@@ -166,14 +166,24 @@ def cyclic_canonical(ambient: str, key: ChainKey) -> Optional[Tuple[int, ChainKe
 
 
 def boundary(chain: CyclicChain) -> CyclicChain:
-    """Cyclic Hochschild boundary plus the slotwise internal differential,
-    summed as integers over the chain's common denominator."""
-    ambient = chain.ambient
+    """Cyclic Hochschild boundary plus the slotwise internal differential, over the chain's
+    common denominator: ``_boundary_ints`` of its integer terms, the first made positive."""
     ints, den = lift(chain.terms)
+    terms = tuple(ints.items())
+    if terms and terms[0][1] < 0:  # a chain and its negation share one entry
+        terms, den = tuple((key, -v) for key, v in terms), -den
+    return CyclicChain.from_clean(over(dict(_boundary_ints(chain.ambient, terms)), den),
+                                  chain.ambient)
+
+
+@lru_cache(maxsize=1024)
+def _boundary_ints(ambient: str, terms: Tuple[Tuple[ChainKey, int], ...]) -> tuple:
+    """The nonzero integer boundary terms of (key, v) terms, in the order
+    ``_add_boundary`` first inserts them."""
     out: Dict[ChainKey, int] = {}
-    for key, v in ints.items():
+    for key, v in terms:
         _add_boundary(ambient, key, v, out)
-    return CyclicChain.from_clean(over(out, den), ambient)
+    return tuple((key, v) for key, v in out.items() if v)
 
 
 def _add_boundary(ambient: str, key: ChainKey, v: int, out: Dict[ChainKey, int],
@@ -309,12 +319,12 @@ def _classes(ambient: str, nvars: int, weight_cap: int, degree_cap: int):
     # of them, over R every word of degree <= degree_cap (and < its weight)
     if ambient == "A":
         what = "monomials of weight"
-        pool = grown(c - 1 for c in comb_totals(nvars + weight_cap, weight_cap))
+        pool = (c - 1 for c in comb_totals(nvars + weight_cap, weight_cap))
     else:
         what = f"words of degree <= {degree_cap} and weight"
-        pool = grown(accumulate(_word_count(nvars, w, degc) for w in range(1, weight_cap + 1)
-                                for degc in range(min(degree_cap, w - 1) + 1)))
-    charge(pool, f"{what} 1..{weight_cap}, each a one-slot class", at_least=True)
+        pool = accumulate(_word_count(nvars, w, degc) for w in range(1, weight_cap + 1)
+                          for degc in range(min(degree_cap, w - 1) + 1))
+    charge(pool, f"{what} 1..{weight_cap}, each a one-slot class")
     slots = [(s, w) for w in range(1, weight_cap + 1)
              for s in _slot_basis(ambient, nvars, w, degree_cap)]
     letters, weights = zip(*sorted(slots + [((), 0)]))  # the unit slot is letter 0
@@ -514,25 +524,23 @@ def beta_cocycle(u_vars: Sequence[int], n: int, p: int) -> CyclicChain:
       the sign of that reordering.
 
     The chain is therefore 0 on a repeated du label, and otherwise
-    perm_sign(du) times the chain of the sorted labels.  Its integer terms
-    come from ``_beta_terms``, memoized per (sorted u, sorted du), and are
-    scaled into a fresh chain here.
+    perm_sign(du) times the chain of the sorted labels, memoized per (sorted
+    u, sorted du) by ``_beta_terms`` and copied, or negated, into a fresh
+    chain here.
     """
     if len(u_vars) != n + p or n < 0 or p < 0:
         raise InvalidInputError("need n + p variables")
     dx = tuple(u_vars[n:])
     if len(set(dx)) < p:
         return CyclicChain("R")
-    terms, scale = _beta_terms(tuple(sorted(u_vars[:n])), tuple(sorted(dx)))
-    c = scale * perm_sign(dx)
-    return CyclicChain.from_clean({key: c * v for key, v in terms}, "R")
+    terms = _beta_terms(tuple(sorted(u_vars[:n])), tuple(sorted(dx)))
+    odd = perm_sign(dx) == -1
+    return CyclicChain.from_clean({k: -c for k, c in terms.items()} if odd else dict(terms), "R")
 
 
 @lru_cache(maxsize=1024)
-def _beta_terms(
-    us: Tuple[int, ...], dx: Tuple[int, ...]
-) -> Tuple[Tuple[Tuple[ChainKey, int], ...], Fraction]:
-    """Integer terms of the chain on sorted labels, and their scale weight / n!.
+def _beta_terms(us: Tuple[int, ...], dx: Tuple[int, ...]) -> Dict[ChainKey, Fraction]:
+    """The chain on sorted labels, its integer terms scaled by weight / n!; callers copy it.
 
     The polynomial labels are placed by their distinct orderings, each
     standing for ``weight`` of the n! permutations, and a du label never
@@ -562,8 +570,8 @@ def _beta_terms(
                 # convention used here; the one-slot part is unaffected
                 sign = block_sign(blocks) * head[0] * tail[0]
                 acc[key] = acc.get(key, 0) + (-sign if m % 2 else sign)
-    terms = tuple((key, v) for key, v in acc.items() if v)
-    return terms, Fraction(weight, math.factorial(n))
+    scale = Fraction(weight, math.factorial(n))
+    return {key: scale * v for key, v in acc.items() if v}
 
 
 def beta_one_slot_words(beta: CyclicChain) -> RElement:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from operator import mul
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 # generator kinds, in canonical order: even variable < odd dx < lam letter
 X_KIND = 0
@@ -66,12 +66,14 @@ def max_basis_budget() -> int:
     return budget
 
 
-def charge(count: int, what: str, at_least: bool = False) -> None:
-    """The budget gate: refuse ``count`` items over SYMTRACE_MAX_BASIS with
-    ``<count> <what> (budget N)``.  ``at_least`` marks a count grown only
-    until it passed the budget; a count too long for str() reads as a power
-    of ten below it."""
+def charge(count: Union[int, Iterable[int]], what: str, at_least: bool = False) -> None:
+    """The budget gate, one budget read: refuse ``count`` items over SYMTRACE_MAX_BASIS with
+    ``<count> <what> (budget N)``.  ``count`` may be running totals, grown only until they
+    pass the budget; ``at_least`` marks a count so grown, by the caller or here; a count
+    too long for str() reads as a power of ten below it."""
     budget = max_basis_budget()
+    if not isinstance(count, int):
+        count, at_least = grown(count, budget), True
     if count <= budget:
         return
     try:
@@ -81,10 +83,10 @@ def charge(count: int, what: str, at_least: bool = False) -> None:
     raise ResourceLimitError(f"{text} {what} (budget {budget})")
 
 
-def grown(totals: Iterable[int]) -> int:
-    """The first running total of a growing count over SYMTRACE_MAX_BASIS,
-    else the last one (0 for none); no later total is formed."""
-    budget, total = max_basis_budget(), 0
+def grown(totals: Iterable[int], budget: int = 0) -> int:
+    """The first running total of a growing count over ``budget`` (by default
+    SYMTRACE_MAX_BASIS), else the last one (0 for none); no later total is formed."""
+    budget, total = budget or max_basis_budget(), 0
     for total in totals:
         if total > budget:
             break
@@ -295,8 +297,7 @@ def block_maps(
     The product of the per-position choices is charged before the first map.
     """
     choices = [k] * p if allowed is None else [len(a) for a in allowed]
-    charge(grown(accumulate(choices, mul)), f"block maps of {p} dx symbols to {k} slots",
-           at_least=True)
+    charge(accumulate(choices, mul), f"block maps of {p} dx symbols to {k} slots")
     need = tuple(onto)
     targets = product(range(k), repeat=p) if allowed is None else product(*allowed)
     for f in targets:

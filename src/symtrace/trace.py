@@ -64,7 +64,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .derham import Form, d, monomial_bidegree
@@ -78,6 +78,7 @@ from .gcalg import (
     _label_orderings,
     block_maps,
     block_sign,
+    charge,
     gen_parity,
     lam_letter,
     lam_product,
@@ -425,6 +426,12 @@ def _diffop_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, 
             if t >= 1:
                 key = lead if n and t == 1 else lead + (t,)
                 coefficients[key] = coefficients.get(key, 0) + diffop_coefficient(lead + (t,), r)
+    # steps certain to run, charged before any shuffle is built: dus has distinct labels, so the
+    # first splitting keeps all its states, and each of them walks every shuffle of the second
+    charge(accumulate(len(set(us)) * math.comb(k, J[-1])
+                      * (1 + (len(J) > 2) * math.comb(k + 1 - J[-1], J[-2]))
+                      for J, c in coefficients.items() if c and len(J) > 1),
+           f"splitting steps of D on {k}-forms")
     parts = []
     for J, c in coefficients.items():
         if c:

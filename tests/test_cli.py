@@ -711,6 +711,10 @@ class TestExitContract:
          "at least 279936 block maps of 9 dx symbols to 6 slots (budget 200000)"),
         (["trace", "--method", "cs", "--vars", "10", "x1^6*dx2*dx3*dx4*dx5*dx6*dx7*dx8*dx9*dx10"],
          "at least 279936 block maps of 10 dx symbols to 6 slots (budget 200000)"),
+        # the steps of the first two splittings of each D call, summed over the index tuples
+        (["trace", "--method", "diffop", "--vars", "10",
+          "x1^6*dx2*dx3*dx4*dx5*dx6*dx7*dx8*dx9*dx10"],
+         "at least 204031 splitting steps of D on 10-forms (budget 200000)"),
     ])
     def test_oversized_commands_exit_two_at_once(self, argv, message, monkeypatch, capsys):
         # each ran past a timeout or ended in a ValueError traceback on a long int

@@ -35,7 +35,7 @@ from symtrace.derham import Form, d, equal_mod_exact, form_basis, monomial_basis
 from symtrace.gcalg import (
     DX_KIND, X_KIND, AlgebraElement, IntegrityError, ResourceLimitError, add_into, block_maps,
     block_sign, dx_gen, koszul_sign, lam_gen, lam_product, monomial_from_factors, monomial_mul,
-    monomial_parity, monomial_weight, perm_sign, x_gen,
+    lift, monomial_parity, monomial_weight, over, perm_sign, x_gen,
 )
 from symtrace.resolution import (
     RElement, _lam_word, abelianize, delta_R, delta_word, r_word_basis, word_degree,
@@ -992,9 +992,12 @@ class TestBridgeAlternation:
         for u in [(1, 2, 3), (1, 3, 2)]:
             expected = _reference_beta(u, 1, 2)
             chain = beta_cocycle(u, 1, 2)
+            order = list(chain.terms.items())
             chain.add_term(next(iter(chain.terms)), Fraction(5, 2))
             chain.add_term(((), ((1,),)), 1)
-            assert beta_cocycle(u, 1, 2).terms == expected
+            chain.iadd(chain, 2)
+            again = beta_cocycle(u, 1, 2)
+            assert again.terms == expected and list(again.terms.items()) == order
 
     def test_no_zero_letter_is_built(self, monkeypatch):
         full = cyclic._lam_word
@@ -1009,6 +1012,102 @@ class TestBridgeAlternation:
         for u, n, p in _label_tuples(4, 4):
             beta_cocycle(u, n, p)
         assert letters and all(r is not None for r in letters)
+
+
+def _direct_boundary(chain):
+    """The boundary as it was summed before the memo: ``_add_boundary`` on every lifted
+    term into one dict, divided back with ``over``."""
+    ints, den = lift(chain.terms)
+    out = {}
+    for key, v in ints.items():
+        cyclic._add_boundary(chain.ambient, key, v, out)
+    return over(out, den)
+
+
+def _bridge_chains(nvars, cap):
+    """The distinct nonzero bridge chains with n + p <= cap, as term dicts."""
+    seen = {}
+    for u, n, p in _label_tuples(nvars, cap):
+        terms = beta_cocycle(u, n, p).terms
+        if terms:
+            seen.setdefault(frozenset(terms.items()), terms)
+    return list(seen.values())
+
+
+class TestBoundaryMemo:
+    def _assert_direct(self, chain):
+        got = boundary(chain)
+        assert list(got.terms.items()) == list(_direct_boundary(chain).items())
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+        return got
+
+    def test_equals_the_direct_sum_on_bridge_chains(self):
+        cyclic._boundary_ints.cache_clear()
+        chains = _bridge_chains(3, 4)
+        nonzero = 0
+        for terms in chains:
+            # a bridge chain is closed; without its first term it is not
+            opened = dict(list(terms.items())[1:])
+            for c in (1, -1, Fraction(2, 3), Fraction(-5, 4)):
+                self._assert_direct(CyclicChain("R", {k: c * v for k, v in terms.items()}))
+                nonzero += not self._assert_direct(
+                    CyclicChain("R", {k: c * v for k, v in opened.items()})).is_zero()
+        assert len(chains) == 162 and nonzero == 464
+
+    def test_equals_the_direct_sum_on_chains_over_A(self):
+        rng = random.Random(5)
+        nonzero = 0
+        for _ in range(40):
+            terms = {tuple(rng.choice(A_SLOTS) for _ in range(rng.randint(1, 3))): rng.choice(MIXED)
+                     for _ in range(rng.randint(1, 5))}
+            chain = CyclicChain("A", terms)
+            nonzero += not self._assert_direct(chain).is_zero()
+            self._assert_direct(-chain)
+            self._assert_direct(chain.scale(Fraction(7, 3)))
+        assert nonzero > 20
+
+    def test_a_second_call_returns_a_fresh_equal_chain(self):
+        for ambient, terms in [
+            ("R", {(((1, 2),), ((1,), (3,))): Fraction(1, 3), (((2, 3), (1,)),): Fraction(-1, 4)}),
+            ("A", {(mono(1), mono(2), mono(2, 2)): Fraction(3, 2), (mono(1, 2),): Fraction(-1)}),
+        ]:
+            chain = CyclicChain(ambient, terms)
+            first = boundary(chain)
+            expected = dict(first.terms)
+            assert expected
+            second = boundary(CyclicChain(ambient, dict(terms)))
+            assert second == first and second.terms == expected
+            assert second is not first and second.terms is not first.terms
+            first.iadd(first, 2)
+            first.add_term(next(iter(expected)), 1)
+            assert boundary(chain).terms == expected
+            # a chain and its negation share one entry
+            misses = cyclic._boundary_ints.cache_info().misses
+            assert list(boundary(-chain).terms.items()) == [(k, -c) for k, c in expected.items()]
+            assert cyclic._boundary_ints.cache_info().misses == misses
+
+    def test_the_bridge_suite_walks_each_chain_once(self, monkeypatch):
+        # suite_conj1(3, 4) checks 546 label tuples; the 342 nonzero chains are 162 distinct
+        walked = []
+        full = cyclic._add_boundary
+
+        def counting(ambient, key, v, out, products=None):
+            walked.append((key, v))
+            full(ambient, key, v, out, products)
+
+        cyclic._boundary_ints.cache_clear()
+        monkeypatch.setattr(cyclic, "_add_boundary", counting)
+        report = cli.suite_conj1(3, 4)
+        assert report.cases == 546 and not report.failures
+        chains = [t for u, n, p in _label_tuples(3, 4) for t in [beta_cocycle(u, n, p).terms] if t]
+        signed = {frozenset(t.items()): len(t) for t in chains}
+        # up to sign: each chain scaled so that its first term is positive
+        unsigned = {frozenset((k, c / abs(c) * v) for k, v in t.items()): len(t)
+                    for t in chains for c in [next(iter(t.values()))]}
+        assert len(unsigned) < len(signed) < len(chains)
+        assert len(signed) < cyclic._boundary_ints.cache_info().maxsize
+        # each distinct chain is walked once, whichever sign comes first
+        assert len(walked) == sum(unsigned.values())
 
 
 # The bridge projections as they summed before they ran on integers: one

@@ -626,6 +626,21 @@ class TestGrown:
         assert grown(iter([1, 4, 10])) == 10
         assert grown(iter([])) == 0
 
+    def test_a_gate_reads_the_budget_once(self, monkeypatch):
+        reads = []
+
+        def budget():
+            reads.append(1)
+            return 10
+
+        monkeypatch.setattr(gcalg, "max_basis_budget", budget)
+        assert len(list(gcalg.block_maps(3, 2))) == 8
+        assert len(reads) == 1
+        # running totals are grown only until they pass the budget, and read "at least"
+        with pytest.raises(gcalg.ResourceLimitError, match=r"^at least 11 items \(budget 10\)$"):
+            gcalg.charge(iter([3, 10, 11, 50]), "items")
+        assert len(reads) == 2
+
     def test_comb_totals_grow_to_comb(self):
         for n in range(10):
             for k in range(n + 3):

@@ -920,6 +920,31 @@ class TestDiffOpRoute:
                         nonzero += not got.is_zero()
         assert (checks, nonzero) == (2304, 1427)
 
+    def test_the_charged_splitting_steps_are_all_walked(self, monkeypatch):
+        # every splitting step asks lam_letter for the letter it peels, and every
+        # final state for its wedge, so the kernel's calls bound the steps it walks
+        trace_module = importlib.import_module("symtrace.trace")
+        charged, asked = [], []
+
+        def recording(totals, what):
+            charged.append(max(totals, default=0))
+
+        def counting(indices):
+            asked[-1] += 1
+            return lam_letter(indices)
+
+        monkeypatch.setattr(trace_module, "charge", recording)
+        monkeypatch.setattr(trace_module, "lam_letter", counting)
+        for k in range(1, 7):
+            for r in range(5):
+                for us in combinations_with_replacement(range(1, 4), r):
+                    asked.append(0)
+                    trace_module._diffop_terms.__wrapped__(us, tuple(range(1, k + 1)))
+                    assert charged[-1] <= asked[-1], (us, k)
+        assert len(charged) == len(asked) == 210
+        # the count is a lower bound, about a tenth of the calls here
+        assert sum(asked) // 20 < sum(charged)
+
 
 class TestCsCoefficient:
     def test_leading_is_one(self):
