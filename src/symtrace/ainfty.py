@@ -25,9 +25,11 @@ by a graded commutator collapses the labeled sum onto equivalence classes of
 labeled trees.
 
 The transfer runs on integer terms.  Each ``MerkulovData`` keeps one memo of
-h mu on argument ranges and of h on labeled subtrees across calls, keyed on
-the numbers it gives the arguments in the order it first lifts them, and the
-class sum applies h once, at its root.
+h mu on argument ranges, of h on labeled subtrees and of the class sum's
+"group" entries across calls, keyed on the numbers it gives the arguments in
+the order it first lifts them.  The class sum groups the classes by the left
+side of their root, a leaf turned to the left, and forms one commutator
+[L, sum of sign * R] per group; it applies h once, at its root.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ def enumerate_pbt(k: int) -> List[PlanarTree]:
     return build(k + 1)
 
 
+@lru_cache(maxsize=1024)
 def tree_sign(t: PlanarTree) -> int:
     """(-1)^(1 + sum of left-subtree leaf counts over internal vertices)."""
     return -1 if (1 + _left_leaves(t)) % 2 else 1
@@ -155,9 +158,20 @@ def _labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree], ...]:
 
 
 @lru_cache(maxsize=8)
-def _class_signs(k: int) -> Tuple[int, ...]:
-    """perm_sign(sigma) * tree_sign(t) of each labeled class, in class order."""
-    return tuple(perm_sign(sigma) * tree_sign(t) for sigma, t in _labeled_classes(k))
+def _class_groups(k: int) -> Tuple[tuple, ...]:
+    """The labeled classes grouped by the left side of their root, turned round
+    when only its right side is a leaf x, [A, x] = -[x, A]: (left subtree, its
+    positions, the other positions, ((right subtree, its positions, sign), ...)),
+    each sign being perm_sign * tree_sign of the class as turned."""
+    groups: Dict[tuple, list] = {}
+    for sigma, t in _labeled_classes(k):
+        nl, sign = leaf_count(t[0]), perm_sign(sigma) * tree_sign(t)
+        left, right = (t[0], sigma[:nl]), (t[1], sigma[nl:])
+        if t[1] is None and t[0] is not None:
+            left, right, sign = right, left, -sign
+        groups.setdefault(left, []).append((*right, sign))
+    return tuple((sub, pos, tuple(j for j in range(k + 1) if j not in pos), tuple(rights))
+                 for (sub, pos), rights in groups.items())
 
 
 class MerkulovData:
@@ -179,11 +193,12 @@ class MerkulovData:
         # delta of every basis word of positive degree, formed once in _build
         # and read again by the side check
         self._delta: Dict[RWord, Dict[RWord, int]] = {}
-        # each argument's lift, keyed on its word map and its terms and
-        # numbered in order, and h mu of argument ranges and h of subtrees,
-        # shared across calls and keyed on those numbers
+        # each argument's lift, keyed on its word map and its terms (first on
+        # its term dict's id) and numbered in order, and the memo on those
+        # numbers, shared across calls
         self._memo: Dict[tuple, Dict[RWord, int]] = {}
         self._lifts: Dict[tuple, Tuple[int, Dict[RWord, int], int]] = {}
+        self._lift_ids: Dict[tuple, tuple] = {}
         self._build()
         self._check_side_conditions()
 
@@ -304,26 +319,31 @@ class MerkulovData:
     # once to integers over its own denominator, every product, commutator
     # and h is formed on integers, and each output term is one fraction over the
     # product of the argument scales times den^(number of h applications).
-    # h mu of a range is memoized across calls on ("mu",) + its argument keys
-    # and h of a subtree on (subtree, use_comm, leaf keys), so f_taylor, the
-    # product trees and the commutator trees never read each other's entries.
+    # h mu of a range is memoized across calls on ("mu",) + its argument keys,
+    # h of a subtree on (subtree, use_comm, leaf keys) and a root side of the
+    # class sum on ("group", k, group, keys), so no two maps share an entry.
 
     def _lift_args(self, elements,
                    word=None) -> Tuple[Tuple[int, ...], List[Dict[RWord, int]], int]:
         """Each term dict lifted on its own, its keys mapped by ``word``: the keys
         (positions of the lifts in ``_lifts``), the integer terms and the product
         of the scales.  Each distinct (word, terms) is lifted once and kept in
-        ``_lifts``.  The memo and the lifts start over together once either
-        passes _MEMO_ENTRIES."""
-        if len(self._memo) > _MEMO_ENTRIES or len(self._lifts) > _MEMO_ENTRIES:
-            self._memo, self._lifts = {}, {}
-        lifts, keys, leaves, total = self._lifts, [], [], 1
+        ``_lifts``, and found again first by the id of its (immutable) dict,
+        which ``_lift_ids`` holds so that no other dict takes that id.  The
+        memo, the lifts and the ids start over together once any passes
+        _MEMO_ENTRIES."""
+        if max(len(self._memo), len(self._lifts), len(self._lift_ids)) > _MEMO_ENTRIES:
+            self._memo, self._lifts, self._lift_ids = {}, {}, {}
+        lifts, ids, keys, leaves, total = self._lifts, self._lift_ids, [], [], 1
         for terms in elements:
-            arg = (word, tuple(terms.items()))
-            lifted = lifts.get(arg)
-            if lifted is None:
-                ints, scale = lift({word(u): c for u, c in terms.items()} if word else terms)
-                lifted = lifts[arg] = len(lifts), ints, scale
+            held = ids.get((id(terms), word))
+            if held is None:
+                arg = (word, tuple(terms.items()))
+                if arg not in lifts:
+                    ints, scale = lift({word(u): c for u, c in terms.items()} if word else terms)
+                    lifts[arg] = len(lifts), ints, scale
+                held = ids[(id(terms), word)] = terms, lifts[arg]
+            lifted = held[1]
             keys.append(lifted[0])
             leaves.append(lifted[1])
             total *= lifted[2]
@@ -394,17 +414,20 @@ class MerkulovData:
         if t is None:
             raise InvalidInputError("a bare leaf is not a tree evaluation")
         nl = leaf_count(t[0])
-        sides = []
-        for sub, ks, ls in ((t[0], keys[:nl], leaves[:nl]), (t[1], keys[nl:], leaves[nl:])):
-            if sub is None:
-                sides.append(ls[0])
-                continue
-            key = (sub, use_comm, ks)
-            value = self._memo.get(key)
-            if value is None:
-                value = self._memo[key] = self._h_int(self._eval_tree(sub, ks, ls, use_comm))
-            sides.append(value)
-        return word_commutator(*sides) if use_comm else word_product(*sides)
+        left = self._side(t[0], keys[:nl], leaves[:nl], use_comm)
+        right = self._side(t[1], keys[nl:], leaves[nl:], use_comm)
+        return word_commutator(left, right) if use_comm else word_product(left, right)
+
+    def _side(self, t: PlanarTree, keys: Tuple[int, ...],
+              leaves: Sequence[Dict[RWord, int]], use_comm: bool) -> Dict[RWord, int]:
+        """One side of a product: the leaf itself, or h(eval(t)) from the memo."""
+        if t is None:
+            return leaves[0]
+        key = (t, use_comm, keys)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self._h_int(self._eval_tree(t, keys, leaves, use_comm))
+        return value
 
 
 # memo entries a MerkulovData keeps before it empties the memo
@@ -430,18 +453,26 @@ def build_merkulov(nvars: int, weight_cap: int, degree_cap: int) -> MerkulovData
 def class_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraElement:
     """The labeled-class commutator sum, one side of the tree-sum identity.
 
-    Each argument is lifted once per call and every class permutes the
-    lifted terms; h of each labeled subtree is evaluated once per
-    ``MerkulovData``.  h and abelianization are linear, so the signed root
-    commutators of all classes are summed on integers first, and h runs
-    once on the sum, which is divided once and then abelianized.
+    Each argument is lifted once per call; h of each labeled subtree and the
+    right sum of each group of ``_class_groups`` are evaluated once per
+    ``MerkulovData``, and the classes of a group share one root commutator
+    [L, sum of sign * R].  h and abelianization are linear, so the root
+    commutators are summed on integers, and h runs once on the sum, which is
+    divided once and then abelianized.
     """
     k = len(args) - 1
     keys, leaves, scale = md._lift_args((a.terms for a in args), _f1_word)
     root: Dict[RWord, int] = {}
-    for (sigma, t), sign in zip(enumerate_labeled_classes(k), _class_signs(k)):
-        ks, ls = tuple(keys[j] for j in sigma), [leaves[j] for j in sigma]
-        add_into(root, md._eval_tree(t, ks, ls, True), sign)
+    for g, (left, lpos, rpos, rights) in enumerate(_class_groups(k)):
+        key = ("group", k, g, tuple(keys[j] for j in rpos))
+        right = md._memo.get(key)
+        if right is None:
+            right = md._memo[key] = {}
+            for t, pos, sign in rights:
+                add_into(right, md._side(t, tuple(keys[j] for j in pos),
+                                         [leaves[j] for j in pos], True), sign)
+        side = md._side(left, tuple(keys[j] for j in lpos), [leaves[j] for j in lpos], True)
+        add_into(root, word_commutator(side, right))
     # the root's minus sign goes into the divisor
     return abelianize(_over(md._h_int(root), -scale * md._h_den ** k))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, List, Optional, Tuple
 
@@ -87,13 +88,19 @@ def d(omega: Form) -> Form:
     """De Rham differential: x_i goes to dx_i, Leibniz with Koszul signs.
 
     Summed on integers over the lcm of the coefficient denominators, with
-    one Fraction per output monomial at the end.
+    one Fraction per output monomial at the end; each monomial's terms come
+    from ``_d_terms``, a cache of 1,024 monomials.
     """
     parts = ((c, _d_terms(m)) for m, c in omega.body.terms.items())
     return Form(AlgebraElement.from_clean(int_sum(parts)), omega.nvars)
 
 
-def _d_terms(m: Monomial) -> Iterator[Tuple[Monomial, int]]:
+@lru_cache(maxsize=1024)
+def _d_terms(m: Monomial) -> Tuple[Tuple[Monomial, int], ...]:
+    return tuple(_d_walk(m))
+
+
+def _d_walk(m: Monomial) -> Iterator[Tuple[Monomial, int]]:
     """Integer terms of d on one form monomial, by position of x_i.
 
     dx_i enters the dx block at its sorted place, past the dx_j with j < i,

@@ -482,6 +482,8 @@ class LinComb:
         return self._new({k: -c for k, c in self.terms.items()})
 
     def scale(self, c) -> "LinComb":
+        if c == 1 or c == -1:  # a copy or a negation, with no product
+            return self._new(self.terms) if c == 1 else -self
         c = Fraction(c)
         return self._new({k: c * v for k, v in self.terms.items()} if c else {})
 
@@ -647,9 +649,15 @@ class AlgebraElement(LinComb):
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return AlgebraElement.from_clean(int_sum(
-            (c1 * c2, signed_terms(monomial_mul(m1, m2)))
-            for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()))
+        # both sides lifted once: the integer sum int_sum would form, in its order
+        (a, sa), (b, sb) = lift(self.terms), lift(other.terms)
+        acc: dict = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                r = monomial_mul(m1, m2)
+                if r is not None:
+                    acc[r[1]] = acc.get(r[1], 0) + r[0] * c1 * c2
+        return AlgebraElement.from_clean(over(acc, sa * sb))
 
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:

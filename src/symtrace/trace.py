@@ -64,7 +64,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .derham import Form, d, monomial_bidegree
@@ -404,11 +404,21 @@ def diffop_coefficient(indices: Sequence[int], r: int) -> Fraction:
     if len(indices) > 1 and indices[-1] == 1:
         J = indices[:-1]
         return Fraction(r - len(J) + 1, J.count(J[-1])) * diffop_coefficient(J, r)
-    lead, c, P = indices[:-1], Fraction(1), 1
+    lead, c, P = indices[:-1], 1, 1
     for j in lead:
         P += j - 1
         c *= (-1) ** (P - 1) * math.factorial(P)
-    return c / math.prod(math.factorial(lead.count(v)) for v in set(lead))
+    return Fraction(c, math.prod(math.factorial(lead.count(v)) for v in set(lead)))
+
+
+def _leads(n: int, lo: int, room: int) -> Iterator[Tuple[int, ...]]:
+    """Non-decreasing n-tuples of j >= lo with sum(j - 1) <= room, in lexicographic order."""
+    if not n:
+        yield ()
+        return
+    for j in range(lo, 2 + room // n):
+        for tail in _leads(n - 1, j, room - (j - 1)):
+            yield (j,) + tail
 
 
 @lru_cache(maxsize=1024)
@@ -421,11 +431,10 @@ def _diffop_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, 
     r, k = len(us), len(dus)
     coefficients: Dict[Tuple[int, ...], Fraction] = {}
     for n in range(min(k - 1, r) + 1):
-        for lead in combinations_with_replacement(range(2, k + 1), n):
+        for lead in _leads(n, 2, k - 1):
             t = k + n - sum(lead)
-            if t >= 1:
-                key = lead if n and t == 1 else lead + (t,)
-                coefficients[key] = coefficients.get(key, 0) + diffop_coefficient(lead + (t,), r)
+            key = lead if n and t == 1 else lead + (t,)
+            coefficients[key] = coefficients.get(key, 0) + diffop_coefficient(lead + (t,), r)
     # steps certain to run, charged before any shuffle is built: dus has distinct labels, so the
     # first splitting keeps all its states, and each of them walks every shuffle of the second
     charge(accumulate(len(set(us)) * math.comb(k, J[-1])

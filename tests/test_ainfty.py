@@ -32,6 +32,7 @@ from symtrace.gcalg import (
     InvalidInputError,
     ResourceLimitError,
     X_KIND,
+    add_into,
     dx_gen,
     echelon,
     echelon_split,
@@ -97,6 +98,12 @@ class TestTrees:
     def test_specific_shapes(self):
         assert tree_sign(RIGHT_COMB4) == 1
         assert tree_sign(BALANCED4) == -1
+
+    def test_cached_signs_equal_the_recursion(self):
+        for k in range(1, 7):
+            for t in enumerate_pbt(k):
+                assert tree_sign(t) == tree_sign.__wrapped__(t)
+        assert tree_sign.cache_info().maxsize == 1024
 
     def test_deterministic(self):
         assert enumerate_pbt(3) == enumerate_pbt(3)
@@ -539,12 +546,88 @@ class TestClassTreeSum:
         nonzero = 0
         for args in mixed_tuples(md, 3, 8, seed=3):
             per_class = AlgebraElement.zero()
-            for (sigma, t), sign in zip(enumerate_labeled_classes(3), ainfty._class_signs(3)):
+            for sigma, t in enumerate_labeled_classes(3):
                 value = f_tree_commutator(md, t, [args[j] for j in sigma])
-                per_class.iadd(abelianize(value), sign)
+                per_class.iadd(abelianize(value), perm_sign(sigma) * tree_sign(t))
             assert class_tree_sum(md, args) == per_class == ref.class_tree_sum(args)
             nonzero += not per_class.is_zero()
         assert nonzero
+
+
+    def test_class_groups_split_the_classes_by_root_side(self):
+        # one group per left side of a root, a leaf turned to the left: one
+        # commutator each instead of one per class
+        for k, count in zip((1, 2, 3, 4), (1, 3, 7, 27)):
+            groups = ainfty._class_groups(k)
+            assert len(groups) == count
+            keys = []
+            for left, lpos, rpos, rights in groups:
+                assert rpos == tuple(j for j in range(k + 1) if j not in lpos)
+                for t, pos, sign in rights:
+                    assert sorted(pos) == list(rpos)
+                    # no subtree stands left of a leaf, and each member carries
+                    # the sign of its own representative
+                    assert t is not None or left is None
+                    assert sign == perm_sign(lpos + pos) * tree_sign((left, t))
+                    keys.append(labeled_class_key(lpos + pos, (left, t)))
+            classes = enumerate_labeled_classes(k)
+            assert len(keys) == len(set(keys)) == len(classes)
+            assert set(keys) == {labeled_class_key(sigma, t) for sigma, t in classes}
+
+    @pytest.mark.parametrize("name, k", [("md443", 1), ("md443", 2), ("md443", 3),
+                                         ("md554", 4)])
+    def test_grouped_sum_equals_the_per_class_loop(self, name, k, request):
+        # rational, repeated and cancelling arguments; the per-class loop
+        # meets the classes in the order of their root's left side, so the
+        # grouped sum has its terms, dict order included.  A repeated or
+        # cancelling argument gives a sum of nonzero class roots that cancels
+        md = request.getfixturevalue(name)
+        ref = FractionTransfer(md)
+        rng = random.Random(k)
+        tuples = mixed_tuples(md, k, 8, seed=k)
+        for args in mixed_tuples(md, k, 4, seed=10 + k):
+            args[0] = args[-1]  # repeated
+            tuples.append(args)
+        for args in mixed_tuples(md, k, 4, seed=20 + k):
+            args[0] = -args[rng.randrange(1, k + 1)]  # cancelling
+            tuples.append(args)
+        tuples += [[X(1)] * (k + 1), [X(1) + X(2), X(1) - X(2)] + [X(3)] * (k - 1)]
+        terms = zero = 0
+        for args in tuples:
+            got = class_tree_sum(md, args)
+            assert list(got.terms.items()) == list(per_class_root_sum(md, args).terms.items())
+            assert got == ref.class_tree_sum(args)
+            terms = max(terms, len(got.terms))
+            zero += got.is_zero()
+        assert terms >= (4 if k < 3 else 1) and zero >= 9
+
+
+def per_class_root_sum(md, args):
+    """The class sum with one root commutator per labeled class: the classes run
+    in the order of first appearance of their root's left side, a root with a
+    leaf on its right alone turned round, [A, x] = -[x, A]."""
+    k = len(args) - 1
+    keys, leaves, scale = md._lift_args((a.terms for a in args), ainfty._f1_word)
+
+    def side(t, pos):
+        if t is None:
+            return leaves[pos[0]]
+        return md._h_int(md._eval_tree(t, tuple(keys[j] for j in pos),
+                                       [leaves[j] for j in pos], True))
+
+    by_left = {}
+    for sigma, t in enumerate_labeled_classes(k):
+        nl, sign = leaf_count(t[0]), perm_sign(sigma) * tree_sign(t)
+        left, right = (t[0], sigma[:nl]), (t[1], sigma[nl:])
+        if t[1] is None and t[0] is not None:
+            left, right, sign = right, left, -sign
+        by_left.setdefault(left, []).append((right, sign))
+    root = {}
+    for left, rights in by_left.items():
+        for right, sign in rights:
+            add_into(root, word_commutator(side(*left), side(*right)), sign)
+    divisor = -scale * md._h_den ** k
+    return abelianize(RElement({w: Fraction(c, divisor) for w, c in md._h_int(root).items()}))
 
 
 def labeled_subtrees(t, pos):
@@ -642,6 +725,11 @@ def md364():
 @pytest.fixture(scope="module")
 def md443():
     return build_merkulov(4, 4, 3)
+
+
+@pytest.fixture(scope="module")
+def md554():
+    return build_merkulov(5, 5, 4)
 
 
 def thirds(md):
@@ -802,11 +890,12 @@ class TestIntegerTransfer:
 
 
     def test_each_labeled_subtree_is_evaluated_once_per_call(self, monkeypatch):
-        # one commutator per class root and per evaluated subtree; the memo
-        # keys on the subtree and the contents of its leaves, so on distinct
-        # arguments the count is the number of distinct (subtree, positions)
-        # pairs, and repeated arguments share subtrees.  Each call runs on a
-        # fresh instance, whose memo is empty
+        # one commutator per group of class roots sharing a left side and per
+        # evaluated proper subtree; the memo keys on the subtree and the
+        # contents of its leaves, so on distinct arguments the count is the
+        # number of distinct (subtree, positions) pairs, and repeated
+        # arguments share subtrees.  Each call runs on a fresh instance, whose
+        # memo is empty
         classes = enumerate_labeled_classes(4)
         every = [pair for sigma, t in classes for pair in labeled_subtrees(t, sigma)]
         distinct = set(every)
@@ -827,8 +916,8 @@ class TestIntegerTransfer:
             proper = {(sub, tuple(labels[j] for j in pos)) for sub, pos in distinct - roots}
             calls.clear()
             assert class_tree_sum(md, args) == FractionTransfer(md).class_tree_sum(args)
-            assert len(calls) == len(classes) + len(proper)
-            assert len(proper) == (115 if len(set(labels)) == 5 else 94)
+            assert len(calls) == len(ainfty._class_groups(4)) + len(proper)
+            assert len(calls) == (27 + 115 if len(set(labels)) == 5 else 27 + 94)
 
     def test_each_mu_range_is_evaluated_once_per_call(self, monkeypatch):
         # at k = 4 the recursion meets 10 contiguous ranges of length >= 2:
@@ -953,6 +1042,55 @@ class TestLiftMemo:
             sizes.append(len(md._lifts))
         assert max(sizes) <= 4 + 3
         assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+    def test_one_object_is_lifted_once_across_the_maps(self, monkeypatch):
+        # the lift of each argument object is found by its id in every later
+        # call; an equal copy is found by its content and lifted no more
+        md = build_merkulov(4, 5, 3)
+        ref = FractionTransfer(md)
+        calls = []
+        original = ainfty.lift
+
+        def counting(terms, scale=0):
+            calls.append(1)
+            return original(terms, scale)
+
+        monkeypatch.setattr(ainfty, "lift", counting)
+        args = [X(1), Fraction(3, 2) * X(2), X(3) * X(4), X(3) - Fraction(1, 3) * X(4)]
+        values = []
+        for run in (args, [AlgebraElement(dict(a.terms)) for a in args]):
+            values.append(md.f_taylor(run))
+            values.extend(md.f_tree(t, run) for t in enumerate_pbt(3))
+            values.append(class_tree_sum(md, run))
+            assert len(calls) == len(args)
+        assert values[:7] == values[7:] and not values[0].is_zero()
+        assert values[0] == ref.f_taylor(args) and values[6] == ref.class_tree_sum(args)
+        assert not values[6].is_zero()
+        assert len(md._lifts) == len(args) and len(md._lift_ids) == 2 * len(args)
+        # the entry holds its dict, so that no other object can take its id
+        for a in args:
+            assert md._lift_ids[(id(a.terms), ainfty._f1_word)][0] is a.terms
+        copies = md._lift_args([dict(a.terms) for a in args], ainfty._f1_word)
+        assert copies[0] == md._lift_args([a.terms for a in args], ainfty._f1_word)[0]
+
+    def test_the_ids_start_over_with_the_memo_and_the_lifts(self, monkeypatch):
+        # equal copies add ids and no lift, so the ids alone can trip the
+        # reset; the three maps are replaced together, never one alone
+        monkeypatch.setattr(ainfty, "_MEMO_ENTRIES", 6)
+        md = build_merkulov(3, 4, 3)
+        ref = FractionTransfer(md)
+        args = [X(1) + Fraction(1, 2) * X(2), X(2), Fraction(-2, 3) * X(3)]
+        held, starts = (md._memo, md._lifts, md._lift_ids), 0
+        for _ in range(8):
+            run = [AlgebraElement(dict(a.terms)) for a in args]
+            assert class_tree_sum(md, run) == ref.class_tree_sum(run)
+            now = (md._memo, md._lifts, md._lift_ids)
+            same = [a is b for a, b in zip(held, now)]
+            assert same in ([True] * 3, [False] * 3)
+            starts += not same[0]
+            held = now
+            assert len(md._lifts) == 3 and len(md._lift_ids) <= 6 + 3
+        assert starts >= 2
 
     def test_lifts_alone_start_the_memos_over(self, monkeypatch):
         # mu_2 adds no memo entry, so only the lift memo can trip the reset

@@ -715,6 +715,10 @@ class TestExitContract:
         (["trace", "--method", "diffop", "--vars", "10",
           "x1^6*dx2*dx3*dx4*dx5*dx6*dx7*dx8*dx9*dx10"],
          "at least 204031 splitting steps of D on 10-forms (budget 200000)"),
+        # 22,838 index tuples fit k = 30 and r = 20, out of about 10^13 candidates
+        (["trace", "--method", "diffop", "--vars", "30",
+          "x1^21*" + "*".join(f"dx{i}" for i in range(2, 31))],
+         "at least 768211 splitting steps of D on 30-forms (budget 200000)"),
     ])
     def test_oversized_commands_exit_two_at_once(self, argv, message, monkeypatch, capsys):
         # each ran past a timeout or ended in a ValueError traceback on a long int

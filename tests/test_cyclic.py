@@ -1195,9 +1195,9 @@ def _fraction_class_tree_sum(md, args):
     k = len(args) - 1
     keys, leaves, scale = md._lift_args((a.terms for a in args), ainfty._f1_word)
     root = {}
-    for (sigma, t), sign in zip(ainfty.enumerate_labeled_classes(k), ainfty._class_signs(k)):
+    for sigma, t in ainfty.enumerate_labeled_classes(k):
         ks, ls = tuple(keys[j] for j in sigma), [leaves[j] for j in sigma]
-        add_into(root, md._eval_tree(t, ks, ls, True), sign)
+        add_into(root, md._eval_tree(t, ks, ls, True), perm_sign(sigma) * ainfty.tree_sign(t))
     acc = {}
     for wd, c in md._h_int(root).items():
         prod = lam_product(wd)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from symtrace import derham
 from symtrace.cyclic import derham_quotient_dims
 from symtrace.derham import (
     Form,
@@ -147,6 +148,15 @@ class TestIntegerSums:
     def test_rational_sums(self, form):
         assert_same(d(form), reference_d(form))
         assert_same(euler_contract(form), reference_euler_contract(form))
+
+    def test_cached_terms_equal_the_walk(self):
+        for _, _, form in all_basis_forms(4, 4, 4):
+            (m,) = form.body.terms
+            walked = tuple(derham._d_walk(m))
+            assert derham._d_terms(m) == walked
+            assert derham._d_terms(m) is derham._d_terms(m)
+        maxsize = derham._d_terms.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 class TestBigradeSplit:

@@ -1,5 +1,6 @@
 """Graded-commutative kernel: Koszul signs, multiplication, canonicalization."""
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
@@ -134,6 +135,37 @@ class TestMultiplication:
     def test_add_cancel(self):
         assert (X(1) - X(1)).is_zero()
         assert (X(1) + (-1) * X(1)).terms == {}
+
+    def test_product_equals_the_fraction_sum_in_its_order(self):
+        # each pair's signed product summed on Fractions, pair by pair; the
+        # integer product keeps the same values in the same key order
+        rng = random.Random(11)
+        pool = _small_monomials(2, 2)  # few monomials, so that products meet and cancel
+
+        def reference(a, b):
+            out = {}
+            for m1, c1 in a.terms.items():
+                for m2, c2 in b.terms.items():
+                    r = monomial_mul(m1, m2)
+                    if r is not None:
+                        out[r[1]] = out.get(r[1], 0) + r[0] * c1 * c2
+            return out
+
+        def draw():
+            return AlgebraElement({
+                rng.choice(pool): Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+                for _ in range(rng.randint(0, 5))
+            })
+
+        pairs = [(X(1) + X(2), X(1) - X(2)), (Fraction(1, 2) * X(1) - DX(2), 3 * DX(2) + X(1))]
+        pairs += [(draw(), draw()) for _ in range(400)]
+        cancelled = 0
+        for a, b in pairs:
+            got, ref = a * b, reference(a, b)
+            assert list(got.terms.items()) == [(m, c) for m, c in ref.items() if c]
+            assert all(type(c) is Fraction for c in got.terms.values())
+            cancelled += 0 in ref.values()
+        assert cancelled > 1
 
 
 def _small_monomials(nvars=3, weight_cap=3):
@@ -316,6 +348,20 @@ class TestLinComb:
         assert diag.n == 2 and diag.terms is slots
         with pytest.raises(InvalidInputError):
             diag + DiagonalTraceValue.zero(1)
+
+    def test_scale_by_one_or_minus_one_copies(self):
+        a = Fraction(3, 2) * X(1) - DX(2) + LAM(1, 2)
+        for c, expected in ((1, [Fraction(3, 2), -1, 1]), (Fraction(-1), [Fraction(-3, 2), 1, -1]),
+                            (-1, [Fraction(-3, 2), 1, -1]), (Fraction(2, 3), [1, Fraction(-2, 3),
+                                                                           Fraction(2, 3)])):
+            got = a.scale(c)
+            assert type(got) is AlgebraElement and got.terms is not a.terms
+            assert list(got.terms) == list(a.terms) and list(got.terms.values()) == expected
+            assert all(type(v) is Fraction for v in got.terms.values())
+        assert a.scale(0).terms == {}
+        assert list(a.terms.values()) == [Fraction(3, 2), -1, 1]
+        diag = DiagonalTraceValue.from_clean({((), ()): Fraction(1, 2)}, 2)
+        assert [diag.scale(c).n for c in (1, -1, 3)] == [2, 2, 2]
 
     def test_diagonal_sum_across_slot_counts_raises(self):
         one, two = DiagonalTraceValue.zero(1), DiagonalTraceValue.zero(2)
