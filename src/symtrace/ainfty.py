@@ -25,11 +25,11 @@ by a graded commutator collapses the labeled sum onto equivalence classes of
 labeled trees.
 
 The transfer runs on integer terms.  Each ``MerkulovData`` keeps one memo of
-h mu on argument ranges, of h on labeled subtrees and of the class sum's
-"group" entries across calls, keyed on the numbers it gives the arguments in
-the order it first lifts them.  The class sum groups the classes by the left
-side of their root, a leaf turned to the left, and forms one commutator
-[L, sum of sign * R] per group; it applies h once, at its root.
+h mu on argument ranges and of h on labeled subtrees across calls, keyed on
+the numbers it gives the arguments in the order it first lifts them.  The
+class sum groups the classes by the left side of their root, a leaf turned to
+the left, and forms one commutator [L, sum of sign * R] per group; it applies
+h once, at its root.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ def _labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree], ...]:
 def _class_groups(k: int) -> Tuple[tuple, ...]:
     """The labeled classes grouped by the left side of their root, turned round
     when only its right side is a leaf x, [A, x] = -[x, A]: (left subtree, its
-    positions, the other positions, ((right subtree, its positions, sign), ...)),
-    each sign being perm_sign * tree_sign of the class as turned."""
+    positions, ((right subtree, its positions, sign), ...)), each sign being
+    perm_sign * tree_sign of the class as turned."""
     groups: Dict[tuple, list] = {}
     for sigma, t in _labeled_classes(k):
         nl, sign = leaf_count(t[0]), perm_sign(sigma) * tree_sign(t)
@@ -170,8 +170,7 @@ def _class_groups(k: int) -> Tuple[tuple, ...]:
         if t[1] is None and t[0] is not None:
             left, right, sign = right, left, -sign
         groups.setdefault(left, []).append((*right, sign))
-    return tuple((sub, pos, tuple(j for j in range(k + 1) if j not in pos), tuple(rights))
-                 for (sub, pos), rights in groups.items())
+    return tuple((sub, pos, tuple(rights)) for (sub, pos), rights in groups.items())
 
 
 class MerkulovData:
@@ -319,9 +318,9 @@ class MerkulovData:
     # once to integers over its own denominator, every product, commutator
     # and h is formed on integers, and each output term is one fraction over the
     # product of the argument scales times den^(number of h applications).
-    # h mu of a range is memoized across calls on ("mu",) + its argument keys,
-    # h of a subtree on (subtree, use_comm, leaf keys) and a root side of the
-    # class sum on ("group", k, group, keys), so no two maps share an entry.
+    # h mu of a range is memoized across calls on ("mu",) + its argument keys
+    # and h of a subtree on (subtree, use_comm, leaf keys), so f_taylor, the
+    # product trees and the commutator trees never read each other's entries.
 
     def _lift_args(self, elements,
                    word=None) -> Tuple[Tuple[int, ...], List[Dict[RWord, int]], int]:
@@ -453,26 +452,25 @@ def build_merkulov(nvars: int, weight_cap: int, degree_cap: int) -> MerkulovData
 def class_tree_sum(md: MerkulovData, args: Sequence[AlgebraElement]) -> AlgebraElement:
     """The labeled-class commutator sum, one side of the tree-sum identity.
 
-    Each argument is lifted once per call; h of each labeled subtree and the
-    right sum of each group of ``_class_groups`` are evaluated once per
-    ``MerkulovData``, and the classes of a group share one root commutator
-    [L, sum of sign * R].  h and abelianization are linear, so the root
-    commutators are summed on integers, and h runs once on the sum, which is
-    divided once and then abelianized.
+    Each argument is lifted once per call; h of each labeled subtree is
+    evaluated once per ``MerkulovData``, and the classes of a group of
+    ``_class_groups`` share one root commutator [L, sum of sign * R].  h and
+    abelianization are linear, so the root commutators are summed on
+    integers, and h runs once on the sum, which is divided once and then
+    abelianized.
     """
     k = len(args) - 1
     keys, leaves, scale = md._lift_args((a.terms for a in args), _f1_word)
+
+    def side(t, pos):
+        return md._side(t, tuple(keys[j] for j in pos), [leaves[j] for j in pos], True)
+
     root: Dict[RWord, int] = {}
-    for g, (left, lpos, rpos, rights) in enumerate(_class_groups(k)):
-        key = ("group", k, g, tuple(keys[j] for j in rpos))
-        right = md._memo.get(key)
-        if right is None:
-            right = md._memo[key] = {}
-            for t, pos, sign in rights:
-                add_into(right, md._side(t, tuple(keys[j] for j in pos),
-                                         [leaves[j] for j in pos], True), sign)
-        side = md._side(left, tuple(keys[j] for j in lpos), [leaves[j] for j in lpos], True)
-        add_into(root, word_commutator(side, right))
+    for left, pos, rights in _class_groups(k):
+        right: Dict[RWord, int] = {}
+        for t, rpos, sign in rights:
+            add_into(right, side(t, rpos), sign)
+        add_into(root, word_commutator(side(left, pos), right))
     # the root's minus sign goes into the divisor
     return abelianize(_over(md._h_int(root), -scale * md._h_den ** k))
 

@@ -427,7 +427,8 @@ class LinComb:
     Entries that cancel to zero are dropped, so ``==`` and ``hash`` compare
     the stored dicts directly.  ``add_term`` and ``iadd`` mutate in place:
     use them only on an accumulator the calling function created itself,
-    never on an argument or on an element someone else holds.
+    never on an argument or on an element someone else holds.  Never mutate an
+    element passed to a ``MerkulovData``: it finds the lift by the id of ``terms``.
     Subclasses carrying ambient data (a slot count, an ambient algebra)
     override ``_new`` so that derived combinations keep it.
     """

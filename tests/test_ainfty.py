@@ -561,10 +561,9 @@ class TestClassTreeSum:
             groups = ainfty._class_groups(k)
             assert len(groups) == count
             keys = []
-            for left, lpos, rpos, rights in groups:
-                assert rpos == tuple(j for j in range(k + 1) if j not in lpos)
+            for left, lpos, rights in groups:
                 for t, pos, sign in rights:
-                    assert sorted(pos) == list(rpos)
+                    assert sorted(lpos + pos) == list(range(k + 1))
                     # no subtree stands left of a leaf, and each member carries
                     # the sign of its own representative
                     assert t is not None or left is None

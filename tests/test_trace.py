@@ -945,6 +945,19 @@ class TestDiffOpRoute:
         # the count is a lower bound, about a tenth of the calls here
         assert sum(asked) // 20 < sum(charged)
 
+    def test_leads_are_the_fitting_tuples_in_order(self):
+        # the kernel's index tuples: the non-decreasing ones over 2..k whose
+        # sum(j - 1) fits in k - 1, met in lexicographic order
+        trace_module = importlib.import_module("symtrace.trace")
+        met = 0
+        for k in range(1, 11):
+            for n in range(11):
+                fitting = [c for c in combinations_with_replacement(range(2, k + 1), n)
+                           if sum(c) - n <= k - 1]
+                assert list(trace_module._leads(n, 2, k - 1)) == fitting, (k, n)
+                met += len(fitting)
+        assert met == 284
+
 
 class TestCsCoefficient:
     def test_leading_is_one(self):
