@@ -133,16 +133,12 @@ def labeled_class_key(sigma: Sequence[int], t: PlanarTree) -> str:
     return _canon(t, list(sigma))
 
 
+@lru_cache(maxsize=8)
 def enumerate_labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree], ...]:
     """One representative (sigma, T) per class of leaf-labeled planar trees.
 
     Built once per k and shared, as a tuple so that no caller can mutate it.
     """
-    return _labeled_classes(k)
-
-
-@lru_cache(maxsize=8)
-def _labeled_classes(k: int) -> Tuple[Tuple[Tuple[int, ...], PlanarTree], ...]:
     # every labeling of every tree is canonicalized: (k+1)! * Catalan(k) =
     # (k+1)(k+2)..(2k) strings, multiplied only until they pass the budget
     charge(accumulate(range(k + 1, 2 * k + 1), operator.mul, initial=1),
@@ -164,7 +160,7 @@ def _class_groups(k: int) -> Tuple[tuple, ...]:
     positions, ((right subtree, its positions, sign), ...)), each sign being
     perm_sign * tree_sign of the class as turned."""
     groups: Dict[tuple, list] = {}
-    for sigma, t in _labeled_classes(k):
+    for sigma, t in enumerate_labeled_classes(k):
         nl, sign = leaf_count(t[0]), perm_sign(sigma) * tree_sign(t)
         left, right = (t[0], sigma[:nl]), (t[1], sigma[nl:])
         if t[1] is None and t[0] is not None:

@@ -54,6 +54,7 @@ from .gcalg import (
     dx_gen,
     grown,
     lam_gen,
+    lift,
     monomial_sort_key,
     render,
     render_monomial,
@@ -85,11 +86,10 @@ MAX_COEFFICIENT_BITS = 4096
 MAX_NESTING = 50
 
 
-def _coefficient_bits(a: AlgebraElement) -> int:
-    return max(
-        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in a.terms.values()),
-        default=0,
-    )
+def _mass(a: AlgebraElement) -> Tuple[int, int]:
+    """(mass, den): the sum of |numerator| over the common denominator den of a's coefficients."""
+    ints, den = lift(a.terms)
+    return sum(map(abs, ints.values())), den
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -145,8 +145,8 @@ class _Parser:
         value = self.factor()
         while tok := self.accept("*"):
             rhs = self.factor()
-            t = min(len(value.terms), len(rhs.terms))
-            bits = _coefficient_bits(value) + _coefficient_bits(rhs) + t.bit_length()
+            (m1, d1), (m2, d2) = _mass(value), _mass(rhs)
+            bits = max(m1 * m2, d1 * d2).bit_length()
             if len(value.terms) * len(rhs.terms) > MAX_EXPANSION or bits > MAX_COEFFICIENT_BITS:
                 raise ParseError("product expands too far", tok[2])
             value = value * rhs
@@ -159,10 +159,9 @@ class _Parser:
             if kind != "num":
                 raise ParseError("expected a positive integer exponent", pos)
             k, t = self._int(digits, pos), len(value.terms)
-            # t terms to the k have at most comb(t+k-1, k) terms, each of
-            # the k multiplications costing t products per term, and
-            # coefficients of at most k * (bits + log2 t) bits
-            bits = k * (_coefficient_bits(value) + t.bit_length())
+            # t terms to the k: at most comb(t+k-1, k) terms, each of k multiplications costing
+            # t products per term, and coefficients at most max(mass, den)^k, top and bottom
+            bits = k * (max(_mass(value)) - 1).bit_length() + 1
             if bits > MAX_COEFFICIENT_BITS or (t and k * t * math.comb(t + k - 1, k) > MAX_EXPANSION):
                 raise ParseError("power expands too far", pos)
             value = value ** k

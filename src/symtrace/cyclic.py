@@ -95,16 +95,14 @@ def _suspended(ambient: str, key: ChainKey) -> List[int]:  # a polynomial slot h
     return [word_degree(s) + 1 for s in key] if ambient == "R" else [1] * len(key)
 
 
-def _slot_mul(ambient: str, a: Slot, b: Slot, products: Optional[dict] = None) -> Tuple[int, Slot]:
-    if ambient == "R":
-        return 1, a + b
-    # polynomial slots are even; the product never vanishes
-    if products is None:
-        return monomial_mul(a, b)
-    hit = products.get((a, b))
-    if hit is None:
-        hit = products[a, b] = monomial_mul(a, b)
-    return hit
+def _slot_mul(ambient: str, a: Slot, b: Slot) -> Tuple[int, Slot]:
+    return (1, a + b) if ambient == "R" else _monomial_product(a, b)
+
+
+@lru_cache(maxsize=1024)
+def _monomial_product(a: Monomial, b: Monomial) -> Tuple[int, Monomial]:
+    """The product of two polynomial slots (even, so never zero), for builds and ``boundary``."""
+    return monomial_mul(a, b)
 
 
 def chain_degree(ambient: str, key: ChainKey) -> int:
@@ -186,8 +184,7 @@ def _boundary_ints(ambient: str, terms: Tuple[Tuple[ChainKey, int], ...]) -> tup
     return tuple((key, v) for key, v in out.items() if v)
 
 
-def _add_boundary(ambient: str, key: ChainKey, v: int, out: Dict[ChainKey, int],
-                  products: Optional[dict] = None) -> None:
+def _add_boundary(ambient: str, key: ChainKey, v: int, out: Dict[ChainKey, int]) -> None:
     """In place: out += v * (boundary of the slot tuple ``key``), on integers,
     keyed by raw (not canonical) slot tuples; a sum that cancels stays as 0."""
     m = len(key) - 1
@@ -196,13 +193,13 @@ def _add_boundary(ambient: str, key: ChainKey, v: int, out: Dict[ChainKey, int],
         prefix = 0
         for i in range(m):
             prefix += sus[i]
-            s2, merged = _slot_mul(ambient, key[i], key[i + 1], products)
+            s2, merged = _slot_mul(ambient, key[i], key[i + 1])
             k2 = key[:i] + (merged,) + key[i + 2 :]
             out[k2] = out.get(k2, 0) + (-s2 * v if prefix % 2 else s2 * v)
         # a_m moves to the front past the others, (-1)^(s (total - s)) as
         # in cyclic_canonical with s = <a_m> and total - s = prefix, then
         # the wrap term carries (-1)^s
-        s2, merged = _slot_mul(ambient, key[m], key[0], products)
+        s2, merged = _slot_mul(ambient, key[m], key[0])
         k2 = (merged,) + key[1:m]
         out[k2] = out.get(k2, 0) + (-s2 * v if sus[m] * (prefix + 1) % 2 else s2 * v)
     if ambient == "R":
@@ -227,12 +224,10 @@ class ChainComplexQ:
     """
 
     def __init__(self, basis: Dict[Tuple[int, int], List[ChainKey]],
-                 columns: Dict[Tuple[int, int], List[SparseVec]],
-                 degree_cap: int, weight_cap: int):
+                 columns: Dict[Tuple[int, int], List[SparseVec]], degree_cap: int):
         self.basis = basis
         self.columns = columns
         self.degree_cap = degree_cap
-        self.weight_cap = weight_cap
 
     @property
     def matrices(self) -> Dict[Tuple[int, int], List[List[Fraction]]]:
@@ -345,12 +340,11 @@ def _classes(ambient: str, nvars: int, weight_cap: int, degree_cap: int):
     return letters, sizes, metered()
 
 
-def _complex(ambient: str, basis: dict, degree_cap: int, weight_cap: int) -> ChainComplexQ:
+def _complex(ambient: str, basis: dict, degree_cap: int) -> ChainComplexQ:
     """The complex on blocks of keys, keyed (degree, weight, ..), each sorted in place.  A
     column is its key's integer boundary terms (``_add_boundary``), each distinct face
     canonicalized into the block one degree down once per block; d o d is checked."""
     columns: Dict[tuple, List[SparseVec]] = {}
-    products: dict = {}  # the slot products over A, kept for this build only
     for block, keys in sorted(basis.items()):
         keys.sort()  # the lower block is sorted before its index is taken
         deg = block[0]
@@ -362,7 +356,7 @@ def _complex(ambient: str, basis: dict, degree_cap: int, weight_cap: int) -> Cha
         cols: List[SparseVec] = []
         for key in keys:
             raw: Dict[ChainKey, int] = {}
-            _add_boundary(ambient, key, 1, raw, products)
+            _add_boundary(ambient, key, 1, raw)
             col: SparseVec = {}
             for face, v in raw.items():
                 hit = rows.get(face, False) if v else None
@@ -378,7 +372,7 @@ def _complex(ambient: str, basis: dict, degree_cap: int, weight_cap: int) -> Cha
                     col[hit[1]] = col.get(hit[1], 0) + hit[0] * v
             cols.append({i: c for i, c in col.items() if c})
         columns[block] = cols
-    cpx = ChainComplexQ(basis, columns, degree_cap, weight_cap)
+    cpx = ChainComplexQ(basis, columns, degree_cap)
     _check_square_zero(cpx)
     return cpx
 
@@ -392,7 +386,7 @@ def build_connes_complex(
     basis: Dict[Tuple[int, int], List[ChainKey]] = {}
     for a, deg, w in classes:
         basis.setdefault((deg, w), []).append(tuple(map(letters.__getitem__, a)))
-    return _complex(ambient, basis, degree_cap, weight_cap)
+    return _complex(ambient, basis, degree_cap)
 
 
 def homology_dims(ambient: str, nvars: int, weight_cap: int, degree_cap: int) -> HomologySummary:
@@ -417,7 +411,7 @@ def homology_dims(ambient: str, nvars: int, weight_cap: int, degree_cap: int) ->
         if orbit[md]:
             blocks.setdefault((deg, w, md), []).append(tuple(map(letters.__getitem__, a)))
     ranks: Dict[Tuple[int, int], int] = {}
-    for (deg, w, md), cols in _complex(ambient, blocks, degree_cap, weight_cap).columns.items():
+    for (deg, w, md), cols in _complex(ambient, blocks, degree_cap).columns.items():
         ranks[deg, w] = ranks.get((deg, w), 0) + orbit[md] * bareiss_rank(cols)
     return HomologySummary(sizes, ranks, degree_cap)
 

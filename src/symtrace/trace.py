@@ -25,9 +25,9 @@ source order is kept), times whatever signs the graded-commutative target
 algebra produces when letters are sorted.  Every route draws its blocks from
 ``gcalg.block_maps`` or ``gcalg.shuffles`` and that parity from
 ``gcalg.block_sign``.  No route builds a letter in which a dx label meets
-its own polynomial label, a repeated index and so a zero: the simple and F
-routes pass ``block_maps`` the blocks each dx label may enter, and cs, which
-places repeated polynomial labels once per distinct ordering
+its own polynomial label, a repeated index and so a zero: simple and F share
+``_map_terms``, which passes ``block_maps`` the blocks each dx label may enter,
+and cs, which places repeated polynomial labels once per distinct ordering
 (``gcalg._label_orderings``, weighted by the product of the multiplicities'
 factorials), drops such an ordering per block map before building letters.
 
@@ -245,22 +245,24 @@ def cs_trace_raw(omega: Form) -> AlgebraElement:
     return _term_sum(d(omega), _cs_terms)
 
 
-@lru_cache(maxsize=1024)
-def _simple_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, int]:
-    """Integer terms of the closed formula on one term us * dus."""
-    n = len(us)
-    if n == 0:
-        return (), 1
+def _map_terms(heads: List[List[int]], dus: Tuple[int, ...], onto: tuple = ()) -> IntTerms:
+    """Integer terms of prod_j lam(heads[j] + block j) over the signed maps of dus to blocks
+    hitting ``onto``; a dx label enters no block whose head holds it (a zero letter)."""
+    allowed = [[j for j, head in enumerate(heads) if v not in head] for v in dus]
     acc: Dict[Monomial, int] = {}
-    # a dx label never joins the block of its own polynomial label
-    allowed = [[j for j, u in enumerate(us) if u != v] for v in dus]
-    for blocks in block_maps(len(dus), n, allowed=allowed):
-        prod = lam_product([us[j]] + [dus[pos] for pos in blocks[j]] for j in range(n))
+    for blocks in block_maps(len(dus), len(heads), onto=onto, allowed=allowed):
+        prod = lam_product(head + [dus[pos] for pos in block] for head, block in zip(heads, blocks))
         if prod is None:
             continue
         s, mono = prod
         acc[mono] = acc.get(mono, 0) + block_sign(blocks) * s
-    return tuple((mono, v) for mono, v in acc.items() if v), 1
+    return tuple((mono, v) for mono, v in acc.items() if v)
+
+
+@lru_cache(maxsize=1024)
+def _simple_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, int]:
+    """Integer terms of the closed formula on one term us * dus."""
+    return (_map_terms([[u] for u in us], dus) if us else ()), 1
 
 
 def trace_simple(omega: Form) -> AlgebraElement:
@@ -279,20 +281,8 @@ def F_eval(eta: Form) -> AlgebraElement:
 
 @lru_cache(maxsize=1024)
 def _F_terms(us: Tuple[int, ...], dus: Tuple[int, ...]) -> Tuple[IntTerms, Fraction]:
-    """Integer terms of F's slot count on one term us * dus, and 1/(n+1)."""
-    n = len(us)
-    acc: Dict[Monomial, int] = {}
-    allowed = [[0] + [j + 1 for j, u in enumerate(us) if u != v] for v in dus]
-    for blocks in block_maps(len(dus), n + 1, onto=(0,), allowed=allowed):
-        prod = lam_product(
-            [[dus[pos] for pos in blocks[0]]]
-            + [[us[j - 1]] + [dus[pos] for pos in blocks[j]] for j in range(1, n + 1)]
-        )
-        if prod is None:
-            continue
-        s, mono = prod
-        acc[mono] = acc.get(mono, 0) + block_sign(blocks) * s
-    return tuple((mono, v) for mono, v in acc.items() if v), Fraction(1, n + 1)
+    """Integer terms of F's slot count on one term us * dus, and 1/(n+1); block 0 is bare."""
+    return _map_terms([[]] + [[u] for u in us], dus, onto=(0,)), Fraction(1, len(us) + 1)
 
 
 def _validate_tuple(indices: Sequence[int], k: int) -> None:

@@ -502,8 +502,8 @@ class TestClassTreeSum:
     def test_labeled_classes_are_built_once_and_immutable(self):
         first = enumerate_labeled_classes(3)
         assert isinstance(first, tuple) and first is enumerate_labeled_classes(3)
-        assert first == tuple(ainfty._labeled_classes.__wrapped__(3))
-        maxsize = ainfty._labeled_classes.cache_info().maxsize
+        assert first == tuple(ainfty.enumerate_labeled_classes.__wrapped__(3))
+        maxsize = ainfty.enumerate_labeled_classes.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
 
     def test_matches_the_commutator_tree_maps(self, md2):

@@ -5,6 +5,7 @@ import json
 import string
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -156,6 +157,35 @@ class TestParserFuzz:
         with pytest.raises(ParseError):
             parse_form(text, 3)
 
+    @pytest.mark.parametrize(
+        "text,coefficient",
+        [
+            ("x1^2049", 1),
+            ("x1^5000*dx1", 1),
+            ("2^2000", 2**2000),
+            ("2^4095", 2**4095),
+            ("(3/2)^2000", Fraction(3, 2) ** 2000),
+            ("2^4096", None),  # 4,097 bits
+            ("2^4095*2", None),
+        ],
+        ids=["x1^2049", "x1^5000*dx1", "2^2000", "2^4095", "(3/2)^2000", "2^4096", "2^4095*2"],
+    )
+    def test_a_coefficient_within_the_bit_bound_parses(self, text, coefficient):
+        if coefficient is None:
+            with pytest.raises(ParseError, match="expands too far"):
+                parse_form(text, 2)
+        else:
+            assert list(parse_form(text, 2).body.terms.values()) == [coefficient]
+
+    def test_a_product_counts_the_denominators_that_meet(self):
+        # every pair lands on x1^299, whose denominator is the product of all 600
+        # primes: 6,245 bits, though no factor's coefficient needs more than 13
+        ps = [p for p in range(2, 4500) if all(p % q for q in range(2, int(p**0.5) + 1))][:600]
+        a = "+".join(f"(1/{ps[i]})*x1^{i}" for i in range(300))
+        b = "+".join(f"(1/{ps[300 + i]})*x1^{299 - i}" for i in range(300))
+        with pytest.raises(ParseError, match="product expands too far"):
+            parse_form(f"({a})*({b})", 1)
+
 
 class TestCommands:
     @pytest.mark.parametrize("text", ["0^96813637", "(x1-x1)^99999999"])
@@ -265,7 +295,7 @@ class TestCommands:
         from symtrace import ainfty
         from symtrace.gcalg import ResourceLimitError
 
-        ainfty._labeled_classes.cache_clear()  # a cached k is not rebuilt
+        ainfty.enumerate_labeled_classes.cache_clear()  # a cached k is not rebuilt
         try:
             monkeypatch.setenv("SYMTRACE_MAX_BASIS", "30239")
             with pytest.raises(ResourceLimitError, match="30240 labeled trees with 6 leaves"):
@@ -273,7 +303,7 @@ class TestCommands:
             monkeypatch.setenv("SYMTRACE_MAX_BASIS", "30240")
             assert len(ainfty.enumerate_labeled_classes(5)) == 945
         finally:
-            ainfty._labeled_classes.cache_clear()
+            ainfty.enumerate_labeled_classes.cache_clear()
 
     def test_homology_table(self, capsys):
         rc = main(["homology", "--ambient", "A", "--vars", "1", "--weight", "4",

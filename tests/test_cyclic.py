@@ -121,6 +121,27 @@ class TestConnesHomology:
         cpx = build_connes_complex("A", 1, 3, 3)
         assert isinstance(cpx, ChainComplexQ)
 
+    def test_each_slot_pair_over_A_is_multiplied_once(self, monkeypatch):
+        # the cache reads monomial_mul through the module, so a counter sees every miss
+        calls = []
+        full = cyclic.monomial_mul
+
+        def counting(a, b):
+            calls.append((a, b))
+            return full(a, b)
+
+        cyclic._monomial_product.cache_clear()
+        monkeypatch.setattr(cyclic, "monomial_mul", counting)
+        cpx = build_connes_complex("A", 2, 6, 4)
+        pairs = {(key[i], key[(i + 1) % len(key)])
+                 for keys in cpx.basis.values() for key in keys if len(key) > 1
+                 for i in range(len(key))}
+        assert 0 < len(pairs) < cyclic._monomial_product.cache_info().maxsize
+        assert sorted(calls) == sorted(pairs)
+        calls.clear()
+        assert build_connes_complex("A", 2, 6, 4).columns == cpx.columns
+        assert calls == []
+
     @staticmethod
     def _two_step_complex(upper):
         # Q <-(1 1)- Q^2 <-upper- Q^2, all in weight 1; upper is its two columns
@@ -129,7 +150,7 @@ class TestConnesHomology:
             (1, 1): [{0: Fraction(1)}, {0: Fraction(1)}],
             (2, 1): [{i: Fraction(v) for i, v in col.items()} for col in upper],
         }
-        return ChainComplexQ(basis, columns, 3, 1)
+        return ChainComplexQ(basis, columns, 3)
 
     def test_square_zero_check_names_the_bidegree(self):
         # the composite is (0, 1): nonzero only in its last column
@@ -627,13 +648,13 @@ class TestRank:
         # Q --1--> Q has vanishing homology
         basis = {(0, 1): [("a",)], (1, 1): [("b",)]}
         columns = {(1, 1): [{0: Fraction(1)}]}
-        cpx = ChainComplexQ(basis, columns, 2, 1)
+        cpx = ChainComplexQ(basis, columns, 2)
         hs = homology(cpx)
         assert hs.dim(0, 1) == 0 and hs.dim(1, 1) == 0
 
     def test_zero_differential(self):
         basis = {(0, 1): [("a",), ("b",), ("c",)]}
-        cpx = ChainComplexQ(basis, {}, 2, 1)
+        cpx = ChainComplexQ(basis, {}, 2)
         assert homology(cpx).dim(0, 1) == 3
 
 
@@ -1091,9 +1112,9 @@ class TestBoundaryMemo:
         walked = []
         full = cyclic._add_boundary
 
-        def counting(ambient, key, v, out, products=None):
+        def counting(ambient, key, v, out):
             walked.append((key, v))
-            full(ambient, key, v, out, products)
+            full(ambient, key, v, out)
 
         cyclic._boundary_ints.cache_clear()
         monkeypatch.setattr(cyclic, "_add_boundary", counting)

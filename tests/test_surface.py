@@ -167,11 +167,10 @@ def test_denominator_reads_reads_every_form():
 
 
 def test_only_gcalg_crosses_between_fractions_and_integers():
-    # gcalg's lift, over and int_sum own every crossing; the parser's input
-    # bound reads a coefficient's size, not its value
+    # gcalg's lift, over and int_sum own every crossing
     reads = {p.stem: denominator_reads(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))}
     assert reads.pop("gcalg")
-    assert {f"{module}.{fn}" for module, fns in reads.items() for fn in fns} == {"cli._coefficient_bits"}
+    assert {f"{module}.{fn}" for module, fns in reads.items() for fn in fns} == set()
 
 
 def call_sites(tree, name):
@@ -197,6 +196,14 @@ def test_call_sites_reads_every_form():
             "    def g(self):\n        def h():\n            return E(1)\n"
             "        return m.E(2)\nk = lambda: E()\n")
     assert call_sites(ast.parse(code), "E") == [None, "f", "h", "g", "<lambda>"]
+
+
+def test_one_map_loop_serves_the_simple_and_F_routes():
+    # cs and the bridge cocycle keep their own enumerations, so that the
+    # route and conj1 checks do not lean on the code they check
+    called = sorted(f"{p.stem}.{fn}" for p in sorted(SRC.glob("*.py"))
+                    for fn in call_sites(ast.parse(p.read_text()), "block_maps"))
+    assert called == ["cyclic._beta_terms", "trace._cs_enumerate", "trace._map_terms"]
 
 
 def test_only_gcalg_refuses_over_the_budget():
