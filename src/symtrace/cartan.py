@@ -63,7 +63,7 @@ class DiagonalTraceValue(LinComb):
         """Apply a slot permutation with Koszul signs (slot parities)."""
         parts = []
         for key, c in self.terms.items():
-            sign = koszul_sign(sigma, [monomial_parity(m) if m else 0 for m in key])
+            sign = koszul_sign(sigma, [monomial_parity(m) for m in key])
             new = [ONE] * self.n
             for j, m in enumerate(key):
                 new[sigma[j]] = m

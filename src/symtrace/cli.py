@@ -609,7 +609,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--vars", type=_int_at_least(1), default=3)
     p_trace.add_argument("--cartan", nargs=2, metavar=("n=N", "q=Q"), default=None)
     p_trace.add_argument("--json", action="store_true")
-    p_trace.add_argument("expr")
+    p_trace.add_argument("expr", help="the form; put -- before a form that starts with '-'")
     p_trace.set_defaults(func=cmd_trace)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

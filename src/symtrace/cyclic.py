@@ -551,14 +551,11 @@ def _beta_terms(us: Tuple[int, ...], dx: Tuple[int, ...]) -> Dict[ChainKey, Frac
             barred = list(range(n, n + m))
             allowed = [h + barred for h in heads]
             for blocks in block_maps(p, n + m, onto=barred, allowed=allowed):
+                # no zero letter: dx is distinct, kept out of its own head; barred blocks nonempty
                 head = _lam_word(
                     [labels[j]] + [dx[pos] for pos in blocks[j]] for j in range(n)
                 )
-                if head is None:
-                    continue
                 tail = _lam_word([dx[pos] for pos in block] for block in blocks[n:])
-                if tail is None:
-                    continue
                 key = (head[1],) + tuple((letter,) for letter in tail[1])
                 # (-1)^m aligns the column grading with the boundary
                 # convention used here; the one-slot part is unaffected
@@ -601,10 +598,10 @@ def _eps_word_terms(word: RWord) -> Tuple[Tuple[Monomial, int], ...]:
     for j in big or range(len(word)):
         factors = [(DX_KIND, i) for i in word[j]]
         factors.extend((X_KIND, letter[0]) for i, letter in enumerate(word) if i != j)
-        mono = monomial_from_factors(factors)
-        if mono is not None:
-            acc[mono[1]] = acc.get(mono[1], 0) + mono[0]
-    return tuple((mono, v) for mono, v in acc.items() if v)
+        # the odd factors are one letter's increasing indices: nonzero, sign +1
+        mono = monomial_from_factors(factors)[1]
+        acc[mono] = acc.get(mono, 0) + 1
+    return tuple(acc.items())
 
 
 def form_from_labels(u_vars: Sequence[int], n: int, p: int, nvars: int) -> Form:

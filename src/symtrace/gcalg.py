@@ -153,6 +153,11 @@ def _lam_letter(idx: Tuple[int, ...]) -> Optional[Tuple[int, Generator]]:
     return perm_sign(idx), lam_gen(sorted(idx))
 
 
+def letter_args(g: Generator) -> Tuple[int, ...]:
+    """The indices of a lam letter: the inverse of lam_gen, which stores lam[i] as x_i."""
+    return g[1] if g[0] == LAM_KIND else (g[1],)
+
+
 def gen_parity(g: Generator) -> int:
     kind = g[0]
     if kind == X_KIND:
@@ -254,8 +259,9 @@ def monomial_mul(m1: Monomial, m2: Monomial) -> Optional[Tuple[int, Monomial]]:
     return sign, tuple(out)
 
 
-def lam_product(arg_lists: Iterable[Sequence[int]]) -> Optional[Tuple[int, Monomial]]:
-    """(sign, monomial) of lam(args_1) * ... * lam(args_k); None if zero."""
+def lam_letters(arg_lists: Iterable[Sequence[int]]) -> Optional[Tuple[int, List[Generator]]]:
+    """(sign, [letters]) of lam(args_1), ..., lam(args_k); None if a letter is zero.
+    ``lam_product`` multiplies the letters, ``resolution._lam_word`` concatenates them."""
     sign = 1
     letters = []
     for args in arg_lists:
@@ -264,10 +270,14 @@ def lam_product(arg_lists: Iterable[Sequence[int]]) -> Optional[Tuple[int, Monom
             return None
         sign *= r[0]
         letters.append(r[1])
-    prod = monomial_from_factors(letters)
-    if prod is None:
-        return None
-    return sign * prod[0], prod[1]
+    return sign, letters
+
+
+def lam_product(arg_lists: Iterable[Sequence[int]]) -> Optional[Tuple[int, Monomial]]:
+    """(sign, monomial) of lam(args_1) * ... * lam(args_k); None if zero."""
+    r = lam_letters(arg_lists)
+    prod = r and monomial_from_factors(r[1])
+    return prod and (r[0] * prod[0], prod[1])
 
 
 def perm_sign(seq: Sequence) -> int:

@@ -27,7 +27,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 from .derham import Form, monomial_bidegree
 from .gcalg import (
     DX_KIND,
-    LAM_KIND,
     X_KIND,
     AlgebraElement,
     InvalidInputError,
@@ -36,8 +35,9 @@ from .gcalg import (
     add_into,
     charge,
     int_sum,
-    lam_letter,
+    lam_letters,
     lam_product,
+    letter_args,
     over,
     shuffles,
     signed_terms,
@@ -116,16 +116,8 @@ def word_commutator(a: Terms, b: Terms) -> Terms:
 
 def _lam_word(arg_lists: Iterable[Sequence[int]]) -> Optional[Tuple[int, RWord]]:
     """(sign, word) of the letters lam(args_1) ... lam(args_k); None if zero."""
-    sign = 1
-    word = []
-    for args in arg_lists:
-        r = lam_letter(args)
-        if r is None:
-            return None
-        sign *= r[0]
-        g = r[1]
-        word.append(g[1] if g[0] == LAM_KIND else (g[1],))
-    return sign, tuple(word)
+    r = lam_letters(arg_lists)
+    return r and (r[0], tuple(map(letter_args, r[1])))
 
 
 def lam_element(indices: Sequence[int]) -> RElement:
@@ -148,10 +140,10 @@ def _delta_letter_terms(letter: Letter) -> Tuple[Tuple[RWord, int], ...]:
         for first, second, sign_sh in shuffles(n, p):
             if p == n - p and 0 not in first:
                 continue
+            # both blocks are nonempty subsets of the letter's distinct indices
             a = _lam_word([[letter[i] for i in first]])
             b = _lam_word([[letter[i] for i in second]])
-            if a is not None and b is not None:
-                add_into(out, word_commutator({a[1]: a[0]}, {b[1]: b[0]}), sign_p * sign_sh)
+            add_into(out, word_commutator({a[1]: a[0]}, {b[1]: b[0]}), sign_p * sign_sh)
     return tuple(out.items())
 
 
@@ -161,6 +153,7 @@ def delta_R(e: RElement) -> RElement:
     return RElement.from_clean(int_sum((c, delta_word(word)) for word, c in e.terms.items()))
 
 
+@lru_cache(maxsize=4096)
 def delta_word(word: RWord) -> Tuple[Tuple[RWord, int], ...]:
     """delta of a single word, as (word, integer coefficient) pairs.
 
@@ -169,11 +162,6 @@ def delta_word(word: RWord) -> Tuple[Tuple[RWord, int], ...]:
     slot words on every chain, so the terms are memoized per word in a
     bounded cache.
     """
-    return _delta_word_terms(word)
-
-
-@lru_cache(maxsize=4096)
-def _delta_word_terms(word: RWord) -> Tuple[Tuple[RWord, int], ...]:
     out: Dict[RWord, int] = {}
     prefix_deg = 0
     for pos, letter in enumerate(word):

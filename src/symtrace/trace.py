@@ -69,7 +69,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .derham import Form, d, monomial_bidegree
 from .gcalg import (
-    LAM_KIND,
     X_KIND,
     AlgebraElement,
     Generator,
@@ -82,6 +81,7 @@ from .gcalg import (
     gen_parity,
     lam_letter,
     lam_product,
+    letter_args,
     int_sum,
     lift,
     monomial_from_factors,
@@ -173,8 +173,7 @@ def _relabel(terms: IntTerms, sign: int, labels: Tuple[int, ...]) -> Iterator[Tu
 @lru_cache(maxsize=1024)
 def _renamed_letter(g: Generator, labels: Tuple[int, ...]) -> Tuple[int, Generator, int]:
     """(sign, letter, parity) of the letter g with label i renamed labels[i - 1]."""
-    args = g[1] if g[0] == LAM_KIND else (g[1],)
-    s, letter = lam_letter([labels[i - 1] for i in args])
+    s, letter = lam_letter([labels[i - 1] for i in letter_args(g)])
     return s, letter, gen_parity(letter)
 
 

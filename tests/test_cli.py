@@ -207,6 +207,20 @@ class TestCommands:
         assert main(["trace", "--method", "cs", "--vars", "2", "x1^3"]) == 0
         assert capsys.readouterr().out.strip() == "x1^3"
 
+    def test_trace_cartan_json_lists_the_slots(self, capsys):
+        argv = ["trace", "--vars", "2", "--cartan", "n=2", "q=0", "--json", "x1*dx2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            '{"slots": [{"coeff": "1", "monomials": ["1", "lam[1,2]"]}, '
+            '{"coeff": "1", "monomials": ["lam[1,2]", "1"]}]}\n'
+        )
+
+    def test_trace_cartan_text(self, capsys):
+        assert main(["trace", "--vars", "2", "--cartan", "n=2", "q=1", "x1*dx2"]) == 0
+        assert capsys.readouterr().out == "0\n"
+        assert main(["trace", "--vars", "2", "--cartan", "n=2", "q=0", "x1*dx2"]) == 0
+        assert capsys.readouterr().out == "1 * [1 (x) lam[1,2]]\n1 * [lam[1,2] (x) 1]\n"
+
     def test_trace_json(self, capsys):
         assert main(["trace", "--json", "--vars", "2", "x1^2*dx2"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -381,6 +395,64 @@ class TestVerifyChecks:
         assert payload["failure_details"][0] == {
             "u": [1], "n": 0, "p": 1, "reason": "one-slot projection != trace",
         }
+
+    def test_conj1_reports_a_chain_that_is_not_closed(self, monkeypatch, capsys):
+        from symtrace import cli
+
+        monkeypatch.setattr(cli.cyclic, "boundary", lambda chain: chain)
+        assert main(["verify", "conj1", "--vars", "2", "--cap", "1", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cases"] == payload["failures"] == 4
+        assert payload["failure_details"][0] == {"u": [1], "n": 0, "p": 1, "reason": "not closed"}
+
+    def test_conj1_reports_a_coalgebra_image_that_disagrees(self, monkeypatch, capsys):
+        from symtrace import cli
+
+        monkeypatch.setattr(cli.cyclic, "eps_coalgebra", lambda words, nvars: Form.zero(nvars))
+        assert main(["verify", "conj1", "--vars", "2", "--cap", "1", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        # d(du) = 0 agrees with the zero image; d(u) = du does not
+        assert payload["cases"] == 4 and payload["failures"] == 2
+        assert payload["failure_details"] == [
+            {"u": [u], "n": 1, "p": 0, "reason": "coalgebra image != d(form)"} for u in (1, 2)
+        ]
+
+    def test_cartan_counts_an_integrity_failure_as_failed_cases(self, monkeypatch, capsys):
+        from symtrace import cli
+
+        def disagree(form, n, q):
+            raise cli.IntegrityError("cartan trace routes disagree")
+
+        monkeypatch.setattr(cli.cartan, "trace_cartan", disagree)
+        argv = ["verify", "cartan", "--vars", "2", "--weight", "1", "--n", "1", "--q", "0"]
+        assert main(argv + ["--json"]) == 1
+        out = capsys.readouterr()
+        payload = json.loads(out.out)
+        # 12 basis forms fail; the power-sum check on the sample still passes
+        assert payload["cases"] == 13 and payload["failures"] == 12
+        assert payload["failure_details"][-1] == {
+            "weight": 1, "degree": 2, "n": 1, "q": 0, "form": "x1*dx1*dx2",
+        }
+        assert "Traceback" not in out.err
+
+    def test_merkulov_reports_a_failed_build(self, monkeypatch, capsys):
+        from symtrace import cli
+
+        def fail(*caps):
+            raise cli.IntegrityError("homotopy side condition fails")
+
+        monkeypatch.setattr(cli.ainfty, "build_merkulov", fail)
+        argv = ["verify", "merkulov", "--vars", "2", "--weight", "2", "--k", "1"]
+        assert main(argv + ["--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cases"] == payload["failures"] == 1
+        assert payload["failure_details"] == [
+            {"check": "build", "error": "homotopy side condition fails"},
+        ]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "suite merkulov: 1 cases, 1 failures" in out and "[FAILED]" in out
+        assert "  fail: {'check': 'build', 'error': 'homotopy side condition fails'}" in out
 
     def test_cstree_reports_a_slot_expansion_that_disagrees(self, monkeypatch, capsys):
         from symtrace import cli
@@ -780,6 +852,17 @@ class TestExitContract:
         out = capsys.readouterr()
         assert expected in out.out
         assert out.err == ""
+
+    def test_a_form_that_starts_with_a_minus_follows_a_double_dash(self, capsys):
+        # argparse reads "-x1*dx2" as an option, so the form is missing
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--vars", "3", "-x1*dx2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: expr" in err
+        assert "Traceback" not in err
+        assert main(["trace", "--vars", "3", "--", "-x1*dx2"]) == 0
+        assert capsys.readouterr().out == "-lam[1,2]\n"
 
     @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
     def test_malformed_basis_budget(self, value, monkeypatch, capsys):

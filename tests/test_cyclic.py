@@ -953,7 +953,7 @@ class TestGroupedBridge:
             terms = delta_word(w)
             assert list(terms) == list(delta_R(RElement.from_word(w)).terms.items())
             assert all(type(c) is int for _, c in terms)
-        maxsize = resolution._delta_word_terms.cache_info().maxsize
+        maxsize = resolution.delta_word.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
 
 

@@ -206,6 +206,22 @@ def test_one_map_loop_serves_the_simple_and_F_routes():
     assert called == ["cyclic._beta_terms", "trace._cs_enumerate", "trace._map_terms"]
 
 
+def test_one_loop_multiplies_lam_letters():
+    # gcalg.lam_letters walks the argument lists and multiplies the letter
+    # signs; lam_product multiplies the letters, _lam_word concatenates them
+    called = sorted(f"{p.stem}.{fn}" for p in sorted(SRC.glob("*.py"))
+                    for fn in call_sites(ast.parse(p.read_text()), "lam_letters"))
+    assert called == ["gcalg.lam_product", "resolution._lam_word"]
+
+
+def test_only_gcalg_and_derham_read_the_lam_kind():
+    # gcalg.letter_args is the one read-back of a letter's indices; derham
+    # reads the kind only to refuse a Form that holds a lam letter
+    read = [p.stem for p in sorted(SRC.glob("*.py"))
+            if references(ast.parse(p.read_text()))["LAM_KIND"]]
+    assert read == ["derham", "gcalg"]
+
+
 def test_only_gcalg_refuses_over_the_budget():
     # gcalg.charge owns every budget refusal and its message; the one other
     # ResourceLimitError is the homotopy's refusal of a word outside the caps
